@@ -704,33 +704,37 @@ def _boundary_case_symbolic(case_id, nbar):
     return _CASE_FN[case_id](nbar)
 
 
+def _caller_copy(res, geo=None):
+    """A cached case as handed out: its own lists and record dicts, so no
+    caller can change what later calls see; geo substitutes point data."""
+    sub = (lambda p: p) if geo is None else geo.subs
+    parts = None
+    if res.parts is not None:
+        parts = {
+            k: {"integrand": v["integrand"], "value": sub(v["value"])}
+            for k, v in res.parts.items()
+        }
+    return BoundaryCaseResult(
+        res.case_id,
+        res.nbar,
+        sub(res.value),
+        res.case_prefactor,
+        res.integrand,
+        parts,
+        sub(res.printed),
+        [dict(c) for c in res.comparisons],
+        [dict(step) for step in res.derivation_trace],
+    )
+
+
 def boundary_case(case_id, nbar, geo=None):
     """Evaluate one boundary case; geo substitutes exact point data."""
     if case_id not in _CASE_FN:
         raise ValidationError("case_id", f"unknown case {case_id!r}")
     _check_nbar(nbar)
-    res = _boundary_case_symbolic(case_id, nbar)
-    if geo is None:
-        return res
-    if geo.n != nbar + 2:
+    if geo is not None and geo.n != nbar + 2:
         raise ValidationError("geo", f"bundle dimension {geo.n} != {nbar + 2}")
-    parts = None
-    if res.parts is not None:
-        parts = {
-            k: {"integrand": v["integrand"], "value": geo.subs(v["value"])}
-            for k, v in res.parts.items()
-        }
-    return BoundaryCaseResult(
-        res.case_id,
-        nbar,
-        geo.subs(res.value),
-        res.case_prefactor,
-        res.integrand,
-        parts,
-        geo.subs(res.printed),
-        res.comparisons,
-        res.derivation_trace,
-    )
+    return _caller_copy(_boundary_case_symbolic(case_id, nbar), geo)
 
 
 def _split_by(poly, pred):
@@ -766,7 +770,7 @@ def total_boundary_phi(nbar, geo=None):
     _check_nbar(nbar)
     n = nbar + 2
     alphabet = standard_alphabet(n)
-    cases = {cid: _boundary_case_symbolic(cid, nbar) for cid in CASE_IDS}
+    cases = {cid: _caller_copy(_boundary_case_symbolic(cid, nbar)) for cid in CASE_IDS}
     value = ParamPoly.zero(alphabet)
     for res in cases.values():
         value = value + res.value

@@ -174,14 +174,33 @@ class CliffordElement:
         out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
         return out
 
+    def mul_grade0(self, other):
+        """Grade-0 part of self * other, without forming the product.
+
+        Blades multiply to mask m1 ^ m2, so only equal masks reach grade 0:
+        terms are joined on the mask, O(|a| + |b|) instead of |a| * |b|.
+        """
+        other = self._check(other)
+        by_mask = {}
+        for (m, f), c in other.terms.items():
+            by_mask.setdefault(m, []).append((f, c))
+        terms = {}
+        for (m, f1), c1 in self.terms.items():
+            partners = by_mask.get(m)
+            if not partners:
+                continue
+            sign = blade_mul(m, m)[1]
+            for f2, c2 in partners:
+                key = (0, _merge_labels(f1, f2))
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                terms[key] = terms[key] + c if key in terms else c
+        return CliffordElement(self.dim, self.alphabet, terms)
+
     def grade(self, k):
         terms = {
             key: c for key, c in self.terms.items() if bin(key[0]).count("1") == k
         }
         return CliffordElement(self.dim, self.alphabet, terms)
-
-    def labels(self):
-        return {f for (_, f) in self.terms}
 
     def coefficient(self, mask, label=()):
         return self.terms.get((mask, tuple(label)), ParamPoly.zero(self.alphabet))
@@ -226,6 +245,16 @@ def twisted_trace(a, label_trace):
         if mask == 0:
             total = total + c * label_trace(label)
     return total * trid
+
+
+def _triples(n):
+    """Strictly increasing index triples a < b < c in 1..n."""
+    return [
+        (a, b, c)
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+        for c in range(b + 1, n + 1)
+    ]
 
 
 def torsion_element(dim, alphabet, triples, label=()):
@@ -331,6 +360,22 @@ class SpinorMatrix:
                 total = r[i] if total is None else total + r[i]
         return GR_ZERO if total is None else total
 
+    def trace_product(self, other):
+        """Trace of self * other without forming it: sum_ik A_ik B_ki.
+
+        Cheapest with the sparser matrix as self.
+        """
+        if self.size != other.size:
+            raise DimMismatch("matrix size mismatch")
+        total = None
+        for i, r in enumerate(self.rows):
+            for k, a in r.items():
+                b = other.rows[k].get(i)
+                if b is not None:
+                    p = a * b
+                    total = p if total is None else total + p
+        return GR_ZERO if total is None else total
+
     def __eq__(self, other):
         if not isinstance(other, SpinorMatrix):
             return NotImplemented
@@ -423,38 +468,10 @@ def represent(a):
     return SpinorMatrix(size, rows)
 
 
-def matrix_trace(a):
-    """Trace of the matrix representation (label-free elements)."""
-    tr = represent(a).trace()
-    if isinstance(tr, ParamPoly):
-        return tr
-    return ParamPoly.const(a.alphabet, tr)
-
-
-def matrix_trace_twisted(a, label_trace):
-    """Matrix-level trace of a twisted element using blade-matrix traces."""
-    total = ParamPoly.zero(a.alphabet)
-    for (mask, label), coeff in a.terms.items():
-        bt = blade_matrix(a.dim, mask).trace()
-        if bt.is_zero():
-            continue
-        total = total + coeff * ParamPoly.const(a.alphabet, bt) * label_trace(label)
-    return total
-
-
 def _rand_fraction(rng, span=6):
     num = rng.randint(-span, span)
     den = rng.randint(1, 4)
     return Fraction(num, den)
-
-
-def _all_triples(n):
-    return [
-        (a, b, c)
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
-        for c in range(b + 1, n + 1)
-    ]
 
 
 def _t_lookup(triples, a, b, c):
@@ -475,6 +492,20 @@ def _t_lookup(triples, a, b, c):
     return sign * base
 
 
+def _combination(size, pairs):
+    """The matrix sum of v * M over (v, M) pairs, accumulated row by row."""
+    rows = [dict() for _ in range(size)]
+    for v, mat in pairs:
+        for acc, row in zip(rows, mat.rows):
+            for j, x in row.items():
+                p = x * v
+                s = acc.get(j)
+                acc[j] = p if s is None else s + p
+    return SpinorMatrix(
+        size, [{j: x for j, x in acc.items() if not x.is_zero()} for acc in rows]
+    )
+
+
 def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
     """Exact trace-identity verification against the matrix oracle.
 
@@ -484,6 +515,9 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
 
     deriv_trials sizes the covariant-derivative contraction block
     separately (defaults to trials; 0 skips those records).
+
+    Every left-hand side is a trace of a matrix product, taken with
+    SpinorMatrix.trace_product without forming the product.
     """
     if deriv_trials is None:
         deriv_trials = trials
@@ -492,7 +526,14 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
     trid = GaussRational(2 ** (n // 2))
     size = 2 ** (n // 2)
     gens = clifford_matrix_rep(n)
-    triples_idx = _all_triples(n)
+    triples_idx = _triples(n)
+
+    def blade(*idx):
+        """Matrix of c(e_i1) c(e_i2) ... for increasing indices."""
+        mask = 0
+        for i in idx:
+            mask |= 1 << (i - 1)
+        return blade_matrix(n, mask)
 
     records = []
 
@@ -506,16 +547,6 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
                 "printed_status": "pass" if ok_printed else "differs",
                 "counterexample": example,
             }
-        )
-
-    def const_elem(mask_coeffs):
-        return CliffordElement(
-            n,
-            alphabet,
-            {
-                (mask, ()): ParamPoly.const(alphabet, c)
-                for mask, c in mask_coeffs.items()
-            },
         )
 
     ok = {k: True for k in ("pair", "square", "c_aa", "c_ab", "c_ag")}
@@ -540,13 +571,13 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
             n, alphabet, [ParamPoly.const(alphabet, v) for v in Y]
         )
 
-        lhs = (represent(cT + cY) * represent(cX)).trace()
+        mT = represent(cT)
+        lhs = represent(cX).trace_product(mT + represent(cY))
         if not lhs == GaussRational(-gYX) * trid:
             ok["pair"] = False
             ex["pair"] = ex["pair"] or f"Tr((c(T)+c(Y))c(X)) = {lhs}"
 
-        mT = represent(cT)
-        lhs = (mT * mT).trace()
+        lhs = mT.trace_product(mT)
         # with c(e_i)^2 = -1 a grade-3 blade squares to +1, so the trace
         # of c(T)^2 is +sum(T^2)*tr(id); the printed form has -sum(T^2)
         if not lhs == GaussRational(t2) * trid:
@@ -558,38 +589,36 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
                 f"Tr(c(T)c(T)) = {lhs}, printed = {GaussRational(-t2) * trid}"
             )
 
-        # contraction sums over pairs of triples joined on one index
-        def pair_matrix(select):
-            """Sum over index m of A_m * B_m per the contraction pattern."""
-            total = SpinorMatrix(size)
-            for m in range(1, n + 1):
-                a_m = SpinorMatrix(size)
-                b_m = SpinorMatrix(size)
-                nonzero = False
-                for (a, b, c), v in T.items():
-                    if v == 0:
-                        continue
-                    if a == m:
-                        mask = (1 << (b - 1)) | (1 << (c - 1))
-                        a_m = a_m + blade_matrix(n, mask).scale(GaussRational(v))
-                        nonzero = True
-                for (a, b, c), v in T.items():
-                    if v == 0:
-                        continue
-                    pos, first, second = select
-                    idxs = (a, b, c)
-                    if idxs[pos] == m:
-                        i1, i2 = idxs[first], idxs[second]
-                        mat = blade_matrix(n, 1 << (i1 - 1)) * blade_matrix(
-                            n, 1 << (i2 - 1)
-                        )
-                        b_m = b_m + mat.scale(GaussRational(v))
-                if nonzero:
-                    total = total + a_m * b_m
+        # contraction sums over pairs of triples joined on one index;
+        # A_m = sum of T_mbc c_b c_c is shared by the three patterns, and
+        # is B_m itself for the joined-first one
+        a_terms = {}
+        for (a, b, c), v in T.items():
+            if v != 0:
+                a_terms.setdefault(a, []).append((GaussRational(v), blade(b, c)))
+        a_mats = {m: _combination(size, pairs) for m, pairs in a_terms.items()}
+
+        def pair_trace(select):
+            """Sum over index m of Tr(A_m B_m) per the contraction pattern."""
+            pos, first, second = select
+            total = GR_ZERO
+            for m, a_m in a_mats.items():
+                if select == (0, 1, 2):
+                    b_m = a_m
+                else:
+                    b_m = _combination(
+                        size,
+                        [
+                            (GaussRational(v), blade(idxs[first], idxs[second]))
+                            for idxs, v in T.items()
+                            if v != 0 and idxs[pos] == m
+                        ],
+                    )
+                total = total + a_m.trace_product(b_m)
             return total
 
         # join on the first / second / third index of the tilde triple
-        lhs = pair_matrix((0, 1, 2)).trace()
+        lhs = pair_trace((0, 1, 2))
         # Tr(c_b c_c c_b c_c) = -tr(id) for b != c, so the joined-first
         # contraction is -sum(T^2)*tr(id); the printed form has +sum(T^2)
         if not lhs == GaussRational(-t2) * trid:
@@ -601,11 +630,11 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
                 f"joined-first contraction = {lhs}, "
                 f"printed = {GaussRational(t2) * trid}"
             )
-        lhs = pair_matrix((1, 0, 2)).trace()
+        lhs = pair_trace((1, 0, 2))
         if not lhs == GR_ZERO:
             ok["c_ab"] = False
             ex["c_ab"] = ex["c_ab"] or f"joined-second contraction = {lhs}"
-        lhs = pair_matrix((2, 0, 1)).trace()
+        lhs = pair_trace((2, 0, 1))
         if not lhs == GR_ZERO:
             ok["c_ag"] = False
             ex["c_ag"] = ex["c_ag"] or f"joined-third contraction = {lhs}"
@@ -615,6 +644,25 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
     record("contraction_joined_first", ok["c_aa"], okp1["c_aa"], ex["c_aa"])
     record("contraction_joined_second", ok["c_ab"], ok["c_ab"], ex["c_ab"])
     record("contraction_joined_third", ok["c_ag"], ok["c_ag"], ex["c_ag"])
+
+    # Products of fixed blade matrices, formed once per call.  Each slot's
+    # trace Tr(c_j L c(nabla_j e) R) is taken, by cyclicity of the matrix
+    # trace, as Tr((R c_j L) c(nabla_j e)), so a trial forms no product.
+    fixed = {}
+
+    def fixed_product(*groups):
+        got = fixed.get(groups)
+        if got is None:
+            got = blade(*groups[0])
+            for g in groups[1:]:
+                got = got * blade(*g)
+            fixed[groups] = got
+        return got
+
+    def delta4(i, j, k, l):
+        """Full contraction of Tr(c_i c_j c_k c_l)/trid."""
+        d = lambda a, b: 1 if a == b else 0
+        return d(i, j) * d(k, l) - d(i, k) * d(j, l) + d(i, l) * d(j, k)
 
     # covariant-derivative contractions with free connection scalars
     ok2 = {k: True for k in ("d_first", "d_second", "d_third")}
@@ -627,133 +675,98 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
             for _ in range(n + 1)
         ]  # w[j][alpha][l] = <nabla_j e_alpha, e_l>, 1-based
 
-        def vmat(alpha):
-            out = [SpinorMatrix(size) for _ in range(n + 1)]
-            for j in range(1, n + 1):
-                m = SpinorMatrix(size)
-                for l in range(1, n + 1):
-                    v = w[j][alpha][l]
-                    if v:
-                        m = m + gens[l - 1].scale(GaussRational(v))
-                out[j] = m
-            return out
+        # vmats[alpha][j] = c(nabla_j e_alpha)
+        vmats = {
+            alpha: [None]
+            + [
+                _combination(
+                    size,
+                    [
+                        (GaussRational(w[j][alpha][l]), gens[l - 1])
+                        for l in range(1, n + 1)
+                        if w[j][alpha][l]
+                    ],
+                )
+                for j in range(1, n + 1)
+            ]
+            for alpha in range(1, n + 1)
+        }
 
-        vmats = {alpha: vmat(alpha) for alpha in range(1, n + 1)}
+        def slot(alpha, left, delta):
+            """Left-hand trace and full contraction of one derivative slot.
 
-        def delta4(i, j, k, l):
-            """Full contraction of Tr(c_i c_j c_k c_l)/trid."""
-            d = lambda a, b: 1 if a == b else 0
-            return Fraction(d(i, j) * d(k, l) - d(i, k) * d(j, l) + d(i, l) * d(j, k))
+            Per triple with T != 0: sum_j Tr(left(j) c(nabla_j e_alpha))
+            against sum_{j,l} <nabla_j e_alpha, e_l> delta4(delta(j, l)).
+            """
+            tr = GR_ZERO
+            rhs = Fraction(0)
+            for (a, b, c), tv in T.items():
+                if tv == 0:
+                    continue
+                x = alpha(a, b, c)
+                part = GR_ZERO
+                for j in range(1, n + 1):
+                    part = part + left(a, b, c, j).trace_product(vmats[x][j])
+                    for l in range(1, n + 1):
+                        d = delta4(*delta(a, b, c, j, l))
+                        if d:
+                            rhs += tv * w[j][x][l] * d
+                tr = tr + GaussRational(tv) * part
+            return tr, rhs
+
+        def check(key, tr, rhs_full, rhs_printed):
+            if not tr == GaussRational(rhs_full) * trid:
+                ok2[key] = False
+                ex2[key] = ex2[key] or f"lhs = {tr}, contraction = {rhs_full}"
+            if rhs_full != rhs_printed:
+                okp[key] = False
+                ex2[key] = (
+                    ex2[key] or f"contraction = {rhs_full}, printed = {rhs_printed}"
+                )
 
         # first slot: sum_j c_j c(nabla_j e_alpha) c_beta c_gamma
-        lhs = SpinorMatrix(size)
-        rhs_full = Fraction(0)
+        tr, rhs_full = slot(
+            lambda a, b, c: a,
+            lambda a, b, c, j: fixed_product((b, c), (j,)),
+            lambda a, b, c, j, l: (j, l, b, c),
+        )
+        # printed closed form: -2 T_{a j l} <nabla_j e_a, e_l> over a<j<l
         rhs_printed = Fraction(0)
-        for (a, b, c), tv in T.items():
-            if tv == 0:
-                continue
-            m = SpinorMatrix(size)
-            for j in range(1, n + 1):
-                m = m + gens[j - 1] * vmats[a][j]
-            lhs = lhs + (m * blade_matrix(n, (1 << (b - 1)) | (1 << (c - 1)))).scale(
-                GaussRational(tv)
-            )
-            for j in range(1, n + 1):
-                for l in range(1, n + 1):
-                    rhs_full += tv * w[j][a][l] * delta4(j, l, b, c)
-            # printed closed form: -2 T_{a j l} <nabla_j e_a, e_l> over a<j<l
         for (a, jj, ll), tv in T.items():
             rhs_printed += -2 * tv * w[jj][a][ll]
-        tr = lhs.trace()
-        if not tr == GaussRational(rhs_full) * trid:
-            ok2["d_first"] = False
-            ex2["d_first"] = ex2["d_first"] or f"lhs = {tr}, contraction = {rhs_full}"
-        if rhs_full != rhs_printed:
-            okp["d_first"] = False
-            ex2["d_first"] = (
-                ex2["d_first"]
-                or f"contraction = {rhs_full}, printed = {rhs_printed}"
-            )
+        check("d_first", tr, rhs_full, rhs_printed)
 
         # second slot: sum_j c_j c_alpha c(nabla_j e_beta) c_gamma
-        lhs = SpinorMatrix(size)
-        rhs_full = Fraction(0)
+        tr, rhs_full = slot(
+            lambda a, b, c: b,
+            lambda a, b, c, j: fixed_product((c,), (j,), (a,)),
+            lambda a, b, c, j, l: (j, a, l, c),
+        )
         rhs_printed = Fraction(0)
-        for (a, b, c), tv in T.items():
-            if tv == 0:
-                continue
-            m = SpinorMatrix(size)
-            for j in range(1, n + 1):
-                m = m + gens[j - 1] * blade_matrix(n, 1 << (a - 1)) * vmats[b][j]
-            lhs = lhs + (m * blade_matrix(n, 1 << (c - 1))).scale(GaussRational(tv))
-            for j in range(1, n + 1):
-                for l in range(1, n + 1):
-                    rhs_full += tv * w[j][b][l] * delta4(j, a, l, c)
         for l in range(1, n + 1):
             for b in range(1, n + 1):
                 for j in range(1, n + 1):
                     rhs_printed += _t_lookup(T, l, b, j) * w[j][b][l]
-        tr = lhs.trace()
-        if not tr == GaussRational(rhs_full) * trid:
-            ok2["d_second"] = False
-            ex2["d_second"] = ex2["d_second"] or f"lhs = {tr}, contraction = {rhs_full}"
-        if rhs_full != rhs_printed:
-            okp["d_second"] = False
-            ex2["d_second"] = (
-                ex2["d_second"]
-                or f"contraction = {rhs_full}, printed = {rhs_printed}"
-            )
+        check("d_second", tr, rhs_full, rhs_printed)
 
         # third slot: sum_j c_j c_alpha c_beta c(nabla_j e_gamma)
-        lhs = SpinorMatrix(size)
-        rhs_full = Fraction(0)
+        tr, rhs_full = slot(
+            lambda a, b, c: c,
+            lambda a, b, c, j: fixed_product((j,), (a, b)),
+            lambda a, b, c, j, l: (j, a, b, l),
+        )
         rhs_printed = Fraction(0)
-        for (a, b, c), tv in T.items():
-            if tv == 0:
-                continue
-            m = SpinorMatrix(size)
-            pre = blade_matrix(n, (1 << (a - 1)) | (1 << (b - 1)))
-            for j in range(1, n + 1):
-                m = m + gens[j - 1] * pre * vmats[c][j]
-            lhs = lhs + m.scale(GaussRational(tv))
-            for j in range(1, n + 1):
-                for l in range(1, n + 1):
-                    rhs_full += tv * w[j][c][l] * delta4(j, a, b, l)
         for l in range(1, n + 1):
             for j in range(1, n + 1):
                 for g in range(1, n + 1):
                     rhs_printed += -_t_lookup(T, l, j, g) * w[j][g][l]
-        tr = lhs.trace()
-        if not tr == GaussRational(rhs_full) * trid:
-            ok2["d_third"] = False
-            ex2["d_third"] = ex2["d_third"] or f"lhs = {tr}, contraction = {rhs_full}"
-        if rhs_full != rhs_printed:
-            okp["d_third"] = False
-            ex2["d_third"] = (
-                ex2["d_third"]
-                or f"contraction = {rhs_full}, printed = {rhs_printed}"
-            )
+        check("d_third", tr, rhs_full, rhs_printed)
 
     if deriv_trials:
-        record(
-            "deriv_contraction_first",
-            ok2["d_first"],
-            okp["d_first"],
-            ex2["d_first"],
-            count=deriv_trials,
-        )
-        record(
-            "deriv_contraction_second",
-            ok2["d_second"],
-            okp["d_second"],
-            ex2["d_second"],
-            count=deriv_trials,
-        )
-        record(
-            "deriv_contraction_third",
-            ok2["d_third"],
-            okp["d_third"],
-            ex2["d_third"],
-            count=deriv_trials,
-        )
+        for key, ident in (
+            ("d_first", "deriv_contraction_first"),
+            ("d_second", "deriv_contraction_second"),
+            ("d_third", "deriv_contraction_third"),
+        ):
+            record(ident, ok2[key], okp[key], ex2[key], count=deriv_trials)
     return records

@@ -102,12 +102,16 @@ class SessionConfig:
         if cases is None:
             cases = ALL_CASES
         else:
+            if not isinstance(cases, (list, tuple)):
+                raise ValidationError(
+                    "cases", f"expected a list of cases, got {cases!r}"
+                )
             resolved = []
             for c in cases:
                 if c == "all":
                     resolved.extend(ALL_CASES)
                     continue
-                if c not in CASE_ALIASES:
+                if not isinstance(c, str) or c not in CASE_ALIASES:
                     raise ValidationError("cases", f"unknown case {c!r}")
                 resolved.append(CASE_ALIASES[c])
             cases = tuple(dict.fromkeys(resolved))
@@ -154,6 +158,10 @@ class SessionConfig:
     def _torsion(entries, n):
         if entries is None:
             return None
+        if not isinstance(entries, (list, tuple)):
+            raise ValidationError(
+                "torsion", f"expected a list of [a, b, c, value], got {entries!r}"
+            )
         out = {}
         for entry in entries:
             if not isinstance(entry, (list, tuple)) or len(entry) != 4:

@@ -20,8 +20,9 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # Fractions are immutable: reuse them instead of re-wrapping
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def from_value(cls, v):
@@ -49,6 +50,11 @@ class GaussRational:
 
     def __mul__(self, other):
         other = GaussRational.from_value(other)
+        # real or imaginary factors, the common case, need half the products
+        if not other.im:
+            return GaussRational(self.re * other.re, self.im * other.re)
+        if not other.re:
+            return GaussRational(-(self.im * other.im), self.re * other.im)
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

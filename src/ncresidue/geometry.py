@@ -13,20 +13,12 @@ dPhi_j) and never contribute to densities.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .clifford import CliffordElement, torsion_element, twisted_trace
+from .clifford import CliffordElement, _triples, torsion_element, twisted_trace
 from .errors import NonAntisymmetricTorsion, OddDimension, ValidationError
 from .exact import Alphabet, GaussRational, ParamPoly
-
-
-def _triples(n):
-    return [
-        (a, b, c)
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
-        for c in range(b + 1, n + 1)
-    ]
 
 
 def standard_alphabet(n):
@@ -244,11 +236,25 @@ def _dx_component(alphabet, dim, j, l):
     return _var(alphabet, f"dX_{j}_{l}")
 
 
-def lichnerowicz_normal_form(geo):
-    """A^i and B blocks of the operator at the base point."""
-    n, alphabet = geo.n, geo.alphabet
+def _assemble(summands, zero, grade0=False):
+    """Sum of summands given as factor tuples: (x,) is x, (x, y) is x * y.
+
+    grade0 keeps only the grade-0 part, and then forms no product.
+    """
+    out = zero
+    for f in summands:
+        if grade0:
+            out = out + (f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0))
+        else:
+            out = out + (f[0] * f[1] if len(f) == 2 else f[0])
+    return out
+
+
+def _normal_form_parts(n, alphabet):
+    """A^i, the summands of B, and the jets of W, at the base point."""
     w = twist_vector(n, alphabet)
     gens = [CliffordElement.generator(n, alphabet, j) for j in range(1, n + 1)]
+    jets = [twist_vector_jet(n, alphabet, j) for j in range(1, n + 1)]
     k_list = [gens[j] * w + w * gens[j] for j in range(n)]
 
     Ai = []
@@ -260,98 +266,86 @@ def lichnerowicz_normal_form(geo):
         Ai.append(-a)
 
     quarter = Fraction(1, 4)
-    b = CliffordElement.scalar(n, alphabet, -(_var(alphabet, "s") * quarter))
+    b = [(CliffordElement.scalar(n, alphabet, -(_var(alphabet, "s") * quarter)),)]
     # auxiliary-bundle curvature, one opaque label per ordered pair i < j
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            blade = gens[i - 1] * gens[j - 1]
-            b = b + (-blade.with_label((f"RF_{i}_{j}",)))
+            b.append((-gens[i - 1].with_label((f"RF_{i}_{j}",)), gens[j - 1]))
     normx2 = ParamPoly.zero(alphabet)
     for j in range(1, n + 1):
         normx2 = normx2 + _var(alphabet, f"X_{j}") ** 2
-    b = b + CliffordElement.scalar(n, alphabet, normx2 * Fraction(1, 16))
+    b.append((CliffordElement.scalar(n, alphabet, normx2 * Fraction(1, 16)),))
     # minus the drift moment term: +1/4 sum_{j<l} (dX_jl - dX_lj) c_j c_l
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
             coeff = (
                 _var(alphabet, f"dX_{j}_{l}") - _var(alphabet, f"dX_{l}_{j}")
             ) * quarter
-            b = b + (gens[j - 1] * gens[l - 1]).scale(coeff)
+            b.append((gens[j - 1].scale(coeff), gens[l - 1]))
     # -1/4 sum_j c_j c(first jet of the drift)
     for j in range(1, n + 1):
         for l in range(1, n + 1):
-            b = b + (gens[j - 1] * gens[l - 1]).scale(
-                -_dx_component(alphabet, n, j, l) * quarter
-            )
+            coeff = -_dx_component(alphabet, n, j, l) * quarter
+            b.append((gens[j - 1].scale(coeff), gens[l - 1]))
     # - sum_j c_j (jet of W)
     for j in range(1, n + 1):
-        b = b + (-(gens[j - 1] * twist_vector_jet(n, alphabet, j)))
+        b.append((-gens[j - 1], jets[j - 1]))
     # -1/4 (W c(X) + c(X) W)
     cx = CliffordElement.zero(n, alphabet)
     for j in range(1, n + 1):
         cx = cx + gens[j - 1].scale(_var(alphabet, f"X_{j}"))
-    b = b + (-(w * cx + cx * w).scale(quarter))
+    cx = cx.scale(-quarter)
+    b += [(w, cx), (cx, w)]
     # - W^2
-    b = b + (-(w * w))
-    return LaplaceNormalForm(n, alphabet, Ai, b)
+    b.append((-w, w))
+    return Ai, b, jets
+
+
+def _connection_parts(n, alphabet, Ai, jets):
+    """Connection coefficients and the summands of E - B."""
+    omega = [a.scale(Fraction(1, 2)) for a in Ai]
+    gens = [CliffordElement.generator(n, alphabet, j) for j in range(1, n + 1)]
+    half = Fraction(1, 2)
+    e = []
+    for j in range(1, n + 1):
+        # plus the jet of omega_j in the j-th coordinate (A^j carries the
+        # overall minus sign), minus omega_j^2
+        dw = jets[j - 1]
+        dx = _dx_component(alphabet, n, j, j) * Fraction(1, 4)
+        e += [
+            (CliffordElement.scalar(n, alphabet, dx),),
+            (gens[j - 1].scale(half), dw),
+            (dw, gens[j - 1].scale(half)),
+            (-omega[j - 1], omega[j - 1]),
+        ]
+    return omega, e
+
+
+def lichnerowicz_normal_form(geo):
+    """A^i and B blocks of the operator at the base point."""
+    n, alphabet = geo.n, geo.alphabet
+    Ai, b, _ = _normal_form_parts(n, alphabet)
+    return LaplaceNormalForm(
+        n, alphabet, Ai, _assemble(b, CliffordElement.zero(n, alphabet))
+    )
 
 
 def connection_and_E(nf):
     """Connection coefficients and the reconstructed endomorphism block."""
     n, alphabet = nf.dim, nf.alphabet
-    omega = [a.scale(Fraction(1, 2)) for a in nf.Ai]
-
-    gens = [CliffordElement.generator(n, alphabet, j) for j in range(1, n + 1)]
-    e = nf.B
-    for j in range(1, n + 1):
-        # jet of omega_j in the j-th coordinate
-        dw = twist_vector_jet(n, alphabet, j)
-        dk = gens[j - 1] * dw + dw * gens[j - 1]
-        domega = CliffordElement.scalar(
-            n, alphabet, _dx_component(alphabet, n, j, j) * Fraction(1, 4)
-        ) + dk.scale(Fraction(1, 2))
-        e = e + domega  # minus (-domega): A^j carries the overall minus sign
-        e = e + (-(omega[j - 1] * omega[j - 1]))
-    return omega, e
+    jets = [twist_vector_jet(n, alphabet, j) for j in range(1, n + 1)]
+    omega, e = _connection_parts(n, alphabet, nf.Ai, jets)
+    return omega, _assemble(e, nf.B)
 
 
-def endomorphism_printed(dim, alphabet):
-    """The endomorphism block assembled term-by-term in its reduced form."""
-    gens = [CliffordElement.generator(dim, alphabet, j) for j in range(1, dim + 1)]
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    w = twist_vector(dim, alphabet)
-
-    e = CliffordElement.scalar(dim, alphabet, -(_var(alphabet, "s") * quarter))
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            e = e + (-(gens[i - 1] * gens[j - 1]).with_label((f"RF_{i}_{j}",)))
-    e = e + CliffordElement.scalar(
-        dim, alphabet, _var(alphabet, "divX") * quarter
-    )
-    for j in range(1, dim + 1):
-        for l in range(j + 1, dim + 1):
-            coeff = (
-                _var(alphabet, f"dX_{j}_{l}") - _var(alphabet, f"dX_{l}_{j}")
-            ) * quarter
-            e = e + (gens[j - 1] * gens[l - 1]).scale(coeff)
-    for j in range(1, dim + 1):
-        for l in range(1, dim + 1):
-            e = e + (gens[j - 1] * gens[l - 1]).scale(
-                -_dx_component(alphabet, dim, j, l) * quarter
-            )
-    for j in range(1, dim + 1):
-        dw = twist_vector_jet(dim, alphabet, j)
-        e = e + (dw * gens[j - 1] - gens[j - 1] * dw).scale(half)
-    cx = CliffordElement.zero(dim, alphabet)
-    for j in range(1, dim + 1):
-        cx = cx + gens[j - 1].scale(_var(alphabet, f"X_{j}"))
-    e = e + (-(w * cx + cx * w).scale(half))
-    for j in range(1, dim + 1):
-        k_j = gens[j - 1] * w + w * gens[j - 1]
-        e = e + (-(k_j * k_j).scale(quarter))
-    e = e + (-(w * w))
-    return e
+@lru_cache(maxsize=None)
+def _trace_E_symbolic(n):
+    """Tr(E) over the symbolic alphabet of dimension n, traced term by term."""
+    alphabet = standard_alphabet(n)
+    Ai, b, jets = _normal_form_parts(n, alphabet)
+    _, e = _connection_parts(n, alphabet, Ai, jets)
+    grade0 = _assemble(b + e, CliffordElement.zero(n, alphabet), grade0=True)
+    return twisted_trace(grade0, standard_label_trace(alphabet))
 
 
 def _sum_t2(alphabet, n):
@@ -378,8 +372,12 @@ def _normy2(alphabet, n):
 def trace_E_density(geo, mode="oracle"):
     """Spinor-plus-twist trace of the endomorphism block.
 
-    oracle mode assembles the block and traces it exactly; printed mode
-    returns the closed-form density with its 2^n prefactor.
+    oracle mode traces the block exactly, trace-only: the grade-0 part of
+    each summand of E is taken without forming its products, once per
+    dimension over the symbolic alphabet (cached), and geo's point data is
+    substituted afterwards.  The full assembly connection_and_E stays as
+    the test oracle.  printed mode returns the closed-form density with its
+    2^n prefactor.
     """
     n, alphabet = geo.n, geo.alphabet
     if mode == "printed":
@@ -393,8 +391,7 @@ def trace_E_density(geo, mode="oracle"):
         return geo.subs(inner * _var(alphabet, "dimF") * (2 ** n))
     if mode != "oracle":
         raise ValidationError("mode", f"unknown mode {mode!r}")
-    _, e = connection_and_E(lichnerowicz_normal_form(geo))
-    return geo.subs(twisted_trace(e, standard_label_trace(alphabet)))
+    return geo.subs(_trace_E_symbolic(n))
 
 
 def trace_density_report(n):

@@ -110,6 +110,21 @@ class TestIndividualCases:
         assert all({"id", "op", "value"} <= set(step) for step in
                    res.derivation_trace)
 
+    def test_cached_cases_do_not_leak_mutation(self):
+        count = len(total_boundary_phi(2)["comparisons"])
+        res = boundary_case("b", 2)
+        res.comparisons.append({"term": "injected"})
+        res.comparisons[0]["agree"] = "changed"
+        res.derivation_trace.clear()
+        total_boundary_phi(2)["cases"]["c"].comparisons.clear()
+        phi = total_boundary_phi(2)
+        assert len(phi["comparisons"]) == count == 13
+        assert all(c["term"] != "injected" for c in phi["comparisons"])
+        fresh = boundary_case("b", 2)
+        assert fresh.comparisons[0]["agree"] in (True, False)
+        assert fresh.derivation_trace
+        assert phi["cases"]["c"].comparisons
+
 
 class TestAssembly:
     @pytest.mark.parametrize("nbar", [2, 4, 6])

@@ -1,5 +1,6 @@
 """Command-line interface behavior and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -44,6 +45,14 @@ class TestExitCodes:
         assert code == 1
         assert "NonIncreasingTriple" in err
 
+    @pytest.mark.parametrize("text", ["nbar: 2\ncases: 5", "nbar: 2\ntorsion: 5"])
+    def test_non_list_config_fields(self, capsys, text):
+        code, out, err = run_main(capsys, ["--config", text])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValidationError: ")
+        assert "Traceback" not in err
+
     def test_discrepancies_do_not_fail(self, capsys):
         # printed-form disagreements appear in the report but exit 0
         code, out, _ = run_main(capsys, ["--dim", "4", "--format", "csv"])
@@ -87,3 +96,19 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout
+
+
+class TestReportBytes:
+    # sha256 of `ncresidue --dim d --format json`: the reference bytes of
+    # the reports, which a change of engine internals must keep identical
+    REFERENCE = {
+        2: "ffa405d251cf461a5025af1ba9939aea5416ae0cfccb8e5ffd7533e52f46337c",
+        4: "ad20e2f72572bca0a5f91bf601c62338b96daabb24b77eb161d13aaf98b90f50",
+        6: "9cb6de8003bf6ee623b26dff42a426220beb58f02c3ca66281a69b1db7b23747",
+    }
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_json_report_sha256(self, capsys, dim):
+        code, out, _ = run_main(capsys, ["--dim", str(dim), "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.REFERENCE[dim]

@@ -7,6 +7,7 @@ import pytest
 
 from ncresidue.clifford import (
     CliffordElement,
+    SpinorMatrix,
     blade_matrix,
     blade_mul,
     clifford_matrix_rep,
@@ -17,13 +18,13 @@ from ncresidue.clifford import (
     twisted_trace,
     verify_trace_lemmas,
 )
-from ncresidue.exact import Alphabet, ParamPoly
+from ncresidue.exact import GR_ZERO, Alphabet, ParamPoly
 from ncresidue.errors import (
     IndexOutOfRange,
     NonIncreasingTriple,
     UnsupportedDimension,
 )
-from conftest import rand_gauss
+from conftest import rand_gauss, rand_poly
 
 EMPTY = Alphabet([])
 
@@ -123,6 +124,67 @@ class TestSpinorTrace:
             + ParamPoly.var(al, "trPhi") * ParamPoly.const(al, 4)
         )
         assert got == expected
+
+
+class TestTraceKernels:
+    LABELS = [(), ("phi",), ("phi",), ("RF_1_2",), ("dPhi_1",)]
+
+    def rand_labelled(self, n, alphabet, rng, blades):
+        terms = {}
+        for _ in range(blades):
+            key = (rng.randrange(1 << n), rng.choice(self.LABELS))
+            coeff = rand_poly(alphabet, rng, nterms=2, max_deg=1)
+            terms[key] = terms.get(key, ParamPoly.zero(alphabet)) + coeff
+        return CliffordElement(n, alphabet, terms)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_mul_grade0_is_grade0_of_product(self, n):
+        rng = random.Random(700 + n)
+        al = Alphabet(["a", "b"])
+        for _ in range(15):
+            # dense on small n, so equal masks and cancellations occur
+            a = self.rand_labelled(n, al, rng, rng.randint(1, 3 * n))
+            b = self.rand_labelled(n, al, rng, rng.randint(1, 3 * n))
+            assert a.mul_grade0(b) == (a * b).grade(0)
+            assert a.mul_grade0(a) == (a * a).grade(0)
+
+    def test_mul_grade0_cancellation(self):
+        g1 = CliffordElement.generator(4, EMPTY, 1)
+        g2 = CliffordElement.generator(4, EMPTY, 2)
+        a = g1 + g2
+        b = g1 - g2  # (g1 + g2)(g1 - g2) = -1 + 1 + grade 2
+        assert a.mul_grade0(b).terms == {}
+        assert (a * b).grade(0).terms == {}
+
+    @staticmethod
+    def rand_matrix(size, rng, density):
+        rows = []
+        for _ in range(size):
+            rows.append(
+                {j: rand_gauss(rng) for j in range(size) if rng.random() < density}
+            )
+        return SpinorMatrix(size, rows)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 8])
+    def test_trace_product_is_trace_of_product(self, size):
+        rng = random.Random(900 + size)
+        for _ in range(20):
+            a = self.rand_matrix(size, rng, rng.choice([0.3, 0.6, 1.0]))
+            b = self.rand_matrix(size, rng, rng.choice([0.3, 0.6, 1.0]))
+            assert a.trace_product(b) == (a * b).trace()
+            assert b.trace_product(a) == (a * b).trace()
+
+    def test_trace_product_on_represented_elements(self):
+        rng = random.Random(17)
+        for n in (2, 4, 6):
+            a, b = rand_element(n, EMPTY, rng), rand_element(n, EMPTY, rng)
+            assert represent(a).trace_product(represent(b)) == (
+                spinor_trace(a * b).constant_value()
+            )
+
+    def test_trace_product_of_disjoint_supports_is_zero(self):
+        a = SpinorMatrix(2, [{1: rand_gauss(random.Random(1))}, {}])
+        assert a.trace_product(a) == GR_ZERO
 
 
 class TestTorsionElement:

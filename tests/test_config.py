@@ -100,6 +100,13 @@ class TestLoadConfig:
         cfg = load_config("nbar: 2\ntorsion:\n  - [1, 2, 3, 1/2]")
         assert cfg.torsion == {(1, 2, 3): Fraction(1, 2)}
 
+    @pytest.mark.parametrize(
+        "text", ["nbar: 2\ncases: 5", "nbar: 2\ntorsion: 5", "nbar: 2\ncases: [[b]]"]
+    )
+    def test_non_list_fields_rejected(self, text):
+        with pytest.raises(ValidationError):
+            load_config(text)
+
     def test_vectors(self):
         cfg = load_config("nbar: 2\nX: [1, 2, 3, 4]")
         assert cfg.X == [Fraction(k) for k in (1, 2, 3, 4)]

@@ -9,6 +9,7 @@ from ncresidue.errors import (
     OddDimension,
     ValidationError,
 )
+from ncresidue.clifford import twisted_trace
 from ncresidue.exact import GaussRational, ParamPoly
 from ncresidue.geometry import (
     GeometricBundle,
@@ -103,6 +104,30 @@ class TestInteriorDensity:
         )
         assert density == assembled
         assert pi_power == n // 2
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_trace_only_density_matches_full_assembly(self, n):
+        geo = GeometricBundle(n)
+        _, E = connection_and_E(lichnerowicz_normal_form(geo))
+        full = twisted_trace(E, standard_label_trace(geo.alphabet))
+        assert trace_E_density(geo, mode="oracle") == full
+        numeric = GeometricBundle(
+            n,
+            torsion={(1, 2, 3): Fraction(2, 3)},
+            X=[Fraction(k, 2) for k in range(n)],
+            Y=[Fraction(1 - k, 3) for k in range(n)],
+            s=Fraction(5),
+            trPhi2=Fraction(-1, 7),
+        )
+        assert trace_E_density(numeric, mode="oracle") == numeric.subs(full)
+
+    def test_returned_density_is_callers_own(self):
+        geo = GeometricBundle(4)
+        first = trace_E_density(geo, mode="oracle")
+        expected = ParamPoly(first.alphabet, dict(first.terms))
+        first.terms.clear()
+        assert trace_E_density(geo, mode="oracle") == expected
+        assert not expected.is_zero()
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_trace_E_quarter_s_term(self, n):
