@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DimMismatch,
@@ -134,8 +135,6 @@ class CliffordElement:
 
     def scale(self, factor):
         """Multiply every coefficient by a ParamPoly or exact scalar."""
-        if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.const(self.alphabet, factor)
         terms = {}
         for key, c in self.terms.items():
             p = c * factor
@@ -399,9 +398,6 @@ def _kron(a, b):
     return out
 
 
-_rep_cache = {}
-_blade_cache = {}
-
 _SIGMA1 = [[GR_ZERO, GR_ONE], [GR_ONE, GR_ZERO]]
 _SIGMA2 = [[GR_ZERO, -GR_I], [GR_I, GR_ZERO]]
 _SIGMA3 = [[GR_ONE, GR_ZERO], [GR_ZERO, -GR_ONE]]
@@ -423,26 +419,39 @@ def _dense_generators(n):
     return gens
 
 
-def clifford_matrix_rep(n):
-    """Generator matrices for Cl(n), cached; n even, 2 <= n <= 12."""
+# Process-wide caches: their matrices never leave this module, and the public
+# accessors below hand out copies.
+
+
+@lru_cache(maxsize=None)
+def _generators(n):
     if n % 2 or not 2 <= n <= 12:
         raise UnsupportedDimension(f"matrix representation needs even 2 <= n <= 12, got {n}")
-    if n not in _rep_cache:
-        _rep_cache[n] = [SpinorMatrix.from_dense(g) for g in _dense_generators(n)]
-    return _rep_cache[n]
+    return tuple(SpinorMatrix.from_dense(g) for g in _dense_generators(n))
+
+
+@lru_cache(maxsize=None)
+def _blade(n, mask):
+    gens = _generators(n)
+    out = SpinorMatrix.identity(2 ** (n // 2))
+    for i in range(n):
+        if mask & (1 << i):
+            out = out * gens[i]
+    return out
+
+
+def _owned(m):
+    return SpinorMatrix(m.size, [dict(r) for r in m.rows])
+
+
+def clifford_matrix_rep(n):
+    """Generator matrices for Cl(n) as a tuple; n even, 2 <= n <= 12."""
+    return tuple(_owned(g) for g in _generators(n))
 
 
 def blade_matrix(n, mask):
-    """Matrix of the basis blade with the given mask, cached."""
-    key = (n, mask)
-    if key not in _blade_cache:
-        gens = clifford_matrix_rep(n)
-        out = SpinorMatrix.identity(2 ** (n // 2))
-        for i in range(n):
-            if mask & (1 << i):
-                out = out * gens[i]
-        _blade_cache[key] = out
-    return _blade_cache[key]
+    """Matrix of the basis blade with the given mask."""
+    return _owned(_blade(n, mask))
 
 
 def represent(a):
@@ -453,7 +462,7 @@ def represent(a):
     size = 2 ** (a.dim // 2)
     rows = [dict() for _ in range(size)]
     for (mask, _), coeff in a.terms.items():
-        bm = blade_matrix(a.dim, mask)
+        bm = _blade(a.dim, mask)
         for i, r in enumerate(bm.rows):
             for j, v in r.items():
                 p = coeff * v
@@ -525,7 +534,7 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
     alphabet = EMPTY_ALPHABET
     trid = GaussRational(2 ** (n // 2))
     size = 2 ** (n // 2)
-    gens = clifford_matrix_rep(n)
+    gens = _generators(n)
     triples_idx = _triples(n)
 
     def blade(*idx):
@@ -533,7 +542,7 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
         mask = 0
         for i in idx:
             mask |= 1 << (i - 1)
-        return blade_matrix(n, mask)
+        return _blade(n, mask)
 
     records = []
 

@@ -227,8 +227,11 @@ def load_config(source):
     """SessionConfig from a YAML path or inline YAML text."""
     text = source
     if isinstance(source, str) and os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read config: {exc}")
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -61,14 +61,6 @@ class NotIntegrable(EngineError):
     """Integrand does not decay fast enough for a real-line integral."""
 
 
-class NotElliptic(EngineError):
-    """Leading symbol is not invertible."""
-
-
-class JetOrderExceeded(EngineError):
-    """A computation required an x_n-jet beyond first order."""
-
-
 class ParseError(EngineError):
     """Config text could not be parsed; carries line/column when known."""
 

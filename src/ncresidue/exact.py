@@ -10,76 +10,122 @@ asks for a numeric approximation via to_complex().
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import AlphabetMismatch, DivisionByZero, UnboundParameter
 
 
 class GaussRational:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number (a + b*i) / d with integers a, b, d.
 
-    __slots__ = ("re", "im")
+    The triple is kept in normal form: d > 0 and gcd(a, b, d) = 1, so equal
+    values have equal triples (zero is (0, 0, 1)).  Every operation divides
+    by one gcd, skipped when the denominator is 1.  re and im give the real
+    and imaginary parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        # Fractions are immutable: reuse them instead of re-wrapping
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
+            raise TypeError("refusing to build an exact scalar from a float")
+        re, im = Fraction(re), Fraction(im)
+        d1, d2 = re.denominator, im.denominator
+        d = d1 * d2 // gcd(d1, d2)
+        self.a = re.numerator * (d // d1)
+        self.b = im.numerator * (d // d2)
+        self.d = d
 
     @classmethod
     def from_value(cls, v):
         if isinstance(v, GaussRational):
             return v
+        if type(v) is int:
+            return _make(v, 0, 1)
+        if type(v) is Fraction:
+            return _make(v.numerator, 0, v.denominator)
         if isinstance(v, (float, complex)):
             raise TypeError("refusing to build an exact scalar from a float")
-        return cls(Fraction(v))
+        return cls(v)
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = GaussRational.from_value(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRational:
+            other = GaussRational.from_value(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussRational.from_value(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussRational:
+            other = GaussRational.from_value(other)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return GaussRational.from_value(other) - self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = GaussRational.from_value(other)
+        if other.__class__ is not GaussRational:
+            other = GaussRational.from_value(other)
+        a1, b1 = self.a, self.b
+        a2, b2 = other.a, other.b
         # real or imaginary factors, the common case, need half the products
-        if not other.im:
-            return GaussRational(self.re * other.re, self.im * other.re)
-        if not other.re:
-            return GaussRational(-(self.im * other.im), self.re * other.im)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not b2:
+            return _reduced(a1 * a2, b1 * a2, self.d * other.d)
+        if not a2:
+            return _reduced(-b1 * b2, a1 * b2, self.d * other.d)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
+        if not n:
             raise DivisionByZero("inverse of zero")
-        return GaussRational(self.re / d, -self.im / d)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        return self * GaussRational.from_value(other).inverse()
+        if other.__class__ is not GaussRational:
+            other = GaussRational.from_value(other)
+        a1, b1 = self.a, self.b
+        a2, b2, d2 = other.a, other.b, other.d
+        n = a2 * a2 + b2 * b2
+        if not n:
+            raise DivisionByZero("inverse of zero")
+        # (a1 + b1 i) / d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n
+        )
 
     def __rtruediv__(self, other):
-        return GaussRational.from_value(other) * self.inverse()
+        return GaussRational.from_value(other) / self
 
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("integer exponent required")
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussRational(1)
+        out = GR_ONE
         base = self
         while k:
             if k & 1:
@@ -89,17 +135,18 @@ class GaussRational:
         return out
 
     def conjugate(self):
-        return GaussRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRational(other)
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussRational:
+            if isinstance(other, (int, Fraction)):
+                other = GaussRational.from_value(other)
+            elif not isinstance(other, GaussRational):
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -108,21 +155,49 @@ class GaussRational:
         return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         ims = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{ims})"
+        return f"({re}{sign}{ims})"
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _make(a, b, d):
+    """GaussRational from a triple already in normal form."""
+    z = _new(GaussRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _reduced(a, b, d):
+    """GaussRational (a + b*i) / d for d > 0, brought to normal form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
 
 
 GR_ZERO = GaussRational(0)
@@ -146,7 +221,9 @@ class Alphabet:
         return name in self._index
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or (
+            isinstance(other, Alphabet) and self.names == other.names
+        )
 
     def __hash__(self):
         return hash(self.names)
@@ -156,11 +233,17 @@ class Alphabet:
 
 
 def _coerce_scalar(v):
-    if isinstance(v, GaussRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussRational(v)
+    if isinstance(v, (GaussRational, int, Fraction)):
+        return GaussRational.from_value(v)
     return None
+
+
+def _poly(alphabet, terms):
+    """ParamPoly over terms that are already clean (sorted, nonzero)."""
+    out = _new(ParamPoly)
+    out.alphabet = alphabet
+    out.terms = terms
+    return out
 
 
 class ParamPoly:
@@ -191,11 +274,11 @@ class ParamPoly:
     @classmethod
     def const(cls, alphabet, value):
         value = GaussRational.from_value(value)
-        return cls(alphabet, {(): value})
+        return _poly(alphabet, {} if value.is_zero() else {(): value})
 
     @classmethod
     def zero(cls, alphabet):
-        return cls(alphabet, {})
+        return _poly(alphabet, {})
 
     @classmethod
     def one(cls, alphabet):
@@ -207,7 +290,7 @@ class ParamPoly:
 
     def _check(self, other):
         if isinstance(other, ParamPoly):
-            if other.alphabet != self.alphabet:
+            if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
                 raise AlphabetMismatch("operands over different alphabets")
             return other
         s = _coerce_scalar(other)
@@ -227,18 +310,12 @@ class ParamPoly:
                 terms.pop(mono, None)
             else:
                 terms[mono] = c
-        out = ParamPoly.__new__(ParamPoly)
-        out.alphabet = self.alphabet
-        out.terms = terms
-        return out
+        return _poly(self.alphabet, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = ParamPoly.__new__(ParamPoly)
-        out.alphabet = self.alphabet
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _poly(self.alphabet, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -250,24 +327,37 @@ class ParamPoly:
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                c = c1 * c2
-                acc = terms.get(mono)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = c
-        out = ParamPoly.__new__(ParamPoly)
-        out.alphabet = self.alphabet
-        out.terms = terms
-        return out
+        terms = self.terms
+        if isinstance(other, ParamPoly):
+            if other.alphabet is not self.alphabet:
+                self._check(other)
+            other_terms = other.terms
+            # a constant factor scales the other factor's coefficients
+            if len(other_terms) == 1 and () in other_terms:
+                s = other_terms[()]
+            elif len(terms) == 1 and () in terms:
+                s, terms = terms[()], other_terms
+            else:
+                out = {}
+                for m1, c1 in terms.items():
+                    for m2, c2 in other_terms.items():
+                        mono = _merge_monomials(m1, m2)
+                        c = c1 * c2
+                        acc = out.get(mono)
+                        c = c if acc is None else acc + c
+                        if c.is_zero():
+                            out.pop(mono, None)
+                        else:
+                            out[mono] = c
+                return _poly(self.alphabet, out)
+        else:
+            s = _coerce_scalar(other)
+            if s is None:
+                return NotImplemented
+            if s.is_zero():
+                return _poly(self.alphabet, {})
+        # a product of nonzero field elements is nonzero
+        return _poly(self.alphabet, {m: c * s for m, c in terms.items()})
 
     __rmul__ = __mul__
 
@@ -316,7 +406,7 @@ class ParamPoly:
 
     def subs(self, partial):
         """Substitute some parameters, leaving the rest symbolic."""
-        out = ParamPoly.zero(self.alphabet)
+        terms = {}
         for mono, coeff in self.terms.items():
             residual = []
             val = coeff
@@ -325,8 +415,13 @@ class ParamPoly:
                     val = val * GaussRational.from_value(partial[name]) ** exp
                 else:
                     residual.append((name, exp))
-            out = out + ParamPoly(self.alphabet, {tuple(residual): val})
-        return out
+            # a subsequence of a sorted key is sorted
+            key = tuple(residual)
+            acc = terms.get(key)
+            terms[key] = val if acc is None else acc + val
+        return _poly(
+            self.alphabet, {m: c for m, c in terms.items() if not c.is_zero()}
+        )
 
     def __eq__(self, other):
         other = self._check(other)
@@ -381,35 +476,3 @@ def _merge_monomials(m1, m2):
         exps[name] = exps.get(name, 0) + exp
     return tuple(sorted(exps.items()))
 
-
-def gauss_arith(a, b, op):
-    """Field arithmetic dispatcher on GaussRational values."""
-    a = GaussRational.from_value(a)
-    b = GaussRational.from_value(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_arith(p, q, op):
-    """Ring arithmetic dispatcher on ParamPoly values."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_eval(p, assignment):
-    """Exact evaluation of a ParamPoly at a point."""
-    return p.eval(assignment)

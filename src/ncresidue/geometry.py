@@ -21,8 +21,9 @@ from .errors import NonAntisymmetricTorsion, OddDimension, ValidationError
 from .exact import Alphabet, GaussRational, ParamPoly
 
 
+@lru_cache(maxsize=None)
 def standard_alphabet(n):
-    """The full parameter alphabet for dimension n."""
+    """The full parameter alphabet for dimension n, one shared instance per n."""
     names = ["hp0", "s", "divX", "divY", "dimF", "trPhi", "trPhi2", "VolS"]
     names += [f"X_{j}" for j in range(1, n + 1)]
     names += [f"Y_{j}" for j in range(1, n + 1)]

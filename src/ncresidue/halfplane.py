@@ -294,18 +294,6 @@ class HalfPlaneRational:
             num = _padd(num, _pscale(_linear_power(GR_I, a - k, one), c))
         return HalfPlaneRational(self.alphabet, num, a, 0)
 
-    def pi_minus_part(self):
-        """Complementary pole part at -i (polynomial part excluded)."""
-        _, minus, _ = self.partial_fractions()
-        if not minus:
-            return HalfPlaneRational.zero(self.alphabet)
-        one = ParamPoly.one(self.alphabet)
-        b = len(minus)
-        num = []
-        for k, c in enumerate(minus, start=1):
-            num = _padd(num, _pscale(_linear_power(-GR_I, b - k, one), c))
-        return HalfPlaneRational(self.alphabet, num, 0, b)
-
     def pi_prime(self):
         """i times the residue at +i (a ParamPoly)."""
         plus, _, _ = self.partial_fractions()
@@ -372,26 +360,6 @@ class HalfPlaneRational:
 
     def __repr__(self):
         return f"HalfPlaneRational({self})"
-
-
-def partial_fractions(f):
-    return f.partial_fractions()
-
-
-def pi_plus(f):
-    return f.pi_plus()
-
-
-def pi_prime(f):
-    return f.pi_prime()
-
-
-def deriv_xi(f, k):
-    return f.deriv(k)
-
-
-def real_line_integral(f):
-    return f.real_line_integral()
 
 
 def deriv_at_i(m, p, k):

@@ -70,11 +70,22 @@ class XiExpr:
         return cls.monomial(alphabet, p=p)
 
     def _check(self, other):
-        if other.alphabet != self.alphabet:
+        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
             raise AlphabetMismatch("operands over different alphabets")
 
     def is_zero(self):
         return not self.terms
+
+    def _collect(self, pairs):
+        """XiExpr summing (key, coeff) pairs into one dict."""
+        terms = {}
+        for key, c in pairs:
+            acc = terms.get(key)
+            terms[key] = c if acc is None else acc + c
+        out = XiExpr.__new__(XiExpr)
+        out.alphabet = self.alphabet
+        out.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        return out
 
     def __add__(self, other):
         self._check(other)
@@ -119,8 +130,7 @@ class XiExpr:
         return out
 
     def scale(self, factor):
-        if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.const(self.alphabet, factor)
+        """Multiply every coefficient by a ParamPoly or exact scalar."""
         out = XiExpr.__new__(XiExpr)
         out.alphabet = self.alphabet
         out.terms = {}
@@ -138,43 +148,37 @@ class XiExpr:
     def d_xn(self):
         """Normal x-derivative to first jet order: brings down one hp0."""
         hp0 = ParamPoly.var(self.alphabet, "hp0")
-        out = XiExpr.zero(self.alphabet)
+        pairs = []
         for (m, p, q, r, tang), c in self.terms.items():
             if p:
-                out = out + XiExpr(
-                    self.alphabet, {(m, p - 1, q + 1, r, tang): c * hp0 * p}
-                )
+                pairs.append(((m, p - 1, q + 1, r, tang), c * hp0 * p))
             if q:
-                out = out + XiExpr(self.alphabet, {(m, p, q, r, tang): c * hp0 * q})
+                pairs.append(((m, p, q, r, tang), c * hp0 * q))
             if r:
-                out = out + XiExpr(self.alphabet, {(m, p, q, r, tang): c * hp0 * r})
-        return out
+                pairs.append(((m, p, q, r, tang), c * hp0 * r))
+        return self._collect(pairs)
 
     def d_xin(self):
         """Derivative in the normal covariable."""
-        out = XiExpr.zero(self.alphabet)
+        pairs = []
         for (m, p, q, r, tang), c in self.terms.items():
             if m:
-                out = out + XiExpr(self.alphabet, {(m - 1, p, q, r, tang): c * m})
+                pairs.append(((m - 1, p, q, r, tang), c * m))
             if p:
-                out = out + XiExpr(
-                    self.alphabet, {(m + 1, p - 1, q, r, tang): c * (2 * p)}
-                )
-        return out
+                pairs.append(((m + 1, p - 1, q, r, tang), c * (2 * p)))
+        return self._collect(pairs)
 
     def d_xit(self, j):
         """Derivative in the tangential covariable xi_j."""
-        out = XiExpr.zero(self.alphabet)
+        pairs = []
         for (m, p, q, r, tang), c in self.terms.items():
             if p:
-                out = out + XiExpr(
-                    self.alphabet,
-                    {(m, p - 1, q, r + 1, _tang_mul(tang, ((j, 1),))): c * (2 * p)},
+                pairs.append(
+                    ((m, p - 1, q, r + 1, _tang_mul(tang, ((j, 1),))), c * (2 * p))
                 )
             if q:
-                out = out + XiExpr(
-                    self.alphabet,
-                    {(m, p, q - 1, r + 1, _tang_mul(tang, ((j, 1),))): c * (2 * q)},
+                pairs.append(
+                    ((m, p, q - 1, r + 1, _tang_mul(tang, ((j, 1),))), c * (2 * q))
                 )
             exps = dict(tang)
             e = exps.get(j, 0)
@@ -183,11 +187,8 @@ class XiExpr:
                     del exps[j]
                 else:
                     exps[j] = e - 1
-                out = out + XiExpr(
-                    self.alphabet,
-                    {(m, p, q, r, tuple(sorted(exps.items()))): c * e},
-                )
-        return out
+                pairs.append(((m, p, q, r, tuple(sorted(exps.items()))), c * e))
+        return self._collect(pairs)
 
     def restrict_sphere(self):
         """Restriction to the tangential unit sphere: w = h = 1, u = 1 + xi_n^2.
@@ -265,7 +266,7 @@ class CliffXi:
     def _check(self, other):
         if other.dim != self.dim:
             raise DimMismatch("Clifford operands of different dimension")
-        if other.alphabet != self.alphabet:
+        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
             raise AlphabetMismatch("operands over different alphabets")
 
     def is_zero(self):
@@ -298,7 +299,9 @@ class CliffXi:
             for (m2, l2), c2 in other.terms.items():
                 mask, sign = blade_mul(m1, m2)
                 key = (mask, _merge_labels(l1, l2))
-                c = (c1 * c2).scale(sign)
+                c = c1 * c2
+                if sign < 0:
+                    c = -c
                 acc = terms.get(key)
                 c = c if acc is None else acc + c
                 terms[key] = c
@@ -323,10 +326,9 @@ class CliffXi:
         return self.terms == other.terms
 
     def _map(self, fn):
-        out = CliffXi.zero(self.dim, self.alphabet)
-        for key, c in self.terms.items():
-            out = out + CliffXi(self.dim, self.alphabet, {key: fn(c)})
-        return out
+        return CliffXi(
+            self.dim, self.alphabet, {key: fn(c) for key, c in self.terms.items()}
+        )
 
     def d_xn(self):
         return self._map(lambda c: c.d_xn())

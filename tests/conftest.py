@@ -5,8 +5,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from ncresidue.exact import Alphabet, GaussRational, ParamPoly
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# reproducible and its time bounded.
+settings.register_profile(
+    "ncresidue", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("ncresidue")
 
 
 def rand_fraction(rng, span=6):

@@ -53,6 +53,20 @@ class TestExitCodes:
         assert err.startswith("error: ValidationError: ")
         assert "Traceback" not in err
 
+    def test_config_directory(self, tmp_path, capsys):
+        code, out, err = run_main(capsys, ["--config", str(tmp_path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: cannot read config")
+        assert "Traceback" not in err
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"nbar: \xff\xfe 2\n")
+        code, out, err = run_main(capsys, ["--config", str(path)])
+        assert code == 1
+        assert err.startswith("error: ParseError: cannot read config")
+
     def test_discrepancies_do_not_fail(self, capsys):
         # printed-form disagreements appear in the report but exit 0
         code, out, _ = run_main(capsys, ["--dim", "4", "--format", "csv"])

@@ -237,6 +237,21 @@ class TestMatrixOracle:
         g1, g2 = clifford_matrix_rep(n)[:2]
         assert blade_matrix(n, 0b11) == g1 * g2
 
+    def test_callers_cannot_corrupt_the_generator_cache(self):
+        gens = clifford_matrix_rep(4)
+        with pytest.raises(AttributeError):
+            gens.pop()
+        gens[0].rows[0].clear()
+        assert len(clifford_matrix_rep(4)) == 4
+        assert clifford_matrix_rep(4)[0].rows[0]
+
+    def test_callers_cannot_corrupt_the_blade_cache(self):
+        a = CliffordElement.generator(4, EMPTY, 1) * CliffordElement.generator(4, EMPTY, 2)
+        before = represent(a)
+        blade_matrix(4, 0b11).rows[0].clear()
+        assert blade_matrix(4, 0b11).rows[0]
+        assert represent(a) == before
+
 
 class TestVerifyTraceLemmas:
     def test_record_shape_and_oracle_status(self):

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncresidue.exact import (
     GR_I,
@@ -19,6 +22,7 @@ from ncresidue.errors import (
     UnboundParameter,
     ValidationError,
 )
+from ncresidue.symbols import XiExpr
 from conftest import rand_gauss, rand_poly
 
 
@@ -150,3 +154,225 @@ class TestParamPoly:
     def test_unknown_name_rejected(self, small_alphabet):
         with pytest.raises(AlphabetMismatch):
             ParamPoly.var(small_alphabet, "zz")
+
+
+# Property tests.  The oracle for GaussRational is a plain pair of Fractions
+# (re, im); every result is also checked for the normal form of its triple.
+
+fractions = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)
+) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+pairs = st.tuples(fractions, fractions)
+
+
+def gauss(pair):
+    return GaussRational(*pair)
+
+
+def normal(z):
+    return z.d > 0 and gcd(z.a, z.b, z.d) == 1
+
+
+def agrees(z, pair):
+    return normal(z) and (z.re, z.im) == pair and type(z.re) is Fraction
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def pair_str(re, im):
+    """The printed form of re + im*i, written out from the two Fractions."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return {1: "i", -1: "-i"}.get(im, f"{im}*i")
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
+    return f"({re}{sign}{'i' if mag == 1 else f'{mag}*i'})"
+
+
+class TestGaussRationalProperties:
+    @given(pairs, pairs)
+    def test_field_operations_match_fraction_pairs(self, x, y):
+        a, b = gauss(x), gauss(y)
+        assert agrees(a + b, (x[0] + y[0], x[1] + y[1]))
+        assert agrees(a - b, (x[0] - y[0], x[1] - y[1]))
+        assert agrees(a * b, pair_mul(x, y))
+        assert agrees(-a, (-x[0], -x[1]))
+        assert agrees(a.conjugate(), (x[0], -x[1]))
+        if y != (0, 0):
+            assert agrees(b.inverse(), pair_inverse(y))
+            assert agrees(a / b, pair_mul(x, pair_inverse(y)))
+        else:
+            with pytest.raises(DivisionByZero):
+                a / b
+        assert (a == b) == (x == y)
+        assert str(a) == pair_str(*x)
+
+    @given(pairs, st.integers(-4, 6))
+    def test_power_matches_repeated_product(self, x, k):
+        if x == (0, 0) and k < 0:
+            return
+        want = (Fraction(1), Fraction(0))
+        step = x if k >= 0 else pair_inverse(x)
+        for _ in range(abs(k)):
+            want = pair_mul(want, step)
+        assert agrees(gauss(x) ** k, want)
+
+    @given(pairs, pairs, st.integers(1, 50))
+    def test_mixed_operands_and_equal_values(self, x, y, k):
+        a, b = gauss(x), gauss(y)
+        # the same value reached along different paths
+        ways = [
+            (a + b) - b,
+            a * GaussRational(k) / k,
+            GaussRational(f"{x[0].numerator * k}/{x[0].denominator * k}", x[1]),
+            GaussRational(x[0]) + GaussRational(0, x[1]),
+        ]
+        for z in ways:
+            assert normal(z)
+            assert z == a and hash(z) == hash(a)
+        assert agrees(a * x[0], pair_mul(x, (x[0], 0)))
+        assert agrees(x[1] + a, (x[0] + x[1], x[1]))
+        assert agrees(k - a, (k - x[0], -x[1]))
+        if y[1] == 0:
+            assert (b == y[0]) and GaussRational.from_value(y[0]) == b
+
+    def test_rejects_floats(self):
+        for bad in ((0.5,), (1, 0.5), (complex(1, 2),)):
+            with pytest.raises(TypeError):
+                GaussRational(*bad)
+
+
+ALPHABET = Alphabet(["a", "b", "c"])
+monomials = st.lists(
+    st.tuples(st.sampled_from(ALPHABET.names), st.integers(1, 3)),
+    max_size=3,
+    unique_by=lambda t: t[0],
+)
+gauss_values = pairs.map(gauss)
+polys = st.lists(st.tuples(monomials, gauss_values), max_size=5).map(
+    lambda items: ParamPoly(ALPHABET, {tuple(m): c for m, c in items})
+)
+# zero values make whole terms vanish under subs and eval
+point_values = st.just(Fraction(0)) | fractions
+assignments = st.fixed_dictionaries({name: point_values for name in ALPHABET.names})
+
+
+class TestParamPolyProperties:
+    @given(polys, polys, gauss_values, assignments)
+    def test_eval_is_a_ring_homomorphism(self, p, q, s, point):
+        ep, eq = p.eval(point), q.eval(point)
+        const = ParamPoly.const(ALPHABET, s)
+        assert (p + q).eval(point) == ep + eq
+        assert (p - q).eval(point) == ep - eq
+        assert (p * q).eval(point) == ep * eq
+        assert (p * s).eval(point) == ep * s
+        assert (p * const).eval(point) == ep * s
+        assert (const * p).eval(point) == ep * s
+
+    @given(polys, gauss_values)
+    def test_scalar_and_constant_factors_scale_each_coefficient(self, p, s):
+        want = ParamPoly(ALPHABET, {m: c * s for m, c in p.terms.items()})
+        const = ParamPoly.const(ALPHABET, s)
+        for got in (p * s, p * const, const * p):
+            assert got == want
+            assert all(not c.is_zero() for c in got.terms.values())
+
+    @given(polys, assignments, st.sets(st.sampled_from(ALPHABET.names)))
+    def test_subs_then_eval_is_eval(self, p, point, names):
+        partial = {k: v for k, v in point.items() if k in names}
+        rest = {k: v for k, v in point.items() if k not in names}
+        q = p.subs(partial)
+        assert q.params() <= set(rest)
+        assert all(not c.is_zero() for c in q.terms.values())
+        assert q.eval(rest) == p.eval(point)
+
+
+JET_ALPHABET = Alphabet(["hp0", "a", "b"])
+jet_keys = st.tuples(
+    st.integers(0, 3),
+    st.integers(-3, 2),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.dictionaries(st.integers(1, 3), st.integers(1, 3), max_size=2).map(
+        lambda d: tuple(sorted(d.items()))
+    ),
+)
+jet_coeffs = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(JET_ALPHABET.names), st.integers(1, 2)),
+            max_size=2,
+            unique_by=lambda t: t[0],
+        ),
+        gauss_values,
+    ),
+    min_size=1,
+    max_size=2,
+).map(lambda items: ParamPoly(JET_ALPHABET, {tuple(m): c for m, c in items}))
+jets = st.dictionaries(jet_keys, jet_coeffs, max_size=6).map(
+    lambda terms: XiExpr(JET_ALPHABET, terms)
+)
+
+
+def term_sum(x, pieces):
+    """The derivative as a sum of one-term XiExprs, added one at a time."""
+    out = XiExpr.zero(x.alphabet)
+    for key, c in x.terms.items():
+        for new_key, coeff in pieces(key, c):
+            out = out + XiExpr(x.alphabet, {new_key: coeff})
+    return out
+
+
+class TestJetDerivativeProperties:
+    @given(jets)
+    def test_d_xn_matches_term_by_term_sum(self, x):
+        hp0 = ParamPoly.var(x.alphabet, "hp0")
+
+        def pieces(key, c):
+            m, p, q, r, tang = key
+            if p:
+                yield (m, p - 1, q + 1, r, tang), c * hp0 * p
+            if q:
+                yield key, c * hp0 * q
+            if r:
+                yield key, c * hp0 * r
+
+        assert x.d_xn() == term_sum(x, pieces)
+
+    @given(jets)
+    def test_d_xin_matches_term_by_term_sum(self, x):
+        def pieces(key, c):
+            m, p, q, r, tang = key
+            if m:
+                yield (m - 1, p, q, r, tang), c * m
+            if p:
+                yield (m + 1, p - 1, q, r, tang), c * (2 * p)
+
+        assert x.d_xin() == term_sum(x, pieces)
+
+    @given(jets, st.integers(1, 3))
+    def test_d_xit_matches_term_by_term_sum(self, x, j):
+        def with_xi(tang, e):
+            exps = dict(tang)
+            exps[j] = exps.get(j, 0) + e
+            return tuple(sorted((i, v) for i, v in exps.items() if v))
+
+        def pieces(key, c):
+            m, p, q, r, tang = key
+            if p:
+                yield (m, p - 1, q, r + 1, with_xi(tang, 1)), c * (2 * p)
+            if q:
+                yield (m, p, q - 1, r + 1, with_xi(tang, 1)), c * (2 * q)
+            e = dict(tang).get(j, 0)
+            if e:
+                yield (m, p, q, r, with_xi(tang, -1)), c * e
+
+        assert x.d_xit(j) == term_sum(x, pieces)
