@@ -13,11 +13,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
-from .clifford import _merge_labels, blade_mul
-from .errors import OddBarDimension, UnsupportedDimension, ValidationError
-from .exact import GR_I, GR_ONE, GaussRational, ParamPoly
+from .clifford import blade_key_mul
+from .errors import (
+    AlphabetMismatch,
+    DimMismatch,
+    OddBarDimension,
+    UnsupportedDimension,
+    ValidationError,
+)
+from .exact import GR_I, GaussRational, ParamPoly, SparseTerms
 from .geometry import (
     GeometricBundle,
     interior_wres,
@@ -83,7 +89,7 @@ def enumerate_cases(nbar):
     return out
 
 
-class SphereSymbol:
+class SphereSymbol(SparseTerms):
     """Clifford-blade-valued rational function of the normal covariable.
 
     Terms map (blade mask, twist label) to HalfPlaneRational; this is the
@@ -102,35 +108,21 @@ class SphereSymbol:
     def from_cliffxi(cls, cx):
         return cls(cx.dim, cx.alphabet, cx.restrict_sphere())
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        out = SphereSymbol.__new__(SphereSymbol)
+        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
+        return out
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, f in other.terms.items():
-            acc = terms.get(key)
-            f = f if acc is None else acc + f
-            if f.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = f
-        return SphereSymbol(self.dim, self.alphabet, terms)
+    def _check(self, other):
+        if not isinstance(other, SphereSymbol):
+            return None
+        if other.dim != self.dim:
+            raise DimMismatch(f"dim {self.dim} vs {other.dim}")
+        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
+            raise AlphabetMismatch("operands over different alphabets")
+        return other
 
-    def __mul__(self, other):
-        terms = {}
-        for (m1, l1), f1 in self.terms.items():
-            for (m2, l2), f2 in other.terms.items():
-                mask, sign = blade_mul(m1, m2)
-                key = (mask, _merge_labels(l1, l2))
-                f = (f1 * f2).scale(sign)
-                acc = terms.get(key)
-                terms[key] = f if acc is None else acc + f
-        return SphereSymbol(self.dim, self.alphabet, terms)
-
-    def _map(self, fn):
-        return SphereSymbol(
-            self.dim, self.alphabet, {k: fn(f) for k, f in self.terms.items()}
-        )
+    _key_mul = staticmethod(blade_key_mul)
 
     def pi_plus(self):
         return self._map(lambda f: f.pi_plus())
@@ -225,18 +217,6 @@ def _normalized(value):
     return value.subs(_UNIT_TWIST)
 
 
-def _fact(k):
-    return factorial(k)
-
-
-def _prod(lo, hi):
-    """Product of the integers lo..hi inclusive (empty range gives 1)."""
-    out = 1
-    for k in range(lo, hi + 1):
-        out *= k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # printed closed forms, re-evaluated exactly from their bracket definitions
 # ---------------------------------------------------------------------------
@@ -307,7 +287,7 @@ def _printed_drift_part(nbar, alphabet):
         GaussRational(2 - nbar)
         * GaussRational(2) ** (h - 2)
         * _printed_Lb(nbar)
-        * GaussRational(Fraction(1, _fact(h + 1)))
+        * GaussRational(Fraction(1, factorial(h + 1)))
     )
     return _drift_poly(alphabet, nbar + 2) * _vol(alphabet) * scalar
 
@@ -326,7 +306,7 @@ def printed_case_value(case_id, nbar, alphabet):
             * GR_I
             * GaussRational(2) ** (h + 1)
             * _printed_L0(nbar)
-            * GaussRational(Fraction(1, _fact(h + 2)))
+            * GaussRational(Fraction(1, factorial(h + 2)))
         )
         return hp0 * vol * scalar
     if case_id == "aIII":
@@ -334,14 +314,14 @@ def printed_case_value(case_id, nbar, alphabet):
             GaussRational(1 - h)
             * GaussRational(2) ** (h + 1)
             * _printed_L1(nbar)
-            * GaussRational(Fraction(1, _fact(h + 2)))
+            * GaussRational(Fraction(1, factorial(h + 2)))
         )
         return hp0 * vol * scalar
     if case_id == "b":
         scalar = (
             GaussRational(2) ** (h - 1)
             * _printed_L2(nbar)
-            * GaussRational(Fraction(1, _fact(h + 2)))
+            * GaussRational(Fraction(1, factorial(h + 2)))
         )
         return hp0 * vol * scalar + _printed_drift_part(nbar, alphabet)
     if case_id == "c":
@@ -350,7 +330,7 @@ def printed_case_value(case_id, nbar, alphabet):
             * GaussRational(2) ** (h - 1)
             * GaussRational(0, 2)
             * _printed_L3(nbar)
-            * GaussRational(Fraction(1, _fact(h + 2)))
+            * GaussRational(Fraction(1, factorial(h + 2)))
         )
         return hp0 * vol * scalar + _printed_drift_part(nbar, alphabet)
     raise ValidationError("case_id", f"unknown case {case_id!r}")
@@ -378,7 +358,7 @@ def printed_phi_parts(nbar, alphabet):
     bracket_scalar = (
         GaussRational(h - 1)
         * GaussRational(0, 2)
-        * GaussRational(Fraction(1, _fact(h + 2)))
+        * GaussRational(Fraction(1, factorial(h + 2)))
         * GaussRational(2) ** (h - 2)
         * lphi
     )
@@ -392,9 +372,9 @@ def printed_phi_parts(nbar, alphabet):
     closed_scalar = (
         GaussRational(h - 1)
         * GaussRational(0, 2)
-        * GaussRational(Fraction(1, _fact(h + 2)))
+        * GaussRational(Fraction(1, factorial(h + 2)))
         * z
-        * GaussRational(_prod(h + 2, nbar - 1))
+        * GaussRational(prod(range(h + 2, nbar)))
         * GaussRational(Fraction(1, 2 ** (h + 2)))
     )
     out = {
@@ -407,10 +387,10 @@ def printed_phi_parts(nbar, alphabet):
         scalar = (
             GaussRational(3 * nbar - 6)
             * GaussRational(2) ** (h - 2)
-            * GaussRational(Fraction(1, _fact(h + 1)))
+            * GaussRational(Fraction(1, factorial(h + 1)))
             * GaussRational(
-                Fraction(_fact(nbar - 1), 2 ** nbar * _fact(h - 2))
-                + Fraction(_fact(nbar), 2 ** (nbar + 1) * _fact(h - 1))
+                Fraction(factorial(nbar - 1), 2 ** nbar * factorial(h - 2))
+                + Fraction(factorial(nbar), 2 ** (nbar + 1) * factorial(h - 1))
             )
         )
         out["drift_part"] = _drift_poly(alphabet, nbar + 2) * vol * scalar
@@ -430,9 +410,9 @@ def printed_wres_k_coefficient(nbar, alphabet):
     scalar = (
         GaussRational(-(nbar - 2))
         * GR_I
-        * GaussRational(Fraction(1, (nbar + 1) * _fact(h + 2)))
+        * GaussRational(Fraction(1, (nbar + 1) * factorial(h + 2)))
         * z
-        * GaussRational(_prod(h + 2, nbar - 1))
+        * GaussRational(prod(range(h + 2, nbar)))
         * GaussRational(Fraction(1, 2 ** (h + 1)))
     )
     return _vol(alphabet) * scalar
@@ -448,9 +428,11 @@ def bracket_table(orders=(1, 2, 3, 4)):
     records = []
     for p in orders:
         printed = {
-            1: GaussRational(Fraction(-_prod(p + 2, 2 * p + 1), 2 ** (2 * p + 3))),
-            2: GaussRational(0, Fraction(_prod(p - 1, 2 * p - 1), 2 ** (2 * p))),
-            3: GaussRational(Fraction(3 * _prod(p, 2 * p - 1), 2 ** (2 * p + 1))),
+            1: GaussRational(
+                Fraction(-prod(range(p + 2, 2 * p + 2)), 2 ** (2 * p + 3))
+            ),
+            2: GaussRational(0, Fraction(prod(range(p - 1, 2 * p)), 2 ** (2 * p))),
+            3: GaussRational(Fraction(3 * prod(range(p, 2 * p)), 2 ** (2 * p + 1))),
         }
         for m in (1, 2, 3):
             engine = deriv_at_i(m, p, p + 1)

@@ -24,7 +24,7 @@ from .errors import (
     OddDimension,
     UnsupportedDimension,
 )
-from .exact import GR_I, GR_ONE, GR_ZERO, Alphabet, GaussRational, ParamPoly
+from .exact import GR_I, GR_ONE, GR_ZERO, Alphabet, GaussRational, ParamPoly, SparseTerms
 
 EMPTY_ALPHABET = Alphabet(())
 
@@ -55,7 +55,14 @@ def _merge_labels(f1, f2):
     return tuple(sorted(f1 + f2))
 
 
-class CliffordElement:
+def blade_key_mul(k1, k2):
+    """Key product of (blade mask, twist label) keys: blades multiply with
+    their sign, labels merge."""
+    mask, sign = blade_mul(k1[0], k2[0])
+    return (mask, _merge_labels(k1[1], k2[1])), sign
+
+
+class CliffordElement(SparseTerms):
     """Multivector with ParamPoly coefficients keyed by (blade mask, label)."""
 
     __slots__ = ("dim", "alphabet", "terms")
@@ -103,75 +110,27 @@ class CliffordElement:
                 terms[(1 << i, tuple(label))] = c
         return cls(dim, alphabet, terms)
 
+    def _like(self, terms):
+        out = CliffordElement.__new__(CliffordElement)
+        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
+        return out
+
     def _check(self, other):
         if not isinstance(other, CliffordElement):
-            raise TypeError("CliffordElement required")
+            return None
         if other.dim != self.dim:
             raise DimMismatch(f"dim {self.dim} vs {other.dim}")
         return other
 
-    def __add__(self, other):
-        other = self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        out = CliffordElement.__new__(CliffordElement)
-        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
-        return out
-
-    def __neg__(self):
-        out = CliffordElement.__new__(CliffordElement)
-        out.dim, out.alphabet = self.dim, self.alphabet
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        """Multiply every coefficient by a ParamPoly or exact scalar."""
-        terms = {}
-        for key, c in self.terms.items():
-            p = c * factor
-            if not p.is_zero():
-                terms[key] = p
-        out = CliffordElement.__new__(CliffordElement)
-        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
-        return out
+    _key_mul = staticmethod(blade_key_mul)
+    __mul__ = SparseTerms.__mul__
 
     def with_label(self, label):
         """Tensor by a formal twist factor (merged into every term label)."""
         label = tuple(label)
-        terms = {}
-        for (mask, f), c in self.terms.items():
-            key = (mask, _merge_labels(f, label))
-            terms[key] = terms.get(key, ParamPoly.zero(self.alphabet)) + c
-        return CliffordElement(self.dim, self.alphabet, terms)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        terms = {}
-        for (m1, f1), c1 in self.terms.items():
-            for (m2, f2), c2 in other.terms.items():
-                mask, sign = blade_mul(m1, m2)
-                key = (mask, _merge_labels(f1, f2))
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc = terms.get(key)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = c
-        out = CliffordElement.__new__(CliffordElement)
-        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
-        return out
+        return self._collect(
+            ((mask, _merge_labels(f, label)), c) for (mask, f), c in self.terms.items()
+        )
 
     def mul_grade0(self, other):
         """Grade-0 part of self * other, without forming the product.
@@ -180,20 +139,21 @@ class CliffordElement:
         terms are joined on the mask, O(|a| + |b|) instead of |a| * |b|.
         """
         other = self._check(other)
+        if other is None:
+            raise TypeError("CliffordElement required")
         by_mask = {}
         for (m, f), c in other.terms.items():
             by_mask.setdefault(m, []).append((f, c))
-        terms = {}
+        pairs = []
         for (m, f1), c1 in self.terms.items():
             partners = by_mask.get(m)
             if not partners:
                 continue
             sign = blade_mul(m, m)[1]
             for f2, c2 in partners:
-                key = (0, _merge_labels(f1, f2))
                 c = c1 * c2 if sign > 0 else -(c1 * c2)
-                terms[key] = terms[key] + c if key in terms else c
-        return CliffordElement(self.dim, self.alphabet, terms)
+                pairs.append(((0, _merge_labels(f1, f2)), c))
+        return self._collect(pairs)
 
     def grade(self, k):
         terms = {
@@ -203,11 +163,6 @@ class CliffordElement:
 
     def coefficient(self, mask, label=()):
         return self.terms.get((mask, tuple(label)), ParamPoly.zero(self.alphabet))
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
 
     def __repr__(self):
         return f"CliffordElement(n={self.dim}, {len(self.terms)} terms)"
@@ -303,34 +258,7 @@ class SpinorMatrix:
         return cls(size, rows)
 
     def __add__(self, other):
-        rows = []
-        for r1, r2 in zip(self.rows, other.rows):
-            d = dict(r1)
-            for j, v in r2.items():
-                if j in d:
-                    s = d[j] + v
-                    if s.is_zero():
-                        del d[j]
-                    else:
-                        d[j] = s
-                else:
-                    d[j] = v
-            rows.append(d)
-        return SpinorMatrix(self.size, rows)
-
-    def __sub__(self, other):
-        return self + other.scale(GaussRational(-1))
-
-    def scale(self, factor):
-        rows = []
-        for r in self.rows:
-            d = {}
-            for j, v in r.items():
-                p = v * factor
-                if not p.is_zero():
-                    d[j] = p
-            rows.append(d)
-        return SpinorMatrix(self.size, rows)
+        return _combination(self.size, [(GR_ONE, self), (GR_ONE, other)])
 
     def __mul__(self, other):
         if self.size != other.size:
@@ -459,22 +387,10 @@ def represent(a):
     for (_, label) in a.terms:
         if label:
             raise ValueError("element carries twist labels; represent label-free parts")
-    size = 2 ** (a.dim // 2)
-    rows = [dict() for _ in range(size)]
-    for (mask, _), coeff in a.terms.items():
-        bm = _blade(a.dim, mask)
-        for i, r in enumerate(bm.rows):
-            for j, v in r.items():
-                p = coeff * v
-                if j in rows[i]:
-                    s = rows[i][j] + p
-                    if s.is_zero():
-                        del rows[i][j]
-                    else:
-                        rows[i][j] = s
-                else:
-                    rows[i][j] = p
-    return SpinorMatrix(size, rows)
+    return _combination(
+        2 ** (a.dim // 2),
+        [(coeff, _blade(a.dim, mask)) for (mask, _), coeff in a.terms.items()],
+    )
 
 
 def _rand_fraction(rng, span=6):
@@ -483,31 +399,31 @@ def _rand_fraction(rng, span=6):
     return Fraction(num, den)
 
 
+def _triple_sign(a, b, c):
+    """Sign of the permutation taking sorted order to (a, b, c), for
+    distinct indices: -1 to the number of inversions."""
+    return -1 if ((a > b) + (a > c) + (b > c)) % 2 else 1
+
+
 def _t_lookup(triples, a, b, c):
     """Fully antisymmetric extension of strictly-increasing triple data."""
     if a == b or b == c or a == c:
         return Fraction(0)
-    order = sorted([a, b, c])
-    base = triples.get(tuple(order), Fraction(0))
-    perm = (a, b, c)
-    # parity of the permutation taking sorted order to perm
-    sign = 1
-    lst = list(perm)
-    for i in range(3):
-        for j in range(2 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return sign * base
+    base = triples.get(tuple(sorted((a, b, c))), Fraction(0))
+    return _triple_sign(a, b, c) * base
 
 
 def _combination(size, pairs):
-    """The matrix sum of v * M over (v, M) pairs, accumulated row by row."""
+    """The matrix sum of v * M over (v, M) pairs, accumulated row by row.
+
+    The coefficient v multiplies from the left, so polynomial coefficients
+    take their scalar fast path.
+    """
     rows = [dict() for _ in range(size)]
     for v, mat in pairs:
         for acc, row in zip(rows, mat.rows):
             for j, x in row.items():
-                p = x * v
+                p = v * x
                 s = acc.get(j)
                 acc[j] = p if s is None else s + p
     return SpinorMatrix(

@@ -1,10 +1,19 @@
-"""Exact scalar and parameter-polynomial arithmetic.
+"""Exact scalar and parameter-polynomial arithmetic, and the sparse-term core.
 
 Two layers: GaussRational is the scalar field (complex numbers with exact
 rational real and imaginary parts), ParamPoly is a sparse multivariate
 polynomial over GaussRational in a fixed alphabet of named parameters.
 No floating point anywhere; floats only appear when a caller explicitly
 asks for a numeric approximation via to_complex().
+
+SparseTerms is the shared core of the engine's sparse algebras: ParamPoly,
+the Clifford multivectors (clifford.CliffordElement), the jet ring
+(symbols.XiExpr, symbols.CliffXi) and the sphere-restricted symbols
+(boundary.SphereSymbol).  It holds their sum, negation, scaling,
+term-wise maps, collection of (key, coefficient) pairs and the all-pairs
+product; each algebra supplies a builder, an operand check and its key
+product.  The matrix oracle clifford.SpinorMatrix stays outside, so that it
+remains independent of what it checks.
 """
 
 from __future__ import annotations
@@ -61,7 +70,9 @@ class GaussRational:
 
     def __add__(self, other):
         if other.__class__ is not GaussRational:
-            other = GaussRational.from_value(other)
+            other = _coerce_scalar(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self.d, other.d
         if d1 == d2:
             return _reduced(self.a + other.a, self.b + other.b, d1)
@@ -71,21 +82,26 @@ class GaussRational:
 
     def __sub__(self, other):
         if other.__class__ is not GaussRational:
-            other = GaussRational.from_value(other)
+            other = _coerce_scalar(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self.d, other.d
         if d1 == d2:
             return _reduced(self.a - other.a, self.b - other.b, d1)
         return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
-        return GaussRational.from_value(other) - self
+        other = _coerce_scalar(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
         return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if other.__class__ is not GaussRational:
-            other = GaussRational.from_value(other)
+            other = _coerce_scalar(other)
+            if other is None:
+                return NotImplemented
         a1, b1 = self.a, self.b
         a2, b2 = other.a, other.b
         # real or imaginary factors, the common case, need half the products
@@ -106,7 +122,9 @@ class GaussRational:
 
     def __truediv__(self, other):
         if other.__class__ is not GaussRational:
-            other = GaussRational.from_value(other)
+            other = _coerce_scalar(other)
+            if other is None:
+                return NotImplemented
         a1, b1 = self.a, self.b
         a2, b2, d2 = other.a, other.b, other.d
         n = a2 * a2 + b2 * b2
@@ -118,7 +136,8 @@ class GaussRational:
         )
 
     def __rtruediv__(self, other):
-        return GaussRational.from_value(other) / self
+        other = _coerce_scalar(other)
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -238,6 +257,104 @@ def _coerce_scalar(v):
     return None
 
 
+class SparseTerms:
+    """Sparse map `terms` from keys to nonzero coefficients, with the ring
+    operations of every algebra of the engine, written once.
+
+    A subclass supplies three things: _like(terms), an unvalidated value of
+    its own kind over an already clean map; _check(other), which returns the
+    operand as a value of its own kind, None for an operand it does not
+    handle, or raises on a mismatched one (dimension, alphabet); and the key
+    product _key_mul(k1, k2) -> (key, sign), sign being +1 or -1.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = c
+            else:
+                c = acc + c
+                if c.is_zero():
+                    del terms[key]
+                else:
+                    terms[key] = c
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        return self._product(other)
+
+    def __eq__(self, other):
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def scale(self, factor):
+        """Multiply every coefficient by factor."""
+        return self._like(
+            {k: p for k, c in self.terms.items() if not (p := c * factor).is_zero()}
+        )
+
+    def _map(self, fn):
+        """Apply fn to every coefficient, dropping the zeros it makes."""
+        return self._like(
+            {k: p for k, c in self.terms.items() if not (p := fn(c)).is_zero()}
+        )
+
+    def _collect(self, pairs):
+        """A value like self holding the sum of (key, coefficient) pairs."""
+        terms = {}
+        for key, c in pairs:
+            acc = terms.get(key)
+            terms[key] = c if acc is None else acc + c
+        return self._like({k: c for k, c in terms.items() if not c.is_zero()})
+
+    def _product(self, other):
+        """Sum of the products of every term of self with every term of other.
+
+        Coefficient rings have no zero divisors, so only a sum can vanish.
+        """
+        key_mul = self._key_mul
+        other_terms = other.terms.items()
+        terms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other_terms:
+                key, sign = key_mul(k1, k2)
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                acc = terms.get(key)
+                if acc is None:
+                    terms[key] = c
+                else:
+                    c = acc + c
+                    if c.is_zero():
+                        del terms[key]
+                    else:
+                        terms[key] = c
+        return self._like(terms)
+
+
 def _poly(alphabet, terms):
     """ParamPoly over terms that are already clean (sorted, nonzero)."""
     out = _new(ParamPoly)
@@ -246,7 +363,7 @@ def _poly(alphabet, terms):
     return out
 
 
-class ParamPoly:
+class ParamPoly(SparseTerms):
     """Sparse multivariate polynomial over GaussRational.
 
     Terms map a monomial key -- a tuple of (name, exponent) pairs sorted by
@@ -288,6 +405,12 @@ class ParamPoly:
     def var(cls, alphabet, name, exp=1):
         return cls(alphabet, {((name, exp),): GR_ONE})
 
+    def _like(self, terms):
+        out = _new(ParamPoly)
+        out.alphabet = self.alphabet
+        out.terms = terms
+        return out
+
     def _check(self, other):
         if isinstance(other, ParamPoly):
             if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
@@ -298,30 +421,11 @@ class ParamPoly:
             return None
         return ParamPoly.const(self.alphabet, s)
 
-    def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.get(mono)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = c
-        return _poly(self.alphabet, terms)
+    @staticmethod
+    def _key_mul(m1, m2):
+        return _merge_monomials(m1, m2), 1
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly(self.alphabet, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    __add__ = __radd__ = SparseTerms.__add__
 
     def __rsub__(self, other):
         return -(self - other)
@@ -338,26 +442,15 @@ class ParamPoly:
             elif len(terms) == 1 and () in terms:
                 s, terms = terms[()], other_terms
             else:
-                out = {}
-                for m1, c1 in terms.items():
-                    for m2, c2 in other_terms.items():
-                        mono = _merge_monomials(m1, m2)
-                        c = c1 * c2
-                        acc = out.get(mono)
-                        c = c if acc is None else acc + c
-                        if c.is_zero():
-                            out.pop(mono, None)
-                        else:
-                            out[mono] = c
-                return _poly(self.alphabet, out)
+                return self._product(other)
         else:
             s = _coerce_scalar(other)
             if s is None:
                 return NotImplemented
             if s.is_zero():
-                return _poly(self.alphabet, {})
+                return self._like({})
         # a product of nonzero field elements is nonzero
-        return _poly(self.alphabet, {m: c * s for m, c in terms.items()})
+        return self._like({m: c * s for m, c in terms.items()})
 
     __rmul__ = __mul__
 
@@ -368,9 +461,6 @@ class ParamPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(m == () for m in self.terms)
@@ -406,28 +496,17 @@ class ParamPoly:
 
     def subs(self, partial):
         """Substitute some parameters, leaving the rest symbolic."""
-        terms = {}
+        pairs = []
         for mono, coeff in self.terms.items():
             residual = []
-            val = coeff
             for name, exp in mono:
                 if name in partial:
-                    val = val * GaussRational.from_value(partial[name]) ** exp
+                    coeff = coeff * GaussRational.from_value(partial[name]) ** exp
                 else:
                     residual.append((name, exp))
             # a subsequence of a sorted key is sorted
-            key = tuple(residual)
-            acc = terms.get(key)
-            terms[key] = val if acc is None else acc + val
-        return _poly(
-            self.alphabet, {m: c for m, c in terms.items() if not c.is_zero()}
-        )
-
-    def __eq__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
+            pairs.append((tuple(residual), coeff))
+        return self._collect(pairs)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

@@ -16,7 +16,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .clifford import CliffordElement, _triples, torsion_element, twisted_trace
+from .clifford import (
+    CliffordElement,
+    _triple_sign,
+    _triples,
+    torsion_element,
+    twisted_trace,
+)
 from .errors import NonAntisymmetricTorsion, OddDimension, ValidationError
 from .exact import Alphabet, GaussRational, ParamPoly
 
@@ -101,14 +107,7 @@ class GeometricBundle:
                     )
                 continue
             rep = tuple(sorted(key))
-            sign = 1
-            lst = [a, b, c]
-            for i in range(3):
-                for j in range(2 - i):
-                    if lst[j] > lst[j + 1]:
-                        lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                        sign = -sign
-            folded = sign * value
+            folded = _triple_sign(a, b, c) * value
             if rep in self.torsion and self.torsion[rep] != folded:
                 raise NonAntisymmetricTorsion(
                     f"triple {key} breaks antisymmetry against {rep}"
@@ -186,24 +185,22 @@ def _var(alphabet, name):
     return ParamPoly.var(alphabet, name)
 
 
-def twist_vector(dim, alphabet):
-    """W = (c(T) + c(Y)) carrying one twist endomorphism factor."""
-    phi = ("phi",)
+def twist_vector(dim, alphabet, label=("phi",)):
+    """W = (c(T) + c(Y)) carrying one twist endomorphism factor (the label)."""
     triples = {
         t: _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") for t in _triples(dim)
     }
-    w = torsion_element(dim, alphabet, triples, label=phi)
+    w = torsion_element(dim, alphabet, triples, label=label)
     for j in range(1, dim + 1):
         w = w + CliffordElement.generator(dim, alphabet, j).scale(
             _var(alphabet, f"Y_{j}")
-        ).with_label(phi)
+        ).with_label(label)
     return w
 
 
 def twist_vector_jet(dim, alphabet, j):
     """Derivative of W in the j-th coordinate at the base point."""
     phi = ("phi",)
-    dphi = (f"dPhi_{j}",)
     dt = {
         t: _var(alphabet, f"dT_{j}_{t[0]}_{t[1]}_{t[2]}") for t in _triples(dim)
     }
@@ -217,17 +214,7 @@ def twist_vector_jet(dim, alphabet, j):
             phi
         )
     # the endomorphism's own derivative rides along as an opaque label
-    base = torsion_element(
-        dim,
-        alphabet,
-        {t: _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") for t in _triples(dim)},
-        label=dphi,
-    )
-    for l in range(1, dim + 1):
-        base = base + CliffordElement.generator(dim, alphabet, l).scale(
-            _var(alphabet, f"Y_{l}")
-        ).with_label(dphi)
-    return out + base
+    return out + twist_vector(dim, alphabet, (f"dPhi_{j}",))
 
 
 def _dx_component(alphabet, dim, j, l):

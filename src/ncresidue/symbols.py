@@ -16,28 +16,19 @@ parametrix recursion, and the symbols of the relevant operator power.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .clifford import CliffordElement, _merge_labels, blade_mul, torsion_element
+from .clifford import CliffordElement, blade_key_mul
 from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput
-from .exact import GR_I, GaussRational, ParamPoly
+from .exact import GR_I, GaussRational, ParamPoly, SparseTerms, _merge_monomials
+from .geometry import twist_vector
 from .halfplane import HalfPlaneRational
 
 # key layout: (m, p, q, r, tang) for xi_n^m u^p w^q h^r * prod xi_j^e
 # with tang a sorted tuple of (j, e) pairs over tangential indices j.
 
 
-def _tang_mul(t1, t2):
-    if not t1:
-        return t2
-    if not t2:
-        return t1
-    exps = dict(t1)
-    for j, e in t2:
-        exps[j] = exps.get(j, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-class XiExpr:
+class XiExpr(SparseTerms):
     """Scalar symbol in the collar jet ring."""
 
     __slots__ = ("alphabet", "terms")
@@ -69,81 +60,26 @@ class XiExpr:
     def u_power(cls, alphabet, p):
         return cls.monomial(alphabet, p=p)
 
+    def _like(self, terms):
+        out = XiExpr.__new__(XiExpr)
+        out.alphabet = self.alphabet
+        out.terms = terms
+        return out
+
     def _check(self, other):
+        if not isinstance(other, XiExpr):
+            return None
         if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
             raise AlphabetMismatch("operands over different alphabets")
+        return other
 
-    def is_zero(self):
-        return not self.terms
+    @staticmethod
+    def _key_mul(k1, k2):
+        m1, p1, q1, r1, t1 = k1
+        m2, p2, q2, r2, t2 = k2
+        return (m1 + m2, p1 + p2, q1 + q2, r1 + r2, _merge_monomials(t1, t2)), 1
 
-    def _collect(self, pairs):
-        """XiExpr summing (key, coeff) pairs into one dict."""
-        terms = {}
-        for key, c in pairs:
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
-        out = XiExpr.__new__(XiExpr)
-        out.alphabet = self.alphabet
-        out.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-        return out
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        out = XiExpr.__new__(XiExpr)
-        out.alphabet = self.alphabet
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = XiExpr.__new__(XiExpr)
-        out.alphabet = self.alphabet
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        terms = {}
-        for (m1, p1, q1, r1, t1), c1 in self.terms.items():
-            for (m2, p2, q2, r2, t2), c2 in other.terms.items():
-                key = (m1 + m2, p1 + p2, q1 + q2, r1 + r2, _tang_mul(t1, t2))
-                c = c1 * c2
-                acc = terms.get(key)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = c
-        out = XiExpr.__new__(XiExpr)
-        out.alphabet = self.alphabet
-        out.terms = terms
-        return out
-
-    def scale(self, factor):
-        """Multiply every coefficient by a ParamPoly or exact scalar."""
-        out = XiExpr.__new__(XiExpr)
-        out.alphabet = self.alphabet
-        out.terms = {}
-        for key, c in self.terms.items():
-            c = c * factor
-            if not c.is_zero():
-                out.terms[key] = c
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, XiExpr):
-            return NotImplemented
-        return self.terms == other.terms
+    __mul__ = SparseTerms.__mul__
 
     def d_xn(self):
         """Normal x-derivative to first jet order: brings down one hp0."""
@@ -172,14 +108,11 @@ class XiExpr:
         """Derivative in the tangential covariable xi_j."""
         pairs = []
         for (m, p, q, r, tang), c in self.terms.items():
+            up = _merge_monomials(tang, ((j, 1),))
             if p:
-                pairs.append(
-                    ((m, p - 1, q, r + 1, _tang_mul(tang, ((j, 1),))), c * (2 * p))
-                )
+                pairs.append(((m, p - 1, q, r + 1, up), c * (2 * p)))
             if q:
-                pairs.append(
-                    ((m, p, q - 1, r + 1, _tang_mul(tang, ((j, 1),))), c * (2 * q))
-                )
+                pairs.append(((m, p, q - 1, r + 1, up), c * (2 * q)))
             exps = dict(tang)
             e = exps.get(j, 0)
             if e:
@@ -233,7 +166,7 @@ class XiExpr:
         return f"XiExpr({self})"
 
 
-class CliffXi:
+class CliffXi(SparseTerms):
     """Clifford-algebra-valued symbol: blades with twist labels over XiExpr."""
 
     __slots__ = ("dim", "alphabet", "terms")
@@ -263,72 +196,27 @@ class CliffXi:
             terms[(mask, label)] = XiExpr(elem.alphabet, {(0, 0, 0, 0, ()): poly})
         return cls(elem.dim, elem.alphabet, terms)
 
+    def _like(self, terms):
+        out = CliffXi.__new__(CliffXi)
+        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
+        return out
+
     def _check(self, other):
+        if not isinstance(other, CliffXi):
+            return None
         if other.dim != self.dim:
             raise DimMismatch("Clifford operands of different dimension")
         if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
             raise AlphabetMismatch("operands over different alphabets")
+        return other
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        return CliffXi(self.dim, self.alphabet, terms)
-
-    def __neg__(self):
-        return CliffXi(
-            self.dim, self.alphabet, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        terms = {}
-        for (m1, l1), c1 in self.terms.items():
-            for (m2, l2), c2 in other.terms.items():
-                mask, sign = blade_mul(m1, m2)
-                key = (mask, _merge_labels(l1, l2))
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc = terms.get(key)
-                c = c if acc is None else acc + c
-                terms[key] = c
-        return CliffXi(self.dim, self.alphabet, terms)
+    _key_mul = staticmethod(blade_key_mul)
 
     def scale(self, factor):
+        """Multiply every coefficient by an XiExpr, ParamPoly or exact scalar."""
         if isinstance(factor, XiExpr):
-            return CliffXi(
-                self.dim,
-                self.alphabet,
-                {k: c * factor for k, c in self.terms.items()},
-            )
-        return CliffXi(
-            self.dim,
-            self.alphabet,
-            {k: c.scale(factor) for k, c in self.terms.items()},
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffXi):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def _map(self, fn):
-        return CliffXi(
-            self.dim, self.alphabet, {key: fn(c) for key, c in self.terms.items()}
-        )
+            return SparseTerms.scale(self, factor)
+        return self._map(lambda c: c.scale(factor))
 
     def d_xn(self):
         return self._map(lambda c: c.d_xn())
@@ -412,20 +300,7 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
 
     p2 = CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1))
 
-    phi = ("phi",)
-    triples = {
-        (a, b, c): ParamPoly.var(alphabet, f"T_{a}_{b}_{c}")
-        for a in range(1, dim + 1)
-        for b in range(a + 1, dim + 1)
-        for c in range(b + 1, dim + 1)
-    }
-    ct = torsion_element(dim, alphabet, triples, label=phi)
-    cy = CliffordElement.zero(dim, alphabet)
-    for j in range(1, dim + 1):
-        cy = cy + CliffordElement.generator(dim, alphabet, j).scale(
-            ParamPoly.var(alphabet, f"Y_{j}")
-        ).with_label(phi)
-    w_elem = ct + cy
+    w_elem = twist_vector(dim, alphabet)
 
     k_list = []
     for j in range(1, dim + 1):
@@ -462,13 +337,6 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     return SymbolExpansion(dim, alphabet, {2: p2, 1: p1, 0: p0}, meta)
 
 
-def _factorial(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
-
-
 def _dxn_power(c, k, cache):
     got = cache.get(k)
     if got is None:
@@ -501,7 +369,7 @@ def compose_symbols(left, right, min_order):
                 order = s - k + t
                 if order < min_order:
                     continue
-                coeff = (GR_I * (-1)) ** k * Fraction(1, _factorial(k))
+                coeff = (GR_I * (-1)) ** k * Fraction(1, factorial(k))
                 piece = (dp * dq).scale(coeff)
                 acc = out.get(order)
                 out[order] = piece if acc is None else acc + piece
@@ -532,7 +400,7 @@ def invert_symbol(symbol, depth):
                 dq = _dxn_power(q[t], k, caches[t])
                 if dq.is_zero():
                     continue
-                coeff = (GR_I * (-1)) ** k * Fraction(1, _factorial(k))
+                coeff = (GR_I * (-1)) ** k * Fraction(1, factorial(k))
                 acc = acc + (dp * dq).scale(coeff)
         q[-2 - m] = -(u_inv * acc)
         caches[-2 - m] = {0: q[-2 - m]}

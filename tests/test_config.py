@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncresidue.config import SessionConfig, load_config
 from ncresidue.errors import (
+    EngineError,
     NonIncreasingTriple,
     OddBarDimension,
     ParseError,
@@ -118,3 +122,61 @@ class TestLoadConfig:
         d = cfg.as_dict()
         assert d["scalars"]["s"] == "3"
         assert d["scalars"]["dimF"] == "symbolic"
+
+
+# Config fuzz: YAML mappings over the known keys with values of mixed types.
+# nbar is often valid and vectors often the right length, so the data reaches
+# the bundle; every list is short, whatever nbar is drawn, so no generated
+# config asks for a large vector or torsion table.
+words = st.sampled_from(
+    ["symbolic", "all", "b", "a2", "json", "oracle", "printed", "3/4", "-1/2",
+     "1/0", "x", "", "2", "1e3"]
+) | st.text(max_size=5)
+scalars = (
+    st.integers(-3, 12)
+    | st.booleans()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | words
+    | st.none()
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(words, inner, max_size=3),
+    max_leaves=12,
+)
+exact = st.sampled_from([1, "3/4", "-2", "symbolic", None])
+vectors = st.lists(exact | scalars, min_size=3, max_size=5) | values
+torsion_tables = (
+    st.lists(st.lists(st.integers(0, 5) | exact, min_size=3, max_size=5), max_size=3)
+    | values
+)
+FIELDS = {
+    "dim": values,
+    "mode": st.sampled_from(["oracle", "printed"]) | values,
+    "cases": st.lists(words, max_size=3) | values,
+    "case": words | values,
+    "format": st.sampled_from(["text", "json", "csv"]) | values,
+    "seed": st.integers(0, 3) | values,
+    "verify_lemmas": st.integers(0, 3) | values,
+    "X": vectors,
+    "Y": vectors,
+    "torsion": torsion_tables,
+    **{
+        k: exact | values
+        for k in ("s", "divX", "divY", "dimF", "trPhi", "trPhi2", "hprime0")
+    },
+}
+configs = st.fixed_dictionaries(
+    {"nbar": st.sampled_from([2, 2, 4]) | values}, optional=FIELDS
+)
+
+
+class TestConfigFuzz:
+    @given(configs)
+    def test_any_mapping_raises_only_engine_errors(self, data):
+        text = yaml.safe_dump(data)
+        try:
+            load_config(text).bundle()
+        except EngineError:
+            pass

@@ -1,4 +1,4 @@
-"""Exact scalar and parameter-polynomial arithmetic."""
+"""Exact scalar and parameter-polynomial arithmetic, and the sparse-term core."""
 
 import random
 from fractions import Fraction
@@ -16,12 +16,16 @@ from ncresidue.exact import (
     GaussRational,
     ParamPoly,
 )
+from ncresidue.boundary import SphereSymbol
+from ncresidue.clifford import CliffordElement, represent
 from ncresidue.errors import (
     AlphabetMismatch,
+    DimMismatch,
     DivisionByZero,
     UnboundParameter,
     ValidationError,
 )
+from ncresidue.halfplane import HalfPlaneRational
 from ncresidue.symbols import XiExpr
 from conftest import rand_gauss, rand_poly
 
@@ -248,6 +252,16 @@ class TestGaussRationalProperties:
         for bad in ((0.5,), (1, 0.5), (complex(1, 2),)):
             with pytest.raises(TypeError):
                 GaussRational(*bad)
+        one = GaussRational(1)
+        for op in (
+            lambda: one + 0.5,
+            lambda: one * 0.5,
+            lambda: one / 0.5,
+            lambda: 0.5 - one,
+            lambda: 0.5 / one,
+        ):
+            with pytest.raises(TypeError):
+                op()
 
 
 ALPHABET = Alphabet(["a", "b", "c"])
@@ -284,6 +298,16 @@ class TestParamPolyProperties:
         for got in (p * s, p * const, const * p):
             assert got == want
             assert all(not c.is_zero() for c in got.terms.values())
+
+    @given(polys, gauss_values | st.integers(-9, 9) | fractions)
+    def test_scalar_on_the_left_defers_to_the_polynomial(self, p, s):
+        assert s * p == p * s
+        assert s + p == p + s
+        assert s - p == -(p - s)
+        if isinstance(s, GaussRational):
+            assert GaussRational.__truediv__(s, p) is NotImplemented
+            with pytest.raises(TypeError):
+                s / p
 
     @given(polys, assignments, st.sets(st.sampled_from(ALPHABET.names)))
     def test_subs_then_eval_is_eval(self, p, point, names):
@@ -376,3 +400,56 @@ class TestJetDerivativeProperties:
                 yield (m, p, q, r, with_xi(tang, -1)), c * e
 
         assert x.d_xit(j) == term_sum(x, pieces)
+
+
+# The shared product of the sparse-term core, checked on two of its algebras:
+# Clifford multivectors against their matrices, and the jet ring.
+
+
+def clifford_elements(n):
+    return st.dictionaries(st.integers(0, (1 << n) - 1), polys, max_size=4).map(
+        lambda terms: CliffordElement(n, ALPHABET, {(m, ()): c for m, c in terms.items()})
+    )
+
+
+clifford_triples = st.sampled_from((2, 4, 6)).flatmap(
+    lambda n: st.tuples(clifford_elements(n), clifford_elements(n), clifford_elements(n))
+)
+
+
+class TestSparseTermsCore:
+    @given(clifford_triples)
+    def test_clifford_product_against_the_matrix_oracle(self, abc):
+        a, b, c = abc
+        ab = a * b
+        assert represent(ab) == represent(a) * represent(b)
+        assert represent(ab * c) == represent(a) * represent(b) * represent(c)
+        assert ab * c == a * (b * c)
+        assert a * (b + c) == ab + a * c
+        assert (a - b) * c == a * c - b * c
+        assert represent(a * (b + c)) == represent(a) * (represent(b) + represent(c))
+
+    @given(jets, jets, jets)
+    def test_jet_product_is_associative_and_distributive(self, x, y, z):
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x - y) * z == x * z - y * z
+        assert x * y == y * x
+
+    def test_sphere_symbols_refuse_mixed_operands(self):
+        def sphere(dim, alphabet):
+            return SphereSymbol(
+                dim, alphabet, {(1, ()): HalfPlaneRational.const(alphabet, 1)}
+            )
+
+        a = sphere(4, ALPHABET)
+        for other, error in (
+            (sphere(6, ALPHABET), DimMismatch),
+            (sphere(4, JET_ALPHABET), AlphabetMismatch),
+        ):
+            with pytest.raises(error):
+                a + other
+            with pytest.raises(error):
+                a * other
+        assert (a * a).scalar_part() == HalfPlaneRational.const(ALPHABET, -1)
+        assert (a + a).terms == {(1, ()): HalfPlaneRational.const(ALPHABET, 2)}
