@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
 from .clifford import CliffordElement, blade_key_mul
 from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput
@@ -272,7 +273,7 @@ class SymbolExpansion:
         self.dim = dim
         self.alphabet = alphabet
         self.orders = {o: c for o, c in (orders or {}).items() if not c.is_zero()}
-        self.meta = meta or {}
+        self.meta = MappingProxyType(dict(meta or {}))
 
     def __getitem__(self, order):
         got = self.orders.get(order)
@@ -333,78 +334,84 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     else:
         p0 = -CliffXi.from_clifford(b_term)
 
-    meta = {"gdn": gdn, "K": k_list, "W": w_elem}
+    meta = {"gdn": gdn, "K": tuple(k_list), "W": w_elem}
     return SymbolExpansion(dim, alphabet, {2: p2, 1: p1, 0: p0}, meta)
 
 
-def _dxn_power(c, k, cache):
+def _chain(cache, k, step):
+    """step applied k times to cache[0], memoized in cache."""
     got = cache.get(k)
     if got is None:
-        got = _dxn_power(c, k - 1, cache).d_xn() if k else c
-        cache[k] = got
+        got = cache[k] = step(_chain(cache, k - 1, step))
     return got
+
+
+def _taylor_term(dp, dq, k):
+    """(-i)^k / k! * dp * dq, the k-th term of the normal composition series."""
+    if k == 0:
+        return dp * dq
+    return (dp * dq).scale((GR_I * (-1)) ** k * Fraction(1, factorial(k)))
 
 
 def compose_symbols(left, right, min_order):
     """Formal symbol product, collected by order down to min_order.
 
     Only the normal covariable contributes derivative terms: tangential
-    x-derivatives vanish at the base point in the collar model.
+    x-derivatives vanish at the base point in the collar model.  Terms of
+    order below min_order are never formed, and the xi_n- and x_n-derivative
+    chains of the factors are built once per call.
     """
     if left.dim != right.dim:
         raise DimMismatch("symbol factors of different dimension")
-    out = {}
-    right_caches = {t: {0: q} for t, q in right.orders.items()}
-    for s, p in left.orders.items():
-        # xi_n-derivatives of p_s truncate quickly; bound k by the drop to
-        # min_order
-        for t, q in right.orders.items():
-            for k in range(0, s - min_order - t + 1):
-                dp = p.d_xin(k)
+    pairs = {}
+    left_chains = {s: {0: p} for s, p in left.orders.items()}
+    right_chains = {t: {0: q} for t, q in right.orders.items()}
+    for s in left.orders:
+        for t in right.orders:
+            # the k-th term has order s - k + t
+            for k in range(0, s + t - min_order + 1):
+                dp = _chain(left_chains[s], k, CliffXi.d_xin)
                 if dp.is_zero():
                     break
-                dq = _dxn_power(q, k, right_caches[t])
-                if dq.is_zero():
-                    continue
-                order = s - k + t
-                if order < min_order:
-                    continue
-                coeff = (GR_I * (-1)) ** k * Fraction(1, factorial(k))
-                piece = (dp * dq).scale(coeff)
-                acc = out.get(order)
-                out[order] = piece if acc is None else acc + piece
+                dq = _chain(right_chains[t], k, CliffXi.d_xn)
+                if not dq.is_zero():
+                    piece = _taylor_term(dp, dq, k)
+                    pairs.setdefault(s - k + t, []).extend(piece.terms.items())
+    zero = CliffXi.zero(left.dim, left.alphabet)
+    out = {order: zero._collect(ps) for order, ps in pairs.items()}
     return SymbolExpansion(left.dim, left.alphabet, out)
 
 
 def invert_symbol(symbol, depth):
-    """Parametrix symbols q_{-2}, ..., q_{-2-depth} of a second-order symbol."""
+    """Parametrix symbols q_{-2}, ..., q_{-2-depth} of a second-order symbol.
+
+    The recursion divides by the leading symbol, which must be p_2 = u
+    exactly (blade- and label-free, coefficient 1); any other p_2, or none,
+    raises NonCanonicalInput.
+    """
     dim, alphabet = symbol.dim, symbol.alphabet
+    if symbol[2] != CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1)):
+        raise NonCanonicalInput("parametrix recursion needs the leading symbol u")
     u_inv = CliffXi.scalar(dim, XiExpr.u_power(alphabet, -1))
-    q = {-2: u_inv}
-    caches = {-2: {0: u_inv}}
+    zero = CliffXi.zero(dim, alphabet)
+    p_chains = {s: {0: symbol[s]} for s in (2, 1, 0) if s in symbol}
+    q_chains = {-2: {0: u_inv}}
     for m in range(1, depth + 1):
         # the new symbol q_{-2-m} is fixed by the vanishing of the
-        # composition at order -m, where it enters through p_2 * q_{-2-m}
-        acc = CliffXi.zero(dim, alphabet)
-        for s in (2, 1, 0):
-            p = symbol[s]
-            if p.is_zero():
-                continue
-            for k in range(0, m + 3):
-                t = -m - s + k
-                if t not in q:
-                    continue
-                dp = p.d_xin(k)
+        # composition at order -m, where it enters through p_2 * q_{-2-m};
+        # the k-th term of p_s * q_t lands there for t = k - m - s
+        pairs = []
+        for s, p_chain in p_chains.items():
+            for k in range(max(0, s - 1), m + s - 1):
+                dp = _chain(p_chain, k, CliffXi.d_xin)
                 if dp.is_zero():
-                    continue
-                dq = _dxn_power(q[t], k, caches[t])
-                if dq.is_zero():
-                    continue
-                coeff = (GR_I * (-1)) ** k * Fraction(1, factorial(k))
-                acc = acc + (dp * dq).scale(coeff)
-        q[-2 - m] = -(u_inv * acc)
-        caches[-2 - m] = {0: q[-2 - m]}
-    return SymbolExpansion(dim, alphabet, q, dict(symbol.meta))
+                    break
+                dq = _chain(q_chains[k - m - s], k, CliffXi.d_xn)
+                if not dq.is_zero():
+                    pairs.extend(_taylor_term(dp, dq, k).terms.items())
+        q_chains[-2 - m] = {0: -(u_inv * zero._collect(pairs))}
+    q = {t: chain[0] for t, chain in q_chains.items()}
+    return SymbolExpansion(dim, alphabet, q, symbol.meta)
 
 
 def drift_subsymbol_parts(symbol):
@@ -482,10 +489,6 @@ def power_symbol(symbol, nbar, parametrix=None):
     if not (sub - check).is_zero():
         raise NonCanonicalInput("subleading power symbol split is inconsistent")
 
-    meta = dict(symbol.meta)
-    meta["parts"] = {
-        "normal": part_normal,
-        "drift": part_drift,
-        "twist": part_twist,
-    }
+    parts = {"normal": part_normal, "drift": part_drift, "twist": part_twist}
+    meta = {**symbol.meta, "parts": MappingProxyType(parts)}
     return SymbolExpansion(dim, alphabet, {2 - nbar: top, 1 - nbar: sub}, meta)

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncresidue.exact import GR_I, GR_ONE, Alphabet, GaussRational, ParamPoly
 from ncresidue.errors import NotIntegrable
@@ -147,3 +150,58 @@ class TestDerivatives:
             f = HalfPlaneRational(alphabet, num, 0, p)
             direct = f.deriv(k).eval_exact(GR_I).constant_value()
             assert deriv_at_i(m, p, k) == direct
+
+
+X = sympy.Symbol("x")
+gauss = st.builds(
+    lambda re, im, den: GaussRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.integers(1, 4),
+)
+
+
+def to_sympy(value):
+    """A constant ParamPoly or a GaussRational as an exact sympy number."""
+    if isinstance(value, ParamPoly):
+        value = value.constant_value()
+    return sympy.Rational(value.a, value.d) + sympy.I * sympy.Rational(value.b, value.d)
+
+
+class TestSympyOracle:
+    """Numeric half-plane rationals against sympy's partial fractions over
+    Q(i) and its residue at +i."""
+
+    # sympy takes about 0.1 s per example here
+    @settings(max_examples=20)
+    @given(
+        st.lists(gauss, min_size=1, max_size=5), st.integers(0, 3), st.integers(0, 3)
+    )
+    def test_partial_fractions_and_integral(self, num, a, b):
+        f = HalfPlaneRational(AL, [const(c) for c in num], a, b)
+        den = (X - sympy.I) ** a * (X + sympy.I) ** b
+        expr = sum(to_sympy(c) * X**k for k, c in enumerate(num)) / den
+
+        expected = {sympy.I: {}, -sympy.I: {}}
+        expected_poly = sympy.Integer(0)
+        for term in sympy.Add.make_args(sympy.apart(expr, X, gaussian=True)):
+            coeff, dep = term.as_independent(X, as_Add=False)
+            base, exp = dep.as_base_exp()
+            if exp < 0:
+                expected[-(base - X)][-exp] = sympy.expand(coeff)
+            else:
+                expected_poly += term
+
+        plus, minus, poly = f.partial_fractions()
+        for pole, got in ((sympy.I, plus), (-sympy.I, minus)):
+            got = {k: to_sympy(c) for k, c in enumerate(got, start=1)}
+            assert {k: c for k, c in got.items() if c != 0} == expected[pole]
+        got_poly = sum(to_sympy(c) * X**k for k, c in enumerate(poly))
+        assert sympy.expand(got_poly - expected_poly) == 0
+
+        # the same poles under the numerator cut to an integrable degree
+        integrable = num[: max(a + b - 1, 0)]
+        g = HalfPlaneRational(AL, [const(c) for c in integrable], a, b)
+        expr = sum(to_sympy(c) * X**k for k, c in enumerate(integrable)) / den
+        residue = sympy.residue(expr, X, sympy.I)
+        assert to_sympy(g.real_line_integral()) == sympy.expand(2 * sympy.I * residue)

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from ncresidue.errors import NonCanonicalInput
-from ncresidue.exact import GaussRational, ParamPoly
+from ncresidue.exact import GR_I, GaussRational, ParamPoly
 from ncresidue.geometry import (
     GeometricBundle,
     lichnerowicz_normal_form,
@@ -46,6 +47,81 @@ def subs_expansion(expansion, assignment):
         expansion.alphabet,
         {r: subs_cliffxi(cx, assignment) for r, cx in expansion.orders.items()},
     )
+
+
+def numeric_operator(n):
+    """Operator symbol with every parameter replaced by a fixed rational."""
+    al = standard_alphabet(n)
+    nf = lichnerowicz_normal_form(GeometricBundle(n))
+    op = laplace_symbol(n, al, b_term=nf.B)
+    return subs_expansion(op, rand_assignment(al, random.Random(20 + n), span=3))
+
+
+# Reference loops for the symbol recursions: every derivative is rebuilt
+# from scratch, every term of every order is formed and the ones below
+# min_order are dropped afterwards, and the pieces are summed one by one.
+def _dxn_power_reference(c, k, cache):
+    got = cache.get(k)
+    if got is None:
+        got = _dxn_power_reference(c, k - 1, cache).d_xn() if k else c
+        cache[k] = got
+    return got
+
+
+def _compose_reference(left, right, min_order):
+    out = {}
+    right_caches = {t: {0: q} for t, q in right.orders.items()}
+    for s, p in left.orders.items():
+        for t, q in right.orders.items():
+            for k in range(0, s - min_order - t + 1):
+                dp = p.d_xin(k)
+                if dp.is_zero():
+                    break
+                dq = _dxn_power_reference(q, k, right_caches[t])
+                if dq.is_zero():
+                    continue
+                order = s - k + t
+                if order < min_order:
+                    continue
+                coeff = (GR_I * (-1)) ** k * Fraction(1, factorial(k))
+                piece = (dp * dq).scale(coeff)
+                acc = out.get(order)
+                out[order] = piece if acc is None else acc + piece
+    return SymbolExpansion(left.dim, left.alphabet, out)
+
+
+def _invert_reference(symbol, depth):
+    dim, alphabet = symbol.dim, symbol.alphabet
+    u_inv = CliffXi.scalar(dim, XiExpr.u_power(alphabet, -1))
+    q = {-2: u_inv}
+    caches = {-2: {0: u_inv}}
+    for m in range(1, depth + 1):
+        acc = CliffXi.zero(dim, alphabet)
+        for s in (2, 1, 0):
+            p = symbol[s]
+            if p.is_zero():
+                continue
+            for k in range(0, m + 3):
+                t = -m - s + k
+                if t not in q:
+                    continue
+                dp = p.d_xin(k)
+                if dp.is_zero():
+                    continue
+                dq = _dxn_power_reference(q[t], k, caches[t])
+                if dq.is_zero():
+                    continue
+                coeff = (GR_I * (-1)) ** k * Fraction(1, factorial(k))
+                acc = acc + (dp * dq).scale(coeff)
+        q[-2 - m] = -(u_inv * acc)
+        caches[-2 - m] = {0: q[-2 - m]}
+    return SymbolExpansion(dim, alphabet, q)
+
+
+def assert_same_expansion(got, expected):
+    assert sorted(got.orders) == sorted(expected.orders)
+    for order, piece in expected.orders.items():
+        assert got[order] == piece, f"order {order} differs"
 
 
 class TestJetRing:
@@ -119,15 +195,48 @@ class TestInversionAndComposition:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_numeric_closure_depth_two(self, n):
-        rng = random.Random(20 + n)
-        al = standard_alphabet(n)
-        geo = GeometricBundle(n)
-        nf = lichnerowicz_normal_form(geo)
-        op = laplace_symbol(n, al, b_term=nf.B)
-        num = subs_expansion(op, rand_assignment(al, rng, span=3))
+        num = numeric_operator(n)
         comp = compose_symbols(num, invert_symbol(num, 3), -1)
-        assert comp[0] == CliffXi.scalar(n, XiExpr.const(al, 1))
+        assert comp[0] == CliffXi.scalar(n, XiExpr.const(num.alphabet, 1))
         assert comp[-1].is_zero()
+
+    @pytest.mark.parametrize("leading", ["twice u", "missing"])
+    def test_inversion_rejects_other_leading_symbols(self, leading):
+        # the recursion divides by p_2 = u, so it must refuse any other p_2
+        al = standard_alphabet(4)
+        op = laplace_symbol(4, al)
+        orders = {1: op[1]}
+        if leading == "twice u":
+            orders[2] = op[2].scale(GaussRational(2))
+        with pytest.raises(NonCanonicalInput):
+            invert_symbol(SymbolExpansion(4, al, orders), 1)
+
+
+class TestRecursionAgainstReference:
+    @pytest.mark.parametrize(
+        "n, depth, numeric",
+        [(4, 3, True), (6, 2, True), (4, 2, False)],
+        ids=["numeric-n4-depth3", "numeric-n6-depth2", "symbolic-n4-depth2"],
+    )
+    def test_equal_to_reference_loops(self, n, depth, numeric):
+        op = numeric_operator(n) if numeric else laplace_symbol(n, standard_alphabet(n))
+        inverse = invert_symbol(op, depth)
+        assert_same_expansion(inverse, _invert_reference(op, depth))
+        for min_order in (-1, -2, -3):
+            assert_same_expansion(
+                compose_symbols(op, inverse, min_order),
+                _compose_reference(op, inverse, min_order),
+            )
+
+    def test_composition_builds_only_kept_normal_derivatives(self, monkeypatch):
+        # the reference loop takes 8 x_n-derivatives here; 3 reach order -2
+        num = numeric_operator(4)
+        inverse = invert_symbol(num, 3)
+        calls = []
+        d_xn = CliffXi.d_xn
+        monkeypatch.setattr(CliffXi, "d_xn", lambda self: calls.append(1) or d_xn(self))
+        compose_symbols(num, inverse, -2)
+        assert len(calls) <= 3
 
 
 class TestSubsymbolStructure:
@@ -152,3 +261,17 @@ class TestSubsymbolStructure:
         pw = power_symbol(op, 4, invert_symbol(op, 1))
         assert pw[-2].scalar_part() == {(): XiExpr.u_power(al, -1)}
         assert set(pw.meta["parts"]) == {"normal", "drift", "twist"}
+
+    def test_meta_is_read_only_and_not_shared(self):
+        al = standard_alphabet(4)
+        op = laplace_symbol(4, al)
+        pw = power_symbol(op, 2, invert_symbol(op, 1))
+        with pytest.raises(TypeError):
+            pw.meta["K"][0] = pw.meta["W"]
+        with pytest.raises(TypeError):
+            pw.meta["gdn"] = ParamPoly.zero(al)
+        with pytest.raises(TypeError):
+            pw.meta["parts"]["normal"] = CliffXi.zero(4, al)
+        fresh = laplace_symbol(4, al).meta
+        assert set(op.meta) == {"gdn", "K", "W"}
+        assert all(op.meta[key] == fresh[key] for key in fresh)
