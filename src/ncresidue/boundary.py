@@ -211,6 +211,14 @@ def _record(term, nbar, printed, engine, note=None):
     return rec
 
 
+# printed side and note of a record whose closed form is undefined at this
+# nbar; a string never equals an engine value, so such records disagree
+_OUT_OF_DOMAIN = (
+    "out of domain: closed form contains a factorial of a negative integer"
+)
+_RECOMPUTED = "engine value recomputed directly from the cases"
+
+
 def _normalized(value):
     """Engine value with the twist trace scalars set to one, for comparison
     with printed forms that absorb them."""
@@ -336,6 +344,19 @@ def printed_case_value(case_id, nbar, alphabet):
     raise ValidationError("case_id", f"unknown case {case_id!r}")
 
 
+def _printed_closed_factor(nbar):
+    """z(nbar) (h+2)(h+3)...(nbar-1), shared by the printed closed forms."""
+    h = nbar // 2
+    z = GaussRational(
+        0,
+        Fraction(-nbar ** 4, 2)
+        - nbar ** 3
+        + Fraction(5 * nbar ** 2, 4)
+        + Fraction(5 * nbar, 2),
+    )
+    return z * GaussRational(prod(range(h + 2, nbar)))
+
+
 def printed_phi_parts(nbar, alphabet):
     """Printed total boundary density, split like the engine's output.
 
@@ -362,19 +383,11 @@ def printed_phi_parts(nbar, alphabet):
         * GaussRational(2) ** (h - 2)
         * lphi
     )
-    z = GaussRational(
-        0,
-        Fraction(-nbar ** 4, 2)
-        - nbar ** 3
-        + Fraction(5 * nbar ** 2, 4)
-        + Fraction(5 * nbar, 2),
-    )
     closed_scalar = (
         GaussRational(h - 1)
         * GaussRational(0, 2)
         * GaussRational(Fraction(1, factorial(h + 2)))
-        * z
-        * GaussRational(prod(range(h + 2, nbar)))
+        * _printed_closed_factor(nbar)
         * GaussRational(Fraction(1, 2 ** (h + 2)))
     )
     out = {
@@ -400,19 +413,11 @@ def printed_phi_parts(nbar, alphabet):
 def printed_wres_k_coefficient(nbar, alphabet):
     """Printed coefficient of K in the assembled boundary term (times pi)."""
     h = nbar // 2
-    z = GaussRational(
-        0,
-        Fraction(-nbar ** 4, 2)
-        - nbar ** 3
-        + Fraction(5 * nbar ** 2, 4)
-        + Fraction(5 * nbar, 2),
-    )
     scalar = (
         GaussRational(-(nbar - 2))
         * GR_I
         * GaussRational(Fraction(1, (nbar + 1) * factorial(h + 2)))
-        * z
-        * GaussRational(prod(range(h + 2, nbar)))
+        * _printed_closed_factor(nbar)
         * GaussRational(Fraction(1, 2 ** (h + 1)))
     )
     return _vol(alphabet) * scalar
@@ -811,15 +816,8 @@ def total_boundary_phi(nbar, geo=None):
         )
     else:
         comparisons.append(
-            {
-                "term": "phi_drift_part",
-                "nbar": nbar,
-                "printed": "out of domain: closed form contains a factorial "
-                "of a negative integer",
-                "engine": str(_normalized(drift_part)),
-                "agree": False,
-                "note": "engine value recomputed directly from the cases",
-            }
+            _record("phi_drift_part", nbar, _OUT_OF_DOMAIN,
+                    _normalized(drift_part), note=_RECOMPUTED)
         )
     for res in cases.values():
         comparisons.extend(res.comparisons)
@@ -913,15 +911,8 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
         )
     else:
         comparisons.append(
-            {
-                "term": "wres_drift_coefficient",
-                "nbar": nbar,
-                "printed": "out of domain: closed form contains a factorial "
-                "of a negative integer",
-                "engine": str(_normalized(drift_coeff)),
-                "agree": False,
-                "note": "engine value recomputed directly from the cases",
-            }
+            _record("wres_drift_coefficient", nbar, _OUT_OF_DOMAIN,
+                    _normalized(drift_coeff), note=_RECOMPUTED)
         )
 
     return {

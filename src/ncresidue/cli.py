@@ -57,15 +57,8 @@ def build_parser():
 
 
 def _merge(args):
-    """SessionConfig from config file plus flag overrides."""
-    if args.config is not None:
-        base = load_config(args.config)
-    else:
-        if args.dim is None:
-            raise ValidationError("dim", "provide --dim or --config")
-        base = None
-
-    kwargs = {
+    """SessionConfig from the flags that were given, laid over the config."""
+    flags = {
         "nbar": args.dim,
         "mode": args.mode,
         "cases": [args.case] if args.case else None,
@@ -73,29 +66,14 @@ def _merge(args):
         "seed": args.seed,
         "verify_lemmas": args.verify_lemmas,
     }
-    if base is None:
-        clean = {k: v for k, v in kwargs.items() if v is not None}
-        clean.setdefault("mode", "oracle")
-        clean.setdefault("fmt", "text")
-        clean.setdefault("seed", 0)
-        clean.setdefault("verify_lemmas", 0)
-        return SessionConfig(**clean)
-    return SessionConfig(
-        nbar=kwargs["nbar"] if kwargs["nbar"] is not None else base.nbar,
-        mode=kwargs["mode"] or base.mode,
-        cases=kwargs["cases"] or base.cases,
-        fmt=kwargs["fmt"] or base.fmt,
-        seed=kwargs["seed"] if kwargs["seed"] is not None else base.seed,
-        verify_lemmas=kwargs["verify_lemmas"]
-        if kwargs["verify_lemmas"] is not None
-        else base.verify_lemmas,
-        scalars=base.scalars,
-        X=base.X,
-        Y=base.Y,
-        torsion=None
-        if base.torsion is None
-        else [[a, b, c, v] for (a, b, c), v in sorted(base.torsion.items())],
-    )
+    fields = {}
+    if args.config is not None:
+        fields = load_config(args.config).as_dict()
+        fields["fmt"] = fields.pop("format")
+    elif args.dim is None:
+        raise ValidationError("dim", "provide --dim or --config")
+    fields.update((k, v) for k, v in flags.items() if v is not None)
+    return SessionConfig(**fields)
 
 
 def main(argv=None):

@@ -9,8 +9,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-import yaml
-
+from .boundary import CASE_IDS
 from .errors import (
     NonIncreasingTriple,
     OddBarDimension,
@@ -30,11 +29,15 @@ CASE_ALIASES = {
     "b": "b",
     "c": "c",
 }
-ALL_CASES = ("aI", "aII", "aIII", "b", "c")
 MODES = ("oracle", "printed")
 FORMATS = ("text", "json", "csv")
 
 _SCALAR_FIELDS = ("s", "divX", "divY", "dimF", "trPhi", "trPhi2", "hprime0")
+
+
+def _is_int(value):
+    """An integer that is not a bool (YAML reads true/false as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _rational(field, value):
@@ -73,7 +76,6 @@ class SessionConfig:
         "X",
         "Y",
         "torsion",
-        "raw",
     )
 
     def __init__(
@@ -89,7 +91,7 @@ class SessionConfig:
         Y=None,
         torsion=None,
     ):
-        if not isinstance(nbar, int):
+        if not _is_int(nbar):
             raise ValidationError("nbar", f"integer required, got {nbar!r}")
         if nbar % 2:
             raise OddBarDimension(f"even boundary dimension required, got {nbar}")
@@ -100,7 +102,7 @@ class SessionConfig:
             raise ValidationError("mode", f"expected one of {MODES}, got {mode!r}")
         self.mode = mode
         if cases is None:
-            cases = ALL_CASES
+            cases = CASE_IDS
         else:
             if not isinstance(cases, (list, tuple)):
                 raise ValidationError(
@@ -109,7 +111,7 @@ class SessionConfig:
             resolved = []
             for c in cases:
                 if c == "all":
-                    resolved.extend(ALL_CASES)
+                    resolved.extend(CASE_IDS)
                     continue
                 if not isinstance(c, str) or c not in CASE_ALIASES:
                     raise ValidationError("cases", f"unknown case {c!r}")
@@ -119,10 +121,10 @@ class SessionConfig:
         if fmt not in FORMATS:
             raise ValidationError("format", f"expected one of {FORMATS}, got {fmt!r}")
         self.fmt = fmt
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ValidationError("seed", f"nonnegative integer required, got {seed!r}")
         self.seed = seed
-        if not isinstance(verify_lemmas, int) or verify_lemmas < 0:
+        if not _is_int(verify_lemmas) or verify_lemmas < 0:
             raise ValidationError(
                 "verify_lemmas", f"nonnegative integer required, got {verify_lemmas!r}"
             )
@@ -136,7 +138,6 @@ class SessionConfig:
         self.X = self._vector("X", X, n)
         self.Y = self._vector("Y", Y, n)
         self.torsion = self._torsion(torsion, n)
-        self.raw = self.as_dict()
 
     @staticmethod
     def _vector(field, values, n):
@@ -169,7 +170,7 @@ class SessionConfig:
                     "torsion", f"entry {entry!r} is not [a, b, c, value]"
                 )
             a, b, c, v = entry
-            if not all(isinstance(i, int) for i in (a, b, c)):
+            if not all(_is_int(i) for i in (a, b, c)):
                 raise ValidationError("torsion", f"indices in {entry!r} must be integers")
             if not (1 <= a < b < c <= n):
                 raise NonIncreasingTriple(
@@ -201,7 +202,11 @@ class SessionConfig:
         )
 
     def as_dict(self):
-        """Canonical plain-data rendering (for hashing and metadata)."""
+        """Canonical plain-data rendering (for hashing and metadata).
+
+        Every field is rendered in a form the constructor reads back, under
+        its own name except that fmt is "format".
+        """
         def render(v):
             if v is None:
                 return "symbolic"
@@ -225,6 +230,8 @@ class SessionConfig:
 
 def load_config(source):
     """SessionConfig from a YAML path or inline YAML text."""
+    import yaml  # only here: a session from flags alone never parses YAML
+
     text = source
     if isinstance(source, str) and os.path.exists(source):
         try:

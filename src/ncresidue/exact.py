@@ -8,12 +8,15 @@ asks for a numeric approximation via to_complex().
 
 SparseTerms is the shared core of the engine's sparse algebras: ParamPoly,
 the Clifford multivectors (clifford.CliffordElement), the jet ring
-(symbols.XiExpr, symbols.CliffXi) and the sphere-restricted symbols
-(boundary.SphereSymbol).  It holds their sum, negation, scaling,
+(symbols.XiExpr, symbols.CliffXi), the sphere-restricted symbols
+(boundary.SphereSymbol) and the half-plane rationals
+(halfplane.HalfPlaneRational).  It holds their sum, negation, scaling,
 term-wise maps, collection of (key, coefficient) pairs and the all-pairs
 product; each algebra supplies a builder, an operand check and its key
-product.  The matrix oracle clifford.SpinorMatrix stays outside, so that it
-remains independent of what it checks.
+product (the half-plane rationals, whose key products expand into several
+terms, supply their own product instead).  The matrix oracle
+clifford.SpinorMatrix stays outside, so that it remains independent of what
+it checks.
 """
 
 from __future__ import annotations
@@ -257,6 +260,15 @@ def _coerce_scalar(v):
     return None
 
 
+def summed_terms(pairs):
+    """Clean map (zeros dropped) holding the sum of (key, coefficient) pairs."""
+    terms = {}
+    for key, c in pairs:
+        acc = terms.get(key)
+        terms[key] = c if acc is None else acc + c
+    return {k: c for k, c in terms.items() if not c.is_zero()}
+
+
 class SparseTerms:
     """Sparse map `terms` from keys to nonzero coefficients, with the ring
     operations of every algebra of the engine, written once.
@@ -325,11 +337,7 @@ class SparseTerms:
 
     def _collect(self, pairs):
         """A value like self holding the sum of (key, coefficient) pairs."""
-        terms = {}
-        for key, c in pairs:
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
-        return self._like({k: c for k, c in terms.items() if not c.is_zero()})
+        return self._like(summed_terms(pairs))
 
     def _product(self, other):
         """Sum of the products of every term of self with every term of other.

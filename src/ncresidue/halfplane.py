@@ -1,121 +1,116 @@
 """Exact rational-function calculus in the normal covariable.
 
-HalfPlaneRational is N(xi) / ((xi - i)^a (xi + i)^b) with ParamPoly
-coefficients in N.  Everything downstream of the sphere restriction lives in
-this type: partial fractions over the two poles, the upper/lower projection,
-exact derivatives, and real-line integrals by residue.  Integrals carrying a
-factor of pi are returned as exact coefficients of pi.
+HalfPlaneRational is a rational function of xi with poles at most at +i and
+-i, held in partial-fraction normal form
+
+    sum_k c_k (xi - i)^-k  +  sum_k d_k (xi + i)^-k  +  sum_k e_k xi^k
+
+with ParamPoly coefficients.  Everything downstream of the sphere
+restriction lives in this type: the upper-half-plane projection pi+ keeps
+the terms at +i, the residue at +i is c_1, derivatives act term by term,
+and real-line integrals are 2 pi i c_1, returned as exact coefficients of
+pi.  Products expand through one cached closed form of
+xi^m (xi - i)^-a (xi + i)^-b.  The printed form N / ((xi - i)^a (xi + i)^b)
+is rebuilt from the terms only for display.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
+from math import comb, prod
 
-from .errors import AlphabetMismatch, NonCanonicalInput, NotIntegrable
-from .exact import GR_I, GR_ONE, GaussRational, ParamPoly
+from .errors import AlphabetMismatch, NotIntegrable
+from .exact import GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, summed_terms
 
 _TWO_I = GaussRational(0, 2)
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
+def _orders(*keys):
+    """(m, a, b) of a product of keys, as xi^m (xi - i)^-a (xi + i)^-b."""
+    out = [0, 0, 0]
+    for sign, k in keys:
+        out[sign] += k  # sign 0, 1, -1 indexes m, a, b
+    return tuple(out)
 
 
-def _padd(p, q):
-    out = list(p) + [None] * max(0, len(q) - len(p))
-    for k in range(len(out)):
-        if out[k] is None:
-            out[k] = q[k]
-        elif k < len(q):
-            out[k] = out[k] + q[k]
-    return _trim(out)
+@lru_cache(maxsize=None)
+def _expansion(m, a, b):
+    """xi^m (xi - i)^-a (xi + i)^-b in partial fractions: ((key, scalar), ...).
+
+    Around the pole r = +-i the other factor (xi - r + 2r)^-q has the Taylor
+    coefficients (-1)^j C(q + j - 1, j) (2r)^-(q + j); each factor xi then
+    maps (xi - r)^-k to (xi - r)^-(k - 1) + r (xi - r)^-k.
+    """
+    terms = {} if a or b else {(0, 0): GR_ONE}
+    for sign, order, other in ((1, a, b), (-1, b, a)):
+        if order and not other:
+            terms[(sign, order)] = GR_ONE
+        elif order:
+            inv = GaussRational(0, 2 * sign).inverse()
+            for j in range(order):
+                c = GaussRational((-1) ** j * comb(other + j - 1, j))
+                terms[(sign, order - j)] = c * inv ** (other + j)
+    for _ in range(m):
+        pairs = []
+        for (sign, k), c in terms.items():
+            if not sign:
+                pairs.append(((0, k + 1), c))
+                continue
+            pairs.append(((sign, k - 1) if k > 1 else (0, 0), c))
+            pairs.append(((sign, k), c * GaussRational(0, sign)))
+        terms = summed_terms(pairs)
+    return tuple(terms.items())
 
 
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [None] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            t = a * b
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return _trim(out)
+@lru_cache(maxsize=None)
+def _denominator(p, q):
+    """Coefficients of (xi - i)^p (xi + i)^q, constant term first."""
+    return tuple(
+        GR_I ** (p + q - j)
+        * sum(
+            (-1) ** (p - l) * comb(p, l) * comb(q, j - l) for l in range(min(j, p) + 1)
+        )
+        for j in range(p + q + 1)
+    )
 
 
-def _pscale(p, s):
-    return _trim([c * s for c in p])
-
-
-def _pderiv(p):
-    return _trim([p[k] * GaussRational(k) for k in range(1, len(p))])
-
-
-def _peval(p, x):
-    """Horner evaluation at a GaussRational point; ParamPoly result."""
-    if not p:
-        return None
-    acc = p[-1] * GaussRational(1)
-    for c in reversed(p[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def _linear_power(root, k, one):
-    """(xi - root)^k as a coefficient list."""
-    out = [one]
-    lin = [one * (-root), one]
-    for _ in range(k):
-        out = _pmul(out, lin)
+def _hpr(alphabet, terms):
+    out = HalfPlaneRational.__new__(HalfPlaneRational)
+    out.alphabet = alphabet
+    out.terms = terms
     return out
 
 
-class HalfPlaneRational:
-    """N(xi) / ((xi - i)^a (xi + i)^b), canonical and immutable."""
+def _expanded(pairs):
+    """Terms of the sum of c xi^m (xi - i)^-a (xi + i)^-b over ((m, a, b), c)."""
+    return summed_terms(
+        (key, c * g) for orders, c in pairs for key, g in _expansion(*orders)
+    )
 
-    __slots__ = ("alphabet", "num", "a", "b")
+
+class HalfPlaneRational(SparseTerms):
+    """Rational function of xi in partial-fraction normal form, immutable.
+
+    Terms map (1, k) to the coefficient of (xi - i)^-k, (-1, k) to that of
+    (xi + i)^-k and (0, k) to that of xi^k.  The read-only num, a and b give
+    the canonical N / ((xi - i)^a (xi + i)^b), a and b the top pole orders.
+    """
+
+    __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet, num, a=0, b=0):
+        """N / ((xi - i)^a (xi + i)^b) for the coefficient list N of xi^0, xi^1, ..."""
         if a < 0 or b < 0:
             raise ValueError("pole orders must be nonnegative")
         self.alphabet = alphabet
-        num = _trim([c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c) for c in num])
-        # cancel factors shared with the denominator at +i / -i
-        while num and a > 0:
-            val = _peval(num, GR_I)
-            if val is None or not val.is_zero():
-                break
-            num = self._divide_linear(num, GR_I)
-            a -= 1
-        while num and b > 0:
-            val = _peval(num, -GR_I)
-            if val is None or not val.is_zero():
-                break
-            num = self._divide_linear(num, -GR_I)
-            b -= 1
-        if not num:
-            a = b = 0
-        self.num = tuple(num)
-        self.a = a
-        self.b = b
-
-    @staticmethod
-    def _divide_linear(p, root):
-        """Exact synthetic division of p by (xi - root); remainder must vanish."""
-        out = [None] * (len(p) - 1)
-        carry = p[-1] * GaussRational(1)
-        for k in range(len(p) - 2, -1, -1):
-            out[k] = carry
-            carry = p[k] + carry * root
-        if not carry.is_zero():
-            raise NonCanonicalInput("linear factor does not divide numerator")
-        return _trim(out)
+        self.terms = _expanded(
+            ((k, a, b), c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c))
+            for k, c in enumerate(num)
+        )
 
     @classmethod
     def zero(cls, alphabet):
-        return cls(alphabet, [])
+        return _hpr(alphabet, {})
 
     @classmethod
     def const(cls, alphabet, value):
@@ -124,116 +119,72 @@ class HalfPlaneRational:
     @classmethod
     def from_u_power(cls, alphabet, m, p):
         """xi^m * (1 + xi^2)^p with integer p of either sign."""
-        one = ParamPoly.one(alphabet)
-        zero = ParamPoly.zero(alphabet)
-        xim = [zero] * m + [one]
-        if p >= 0:
-            upow = [one]
-            for _ in range(p):
-                upow = _pmul(upow, [one, zero, one])
-            return cls(alphabet, _pmul(xim, upow))
-        return cls(alphabet, xim, a=-p, b=-p)
+        if p < 0:
+            return _hpr(alphabet, {
+                key: ParamPoly.const(alphabet, g) for key, g in _expansion(m, -p, -p)
+            })
+        return _hpr(alphabet, {
+            (0, m + 2 * j): ParamPoly.const(alphabet, comb(p, j)) for j in range(p + 1)
+        })
+
+    def _like(self, terms):
+        return _hpr(self.alphabet, terms)
 
     def _check(self, other):
-        if other.alphabet != self.alphabet:
+        if not isinstance(other, HalfPlaneRational):
+            return None
+        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
             raise AlphabetMismatch("operands over different alphabets")
-
-    def is_zero(self):
-        return not self.num
-
-    def degree(self):
-        return len(self.num) - 1 if self.num else -1
-
-    def __add__(self, other):
-        self._check(other)
-        a = max(self.a, other.a)
-        b = max(self.b, other.b)
-        one = ParamPoly.one(self.alphabet)
-        n1 = _pmul(
-            list(self.num),
-            _pmul(
-                _linear_power(GR_I, a - self.a, one),
-                _linear_power(-GR_I, b - self.b, one),
-            ),
-        )
-        n2 = _pmul(
-            list(other.num),
-            _pmul(
-                _linear_power(GR_I, a - other.a, one),
-                _linear_power(-GR_I, b - other.b, one),
-            ),
-        )
-        return HalfPlaneRational(self.alphabet, _padd(n1, n2), a, b)
-
-    def __neg__(self):
-        out = HalfPlaneRational.__new__(HalfPlaneRational)
-        out.alphabet = self.alphabet
-        out.num = tuple(-c for c in self.num)
-        out.a, out.b = self.a, self.b
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
+        return other
 
     def __mul__(self, other):
-        self._check(other)
-        return HalfPlaneRational(
-            self.alphabet,
-            _pmul(list(self.num), list(other.num)),
-            self.a + other.a,
-            self.b + other.b,
-        )
-
-    def scale(self, factor):
-        if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.const(self.alphabet, factor)
-        return HalfPlaneRational(
-            self.alphabet, _pscale(list(self.num), factor), self.a, self.b
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfPlaneRational):
+        other = self._check(other)
+        if other is None:
             return NotImplemented
-        return (self.num, self.a, self.b) == (other.num, other.a, other.b)
+        return self._like(_expanded(
+            (_orders(k1, k2), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+        ))
+
+    def _top(self, sign):
+        return max((k for s, k in self.terms if s == sign), default=0)
+
+    @property
+    def a(self):
+        return self._top(1)
+
+    @property
+    def b(self):
+        return self._top(-1)
+
+    @property
+    def num(self):
+        """Numerator coefficients of the canonical form, constant term first."""
+        a, b = self.a, self.b
+        pairs = []
+        for (sign, k), c in self.terms.items():
+            # the term times (xi - i)^a (xi + i)^b
+            shift, p, q = (
+                (k, a, b) if not sign else (0, a - k, b) if sign == 1 else (0, a, b - k)
+            )
+            pairs.extend((shift + j, c * g) for j, g in enumerate(_denominator(p, q)))
+        coeffs = summed_terms(pairs)
+        zero = ParamPoly.zero(self.alphabet)
+        return tuple(coeffs.get(j, zero) for j in range(max(coeffs, default=-1) + 1))
+
+    def degree(self):
+        return len(self.num) - 1
 
     def deriv(self, k=1):
         """Exact k-th derivative in xi."""
-        out = self
-        for _ in range(k):
-            out = out._deriv1()
-        return out
-
-    def _deriv1(self):
-        n = list(self.num)
-        if self.a == 0 and self.b == 0:
-            return HalfPlaneRational(self.alphabet, _pderiv(n))
-        one = ParamPoly.one(self.alphabet)
-        # d/dxi [N / ((xi-i)^a (xi+i)^b)]
-        #   = [N' (xi-i)(xi+i) - N (a(xi+i) + b(xi-i))] / ((xi-i)^{a+1}(xi+i)^{b+1})
-        t1 = _pmul(_pderiv(n), [one, ParamPoly.zero(self.alphabet), one])
-        lin = [
-            ParamPoly.const(self.alphabet, GaussRational(0, self.a - self.b)),
-            ParamPoly.const(self.alphabet, GaussRational(self.a + self.b)),
-        ]
-        t2 = _pscale(_pmul(n, lin), ParamPoly.const(self.alphabet, GaussRational(-1)))
-        return HalfPlaneRational(self.alphabet, _padd(t1, t2), self.a + 1, self.b + 1)
-
-    def _long_division(self):
-        """Split off the polynomial part; remainder degree < a + b."""
-        one = ParamPoly.one(self.alphabet)
-        den = _pmul(_linear_power(GR_I, self.a, one), _linear_power(-GR_I, self.b, one))
-        n = list(self.num)
-        dd = len(den) - 1
-        quot = []
-        while len(n) - 1 >= dd and n:
-            shift = len(n) - 1 - dd
-            lead = n[-1]
-            quot = _padd(quot, [ParamPoly.zero(self.alphabet)] * shift + [lead])
-            sub = _pscale([ParamPoly.zero(self.alphabet)] * shift + list(den), lead)
-            n = _padd(n, _pscale(sub, ParamPoly.const(self.alphabet, GaussRational(-1))))
-            if len(n) - 1 == len(den) - 1 + shift:
-                n = n[: len(den) - 1 + shift]  # guard exact cancellation
-        return quot, n
+        terms = {}
+        for (sign, e), c in self.terms.items():
+            if sign:
+                terms[(sign, e + k)] = c * ((-1) ** k * prod(range(e, e + k)))
+            elif e >= k:
+                terms[(0, e - k)] = c * prod(range(e - k + 1, e + 1))
+        return self._like(terms)
 
     def partial_fractions(self):
         """Decompose into pole terms at +i, pole terms at -i, polynomial part.
@@ -242,95 +193,49 @@ class HalfPlaneRational:
         coefficient of 1/(xi - i)^k, minus[k-1] of 1/(xi + i)^k, and poly is
         a coefficient list.  Recombination reproduces the value exactly.
         """
-        if self.num and self.a > 0:
-            v = _peval(list(self.num), GR_I)
-            if v is not None and v.is_zero():
-                raise NonCanonicalInput("numerator vanishes at +i")
-        if self.num and self.b > 0:
-            v = _peval(list(self.num), -GR_I)
-            if v is not None and v.is_zero():
-                raise NonCanonicalInput("numerator vanishes at -i")
-        poly, rem = self._long_division()
-        plus = self._pole_coeffs(rem, GR_I, self.a, -GR_I, self.b)
-        minus = self._pole_coeffs(rem, -GR_I, self.b, GR_I, self.a)
-        return plus, minus, poly
-
-    def _pole_coeffs(self, rem, pole, order, other_pole, other_order):
-        """Taylor coefficients of rem/(xi - other_pole)^q around the pole."""
-        if order == 0:
-            return []
         zero = ParamPoly.zero(self.alphabet)
-        # g represented as (P, e) meaning P(xi) / (xi - other_pole)^e
-        p, e = list(rem), other_order
-        coeffs = []  # m-th derivative of g at the pole, divided by m!
-        fact = 1
-        for m in range(order):
-            val = _peval(p, pole)
-            if val is None:
-                val = zero
-            denom = (pole - other_pole) ** e if e else GR_ONE
-            coeffs.append(val * denom.inverse() * GaussRational(Fraction(1, fact)))
-            # differentiate: (P, e) -> (P'(xi - other_pole) - e P, e + 1)
-            one = ParamPoly.one(self.alphabet)
-            p = _padd(
-                _pmul(_pderiv(p), [one * (-other_pole), one]),
-                _pscale(p, ParamPoly.const(self.alphabet, GaussRational(-e))),
-            )
-            e += 1
-            fact *= m + 1
-        # coeffs[m] multiplies (xi - pole)^m; the pole coefficient of order
-        # k is coeffs[order - k]
-        return [coeffs[order - k] for k in range(1, order + 1)]
+        terms = self.terms
+        poly_top = max((k for s, k in terms if not s), default=-1)
+        return (
+            [terms.get((1, k), zero) for k in range(1, self.a + 1)],
+            [terms.get((-1, k), zero) for k in range(1, self.b + 1)],
+            [terms.get((0, k), zero) for k in range(poly_top + 1)],
+        )
 
     def pi_plus(self):
         """Projection onto the part with poles at +i only."""
-        plus, _, _ = self.partial_fractions()
-        if not plus:
-            return HalfPlaneRational.zero(self.alphabet)
-        one = ParamPoly.one(self.alphabet)
-        a = len(plus)
-        num = []
-        for k, c in enumerate(plus, start=1):
-            num = _padd(num, _pscale(_linear_power(GR_I, a - k, one), c))
-        return HalfPlaneRational(self.alphabet, num, a, 0)
+        return self._like({key: c for key, c in self.terms.items() if key[0] == 1})
 
     def pi_prime(self):
         """i times the residue at +i (a ParamPoly)."""
-        plus, _, _ = self.partial_fractions()
-        if not plus:
-            return ParamPoly.zero(self.alphabet)
-        return plus[0] * GR_I
+        return self.residue_at_plus_i() * GR_I
 
     def residue_at_plus_i(self):
-        plus, _, _ = self.partial_fractions()
-        if not plus:
-            return ParamPoly.zero(self.alphabet)
-        return plus[0]
+        return self.terms.get((1, 1), ParamPoly.zero(self.alphabet))
 
     def real_line_integral(self):
         """Exact integral over the real line, as a coefficient of pi.
 
-        Closed in the upper half-plane: the value is 2 pi i times the residue
-        at +i; the returned ParamPoly multiplies pi.
+        Integrable means f = O(xi^-2): no polynomial part and opposite
+        residues at +i and -i.  Closed in the upper half-plane, the value is
+        2 pi i times the residue at +i; the returned ParamPoly multiplies pi.
         """
-        if self.is_zero():
-            return ParamPoly.zero(self.alphabet)
-        if self.degree() > self.a + self.b - 2:
+        residue = self.residue_at_plus_i()
+        if any(not s for s, _ in self.terms) or not (
+            residue + self.terms.get((-1, 1), 0)
+        ).is_zero():
             raise NotIntegrable(
                 f"numerator degree {self.degree()} too large for pole orders "
                 f"({self.a}, {self.b})"
             )
-        if self.a == 0:
-            return ParamPoly.zero(self.alphabet)
-        return self.residue_at_plus_i() * _TWO_I
+        return residue * _TWO_I
 
     def eval_exact(self, x):
         """Exact value at a GaussRational point away from the poles."""
-        n = _peval(list(self.num), x)
-        if n is None:
-            return ParamPoly.zero(self.alphabet)
-        d = ((x - GR_I) ** self.a) * ((x + GR_I) ** self.b)
-        return n * d.inverse()
+        out = ParamPoly.zero(self.alphabet)
+        for (sign, k), c in self.terms.items():
+            out = out + c * (x ** k if not sign else (x - GaussRational(0, sign)) ** -k)
+        return out
 
     def numeric_fn(self, assignment):
         """Float-valued callable for quadrature cross-checks."""
@@ -346,9 +251,10 @@ class HalfPlaneRational:
         return f
 
     def __str__(self):
-        num = "0" if not self.num else " + ".join(
+        coeffs = self.num
+        num = "0" if not coeffs else " + ".join(
             f"({c})*xi^{k}" if k else f"({c})"
-            for k, c in enumerate(self.num)
+            for k, c in enumerate(coeffs)
             if not c.is_zero()
         )
         den = []

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from ncresidue.cli import main
+from ncresidue.cli import _merge, build_parser, main
+from ncresidue.config import load_config
 
 
 def run_main(capsys, argv):
@@ -67,6 +68,16 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ParseError: cannot read config")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["nbar: true", "nbar: 2\nseed: false", "nbar: 2\ntorsion:\n  - [true, 2, 3, 1]"],
+    )
+    def test_boolean_integer_fields(self, capsys, text):
+        code, out, err = run_main(capsys, ["--config", text])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValidationError: ")
+
     def test_discrepancies_do_not_fail(self, capsys):
         # printed-form disagreements appear in the report but exit 0
         code, out, _ = run_main(capsys, ["--dim", "4", "--format", "csv"])
@@ -100,6 +111,27 @@ class TestFlags:
         code, out, _ = run_main(capsys, ["--config", str(path)])
         assert code == 0
         assert "boundary_case/b" in out
+
+
+    def test_flags_laid_over_config(self):
+        text = (
+            "nbar: 4\nformat: csv\ns: 3/4\nX: [1, 2, 3, 4, 5, 6]\n"
+            "torsion:\n  - [1, 2, 3, 1/2]"
+        )
+        args = build_parser().parse_args(["--config", text, "--seed", "5"])
+        expected = load_config(text).as_dict()
+        expected["seed"] = 5
+        assert _merge(args).as_dict() == expected
+
+    def test_flags_alone_never_import_yaml(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "import ncresidue.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ncresidue.cli.main(['--dim', '2']) == 0\n"
+            "assert 'yaml' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestDeterminism:

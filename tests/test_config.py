@@ -111,6 +111,21 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             load_config(text)
 
+    # YAML reads true/false as bools, which Python counts as integers
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nbar: true",
+            "nbar: 2\nseed: false",
+            "nbar: 2\nverify_lemmas: true",
+            "nbar: 2\ntorsion:\n  - [true, 2, 3, 1]",
+            "nbar: 2\ntorsion:\n  - [1, 2, true, 1]",
+        ],
+    )
+    def test_booleans_rejected_as_integers(self, text):
+        with pytest.raises(ValidationError):
+            load_config(text)
+
     def test_vectors(self):
         cfg = load_config("nbar: 2\nX: [1, 2, 3, 4]")
         assert cfg.X == [Fraction(k) for k in (1, 2, 3, 4)]

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncresidue.boundary import CASE_IDS, boundary_case
 from ncresidue.exact import GR_I, GR_ONE, Alphabet, GaussRational, ParamPoly
 from ncresidue.errors import NotIntegrable
 from ncresidue.halfplane import HalfPlaneRational, deriv_at_i
@@ -205,3 +206,96 @@ class TestSympyOracle:
         expr = sum(to_sympy(c) * X**k for k, c in enumerate(integrable)) / den
         residue = sympy.residue(expr, X, sympy.I)
         assert to_sympy(g.real_line_integral()) == sympy.expand(2 * sympy.I * residue)
+
+
+I = sympy.I
+
+
+def from_sympy(value):
+    """An exact sympy number with rational parts as a GaussRational."""
+    re, im = sympy.re(value), sympy.im(value)
+    return GaussRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def sympy_of(f):
+    """A numeric HalfPlaneRational summed from its partial fractions."""
+    plus, minus, poly = f.partial_fractions()
+    return (
+        sum(to_sympy(c) / (X - I) ** k for k, c in enumerate(plus, start=1))
+        + sum(to_sympy(c) / (X + I) ** k for k, c in enumerate(minus, start=1))
+        + sum(to_sympy(c) * X**k for k, c in enumerate(poly))
+    )
+
+
+@st.composite
+def rationals(draw):
+    """(f, expr): N / ((xi - i)^a (xi + i)^b) as a HalfPlaneRational and in
+    sympy, N carrying factors xi -+ i that may cancel against the poles."""
+    base = draw(st.lists(gauss, min_size=1, max_size=4))
+    num = sum(to_sympy(c) * X**k for k, c in enumerate(base))
+    num *= (X - I) ** draw(st.integers(0, 2)) * (X + I) ** draw(st.integers(0, 2))
+    num = sympy.expand(num)
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    coeffs = [] if num == 0 else sympy.Poly(num, X).all_coeffs()[::-1]
+    f = HalfPlaneRational(AL, [const(from_sympy(c)) for c in coeffs], a, b)
+    return f, num / ((X - I) ** a * (X + I) ** b)
+
+
+class TestNormalFormProperties:
+    """The partial-fraction normal form against sympy's rational functions."""
+
+    @settings(max_examples=25)
+    @given(rationals())
+    def test_rebuild_is_the_cancelled_form(self, f_expr):
+        f, expr = f_expr
+        p, q = sympy.fraction(sympy.cancel(expr))
+        lead = sympy.Poly(q, X).LC()
+        p, q = sympy.expand(p / lead), sympy.expand(q / lead)
+        got = sum(to_sympy(c) * X**k for k, c in enumerate(f.num))
+        assert sympy.expand(got - p) == 0
+        assert f.degree() == (sympy.degree(p, X) if p != 0 else -1)
+        assert sympy.expand((X - I) ** f.a * (X + I) ** f.b - q) == 0
+        # integrable exactly when f = O(xi^-2)
+        if p != 0 and sympy.degree(p, X) > sympy.degree(q, X) - 2:
+            with pytest.raises(NotIntegrable):
+                f.real_line_integral()
+        else:
+            f.real_line_integral()
+
+    @settings(max_examples=15)
+    @given(rationals(), rationals(), st.integers(0, 3))
+    def test_product_and_derivative(self, f_expr, g_expr, k):
+        (f, fe), (g, ge) = f_expr, g_expr
+        for difference in (
+            sympy_of(f * g) - fe * ge,
+            sympy_of(f.deriv(k)) - sympy.diff(fe, X, k),
+        ):
+            assert sympy.expand(sympy.numer(sympy.together(difference))) == 0
+
+    @settings(max_examples=25)
+    @given(rationals())
+    def test_projections_split_the_value(self, f_expr):
+        f, _ = f_expr
+        plus = f.pi_plus()
+        assert plus.pi_plus() == plus
+        _, minus, poly = f.partial_fractions()
+        rest = HalfPlaneRational(AL, poly)
+        for k, c in enumerate(minus, start=1):
+            rest = rest + HalfPlaneRational(AL, [c], 0, k)
+        assert rest.pi_plus().is_zero()
+        assert plus + rest == f
+
+
+class TestCaseIntegrands:
+    @pytest.mark.parametrize("nbar", [2, 4, 6])
+    def test_integrals_match_sympy_residue(self, nbar):
+        # the traced integrands of the boundary cases, at a random point
+        rng = random.Random(nbar)
+        for cid in CASE_IDS:
+            f = boundary_case(cid, nbar).integrand
+            assignment = rand_assignment(f.alphabet, rng)
+            num = sum(to_sympy(c.eval(assignment)) * X**k for k, c in enumerate(f.num))
+            expr = num / ((X - I) ** f.a * (X + I) ** f.b)
+            expected = 2 * I * sympy.residue(expr, X, I)
+            got = to_sympy(f.real_line_integral().eval(assignment))
+            assert sympy.expand(got - expected) == 0

@@ -5,7 +5,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 
+from ncresidue.clifford import CliffordElement, represent
 from ncresidue.errors import NonCanonicalInput
 from ncresidue.exact import GR_I, GaussRational, ParamPoly
 from ncresidue.geometry import (
@@ -210,6 +212,96 @@ class TestInversionAndComposition:
             orders[2] = op[2].scale(GaussRational(2))
         with pytest.raises(NonCanonicalInput):
             invert_symbol(SymbolExpansion(4, al, orders), 1)
+
+
+# The collar model in closed form: h = exp(hp0 x_n), w = h |xi'|^2 and
+# u = xi_n^2 + w, whose derivatives are exactly those of the jet ring.
+XN, XIN = sympy.symbols("x_n xi_n")
+
+
+def sympy_poly(poly):
+    return sum(
+        (sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d))
+        * sympy.Mul(*(sympy.Symbol(name) ** e for name, e in mono))
+        for mono, c in poly.terms.items()
+    )
+
+
+def sympy_symbol(expansion):
+    """Sum of all orders of a label-free expansion as a sympy matrix over
+    the collar model, blades taken through their matrices."""
+    n, al = expansion.dim, expansion.alphabet
+    xit = sympy.symbols(f"xi_1:{n}")
+    h = sympy.exp(sympy.Symbol("hp0") * XN)
+    w = h * sum(x**2 for x in xit)
+    size = 2 ** (n // 2)
+    out = sympy.zeros(size, size)
+    for piece in expansion.orders.values():
+        for key, xe in piece.terms.items():
+            blade = represent(CliffordElement(n, al, {key: ParamPoly.one(al)}))
+            matrix = sympy.Matrix(size, size, lambda i, j: sympy_poly(
+                blade.rows[i].get(j, ParamPoly.zero(al))))
+            scalar = sum(
+                sympy_poly(c) * XIN**m * (XIN**2 + w) ** p * w**q * h**r
+                * sympy.Mul(*(xit[j - 1] ** e for j, e in tang))
+                for (m, p, q, r, tang), c in xe.terms.items()
+            )
+            out += scalar * matrix
+    return out
+
+
+def composed_by_sympy(left, right):
+    """Symbol e^{-ix.xi} P(Q e^{ix.xi}) of the product of two differential
+    operators at x_n = 0: the coefficient A_k(x) of xi_n^k in P acts as
+    A_k (xi_n + D)^k on the symbol of Q, D = -i d/dx_n; Q does not depend
+    on the tangential x."""
+    p = sympy_symbol(left).applyfunc(sympy.expand)
+    term = sympy_symbol(right)
+    total = sympy.zeros(*term.shape)
+    for k in range(max(sympy.degree(e, XIN) for e in p if e != 0) + 1):
+        total += p.applyfunc(lambda e: e.coeff(XIN, k)) * term
+        term = XIN * term - sympy.I * term.diff(XN)
+    return total.subs(XN, 0)
+
+
+def assert_composition_matches_sympy(left, right):
+    got = sympy_symbol(compose_symbols(left, right, -8)).subs(XN, 0)
+    assert (got - composed_by_sympy(left, right)).applyfunc(sympy.expand).is_zero_matrix
+
+
+class TestCompositionAgainstCollarModel:
+    """compose_symbols against the left-quantization product of differential
+    operators on the exact collar model (Shubin, Pseudodifferential
+    Operators and Spectral Theory, 1987, sec. 3), to all orders."""
+
+    def test_blade_free_laplace_parts(self):
+        al = standard_alphabet(4)
+        op = laplace_symbol(4, al)
+        orders = {o: CliffXi.scalar(4, c.terms[(0, ())]) for o, c in op.orders.items()}
+        s = ParamPoly.var(al, "s")
+        orders[0] = CliffXi.scalar(4, XiExpr.monomial(al, q=1, r=1, coeff=s))
+        sym = SymbolExpansion(4, al, orders)
+        assert_composition_matches_sympy(sym, sym)
+
+    def test_non_commuting_blades(self):
+        # c1 c2 = -c2 c1: the left factor's blades must stay on the left
+        al = standard_alphabet(4)
+
+        def blade(mask, **key):
+            coeff = key.pop("coeff", 1)
+            return CliffXi(4, al, {(mask, ()): XiExpr.monomial(al, coeff=coeff, **key)})
+
+        x1, s = ParamPoly.var(al, "X_1"), ParamPoly.var(al, "s")
+        left = SymbolExpansion(4, al, {
+            2: blade(0, p=1),
+            1: blade(1, m=1, r=1, coeff=x1) + blade(2, tang=((1, 1),)),
+        })
+        right = SymbolExpansion(4, al, {
+            3: blade(1, m=1, q=1),
+            2: blade(2, p=1),
+            0: blade(3, r=1, coeff=s),
+        })
+        assert_composition_matches_sympy(left, right)
 
 
 class TestRecursionAgainstReference:
