@@ -112,7 +112,6 @@ class TestFlags:
         assert code == 0
         assert "boundary_case/b" in out
 
-
     def test_flags_laid_over_config(self):
         text = (
             "nbar: 4\nformat: csv\ns: 3/4\nX: [1, 2, 3, 4, 5, 6]\n"

@@ -288,8 +288,7 @@ class TestCompositionAgainstCollarModel:
         al = standard_alphabet(4)
 
         def blade(mask, **key):
-            coeff = key.pop("coeff", 1)
-            return CliffXi(4, al, {(mask, ()): XiExpr.monomial(al, coeff=coeff, **key)})
+            return CliffXi(4, al, {(mask, ()): XiExpr.monomial(al, **key)})
 
         x1, s = ParamPoly.var(al, "X_1"), ParamPoly.var(al, "s")
         left = SymbolExpansion(4, al, {
