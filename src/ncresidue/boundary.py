@@ -15,15 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .clifford import blade_key_mul
+from .clifford import Blades
 from .errors import (
-    AlphabetMismatch,
-    DimMismatch,
     OddBarDimension,
     UnsupportedDimension,
     ValidationError,
 )
-from .exact import GR_I, GaussRational, ParamPoly, SparseTerms
+from .exact import GR_I, GaussRational, ParamPoly
 from .geometry import (
     GeometricBundle,
     interior_wres,
@@ -41,7 +39,9 @@ _UNIT_TWIST = {"dimF": 1, "trPhi": 1, "trPhi2": 1}
 
 
 def _check_nbar(nbar):
-    if not isinstance(nbar, int) or nbar % 2:
+    if isinstance(nbar, bool) or not isinstance(nbar, int):
+        raise ValidationError("nbar", f"integer required, got {nbar!r}")
+    if nbar % 2:
         raise OddBarDimension(f"even boundary dimension required, got {nbar}")
     if not 2 <= nbar <= 10:
         raise UnsupportedDimension(f"boundary dimension {nbar} outside 2..10")
@@ -89,62 +89,28 @@ def enumerate_cases(nbar):
     return out
 
 
-class SphereSymbol(SparseTerms):
+class SphereSymbol(Blades):
     """Clifford-blade-valued rational function of the normal covariable.
 
-    Terms map (blade mask, twist label) to HalfPlaneRational; this is the
-    sphere-restricted form of a CliffXi, closed under products, the
-    upper-half-plane projection, and normal-covariable derivatives.
+    The blade algebra over HalfPlaneRational: the sphere-restricted form of
+    a CliffXi, closed under products, the upper-half-plane projection, and
+    normal-covariable derivatives.  Case integrands are traced grade-0
+    joins, f.mul_grade0(g).trace(rule).
     """
 
-    __slots__ = ("dim", "alphabet", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim, alphabet, terms=None):
-        self.dim = dim
-        self.alphabet = alphabet
-        self.terms = {k: f for k, f in (terms or {}).items() if not f.is_zero()}
+    coeff = HalfPlaneRational
 
     @classmethod
     def from_cliffxi(cls, cx):
         return cls(cx.dim, cx.alphabet, cx.restrict_sphere())
-
-    def _like(self, terms):
-        out = SphereSymbol.__new__(SphereSymbol)
-        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
-        return out
-
-    def _check(self, other):
-        if not isinstance(other, SphereSymbol):
-            return None
-        if other.dim != self.dim:
-            raise DimMismatch(f"dim {self.dim} vs {other.dim}")
-        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
-            raise AlphabetMismatch("operands over different alphabets")
-        return other
-
-    _key_mul = staticmethod(blade_key_mul)
 
     def pi_plus(self):
         return self._map(lambda f: f.pi_plus())
 
     def deriv(self, k=1):
         return self._map(lambda f: f.deriv(k))
-
-    def scalar_part(self):
-        """The blade-free, label-free component."""
-        got = self.terms.get((0, ()))
-        return got if got is not None else HalfPlaneRational.zero(self.alphabet)
-
-    def trace(self, label_rule):
-        """Full fibre trace: blades of positive grade vanish, the identity
-        contributes the spinor dimension, twist labels their trace scalars."""
-        trid = 2 ** (self.dim // 2)
-        out = HalfPlaneRational.zero(self.alphabet)
-        for (mask, label), f in self.terms.items():
-            if mask:
-                continue
-            out = out + f.scale(label_rule(label) * GaussRational(trid))
-        return out
 
 
 class BoundaryCaseResult:
@@ -498,12 +464,12 @@ def _case_aII(nbar):
     trace = []
 
     dsig = SphereSymbol.from_cliffxi(par[-2].d_xn())
-    _trace_step(trace, "dxn_sigma_m2", "normal x-derivative of the order -2 symbol", dsig.scalar_part())
+    _trace_step(trace, "dxn_sigma_m2", "normal x-derivative of the order -2 symbol", dsig.coefficient(0))
     proj = dsig.pi_plus()
-    _trace_step(trace, "pi_plus", "upper-half-plane projection", proj.scalar_part())
+    _trace_step(trace, "pi_plus", "upper-half-plane projection", proj.coefficient(0))
     dd = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xin(2))
-    _trace_step(trace, "d2xi_power_top", "second covariable derivative of the power symbol", dd.scalar_part())
-    integrand = (proj * dd).trace(rule)
+    _trace_step(trace, "d2xi_power_top", "second covariable derivative of the power symbol", dd.coefficient(0))
+    integrand = proj.mul_grade0(dd).trace(rule)
     _trace_step(trace, "traced_integrand", "fibre trace of the product", integrand)
     coeff = integrand.real_line_integral()
     _trace_step(trace, "integral", "residue integral (coefficient of pi)", coeff)
@@ -529,14 +495,14 @@ def _case_aIII(nbar):
     # first form: derivative on the projected factor once, on the power twice
     f1 = base.deriv(1)
     g1 = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xn().d_xin(1))
-    integrand1 = (f1 * g1).trace(rule)
+    integrand1 = f1.mul_grade0(g1).trace(rule)
     value1 = integrand1.real_line_integral() * pre * _vol(alphabet)
     # second form (integration by parts): both derivatives on the projection
     f2 = base.deriv(2)
-    _trace_step(trace, "d2_pi_plus_sigma_m2", "second derivative of the projected order -2 symbol", f2.scalar_part())
+    _trace_step(trace, "d2_pi_plus_sigma_m2", "second derivative of the projected order -2 symbol", f2.coefficient(0))
     g2 = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xn())
-    _trace_step(trace, "dxn_power_top", "normal x-derivative of the power symbol", g2.scalar_part())
-    integrand2 = (f2 * g2).trace(rule)
+    _trace_step(trace, "dxn_power_top", "normal x-derivative of the power symbol", g2.coefficient(0))
+    integrand2 = f2.mul_grade0(g2).trace(rule)
     _trace_step(trace, "traced_integrand", "fibre trace of the product", integrand2)
     value2 = integrand2.real_line_integral() * (-pre) * _vol(alphabet)
     if not value1 == value2:
@@ -566,8 +532,9 @@ def _case_b(nbar):
     vol = _vol(alphabet)
     trace = []
 
-    dproj = SphereSymbol.from_cliffxi(par[-2]).pi_plus().deriv(1)
-    _trace_step(trace, "d_pi_plus_sigma_m2", "derivative of the projected order -2 symbol", dproj.scalar_part())
+    proj = SphereSymbol.from_cliffxi(par[-2]).pi_plus()
+    dproj = proj.deriv(1)
+    _trace_step(trace, "d_pi_plus_sigma_m2", "derivative of the projected order -2 symbol", dproj.coefficient(0))
 
     parts = {}
     part_cliff = pw.meta["parts"]
@@ -575,7 +542,7 @@ def _case_b(nbar):
     integrand_total = HalfPlaneRational.zero(alphabet)
     for name, key in (("A1", "normal"), ("A2", "drift"), ("A3", "twist")):
         sym = SphereSymbol.from_cliffxi(part_cliff[key])
-        integ = (dproj * sym).trace(rule)
+        integ = dproj.mul_grade0(sym).trace(rule)
         val = integ.real_line_integral() * (-pre) * vol
         parts[name] = {"integrand": integ, "value": val}
         total = total + val
@@ -583,10 +550,8 @@ def _case_b(nbar):
         _trace_step(trace, f"part_{name}", "traced part integrand", integ)
 
     # the pre-parts form puts the derivative on the subleading power symbol
-    orig_integrand = (
-        SphereSymbol.from_cliffxi(par[-2]).pi_plus()
-        * SphereSymbol.from_cliffxi(pw[1 - nbar].d_xin(1))
-    ).trace(rule)
+    dpower = SphereSymbol.from_cliffxi(pw[1 - nbar].d_xin(1))
+    orig_integrand = proj.mul_grade0(dpower).trace(rule)
     orig_value = orig_integrand.real_line_integral() * pre * vol
     _trace_step(trace, "integral", "residue integral (coefficient of pi)",
                 integrand_total.real_line_integral())
@@ -619,7 +584,7 @@ def _case_c(nbar):
     trace = []
 
     dsig = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xin(1))
-    _trace_step(trace, "d_power_top", "covariable derivative of the power symbol", dsig.scalar_part())
+    _trace_step(trace, "d_power_top", "covariable derivative of the power symbol", dsig.coefficient(0))
 
     b1, b2, b3 = drift_subsymbol_parts(op)
     parts = {}
@@ -627,7 +592,7 @@ def _case_c(nbar):
     integrand_total = HalfPlaneRational.zero(alphabet)
     for name, cx in (("B1", b1), ("B2", b2), ("B3", b3)):
         proj = SphereSymbol.from_cliffxi(cx).pi_plus()
-        integ = (proj * dsig).trace(rule)
+        integ = proj.mul_grade0(dsig).trace(rule)
         val = integ.real_line_integral() * pre * vol
         parts[name] = {"integrand": integ, "value": val}
         total = total + val
@@ -648,7 +613,7 @@ def _case_c(nbar):
             alphabet, [ParamPoly.const(alphabet, Fraction(1, 4))], a=3
         )
     ).scale(hp0 * GR_I)
-    engine_pi_b1 = SphereSymbol.from_cliffxi(b1).pi_plus().scalar_part()
+    engine_pi_b1 = SphereSymbol.from_cliffxi(b1).pi_plus().coefficient(0)
     _trace_step(trace, "pi_plus_B1", "projected normal part", engine_pi_b1)
 
     printed = printed_case_value("c", nbar, alphabet)

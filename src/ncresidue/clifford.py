@@ -6,6 +6,11 @@ frame).  Each coefficient additionally carries a commutative "twist label",
 a sorted tuple of formal factor names living on the auxiliary bundle side
 (endomorphism powers, curvature entries); the label () is the plain algebra.
 
+Blades is this algebra over any coefficient ring, the base of
+CliffordElement, symbols.CliffXi and boundary.SphereSymbol.  As
+tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
+part, mul_grade0.
+
 The independent oracle is an explicit 2^(n/2)-dimensional matrix
 representation built by an iterated tensor construction; structural blade
 products and traces are cross-checked against it.
@@ -62,10 +67,81 @@ def blade_key_mul(k1, k2):
     return (mask, _merge_labels(k1[1], k2[1])), sign
 
 
-class CliffordElement(SparseTerms):
-    """Multivector with ParamPoly coefficients keyed by (blade mask, label)."""
+class Blades(SparseTerms):
+    """Sparse map from (blade mask, twist label) to nonzero coefficients of
+    the ring a subclass names in `coeff` (which must have .zero(alphabet)),
+    with the products, the grade-0 join and the fibre trace of every subclass.
+    """
 
     __slots__ = ("dim", "alphabet", "terms")
+
+    def __init__(self, dim, alphabet, terms=None):
+        self.dim = dim
+        self.alphabet = alphabet
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def zero(cls, dim, alphabet):
+        return cls(dim, alphabet)
+
+    def _like(self, terms):
+        cls = type(self)
+        out = cls.__new__(cls)
+        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
+        return out
+
+    def _check(self, other):
+        if isinstance(other, type(self)) and other.dim != self.dim:
+            raise DimMismatch(f"dim {self.dim} vs {other.dim}")
+        return SparseTerms._check(self, other)
+
+    _key_mul = staticmethod(blade_key_mul)
+
+    def mul_grade0(self, other):
+        """Grade-0 part of self * other, without forming the product.
+
+        Blades multiply to mask m1 ^ m2, so only equal masks reach grade 0:
+        terms are joined on the mask, O(|a| + |b|) instead of |a| * |b|.
+        """
+        other = self._check(other)
+        if other is None:
+            raise TypeError(f"{type(self).__name__} required")
+        by_mask = {}
+        for (m, f), c in other.terms.items():
+            by_mask.setdefault(m, []).append((f, c))
+        pairs = []
+        for (m, f1), c1 in self.terms.items():
+            partners = by_mask.get(m)
+            if not partners:
+                continue
+            sign = blade_mul(m, m)[1]
+            for f2, c2 in partners:
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                pairs.append(((0, _merge_labels(f1, f2)), c))
+        return self._collect(pairs)
+
+    def coefficient(self, mask, label=()):
+        got = self.terms.get((mask, tuple(label)))
+        return got if got is not None else self.coeff.zero(self.alphabet)
+
+    def trace(self, label_rule):
+        """Fibre trace: blades of positive grade are traceless, the identity
+        contributes the spinor dimension 2^(dim/2), and label_rule maps each
+        twist label to its trace scalar (e.g. () -> dimF)."""
+        trid = GaussRational(2 ** (self.dim // 2))
+        total = self.coeff.zero(self.alphabet)
+        for (mask, label), c in self.terms.items():
+            if not mask:
+                total = total + c.scale(label_rule(label) * trid)
+        return total
+
+
+class CliffordElement(Blades):
+    """Multivector with ParamPoly coefficients keyed by (blade mask, label)."""
+
+    __slots__ = ()
+
+    coeff = ParamPoly
 
     def __init__(self, dim, alphabet, terms=None):
         if dim % 2 or dim < 2:
@@ -79,10 +155,6 @@ class CliffordElement(SparseTerms):
             if not coeff.is_zero():
                 clean[(mask, tuple(label))] = coeff
         self.terms = clean
-
-    @classmethod
-    def zero(cls, dim, alphabet):
-        return cls(dim, alphabet, {})
 
     @classmethod
     def scalar(cls, dim, alphabet, value):
@@ -102,27 +174,14 @@ class CliffordElement(SparseTerms):
         """c(v) for v = sum coeffs[i] e_{i+1}; coeffs are ParamPoly."""
         if len(coeffs) != dim:
             raise DimMismatch(f"expected {dim} components, got {len(coeffs)}")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if not isinstance(c, ParamPoly):
-                c = ParamPoly.const(alphabet, c)
-            if not c.is_zero():
-                terms[(1 << i, tuple(label))] = c
-        return cls(dim, alphabet, terms)
+        label = tuple(label)
+        return cls(dim, alphabet, {
+            (1 << i, label): c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c)
+            for i, c in enumerate(coeffs)
+        })
 
-    def _like(self, terms):
-        out = CliffordElement.__new__(CliffordElement)
-        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
-        return out
-
-    def _check(self, other):
-        if not isinstance(other, CliffordElement):
-            return None
-        if other.dim != self.dim:
-            raise DimMismatch(f"dim {self.dim} vs {other.dim}")
-        return other
-
-    _key_mul = staticmethod(blade_key_mul)
+    # its own binding, so that wrapping CliffordElement products leaves the
+    # other blade algebras' products alone
     __mul__ = SparseTerms.__mul__
 
     def with_label(self, label):
@@ -132,37 +191,10 @@ class CliffordElement(SparseTerms):
             ((mask, _merge_labels(f, label)), c) for (mask, f), c in self.terms.items()
         )
 
-    def mul_grade0(self, other):
-        """Grade-0 part of self * other, without forming the product.
-
-        Blades multiply to mask m1 ^ m2, so only equal masks reach grade 0:
-        terms are joined on the mask, O(|a| + |b|) instead of |a| * |b|.
-        """
-        other = self._check(other)
-        if other is None:
-            raise TypeError("CliffordElement required")
-        by_mask = {}
-        for (m, f), c in other.terms.items():
-            by_mask.setdefault(m, []).append((f, c))
-        pairs = []
-        for (m, f1), c1 in self.terms.items():
-            partners = by_mask.get(m)
-            if not partners:
-                continue
-            sign = blade_mul(m, m)[1]
-            for f2, c2 in partners:
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                pairs.append(((0, _merge_labels(f1, f2)), c))
-        return self._collect(pairs)
-
     def grade(self, k):
-        terms = {
-            key: c for key, c in self.terms.items() if bin(key[0]).count("1") == k
-        }
-        return CliffordElement(self.dim, self.alphabet, terms)
-
-    def coefficient(self, mask, label=()):
-        return self.terms.get((mask, tuple(label)), ParamPoly.zero(self.alphabet))
+        return self._like(
+            {key: c for key, c in self.terms.items() if bin(key[0]).count("1") == k}
+        )
 
     def __repr__(self):
         return f"CliffordElement(n={self.dim}, {len(self.terms)} terms)"
@@ -184,8 +216,7 @@ def spinor_trace(a):
     for (_, label) in a.terms:
         if label:
             raise ValueError("element carries twist labels; use twisted_trace")
-    trid = GaussRational(2 ** (a.dim // 2))
-    return a.coefficient(0) * ParamPoly.const(a.alphabet, trid)
+    return a.coefficient(0).scale(2 ** (a.dim // 2))
 
 
 def twisted_trace(a, label_trace):
@@ -193,12 +224,7 @@ def twisted_trace(a, label_trace):
 
     label_trace maps a label tuple to a ParamPoly (e.g. () -> dimF).
     """
-    trid = ParamPoly.const(a.alphabet, GaussRational(2 ** (a.dim // 2)))
-    total = ParamPoly.zero(a.alphabet)
-    for (mask, label), c in a.terms.items():
-        if mask == 0:
-            total = total + c * label_trace(label)
-    return total * trid
+    return a.trace(label_trace)
 
 
 def _triples(n):

@@ -7,14 +7,15 @@ No floating point anywhere; floats only appear when a caller explicitly
 asks for a numeric approximation via to_complex().
 
 SparseTerms is the shared core of the engine's sparse algebras: ParamPoly,
-the Clifford multivectors (clifford.CliffordElement), the jet ring
-(symbols.XiExpr, symbols.CliffXi), the sphere-restricted symbols
-(boundary.SphereSymbol) and the half-plane rationals
-(halfplane.HalfPlaneRational).  It holds their sum, negation, scaling,
+the jet ring (symbols.XiExpr), the half-plane rationals
+(halfplane.HalfPlaneRational) and the one blade algebra clifford.Blades,
+whose subclasses are the Clifford multivectors (clifford.CliffordElement),
+the Clifford-valued symbols (symbols.CliffXi) and their sphere restrictions
+(boundary.SphereSymbol).  It holds their sum, negation, scaling,
 term-wise maps, collection of (key, coefficient) pairs and the all-pairs
-product; each algebra supplies a builder, an operand check and its key
-product (the half-plane rationals, whose key products expand into several
-terms, supply their own product instead).  The matrix oracle
+product; each algebra supplies its key product (the half-plane rationals,
+whose key products expand into several terms, supply their own product
+instead).  The matrix oracle
 clifford.SpinorMatrix stays outside, so that it remains independent of what
 it checks.
 """
@@ -273,14 +274,30 @@ class SparseTerms:
     """Sparse map `terms` from keys to nonzero coefficients, with the ring
     operations of every algebra of the engine, written once.
 
-    A subclass supplies three things: _like(terms), an unvalidated value of
-    its own kind over an already clean map; _check(other), which returns the
-    operand as a value of its own kind, None for an operand it does not
-    handle, or raises on a mismatched one (dimension, alphabet); and the key
-    product _key_mul(k1, k2) -> (key, sign), sign being +1 or -1.
+    A subclass supplies the key product _key_mul(k1, k2) -> (key, sign),
+    sign being +1 or -1.  _like(terms), an unvalidated value of its own kind
+    over an already clean map, and _check(other), which returns the operand
+    as a value of its own kind, None for an operand it does not handle, or
+    raises on a mismatched one, are written here for values that carry only
+    an alphabet; a subclass with more (a dimension, scalar operands)
+    overrides them.
     """
 
     __slots__ = ()
+
+    def _like(self, terms):
+        cls = type(self)
+        out = cls.__new__(cls)
+        out.alphabet = self.alphabet
+        out.terms = terms
+        return out
+
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            return None
+        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
+            raise AlphabetMismatch("operands over different alphabets")
+        return other
 
     def is_zero(self):
         return not self.terms
@@ -460,7 +477,8 @@ class ParamPoly(SparseTerms):
         # a product of nonzero field elements is nonzero
         return self._like({m: c * s for m, c in terms.items()})
 
-    __rmul__ = __mul__
+    # a polynomial factor scales too, which the blade algebras' trace uses
+    __rmul__ = scale = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

@@ -85,6 +85,8 @@ class GeometricBundle:
         trPhi2=None,
         hprime0=None,
     ):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValidationError("n", f"integer required, got {n!r}")
         if n % 2 or n < 2:
             raise OddDimension(f"even dimension >= 2 required, got {n}")
         self.n = n

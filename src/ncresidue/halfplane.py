@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import AlphabetMismatch, NotIntegrable
+from .errors import NotIntegrable
 from .exact import GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, summed_terms
 
 _TWO_I = GaussRational(0, 2)
@@ -126,16 +126,6 @@ class HalfPlaneRational(SparseTerms):
         return _hpr(alphabet, {
             (0, m + 2 * j): ParamPoly.const(alphabet, comb(p, j)) for j in range(p + 1)
         })
-
-    def _like(self, terms):
-        return _hpr(self.alphabet, terms)
-
-    def _check(self, other):
-        if not isinstance(other, HalfPlaneRational):
-            return None
-        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
-            raise AlphabetMismatch("operands over different alphabets")
-        return other
 
     def __mul__(self, other):
         other = self._check(other)

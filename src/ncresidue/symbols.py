@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .clifford import CliffordElement, blade_key_mul
-from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput
+from .clifford import Blades, CliffordElement
+from .errors import DimMismatch, NonCanonicalInput
 from .exact import GR_I, GaussRational, ParamPoly, SparseTerms, _merge_monomials
 from .geometry import twist_vector
 from .halfplane import HalfPlaneRational
@@ -60,19 +60,6 @@ class XiExpr(SparseTerms):
     @classmethod
     def u_power(cls, alphabet, p):
         return cls.monomial(alphabet, p=p)
-
-    def _like(self, terms):
-        out = XiExpr.__new__(XiExpr)
-        out.alphabet = self.alphabet
-        out.terms = terms
-        return out
-
-    def _check(self, other):
-        if not isinstance(other, XiExpr):
-            return None
-        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
-            raise AlphabetMismatch("operands over different alphabets")
-        return other
 
     @staticmethod
     def _key_mul(k1, k2):
@@ -167,24 +154,12 @@ class XiExpr(SparseTerms):
         return f"XiExpr({self})"
 
 
-class CliffXi(SparseTerms):
+class CliffXi(Blades):
     """Clifford-algebra-valued symbol: blades with twist labels over XiExpr."""
 
-    __slots__ = ("dim", "alphabet", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim, alphabet, terms=None):
-        self.dim = dim
-        self.alphabet = alphabet
-        clean = {}
-        for (mask, label), coeff in (terms or {}).items():
-            if coeff.is_zero():
-                continue
-            clean[(mask, label)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, dim, alphabet):
-        return cls(dim, alphabet, {})
+    coeff = XiExpr
 
     @classmethod
     def scalar(cls, dim, xe):
@@ -192,26 +167,10 @@ class CliffXi(SparseTerms):
 
     @classmethod
     def from_clifford(cls, elem):
-        terms = {}
-        for (mask, label), poly in elem.terms.items():
-            terms[(mask, label)] = XiExpr(elem.alphabet, {(0, 0, 0, 0, ()): poly})
-        return cls(elem.dim, elem.alphabet, terms)
-
-    def _like(self, terms):
-        out = CliffXi.__new__(CliffXi)
-        out.dim, out.alphabet, out.terms = self.dim, self.alphabet, terms
-        return out
-
-    def _check(self, other):
-        if not isinstance(other, CliffXi):
-            return None
-        if other.dim != self.dim:
-            raise DimMismatch("Clifford operands of different dimension")
-        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
-            raise AlphabetMismatch("operands over different alphabets")
-        return other
-
-    _key_mul = staticmethod(blade_key_mul)
+        return cls(elem.dim, elem.alphabet, {
+            key: XiExpr(elem.alphabet, {(0, 0, 0, 0, ()): poly})
+            for key, poly in elem.terms.items()
+        })
 
     def scale(self, factor):
         """Multiply every coefficient by an XiExpr, ParamPoly or exact scalar."""
@@ -231,22 +190,9 @@ class CliffXi(SparseTerms):
     def d_xit(self, j):
         return self._map(lambda c: c.d_xit(j))
 
-    def scalar_part(self):
-        """Blade-free content by twist label: {label: XiExpr}."""
-        out = {}
-        for (mask, label), c in self.terms.items():
-            if mask == 0:
-                out[label] = out.get(label, XiExpr.zero(self.alphabet)) + c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     def restrict_sphere(self):
         """{(mask, label): HalfPlaneRational} on the tangential unit sphere."""
-        out = {}
-        for key, c in self.terms.items():
-            f = c.restrict_sphere()
-            if not f.is_zero():
-                out[key] = f
-        return out
+        return {key: c.restrict_sphere() for key, c in self.terms.items()}
 
     def __str__(self):
         if not self.terms:

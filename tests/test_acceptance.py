@@ -168,7 +168,7 @@ class TestCriterion04PiPlusPipeline:
             )
             op = laplace_symbol(n, al, gdn=gdn)
             par = invert_symbol(op, 1)
-            got = SphereSymbol.from_cliffxi(par[-2].d_xn()).pi_plus().scalar_part()
+            got = SphereSymbol.from_cliffxi(par[-2].d_xn()).pi_plus().coefficient(0)
             hp0 = ParamPoly.var(al, "hp0")
             expected = HalfPlaneRational(
                 al,
@@ -244,10 +244,13 @@ class TestCriterion07SymbolClosure:
         nf = lichnerowicz_normal_form(geo)
         op = laplace_symbol(n, al, b_term=nf.B)
         num = subs_expansion(op, rand_assignment(al, rng, span=3))
-        comp = compose_symbols(num, invert_symbol(num, 4), -2)
+        # orders -3 and -4 involve q_-5 and q_-6, which the check through -2
+        # does not reach; at n = 6 composing them costs about 10 s more
+        lowest = -4 if n == 4 else -2
+        comp = compose_symbols(num, invert_symbol(num, 4), lowest)
         assert comp[0] == CliffXi.scalar(n, XiExpr.const(al, 1))
-        assert comp[-1].is_zero()
-        assert comp[-2].is_zero()
+        for order in range(-1, lowest - 1, -1):
+            assert comp[order].is_zero()
 
 
 class TestCriterion08InteriorConsistency:

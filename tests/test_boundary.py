@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from ncresidue import boundary
 from ncresidue.boundary import (
     CASE_IDS,
+    SphereSymbol,
     boundary_case,
     bracket_table,
     enumerate_cases,
@@ -19,7 +21,7 @@ from ncresidue.errors import (
     ValidationError,
 )
 from ncresidue.exact import GaussRational, ParamPoly
-from ncresidue.geometry import GeometricBundle, standard_alphabet
+from ncresidue.geometry import GeometricBundle, standard_alphabet, standard_label_trace
 
 
 class TestCaseEnumeration:
@@ -45,6 +47,11 @@ class TestCaseEnumeration:
             enumerate_cases(3)
         with pytest.raises(UnsupportedDimension):
             enumerate_cases(12)
+
+    @pytest.mark.parametrize("nbar", [True, 4.0, "4"])
+    def test_non_integer_dimension(self, nbar):
+        with pytest.raises(ValidationError):
+            total_boundary_phi(nbar)
 
 
 class TestIndividualCases:
@@ -124,6 +131,27 @@ class TestIndividualCases:
         assert fresh.comparisons[0]["agree"] in (True, False)
         assert fresh.derivation_trace
         assert phi["cases"]["c"].comparisons
+
+
+class TestGradeZeroJoin:
+    @pytest.mark.parametrize("nbar", [2, 4, 6])
+    def test_every_case_product_matches_the_full_product(self, monkeypatch, nbar):
+        # record the operands of every traced product the cases form, with
+        # the full blade product as the oracle of the grade-0 join
+        join = SphereSymbol.mul_grade0
+        pairs = []
+
+        def recording(f, g):
+            pairs.append((f, g))
+            return join(f, g)
+
+        monkeypatch.setattr(SphereSymbol, "mul_grade0", recording)
+        for cid in CASE_IDS:
+            boundary._CASE_FN[cid](nbar)
+        assert len(pairs) == 10  # aII 1, aIII 2, b 4, c 3
+        rule = standard_label_trace(standard_alphabet(nbar + 2))
+        for f, g in pairs:
+            assert join(f, g).trace(rule) == (f * g).trace(rule)
 
 
 class TestAssembly:

@@ -150,10 +150,20 @@ class TestReportBytes:
         2: "ffa405d251cf461a5025af1ba9939aea5416ae0cfccb8e5ffd7533e52f46337c",
         4: "ad20e2f72572bca0a5f91bf601c62338b96daabb24b77eb161d13aaf98b90f50",
         6: "9cb6de8003bf6ee623b26dff42a426220beb58f02c3ca66281a69b1db7b23747",
+        8: "8187793727c5a64e5074c62c930b48e8600fcc947b15676f571a239f7dcb5a5d",
+        10: "bca0320675ae34b73765632c056d775069094b5e38fe67e9cabc8424479e429e",
     }
+    # the same for the dim-4 audit `--verify-lemmas 4 --seed 0`
+    LEMMAS_DIM4 = "5c9f9af890a2065e761a94cd9e81a28a588b23ae9805f9797090738959d7592f"
 
-    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
     def test_json_report_sha256(self, capsys, dim):
         code, out, _ = run_main(capsys, ["--dim", str(dim), "--format", "json"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.REFERENCE[dim]
+
+    def test_lemma_audit_sha256(self, capsys):
+        argv = ["--dim", "4", "--format", "json", "--verify-lemmas", "4", "--seed", "0"]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LEMMAS_DIM4

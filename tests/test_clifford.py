@@ -18,12 +18,16 @@ from ncresidue.clifford import (
     twisted_trace,
     verify_trace_lemmas,
 )
+from ncresidue.boundary import SphereSymbol
 from ncresidue.exact import GR_ZERO, Alphabet, ParamPoly
 from ncresidue.errors import (
+    AlphabetMismatch,
+    DimMismatch,
     IndexOutOfRange,
     NonIncreasingTriple,
     UnsupportedDimension,
 )
+from ncresidue.symbols import CliffXi, XiExpr
 from conftest import rand_gauss, rand_poly
 
 EMPTY = Alphabet([])
@@ -137,6 +141,27 @@ class TestTraceKernels:
             terms[key] = terms.get(key, ParamPoly.zero(alphabet)) + coeff
         return CliffordElement(n, alphabet, terms)
 
+    @staticmethod
+    def numeric_symbol(elem, rng):
+        """A numeric CliffXi: every term of elem at a random point of its
+        parameters, times a random xi_n^m u^p (p < 0 gives poles on the
+        sphere)."""
+        point = {name: rand_gauss(rng) for name in elem.alphabet.names}
+        return CliffXi(elem.dim, elem.alphabet, {
+            key: XiExpr.monomial(
+                elem.alphabet,
+                m=rng.randint(0, 2),
+                p=rng.randint(-2, 1),
+                coeff=c.subs(point),
+            )
+            for key, c in elem.terms.items()
+        })
+
+    @staticmethod
+    def grade0(x):
+        """Grade-0 part of a value of any blade algebra."""
+        return type(x)(x.dim, x.alphabet, {k: c for k, c in x.terms.items() if not k[0]})
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_mul_grade0_is_grade0_of_product(self, n):
         rng = random.Random(700 + n)
@@ -147,6 +172,27 @@ class TestTraceKernels:
             b = self.rand_labelled(n, al, rng, rng.randint(1, 3 * n))
             assert a.mul_grade0(b) == (a * b).grade(0)
             assert a.mul_grade0(a) == (a * a).grade(0)
+        # the same join serves the jet-ring and sphere-restricted symbols
+        for _ in range(4):
+            a = self.numeric_symbol(self.rand_labelled(n, al, rng, rng.randint(1, 2 * n)), rng)
+            b = self.numeric_symbol(self.rand_labelled(n, al, rng, rng.randint(1, 2 * n)), rng)
+            for x, y in ((a, b), (a, a)):
+                assert x.mul_grade0(y) == self.grade0(x * y)
+                fx, fy = SphereSymbol.from_cliffxi(x), SphereSymbol.from_cliffxi(y)
+                assert fx.mul_grade0(fy) == self.grade0(fx * fy)
+
+    def test_mixed_operands_raise(self):
+        a = CliffordElement.generator(4, Alphabet(["a"]), 1)
+        for other, error in (
+            (CliffordElement.generator(4, Alphabet(["b"]), 1), AlphabetMismatch),
+            (CliffordElement.generator(6, Alphabet(["a"]), 1), DimMismatch),
+        ):
+            with pytest.raises(error):
+                a + other
+            with pytest.raises(error):
+                a * other
+            with pytest.raises(error):
+                a.mul_grade0(other)
 
     def test_mul_grade0_cancellation(self):
         g1 = CliffordElement.generator(4, EMPTY, 1)

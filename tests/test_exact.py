@@ -451,5 +451,5 @@ class TestSparseTermsCore:
                 a + other
             with pytest.raises(error):
                 a * other
-        assert (a * a).scalar_part() == HalfPlaneRational.const(ALPHABET, -1)
+        assert (a * a).coefficient(0) == HalfPlaneRational.const(ALPHABET, -1)
         assert (a + a).terms == {(1, ()): HalfPlaneRational.const(ALPHABET, 2)}

@@ -49,6 +49,11 @@ class TestGeometricBundle:
         with pytest.raises(OddDimension):
             GeometricBundle(5)
 
+    @pytest.mark.parametrize("n", [True, 4.0])
+    def test_rejects_non_integer_dimension(self, n):
+        with pytest.raises(ValidationError):
+            GeometricBundle(n)
+
     def test_rejects_wrong_vector_length(self):
         with pytest.raises(ValidationError):
             GeometricBundle(4, X=[Fraction(1)] * 3)
