@@ -29,7 +29,9 @@ from .errors import (
     OddDimension,
     UnsupportedDimension,
 )
-from .exact import GR_I, GR_ONE, GR_ZERO, Alphabet, GaussRational, ParamPoly, SparseTerms
+from .exact import (
+    GR_I, GR_ONE, GR_ZERO, Alphabet, GaussRational, ParamPoly, SparseTerms, add_terms,
+)
 
 EMPTY_ALPHABET = Alphabet(())
 
@@ -109,16 +111,14 @@ class Blades(SparseTerms):
         by_mask = {}
         for (m, f), c in other.terms.items():
             by_mask.setdefault(m, []).append((f, c))
-        pairs = []
+        terms = {}
         for (m, f1), c1 in self.terms.items():
             partners = by_mask.get(m)
-            if not partners:
-                continue
-            sign = blade_mul(m, m)[1]
-            for f2, c2 in partners:
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                pairs.append(((0, _merge_labels(f1, f2)), c))
-        return self._collect(pairs)
+            if partners:
+                # c_I c_I = +-1: a negative sign subtracts the products
+                pairs = (((0, _merge_labels(f1, f2)), c1 * c2) for f2, c2 in partners)
+                add_terms(terms, pairs, blade_mul(m, m)[1] < 0)
+        return self._like(terms)
 
     def coefficient(self, mask, label=()):
         got = self.terms.get((mask, tuple(label)))

@@ -14,8 +14,9 @@ the Clifford-valued symbols (symbols.CliffXi) and their sphere restrictions
 (boundary.SphereSymbol).  It holds their sum, negation, scaling,
 term-wise maps, collection of (key, coefficient) pairs and the all-pairs
 product; each algebra supplies its key product (the half-plane rationals,
-whose key products expand into several terms, supply their own product
-instead).  The matrix oracle
+whose key products expand into several terms, and the Clifford-valued
+symbols, whose product runs down to the scalars in one loop, supply their
+own product instead).  The matrix oracle
 clifford.SpinorMatrix stays outside, so that it remains independent of what
 it checks.
 """
@@ -270,6 +271,23 @@ def summed_terms(pairs):
     return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
+def add_terms(terms, pairs, negate=False):
+    """Add (key, nonzero coefficient) pairs into the clean map terms, in
+    place, or with negate subtract them: a coefficient is negated only for
+    a key that terms does not hold yet.  Returns terms."""
+    for key, c in pairs:
+        acc = terms.get(key)
+        if acc is None:
+            terms[key] = -c if negate else c
+        else:
+            c = acc - c if negate else acc + c
+            if c.is_zero():
+                del terms[key]
+            else:
+                terms[key] = c
+    return terms
+
+
 class SparseTerms:
     """Sparse map `terms` from keys to nonzero coefficients, with the ring
     operations of every algebra of the engine, written once.
@@ -306,18 +324,7 @@ class SparseTerms:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = c
-            else:
-                c = acc + c
-                if c.is_zero():
-                    del terms[key]
-                else:
-                    terms[key] = c
-        return self._like(terms)
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -326,7 +333,7 @@ class SparseTerms:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._like(add_terms(dict(self.terms), other.terms.items(), True))
 
     def __mul__(self, other):
         other = self._check(other)
@@ -367,12 +374,12 @@ class SparseTerms:
         for k1, c1 in self.terms.items():
             for k2, c2 in other_terms:
                 key, sign = key_mul(k1, k2)
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                c = c1 * c2
                 acc = terms.get(key)
                 if acc is None:
-                    terms[key] = c
+                    terms[key] = c if sign > 0 else -c
                 else:
-                    c = acc + c
+                    c = acc + c if sign > 0 else acc - c
                     if c.is_zero():
                         del terms[key]
                     else:

@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .clifford import Blades, CliffordElement
-from .errors import DimMismatch, NonCanonicalInput
-from .exact import GR_I, GaussRational, ParamPoly, SparseTerms, _merge_monomials
+from .clifford import Blades, CliffordElement, blade_key_mul, blade_mul
+from .errors import DimMismatch, NonCanonicalInput, ValidationError
+from .exact import GR_I, GaussRational, ParamPoly, SparseTerms, _merge_monomials, _poly
 from .geometry import twist_vector
 from .halfplane import HalfPlaneRational
 
@@ -172,6 +172,55 @@ class CliffXi(Blades):
             for key, poly in elem.terms.items()
         })
 
+    def _product(self, other):
+        """Sum of the products of all terms, in one loop over blade pairs,
+        jet terms and monomials that adds GaussRational scalars into one
+        map by blade key, then jet key, then monomial; the nested XiExpr
+        and ParamPoly coefficients are built only from its sums.
+
+        The blade key product is formed once per blade pair, jet keys and
+        monomials multiply as XiExpr._key_mul and ParamPoly._key_mul do,
+        and a negative blade sign subtracts instead of negating.
+        """
+        right = [
+            (k2, [(jk, tuple(p.terms.items())) for jk, p in x.terms.items()])
+            for k2, x in other.terms.items()
+        ]
+        acc = {}
+        for k1, x1 in self.terms.items():
+            left = [(jk, tuple(p.terms.items())) for jk, p in x1.terms.items()]
+            for k2, jets2 in right:
+                key, sign = blade_key_mul(k1, k2)
+                block = acc.get(key)
+                if block is None:
+                    block = acc[key] = {}
+                for (a1, b1, c1, d1, t1), monos1 in left:
+                    for (a2, b2, c2, d2, t2), monos2 in jets2:
+                        jk = (a1 + a2, b1 + b2, c1 + c2, d1 + d2,
+                              t2 if not t1 else t1 if not t2 else _merge_monomials(t1, t2))
+                        sums = block.get(jk)
+                        if sums is None:
+                            sums = block[jk] = {}
+                        for mono1, g1 in monos1:
+                            for mono2, g2 in monos2:
+                                mono = (mono2 if not mono1 else mono1 if not mono2
+                                        else _merge_monomials(mono1, mono2))
+                                g = g1 * g2
+                                s = sums.get(mono)
+                                if s is None:
+                                    sums[mono] = g if sign > 0 else -g
+                                else:
+                                    sums[mono] = s + g if sign > 0 else s - g
+        alphabet = self.alphabet
+        # the constructors drop the coefficients whose sums all cancelled
+        return CliffXi(self.dim, alphabet, {
+            key: XiExpr(alphabet, {
+                jk: _poly(alphabet, {m: s for m, s in sums.items() if not s.is_zero()})
+                for jk, sums in block.items()
+            })
+            for key, block in acc.items()
+        })
+
     def scale(self, factor):
         """Multiply every coefficient by an XiExpr, ParamPoly or exact scalar."""
         if isinstance(factor, XiExpr):
@@ -249,31 +298,29 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
 
     w_elem = twist_vector(dim, alphabet)
 
+    # K_j = c_j W + W c_j blade by blade: c_j B = (-1)^|B - {j}| B c_j, so
+    # the two products cancel or add up to 2 c_j B
     k_list = []
     for j in range(1, dim + 1):
-        cj = CliffordElement.generator(dim, alphabet, j)
-        k_list.append(cj * w_elem + w_elem * cj)
+        g = 1 << (j - 1)
+        terms = {}
+        for (mask, label), c in w_elem.terms.items():
+            if not bin(mask & ~g).count("1") % 2:
+                key, sign = blade_mul(g, mask)
+                terms[(key, label)] = c * (2 * sign)
+        k_list.append(CliffordElement(dim, alphabet, terms))
 
-    p1 = CliffXi.zero(dim, alphabet)
-    for j in range(1, dim):
-        xi_j = XiExpr.monomial(alphabet, tang=((j, 1),))
-        drift = XiExpr.monomial(
-            alphabet,
-            tang=((j, 1),),
-            coeff=ParamPoly.var(alphabet, f"X_{j}") * Fraction(1, 2),
+    # i * (X_j / 2 + K_j) xi_j for tangential j, with xi_n and the collar
+    # term gdn for j = dim, the jet key written out directly
+    pairs = [((0, ()), XiExpr(alphabet, {(1, 0, 0, 0, ()): gdn * GR_I}))]
+    for j, k_j in enumerate(k_list, 1):
+        jet = (0, 0, 0, 0, ((j, 1),)) if j < dim else (1, 0, 0, 0, ())
+        drift = ParamPoly.var(alphabet, f"X_{j}") * Fraction(1, 2)
+        pairs.append(((0, ()), XiExpr(alphabet, {jet: drift * GR_I})))
+        pairs.extend(
+            (key, XiExpr(alphabet, {jet: poly * GR_I})) for key, poly in k_j.terms.items()
         )
-        p1 = p1 + CliffXi.scalar(dim, drift)
-        p1 = p1 + CliffXi.from_clifford(k_list[j - 1]).scale(xi_j)
-    xi_n = XiExpr.monomial(alphabet, m=1)
-    p1 = p1 + CliffXi.scalar(
-        dim,
-        XiExpr.monomial(
-            alphabet, m=1, coeff=ParamPoly.var(alphabet, f"X_{dim}") * Fraction(1, 2)
-        ),
-    )
-    p1 = p1 + CliffXi.from_clifford(k_list[dim - 1]).scale(xi_n)
-    p1 = p1 + CliffXi.scalar(dim, XiExpr.monomial(alphabet, m=1, coeff=gdn))
-    p1 = p1.scale(GR_I)
+    p1 = CliffXi.zero(dim, alphabet)._collect(pairs)
 
     if b_term is None:
         p0 = CliffXi.zero(dim, alphabet)
@@ -335,6 +382,8 @@ def invert_symbol(symbol, depth):
     exactly (blade- and label-free, coefficient 1); any other p_2, or none,
     raises NonCanonicalInput.
     """
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise ValidationError("depth", f"nonnegative integer required, got {depth!r}")
     dim, alphabet = symbol.dim, symbol.alphabet
     if symbol[2] != CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1)):
         raise NonCanonicalInput("parametrix recursion needs the leading symbol u")

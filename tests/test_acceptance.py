@@ -245,11 +245,10 @@ class TestCriterion07SymbolClosure:
         op = laplace_symbol(n, al, b_term=nf.B)
         num = subs_expansion(op, rand_assignment(al, rng, span=3))
         # orders -3 and -4 involve q_-5 and q_-6, which the check through -2
-        # does not reach; at n = 6 composing them costs about 10 s more
-        lowest = -4 if n == 4 else -2
-        comp = compose_symbols(num, invert_symbol(num, 4), lowest)
+        # does not reach
+        comp = compose_symbols(num, invert_symbol(num, 4), -4)
         assert comp[0] == CliffXi.scalar(n, XiExpr.const(al, 1))
-        for order in range(-1, lowest - 1, -1):
+        for order in range(-1, -5, -1):
             assert comp[order].is_zero()
 
 

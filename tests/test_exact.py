@@ -15,6 +15,7 @@ from ncresidue.exact import (
     Alphabet,
     GaussRational,
     ParamPoly,
+    SparseTerms,
 )
 from ncresidue.boundary import SphereSymbol
 from ncresidue.clifford import CliffordElement, represent
@@ -26,7 +27,7 @@ from ncresidue.errors import (
     ValidationError,
 )
 from ncresidue.halfplane import HalfPlaneRational
-from ncresidue.symbols import XiExpr
+from ncresidue.symbols import CliffXi, XiExpr
 from conftest import rand_gauss, rand_poly
 
 
@@ -417,6 +418,34 @@ clifford_triples = st.sampled_from((2, 4, 6)).flatmap(
 )
 
 
+# labels repeat factors, and masks sharing generators give negative signs
+LABELS = ((), ("phi",), ("phi", "phi"), ("psi",))
+
+
+def cliffxis(n):
+    blade_keys = st.tuples(st.integers(0, (1 << n) - 1), st.sampled_from(LABELS))
+    return st.dictionaries(blade_keys, jets, max_size=4).map(
+        lambda terms: CliffXi(n, JET_ALPHABET, terms)
+    )
+
+
+cliffxi_pairs = st.sampled_from((2, 4)).flatmap(lambda n: st.tuples(cliffxis(n), cliffxis(n)))
+
+
+def is_clean(cx):
+    """No empty coefficient at any level, and no zero scalar."""
+    return all(
+        xe.terms and all(p.terms and not any(c.is_zero() for c in p.terms.values())
+                         for p in xe.terms.values())
+        for xe in cx.terms.values()
+    )
+
+
+def count_calls(monkeypatch, cls, name, calls):
+    method = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda *args: calls.append(name) or method(*args))
+
+
 class TestSparseTermsCore:
     @given(clifford_triples)
     def test_clifford_product_against_the_matrix_oracle(self, abc):
@@ -435,6 +464,62 @@ class TestSparseTermsCore:
         assert x * (y + z) == x * y + x * z
         assert (x - y) * z == x * z - y * z
         assert x * y == y * x
+
+    @given(cliffxi_pairs)
+    def test_cliffxi_product_equals_the_nested_product(self, ab):
+        # the one-loop product against the core's product through XiExpr and
+        # ParamPoly; (a + b)(a - b) has sums that cancel, b - b is empty
+        a, b = ab
+        for x, y in ((a, b), (b, a), (a + b, a - b), (a, b - b), (b - b, a)):
+            got = x * y
+            assert got == SparseTerms._product(x, y)
+            assert is_clean(got)
+
+    def test_cliffxi_product_drops_cancelled_blades(self):
+        # (c1 + c2)^2 = -2: the c1 c2 and c2 c1 terms cancel
+        x = XiExpr(JET_ALPHABET, {(1, 0, 0, 0, ()): ParamPoly.var(JET_ALPHABET, "a"),
+                                  (0, 1, 0, 0, ()): GaussRational(1, 2)})
+        a = CliffXi(2, JET_ALPHABET, {(1, ("phi",)): x, (2, ("phi",)): x})
+        got = a * a
+        assert set(got.terms) == {(0, ("phi", "phi"))}
+        assert got == CliffXi(2, JET_ALPHABET, {(0, ("phi", "phi")): (x * x).scale(-2)})
+
+    def test_cliffxi_products_refuse_mixed_operands(self):
+        def cliffxi(dim, alphabet):
+            return CliffXi(dim, alphabet, {(1, ()): XiExpr.u_power(alphabet, 1)})
+
+        a = cliffxi(4, JET_ALPHABET)
+        for other, error in (
+            (cliffxi(6, JET_ALPHABET), DimMismatch),
+            (cliffxi(4, ALPHABET), AlphabetMismatch),
+        ):
+            with pytest.raises(error):
+                a * other
+            with pytest.raises(error):
+                other * a
+
+    def test_cliffxi_product_forms_no_jet_or_polynomial_products(self, monkeypatch):
+        hp0, x = ParamPoly.var(JET_ALPHABET, "hp0"), ParamPoly.var(JET_ALPHABET, "a")
+        xe = XiExpr(JET_ALPHABET, {(1, -1, 0, 0, ((1, 1),)): hp0 + x,
+                                   (0, 0, 1, 1, ()): hp0 * x - 3})
+        a = CliffXi(4, JET_ALPHABET, {(3, ()): xe, (5, ("phi",)): xe * xe, (0, ()): xe})
+        calls = []
+        count_calls(monkeypatch, XiExpr, "__mul__", calls)
+        count_calls(monkeypatch, ParamPoly, "__mul__", calls)
+        got = a * a
+        assert calls == []
+        assert got == SparseTerms._product(a, a)
+        assert "__mul__" in calls  # the counters see the nested product's calls
+
+    def test_subtraction_negates_only_keys_new_to_the_minuend(self, monkeypatch):
+        hp0 = ParamPoly.var(JET_ALPHABET, "hp0")
+        y = XiExpr(JET_ALPHABET, {(1, 0, 0, 0, ()): hp0 - 1, (0, 2, 0, 0, ()): hp0 * 2})
+        x = y + XiExpr(JET_ALPHABET, {(0, 0, 1, 0, ()): hp0 + 5})
+        want = x + (-y)
+        calls = []
+        count_calls(monkeypatch, SparseTerms, "__neg__", calls)
+        assert x - y == want
+        assert calls == []
 
     def test_sphere_symbols_refuse_mixed_operands(self):
         def sphere(dim, alphabet):

@@ -8,12 +8,13 @@ import pytest
 import sympy
 
 from ncresidue.clifford import CliffordElement, represent
-from ncresidue.errors import NonCanonicalInput
+from ncresidue.errors import NonCanonicalInput, ValidationError
 from ncresidue.exact import GR_I, GaussRational, ParamPoly
 from ncresidue.geometry import (
     GeometricBundle,
     lichnerowicz_normal_form,
     standard_alphabet,
+    twist_vector,
 )
 from ncresidue.symbols import (
     CliffXi,
@@ -120,6 +121,32 @@ def _invert_reference(symbol, depth):
     return SymbolExpansion(dim, alphabet, q)
 
 
+def _laplace_k_reference(dim, alphabet):
+    """K_j = c_j W + W c_j as two Clifford products and their sum."""
+    w_elem = twist_vector(dim, alphabet)
+    return [
+        (c := CliffordElement.generator(dim, alphabet, j)) * w_elem + w_elem * c
+        for j in range(1, dim + 1)
+    ]
+
+
+def _laplace_p1_reference(dim, alphabet, gdn):
+    """First-order symbol built blade term by blade term: each K_j xi_j is a
+    product of one-term jet expressions, and the sum grows term by term."""
+    k_list = _laplace_k_reference(dim, alphabet)
+    p1 = CliffXi.zero(dim, alphabet)
+    for j in range(1, dim + 1):
+        if j < dim:
+            xi_j = XiExpr.monomial(alphabet, tang=((j, 1),))
+        else:
+            xi_j = XiExpr.monomial(alphabet, m=1)
+        drift = ParamPoly.var(alphabet, f"X_{j}") * Fraction(1, 2)
+        p1 = p1 + CliffXi.scalar(dim, xi_j.scale(drift))
+        p1 = p1 + CliffXi.from_clifford(k_list[j - 1]).scale(xi_j)
+    p1 = p1 + CliffXi.scalar(dim, XiExpr.monomial(alphabet, m=1, coeff=gdn))
+    return p1.scale(GR_I)
+
+
 def assert_same_expansion(got, expected):
     assert sorted(got.orders) == sorted(expected.orders)
     for order, piece in expected.orders.items():
@@ -180,6 +207,13 @@ class TestOperatorSymbol:
         op = laplace_symbol(4, al)
         assert op.meta["gdn"] == ParamPoly.var(al, "hp0") * ParamPoly.const(al, 2)
 
+    @pytest.mark.parametrize("n, gdn", [(2, None), (4, None), (6, None), (6, 3), (4, 0)])
+    def test_first_order_equals_reference_construction(self, n, gdn):
+        al = standard_alphabet(n)
+        op = laplace_symbol(n, al, gdn=gdn)
+        assert list(op.meta["K"]) == _laplace_k_reference(n, al)
+        assert op[1] == _laplace_p1_reference(n, al, op.meta["gdn"])
+
 
 class TestInversionAndComposition:
     def test_leading_inverse(self):
@@ -201,6 +235,17 @@ class TestInversionAndComposition:
         comp = compose_symbols(num, invert_symbol(num, 3), -1)
         assert comp[0] == CliffXi.scalar(n, XiExpr.const(num.alphabet, 1))
         assert comp[-1].is_zero()
+
+    @pytest.mark.parametrize("depth", [-1, -3, True, False, 2.0, "2", None])
+    def test_inversion_rejects_non_integer_or_negative_depth(self, depth):
+        op = laplace_symbol(4, standard_alphabet(4))
+        with pytest.raises(ValidationError):
+            invert_symbol(op, depth)
+
+    def test_depth_zero_gives_the_leading_inverse_only(self):
+        al = standard_alphabet(4)
+        par = invert_symbol(laplace_symbol(4, al), 0)
+        assert par.orders == {-2: CliffXi.scalar(4, XiExpr.u_power(al, -1))}
 
     @pytest.mark.parametrize("leading", ["twice u", "missing"])
     def test_inversion_rejects_other_leading_symbols(self, leading):
