@@ -16,14 +16,11 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .clifford import Blades
-from .errors import (
-    OddBarDimension,
-    UnsupportedDimension,
-    ValidationError,
-)
+from .errors import ValidationError
 from .exact import GR_I, GaussRational, ParamPoly
 from .geometry import (
     GeometricBundle,
+    check_nbar,
     interior_wres,
     standard_alphabet,
     standard_label_trace,
@@ -38,15 +35,6 @@ CASE_IDS = ("aI", "aII", "aIII", "b", "c")
 _UNIT_TWIST = {"dimF": 1, "trPhi": 1, "trPhi2": 1}
 
 
-def _check_nbar(nbar):
-    if isinstance(nbar, bool) or not isinstance(nbar, int):
-        raise ValidationError("nbar", f"integer required, got {nbar!r}")
-    if nbar % 2:
-        raise OddBarDimension(f"even boundary dimension required, got {nbar}")
-    if not 2 <= nbar <= 10:
-        raise UnsupportedDimension(f"boundary dimension {nbar} outside 2..10")
-
-
 def enumerate_cases(nbar):
     """All index tuples satisfying the boundary-sum constraint.
 
@@ -55,7 +43,7 @@ def enumerate_cases(nbar):
     are exactly five solutions.  Returns {case_id: dict} with the
     combinatorial prefactor (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!).
     """
-    _check_nbar(nbar)
+    check_nbar(nbar)
     found = []
     for r in range(-2, -6, -1):
         for l in range(2 - nbar, 2 - nbar - 4, -1):
@@ -149,7 +137,7 @@ class BoundaryCaseResult:
 @lru_cache(maxsize=None)
 def _pipeline(nbar):
     """Symbol-calculus inputs shared by all cases at a given nbar."""
-    _check_nbar(nbar)
+    check_nbar(nbar)
     n = nbar + 2
     alphabet = standard_alphabet(n)
     # collar value of the normal connection-contraction scalar
@@ -683,7 +671,7 @@ def boundary_case(case_id, nbar, geo=None):
     """Evaluate one boundary case; geo substitutes exact point data."""
     if case_id not in _CASE_FN:
         raise ValidationError("case_id", f"unknown case {case_id!r}")
-    _check_nbar(nbar)
+    check_nbar(nbar)
     if geo is not None and geo.n != nbar + 2:
         raise ValidationError("geo", f"bundle dimension {geo.n} != {nbar + 2}")
     return _caller_copy(_boundary_case_symbolic(case_id, nbar), geo)
@@ -697,18 +685,16 @@ def _split_by(poly, pred):
     return ParamPoly(poly.alphabet, yes), ParamPoly(poly.alphabet, no)
 
 
-def _strip_var(poly, name):
-    """Divide out one power of a parameter present in every term."""
+def _coefficient(poly, name):
+    """P such that name * P is the part of poly whose terms contain name."""
     terms = {}
     for mono, c in poly.terms.items():
         exps = dict(mono)
-        if exps.get(name, 0) < 1:
-            raise ValidationError(name, f"term {mono} lacks a factor of {name}")
-        if exps[name] == 1:
-            del exps[name]
-        else:
-            exps[name] -= 1
-        terms[tuple(sorted(exps.items()))] = c
+        e = exps.pop(name, 0)
+        if e:
+            if e > 1:
+                exps[name] = e - 1
+            terms[tuple(sorted(exps.items()))] = c
     return ParamPoly(poly.alphabet, terms)
 
 
@@ -719,7 +705,7 @@ def total_boundary_phi(nbar, geo=None):
     h'(0)-proportional and (X_n - 2 Y_n)-proportional parts, structural
     checks, and comparison records against the printed closed form.
     """
-    _check_nbar(nbar)
+    check_nbar(nbar)
     n = nbar + 2
     alphabet = standard_alphabet(n)
     cases = {cid: _caller_copy(_boundary_case_symbolic(cid, nbar)) for cid in CASE_IDS}
@@ -749,17 +735,7 @@ def total_boundary_phi(nbar, geo=None):
         for mono in drift_part.terms
     )
     # drift part must pair Y_n with exactly -2 times the X_n coefficient
-    x_coeff = (
-        _strip_var(_split_by(drift_part, lambda m: has(m, xn))[0], xn)
-        if not drift_part.is_zero()
-        else ParamPoly.zero(alphabet)
-    )
-    y_coeff = (
-        _strip_var(_split_by(drift_part, lambda m: has(m, yn))[0], yn)
-        if not drift_part.is_zero()
-        else ParamPoly.zero(alphabet)
-    )
-    drift_paired = y_coeff == x_coeff * (-2)
+    drift_paired = _coefficient(drift_part, yn) == _coefficient(drift_part, xn) * (-2)
 
     printed = printed_phi_parts(nbar, alphabet)
     comparisons = [
@@ -814,7 +790,7 @@ def total_boundary_phi(nbar, geo=None):
 
 def extrinsic_K(nbar):
     """Trace of the second fundamental form of the collar metric."""
-    _check_nbar(nbar)
+    check_nbar(nbar)
     alphabet = standard_alphabet(nbar + 2)
     return ParamPoly.var(alphabet, "hp0") * Fraction(-(nbar + 1), 2)
 
@@ -826,7 +802,7 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
     (h'(0) = -2K/(nbar+1)) and the normal drift combination X_n - 2 Y_n;
     both coefficients are compared against the printed assembly.
     """
-    _check_nbar(nbar)
+    check_nbar(nbar)
     n = nbar + 2
     alphabet = standard_alphabet(n)
     geo_int = geo if geo is not None else GeometricBundle(n)
@@ -839,38 +815,22 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
         case_sum = case_sum + _boundary_case_symbolic(cid, nbar).value
     boundary_matches_cases = case_sum == phi["symbolic"]["value"]
 
-    hprime_sym = phi["symbolic"]["hprime_part"]
-    k_coeff = (
-        _strip_var(hprime_sym, "hp0") * Fraction(-2, nbar + 1)
-        if not hprime_sym.is_zero()
-        else ParamPoly.zero(alphabet)
-    )
-    drift_sym = phi["symbolic"]["drift_part"]
+    k_coeff = _coefficient(phi["symbolic"]["hprime_part"], "hp0") * Fraction(-2, nbar + 1)
     xn = f"X_{n}"
-    drift_coeff = ParamPoly.zero(alphabet)
-    if not drift_sym.is_zero():
-        xpart, _ = _split_by(drift_sym, lambda m: any(v == xn for v, _ in m))
-        if not xpart.is_zero():
-            drift_coeff = _strip_var(xpart, xn)
+    drift_coeff = _coefficient(phi["symbolic"]["drift_part"], xn)
 
     printed_k = printed_wres_k_coefficient(nbar, alphabet)
-    printed_phi = printed_phi_parts(nbar, alphabet)
+    printed_phi = phi["printed"]
     comparisons = list(phi["comparisons"])
     comparisons.append(
         _record("wres_K_coefficient", nbar, printed_k, _normalized(k_coeff))
     )
     if printed_phi["drift_domain_ok"]:
-        printed_drift_coeff = _strip_var(
-            _split_by(
-                printed_phi["drift_part"], lambda m: any(v == xn for v, _ in m)
-            )[0],
-            xn,
-        )
         comparisons.append(
             _record(
                 "wres_drift_coefficient",
                 nbar,
-                printed_drift_coeff,
+                _coefficient(printed_phi["drift_part"], xn),
                 _normalized(drift_coeff),
             )
         )

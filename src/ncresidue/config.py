@@ -10,14 +10,8 @@ import os
 from fractions import Fraction
 
 from .boundary import CASE_IDS
-from .errors import (
-    NonIncreasingTriple,
-    OddBarDimension,
-    ParseError,
-    UnsupportedDimension,
-    ValidationError,
-)
-from .geometry import GeometricBundle
+from .errors import NonIncreasingTriple, ParseError, ValidationError
+from .geometry import GeometricBundle, check_nbar
 
 CASE_ALIASES = {
     "a1": "aI",
@@ -91,12 +85,7 @@ class SessionConfig:
         Y=None,
         torsion=None,
     ):
-        if not _is_int(nbar):
-            raise ValidationError("nbar", f"integer required, got {nbar!r}")
-        if nbar % 2:
-            raise OddBarDimension(f"even boundary dimension required, got {nbar}")
-        if not 2 <= nbar <= 10:
-            raise UnsupportedDimension(f"boundary dimension {nbar} outside 2..10")
+        check_nbar(nbar)
         self.nbar = nbar
         if mode not in MODES:
             raise ValidationError("mode", f"expected one of {MODES}, got {mode!r}")
@@ -186,19 +175,8 @@ class SessionConfig:
 
     def bundle(self):
         """GeometricBundle carrying this config's exact point data."""
-        s = self.scalars
         return GeometricBundle(
-            self.nbar + 2,
-            torsion=self.torsion,
-            X=self.X,
-            Y=self.Y,
-            s=s["s"],
-            divX=s["divX"],
-            divY=s["divY"],
-            dimF=s["dimF"],
-            trPhi=s["trPhi"],
-            trPhi2=s["trPhi2"],
-            hprime0=s["hprime0"],
+            self.nbar + 2, torsion=self.torsion, X=self.X, Y=self.Y, **self.scalars
         )
 
     def as_dict(self):

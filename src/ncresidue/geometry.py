@@ -20,11 +20,28 @@ from .clifford import (
     CliffordElement,
     _triple_sign,
     _triples,
+    blade_mul,
     torsion_element,
     twisted_trace,
 )
-from .errors import NonAntisymmetricTorsion, OddDimension, ValidationError
+from .errors import (
+    NonAntisymmetricTorsion,
+    OddBarDimension,
+    OddDimension,
+    UnsupportedDimension,
+    ValidationError,
+)
 from .exact import Alphabet, GaussRational, ParamPoly
+
+
+def check_nbar(nbar):
+    """Reject a boundary dimension that is not an even int in 2..10."""
+    if isinstance(nbar, bool) or not isinstance(nbar, int):
+        raise ValidationError("nbar", f"integer required, got {nbar!r}")
+    if nbar % 2:
+        raise OddBarDimension(f"even boundary dimension required, got {nbar}")
+    if not 2 <= nbar <= 10:
+        raise UnsupportedDimension(f"boundary dimension {nbar} outside 2..10")
 
 
 @lru_cache(maxsize=None)
@@ -192,12 +209,10 @@ def twist_vector(dim, alphabet, label=("phi",)):
     triples = {
         t: _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") for t in _triples(dim)
     }
-    w = torsion_element(dim, alphabet, triples, label=label)
-    for j in range(1, dim + 1):
-        w = w + CliffordElement.generator(dim, alphabet, j).scale(
-            _var(alphabet, f"Y_{j}")
-        ).with_label(label)
-    return w
+    y = [_var(alphabet, f"Y_{j}") for j in range(1, dim + 1)]
+    return torsion_element(dim, alphabet, triples, label) + CliffordElement.from_vector(
+        dim, alphabet, y, label
+    )
 
 
 def twist_vector_jet(dim, alphabet, j):
@@ -206,17 +221,31 @@ def twist_vector_jet(dim, alphabet, j):
     dt = {
         t: _var(alphabet, f"dT_{j}_{t[0]}_{t[1]}_{t[2]}") for t in _triples(dim)
     }
-    out = torsion_element(dim, alphabet, dt, label=phi)
-    for l in range(1, dim + 1):
-        if l == j:
-            comp = _var(alphabet, "divY") * Fraction(1, dim)
-        else:
-            comp = _var(alphabet, f"dY_{j}_{l}")
-        out = out + CliffordElement.generator(dim, alphabet, l).scale(comp).with_label(
-            phi
-        )
+    dy = [
+        _var(alphabet, "divY") * Fraction(1, dim) if l == j
+        else _var(alphabet, f"dY_{j}_{l}")
+        for l in range(1, dim + 1)
+    ]
+    out = torsion_element(dim, alphabet, dt, phi) + CliffordElement.from_vector(
+        dim, alphabet, dy, phi
+    )
     # the endomorphism's own derivative rides along as an opaque label
     return out + twist_vector(dim, alphabet, (f"dPhi_{j}",))
+
+
+def k_vectors(w):
+    """K_j = c_j W + W c_j for j = 1..dim, blade by blade: c_j B =
+    (-1)^|B - {j}| B c_j, so the two products cancel or add up to 2 c_j B."""
+    k_list = []
+    for j in range(w.dim):
+        g = 1 << j
+        terms = {}
+        for (mask, label), c in w.terms.items():
+            if not bin(mask & ~g).count("1") % 2:
+                key, sign = blade_mul(g, mask)
+                terms[(key, label)] = c * (2 * sign)
+        k_list.append(CliffordElement(w.dim, w.alphabet, terms))
+    return k_list
 
 
 def _dx_component(alphabet, dim, j, l):
@@ -245,15 +274,11 @@ def _normal_form_parts(n, alphabet):
     w = twist_vector(n, alphabet)
     gens = [CliffordElement.generator(n, alphabet, j) for j in range(1, n + 1)]
     jets = [twist_vector_jet(n, alphabet, j) for j in range(1, n + 1)]
-    k_list = [gens[j] * w + w * gens[j] for j in range(n)]
-
-    Ai = []
-    for j in range(n):
-        a = CliffordElement.scalar(
-            n, alphabet, _var(alphabet, f"X_{j + 1}") * Fraction(1, 2)
-        )
-        a = a + k_list[j]
-        Ai.append(-a)
+    half = Fraction(1, 2)
+    Ai = [
+        -(CliffordElement.scalar(n, alphabet, _var(alphabet, f"X_{j}") * half) + k_j)
+        for j, k_j in enumerate(k_vectors(w), 1)
+    ]
 
     quarter = Fraction(1, 4)
     b = [(CliffordElement.scalar(n, alphabet, -(_var(alphabet, "s") * quarter)),)]
@@ -281,10 +306,9 @@ def _normal_form_parts(n, alphabet):
     for j in range(1, n + 1):
         b.append((-gens[j - 1], jets[j - 1]))
     # -1/4 (W c(X) + c(X) W)
-    cx = CliffordElement.zero(n, alphabet)
-    for j in range(1, n + 1):
-        cx = cx + gens[j - 1].scale(_var(alphabet, f"X_{j}"))
-    cx = cx.scale(-quarter)
+    cx = CliffordElement.from_vector(
+        n, alphabet, [_var(alphabet, f"X_{j}") * -quarter for j in range(1, n + 1)]
+    )
     b += [(w, cx), (cx, w)]
     # - W^2
     b.append((-w, w))
@@ -338,25 +362,25 @@ def _trace_E_symbolic(n):
     return twisted_trace(grade0, standard_label_trace(alphabet))
 
 
-def _sum_t2(alphabet, n):
-    out = ParamPoly.zero(alphabet)
+def _printed_density(geo, s_coeff):
+    """The printed closed-form density at geo's point data:
+    2^n dimF (-s_coeff s + divX/2 + g(Y, X) trPhi + (2|T|^2 + |Y|^2/2) trPhi2).
+    """
+    n, alphabet = geo.n, geo.alphabet
+    gyx = normy2 = sum_t2 = ParamPoly.zero(alphabet)
+    for j in range(1, n + 1):
+        y = _var(alphabet, f"Y_{j}")
+        gyx = gyx + y * _var(alphabet, f"X_{j}")
+        normy2 = normy2 + y ** 2
     for t in _triples(n):
-        out = out + _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") ** 2
-    return out
-
-
-def _gyx(alphabet, n):
-    out = ParamPoly.zero(alphabet)
-    for j in range(1, n + 1):
-        out = out + _var(alphabet, f"Y_{j}") * _var(alphabet, f"X_{j}")
-    return out
-
-
-def _normy2(alphabet, n):
-    out = ParamPoly.zero(alphabet)
-    for j in range(1, n + 1):
-        out = out + _var(alphabet, f"Y_{j}") ** 2
-    return out
+        sum_t2 = sum_t2 + _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") ** 2
+    inner = (
+        -(_var(alphabet, "s") * s_coeff)
+        + _var(alphabet, "divX") * Fraction(1, 2)
+        + gyx * _var(alphabet, "trPhi")
+        + (sum_t2 * 2 + normy2 * Fraction(1, 2)) * _var(alphabet, "trPhi2")
+    )
+    return geo.subs(inner * _var(alphabet, "dimF") * (2 ** n))
 
 
 def trace_E_density(geo, mode="oracle"):
@@ -369,19 +393,11 @@ def trace_E_density(geo, mode="oracle"):
     the test oracle.  printed mode returns the closed-form density with its
     2^n prefactor.
     """
-    n, alphabet = geo.n, geo.alphabet
     if mode == "printed":
-        inner = (
-            -(_var(alphabet, "s") * Fraction(1, 4))
-            + _var(alphabet, "divX") * Fraction(1, 2)
-            + _gyx(alphabet, n) * _var(alphabet, "trPhi")
-            + _sum_t2(alphabet, n) * 2 * _var(alphabet, "trPhi2")
-            + _normy2(alphabet, n) * Fraction(1, 2) * _var(alphabet, "trPhi2")
-        )
-        return geo.subs(inner * _var(alphabet, "dimF") * (2 ** n))
+        return _printed_density(geo, Fraction(1, 4))
     if mode != "oracle":
         raise ValidationError("mode", f"unknown mode {mode!r}")
-    return geo.subs(_trace_E_symbolic(n))
+    return geo.subs(_trace_E_symbolic(geo.n))
 
 
 def trace_density_report(n):
@@ -461,14 +477,7 @@ def interior_wres(geo, mode="oracle"):
     pi_power = Fraction(n, 2)
     prefactor = Fraction(n - 2, factorial(n // 2 - 1))
     if mode == "printed":
-        inner = (
-            -(_var(alphabet, "s") * Fraction(1, 12))
-            + _var(alphabet, "divX") * Fraction(1, 2)
-            + _gyx(alphabet, n) * _var(alphabet, "trPhi")
-            + _sum_t2(alphabet, n) * 2 * _var(alphabet, "trPhi2")
-            + _normy2(alphabet, n) * Fraction(1, 2) * _var(alphabet, "trPhi2")
-        )
-        density = geo.subs(inner * _var(alphabet, "dimF") * (2 ** n))
+        density = _printed_density(geo, Fraction(1, 12))
     else:
         trid = ParamPoly.const(alphabet, 2 ** (n // 2))
         curv = (

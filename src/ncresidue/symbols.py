@@ -19,10 +19,10 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .clifford import Blades, CliffordElement, blade_key_mul, blade_mul
+from .clifford import Blades, blade_key_mul
 from .errors import DimMismatch, NonCanonicalInput, ValidationError
 from .exact import GR_I, GaussRational, ParamPoly, SparseTerms, _merge_monomials, _poly
-from .geometry import twist_vector
+from .geometry import check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational
 
 # key layout: (m, p, q, r, tang) for xi_n^m u^p w^q h^r * prod xi_j^e
@@ -297,18 +297,7 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     p2 = CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1))
 
     w_elem = twist_vector(dim, alphabet)
-
-    # K_j = c_j W + W c_j blade by blade: c_j B = (-1)^|B - {j}| B c_j, so
-    # the two products cancel or add up to 2 c_j B
-    k_list = []
-    for j in range(1, dim + 1):
-        g = 1 << (j - 1)
-        terms = {}
-        for (mask, label), c in w_elem.terms.items():
-            if not bin(mask & ~g).count("1") % 2:
-                key, sign = blade_mul(g, mask)
-                terms[(key, label)] = c * (2 * sign)
-        k_list.append(CliffordElement(dim, alphabet, terms))
+    k_list = k_vectors(w_elem)
 
     # i * (X_j / 2 + K_j) xi_j for tangential j, with xi_n and the collar
     # term gdn for j = dim, the jet key written out directly
@@ -354,6 +343,8 @@ def compose_symbols(left, right, min_order):
     order below min_order are never formed, and the xi_n- and x_n-derivative
     chains of the factors are built once per call.
     """
+    if isinstance(min_order, bool) or not isinstance(min_order, int):
+        raise ValidationError("min_order", f"integer required, got {min_order!r}")
     if left.dim != right.dim:
         raise DimMismatch("symbol factors of different dimension")
     pairs = {}
@@ -450,11 +441,15 @@ def drift_subsymbol_parts(symbol):
 def power_symbol(symbol, nbar, parametrix=None):
     """Leading and subleading symbols of the relevant operator power.
 
-    nbar is the boundary dimension (dim - 1, even).  Returns a
-    SymbolExpansion with orders 2 - nbar and 1 - nbar; meta carries the
-    split of the subleading symbol into normal / drift / twist parts.
+    nbar is the boundary dimension: even, in 2..10, and dim - 2 for the
+    operator's dimension dim.  Returns a SymbolExpansion with orders
+    2 - nbar and 1 - nbar; meta carries the split of the subleading symbol
+    into normal / drift / twist parts.
     """
+    check_nbar(nbar)
     dim, alphabet = symbol.dim, symbol.alphabet
+    if dim != nbar + 2:
+        raise DimMismatch(f"operator dimension {dim} != nbar + 2 = {nbar + 2}")
     half = nbar // 2
     top = CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1 - half))
 

@@ -153,6 +153,12 @@ class TestReportBytes:
         8: "8187793727c5a64e5074c62c930b48e8600fcc947b15676f571a239f7dcb5a5d",
         10: "bca0320675ae34b73765632c056d775069094b5e38fe67e9cabc8424479e429e",
     }
+    # the same for `--mode printed`, whose densities come from the closed form
+    PRINTED = {
+        2: "4d7a0eaaaf491e55acb78abbbdef496090fde328b3b0200dfdc98515e4fd315e",
+        4: "b5ac6b10a4a9135d986f040cb855b7f3f3590ae4f1d6f31761cc6b4fa26f80d5",
+        6: "96cce5e273cac3830b3e7f9a1b36600e5044bbf679aab18ad9883d9ae5fcc4f9",
+    }
     # the same for the dim-4 audit `--verify-lemmas 4 --seed 0`
     LEMMAS_DIM4 = "5c9f9af890a2065e761a94cd9e81a28a588b23ae9805f9797090738959d7592f"
 
@@ -161,6 +167,13 @@ class TestReportBytes:
         code, out, _ = run_main(capsys, ["--dim", str(dim), "--format", "json"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.REFERENCE[dim]
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_printed_report_sha256(self, capsys, dim):
+        argv = ["--dim", str(dim), "--mode", "printed", "--format", "json"]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PRINTED[dim]
 
     def test_lemma_audit_sha256(self, capsys):
         argv = ["--dim", "4", "--format", "json", "--verify-lemmas", "4", "--seed", "0"]

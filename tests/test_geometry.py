@@ -9,7 +9,12 @@ from ncresidue.errors import (
     OddDimension,
     ValidationError,
 )
-from ncresidue.clifford import twisted_trace
+from ncresidue.clifford import (
+    CliffordElement,
+    _triples,
+    torsion_element,
+    twisted_trace,
+)
 from ncresidue.exact import GaussRational, ParamPoly
 from ncresidue.geometry import (
     GeometricBundle,
@@ -92,6 +97,25 @@ class TestNormalForm:
         assert len(omega) == 4
         # E is a CliffordElement over the standard alphabet
         assert E.dim == 4
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_first_order_blocks_match_clifford_products(self, n):
+        # A^j = -(X_j / 2 + c_j W + W c_j), with W = c(T) + c(Y) carrying
+        # one phi label, formed here generator by generator and by two
+        # Clifford products per K_j
+        al = standard_alphabet(n)
+        gens = [CliffordElement.generator(n, al, j) for j in range(1, n + 1)]
+        w = torsion_element(n, al, {
+            t: ParamPoly.var(al, "T_{}_{}_{}".format(*t)) for t in _triples(n)
+        }, label=("phi",))
+        for j, g in enumerate(gens, 1):
+            w = w + g.scale(ParamPoly.var(al, f"Y_{j}")).with_label(("phi",))
+        nf = lichnerowicz_normal_form(GeometricBundle(n))
+        for j, g in enumerate(gens, 1):
+            drift = CliffordElement.scalar(
+                n, al, ParamPoly.var(al, f"X_{j}") * Fraction(1, 2)
+            )
+            assert nf.Ai[j - 1] == -(drift + g * w + w * g)
 
 
 class TestInteriorDensity:

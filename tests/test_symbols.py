@@ -8,7 +8,12 @@ import pytest
 import sympy
 
 from ncresidue.clifford import CliffordElement, represent
-from ncresidue.errors import NonCanonicalInput, ValidationError
+from ncresidue.errors import (
+    DimMismatch,
+    NonCanonicalInput,
+    OddBarDimension,
+    ValidationError,
+)
 from ncresidue.exact import GR_I, GaussRational, ParamPoly
 from ncresidue.geometry import (
     GeometricBundle,
@@ -242,6 +247,12 @@ class TestInversionAndComposition:
         with pytest.raises(ValidationError):
             invert_symbol(op, depth)
 
+    @pytest.mark.parametrize("min_order", [True, 1.5, "-2", None])
+    def test_composition_rejects_non_integer_min_order(self, min_order):
+        op = laplace_symbol(4, standard_alphabet(4))
+        with pytest.raises(ValidationError):
+            compose_symbols(op, op, min_order)
+
     def test_depth_zero_gives_the_leading_inverse_only(self):
         al = standard_alphabet(4)
         par = invert_symbol(laplace_symbol(4, al), 0)
@@ -397,6 +408,16 @@ class TestSubsymbolStructure:
         pw = power_symbol(op, 4, invert_symbol(op, 1))
         assert pw[-2] == CliffXi.scalar(6, XiExpr.u_power(al, -1))
         assert set(pw.meta["parts"]) == {"normal", "drift", "twist"}
+
+    @pytest.mark.parametrize(
+        "dim, nbar, error",
+        [(4, 3, OddBarDimension), (4, True, ValidationError), (6, 2, DimMismatch)],
+    )
+    def test_power_symbol_rejects_bad_nbar(self, dim, nbar, error):
+        # the operator lives in dimension nbar + 2, with nbar even in 2..10
+        op = laplace_symbol(dim, standard_alphabet(dim))
+        with pytest.raises(error):
+            power_symbol(op, nbar)
 
     def test_meta_is_read_only_and_not_shared(self):
         al = standard_alphabet(4)
