@@ -12,8 +12,9 @@ tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
 part, mul_grade0.
 
 The independent oracle is an explicit 2^(n/2)-dimensional matrix
-representation built by an iterated tensor construction; structural blade
-products and traces are cross-checked against it.
+representation whose generators are sparse iterated Kronecker products of
+Pauli matrices; structural blade products and traces are cross-checked
+against it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .errors import (
     DimMismatch,
@@ -28,6 +30,7 @@ from .errors import (
     NonIncreasingTriple,
     OddDimension,
     UnsupportedDimension,
+    ValidationError,
 )
 from .exact import (
     GR_I, GR_ONE, GR_ZERO, Alphabet, GaussRational, ParamPoly, SparseTerms, add_terms,
@@ -271,18 +274,6 @@ class SpinorMatrix:
     def identity(cls, size, one=GR_ONE):
         return cls(size, [{i: one} for i in range(size)])
 
-    @classmethod
-    def from_dense(cls, entries):
-        size = len(entries)
-        rows = []
-        for row in entries:
-            d = {}
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    d[j] = v
-            rows.append(d)
-        return cls(size, rows)
-
     def __add__(self, other):
         return _combination(self.size, [(GR_ONE, self), (GR_ONE, other)])
 
@@ -339,38 +330,16 @@ class SpinorMatrix:
 
 
 def _kron(a, b):
-    """Kronecker product of dense GaussRational grids."""
-    na, nb = len(a), len(b)
-    out = [[GR_ZERO] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            if a[i][j].is_zero():
-                continue
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
-    return out
+    """Kronecker product of sparse matrices."""
+    return SpinorMatrix(a.size * b.size, [
+        {i * b.size + k: x * y for i, x in ra.items() for k, y in rb.items()}
+        for ra in a.rows for rb in b.rows
+    ])
 
 
-_SIGMA1 = [[GR_ZERO, GR_ONE], [GR_ONE, GR_ZERO]]
-_SIGMA2 = [[GR_ZERO, -GR_I], [GR_I, GR_ZERO]]
-_SIGMA3 = [[GR_ONE, GR_ZERO], [GR_ZERO, -GR_ONE]]
-
-
-def _dense_generators(n):
-    if n == 2:
-        g1 = [[GR_I * v for v in row] for row in _SIGMA1]
-        g2 = [[GR_I * v for v in row] for row in _SIGMA2]
-        return [g1, g2]
-    prev = _dense_generators(n - 2)
-    size = len(prev[0])
-    eye = [
-        [GR_ONE if i == j else GR_ZERO for j in range(size)] for i in range(size)
-    ]
-    gens = [_kron(_SIGMA3, g) for g in prev]
-    gens.append(_kron([[GR_I * v for v in row] for row in _SIGMA1], eye))
-    gens.append(_kron([[GR_I * v for v in row] for row in _SIGMA2], eye))
-    return gens
+_ISIGMA1 = SpinorMatrix(2, [{1: GR_I}, {0: GR_I}])
+_ISIGMA2 = SpinorMatrix(2, [{1: GR_ONE}, {0: -GR_ONE}])
+_SIGMA3 = SpinorMatrix(2, [{0: GR_ONE}, {1: -GR_ONE}])
 
 
 # Process-wide caches: their matrices never leave this module, and the public
@@ -379,9 +348,16 @@ def _dense_generators(n):
 
 @lru_cache(maxsize=None)
 def _generators(n):
+    """i sigma_1, i sigma_2 at n = 2; sigma_3 (x) c_k for the generators c_k
+    of Cl(n - 2), then i sigma_1 (x) 1 and i sigma_2 (x) 1."""
     if n % 2 or not 2 <= n <= 12:
         raise UnsupportedDimension(f"matrix representation needs even 2 <= n <= 12, got {n}")
-    return tuple(SpinorMatrix.from_dense(g) for g in _dense_generators(n))
+    if n == 2:
+        return (_ISIGMA1, _ISIGMA2)
+    eye = SpinorMatrix.identity(2 ** (n // 2 - 1))
+    return tuple(_kron(_SIGMA3, g) for g in _generators(n - 2)) + (
+        _kron(_ISIGMA1, eye), _kron(_ISIGMA2, eye),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -457,6 +433,49 @@ def _combination(size, pairs):
     )
 
 
+def _delta4(i, j, k, l):
+    """Tr(c_i c_j c_k c_l) / tr(id) for generator indices."""
+    return (i == j) * (k == l) - (i == k) * (j == l) + (i == l) * (j == k)
+
+
+_ALGEBRAIC_IDENTITIES = (
+    "trace_pair_vector",
+    "trace_torsion_square",
+    "contraction_joined_first",
+    "contraction_joined_second",
+    "contraction_joined_third",
+)
+
+# The covariant-derivative slots, sum_j Tr(c_j L c(nabla_j e_x) R) per
+# triple (a, b, c).  Each row: the identity; the position of x in the
+# triple; the fixed blade product R c_j L, as index groups, that the trace
+# meets by cyclicity; the indices of the full contraction delta4 at (j, l);
+# and the printed closed form of that contraction, with w[j][x][l] =
+# <nabla_j e_x, e_l>.
+_DERIV_SLOTS = (
+    # sum_j c_j c(nabla_j e_a) c_b c_c; printed: -2 T_ajl w_jal over a<j<l
+    ("deriv_contraction_first", 0,
+     lambda a, b, c, j: ((b, c), (j,)),
+     lambda a, b, c, j, l: (j, l, b, c),
+     lambda T, w, n: sum(
+         (-2 * v * w[j][a][l] for (a, j, l), v in T.items()), Fraction(0))),
+    # sum_j c_j c_a c(nabla_j e_b) c_c; printed: T_lbj w_jbl
+    ("deriv_contraction_second", 1,
+     lambda a, b, c, j: ((c,), (j,), (a,)),
+     lambda a, b, c, j, l: (j, a, l, c),
+     lambda T, w, n: sum(
+         (_t_lookup(T, l, b, j) * w[j][b][l]
+          for l, b, j in product(range(1, n + 1), repeat=3)), Fraction(0))),
+    # sum_j c_j c_a c_b c(nabla_j e_c); printed: -T_ljg w_jgl
+    ("deriv_contraction_third", 2,
+     lambda a, b, c, j: ((j,), (a, b)),
+     lambda a, b, c, j, l: (j, a, b, l),
+     lambda T, w, n: sum(
+         (-_t_lookup(T, l, j, g) * w[j][g][l]
+          for l, j, g in product(range(1, n + 1), repeat=3)), Fraction(0))),
+)
+
+
 def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
     """Exact trace-identity verification against the matrix oracle.
 
@@ -472,12 +491,29 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
     """
     if deriv_trials is None:
         deriv_trials = trials
+    for name, count in (("trials", trials), ("deriv_trials", deriv_trials)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValidationError(name, f"nonnegative integer required, got {count!r}")
+    _generators(n)  # rejects an unsupported n before any trial
     rng = random.Random(seed)
-    alphabet = EMPTY_ALPHABET
-    trid = GaussRational(2 ** (n // 2))
     size = 2 ** (n // 2)
-    gens = _generators(n)
+    trid = GaussRational(size)
     triples_idx = _triples(n)
+    counts = dict.fromkeys(_ALGEBRAIC_IDENTITIES, trials)
+    if deriv_trials:
+        counts.update((slot[0], deriv_trials) for slot in _DERIV_SLOTS)
+    state = {ident: [True, True, None] for ident in counts}
+
+    def check(key, oracle_ok, printed_ok, oracle_text, printed_text):
+        """Fold one comparison into the identity's state; the text of the
+        first failing side becomes its counterexample."""
+        st = state[key]
+        if not oracle_ok:
+            st[0] = False
+            st[2] = st[2] or oracle_text
+        if not printed_ok:
+            st[1] = False
+            st[2] = st[2] or printed_text
 
     def blade(*idx):
         """Matrix of c(e_i1) c(e_i2) ... for increasing indices."""
@@ -486,122 +522,64 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
             mask |= 1 << (i - 1)
         return _blade(n, mask)
 
-    records = []
-
-    def record(ident, ok_oracle, ok_printed, example, count=None):
-        records.append(
-            {
-                "identity": ident,
-                "dim": n,
-                "trials": trials if count is None else count,
-                "status": "pass" if ok_oracle else "fail",
-                "printed_status": "pass" if ok_printed else "differs",
-                "counterexample": example,
-            }
+    def oracle(pairs):
+        """Matrix of sum v * blade(*idx) over (idx, v) pairs."""
+        return _combination(
+            size, [(GaussRational(v), blade(*idx)) for idx, v in pairs if v]
         )
 
-    ok = {k: True for k in ("pair", "square", "c_aa", "c_ab", "c_ag")}
-    # the printed closed forms carry the opposite sign for the torsion
-    # square and the joined-first contraction; tracked separately
-    okp1 = dict(ok)
-    ex = {k: None for k in ok}
+    def vector(values):
+        return [((i,), v) for i, v in enumerate(values, 1)]
+
+    def joined(T, pos, first, second):
+        """B_m = sum of T_t c(e_t[first]) c(e_t[second]) over triples t
+        with t[pos] = m, by m."""
+        groups = {}
+        for t, v in T.items():
+            groups.setdefault(t[pos], []).append(((t[first], t[second]), v))
+        return {m: oracle(pairs) for m, pairs in groups.items()}
+
     for _ in range(trials):
         T = {t: _rand_fraction(rng) for t in triples_idx}
         X = [_rand_fraction(rng) for _ in range(n)]
         Y = [_rand_fraction(rng) for _ in range(n)]
-        gYX = sum(y * x for y, x in zip(Y, X))
-        t2 = sum(v * v for v in T.values())
+        gyx = GaussRational(sum(y * x for y, x in zip(Y, X))) * trid
+        t2 = GaussRational(sum(v * v for v in T.values())) * trid
 
-        cT = torsion_element(
-            n, alphabet, {t: ParamPoly.const(alphabet, v) for t, v in T.items()}
-        )
-        cX = CliffordElement.from_vector(
-            n, alphabet, [ParamPoly.const(alphabet, v) for v in X]
-        )
-        cY = CliffordElement.from_vector(
-            n, alphabet, [ParamPoly.const(alphabet, v) for v in Y]
-        )
+        m_t = oracle(T.items())
+        lhs = oracle(vector(X)).trace_product(m_t + oracle(vector(Y)))
+        text = f"Tr((c(T)+c(Y))c(X)) = {lhs}"
+        check("trace_pair_vector", lhs == -gyx, lhs == -gyx, text, text)
 
-        mT = represent(cT)
-        lhs = represent(cX).trace_product(mT + represent(cY))
-        if not lhs == GaussRational(-gYX) * trid:
-            ok["pair"] = False
-            ex["pair"] = ex["pair"] or f"Tr((c(T)+c(Y))c(X)) = {lhs}"
-
-        lhs = mT.trace_product(mT)
         # with c(e_i)^2 = -1 a grade-3 blade squares to +1, so the trace
         # of c(T)^2 is +sum(T^2)*tr(id); the printed form has -sum(T^2)
-        if not lhs == GaussRational(t2) * trid:
-            ok["square"] = False
-            ex["square"] = ex["square"] or f"Tr(c(T)c(T)) = {lhs}"
-        if not lhs == GaussRational(-t2) * trid:
-            okp1["square"] = False
-            ex["square"] = ex["square"] or (
-                f"Tr(c(T)c(T)) = {lhs}, printed = {GaussRational(-t2) * trid}"
-            )
+        lhs = m_t.trace_product(m_t)
+        check("trace_torsion_square", lhs == t2, lhs == -t2,
+              f"Tr(c(T)c(T)) = {lhs}", f"Tr(c(T)c(T)) = {lhs}, printed = {-t2}")
 
-        # contraction sums over pairs of triples joined on one index;
-        # A_m = sum of T_mbc c_b c_c is shared by the three patterns, and
-        # is B_m itself for the joined-first one
-        a_terms = {}
-        for (a, b, c), v in T.items():
-            if v != 0:
-                a_terms.setdefault(a, []).append((GaussRational(v), blade(b, c)))
-        a_mats = {m: _combination(size, pairs) for m, pairs in a_terms.items()}
-
-        def pair_trace(select):
-            """Sum over index m of Tr(A_m B_m) per the contraction pattern."""
-            pos, first, second = select
-            total = GR_ZERO
-            for m, a_m in a_mats.items():
-                if select == (0, 1, 2):
-                    b_m = a_m
-                else:
-                    b_m = _combination(
-                        size,
-                        [
-                            (GaussRational(v), blade(idxs[first], idxs[second]))
-                            for idxs, v in T.items()
-                            if v != 0 and idxs[pos] == m
-                        ],
-                    )
-                total = total + a_m.trace_product(b_m)
-            return total
-
-        # join on the first / second / third index of the tilde triple
-        lhs = pair_trace((0, 1, 2))
+        # sum over m of Tr(A_m B_m), A_m = sum of T_mbc c_b c_c, joining the
+        # tilde triple on its first / second / third index.
         # Tr(c_b c_c c_b c_c) = -tr(id) for b != c, so the joined-first
         # contraction is -sum(T^2)*tr(id); the printed form has +sum(T^2)
-        if not lhs == GaussRational(-t2) * trid:
-            ok["c_aa"] = False
-            ex["c_aa"] = ex["c_aa"] or f"joined-first contraction = {lhs}"
-        if not lhs == GaussRational(t2) * trid:
-            okp1["c_aa"] = False
-            ex["c_aa"] = ex["c_aa"] or (
-                f"joined-first contraction = {lhs}, "
-                f"printed = {GaussRational(t2) * trid}"
-            )
-        lhs = pair_trace((1, 0, 2))
-        if not lhs == GR_ZERO:
-            ok["c_ab"] = False
-            ex["c_ab"] = ex["c_ab"] or f"joined-second contraction = {lhs}"
-        lhs = pair_trace((2, 0, 1))
-        if not lhs == GR_ZERO:
-            ok["c_ag"] = False
-            ex["c_ag"] = ex["c_ag"] or f"joined-third contraction = {lhs}"
+        a_mats = joined(T, 0, 1, 2)
+        for word, b_mats, oracle_rhs, printed_rhs in (
+            ("first", a_mats, -t2, t2),
+            ("second", joined(T, 1, 0, 2), GR_ZERO, GR_ZERO),
+            ("third", joined(T, 2, 0, 1), GR_ZERO, GR_ZERO),
+        ):
+            lhs = GR_ZERO
+            for m, a_m in a_mats.items():
+                if m in b_mats:
+                    lhs = lhs + a_m.trace_product(b_mats[m])
+            text = f"joined-{word} contraction = {lhs}"
+            check(f"contraction_joined_{word}", lhs == oracle_rhs, lhs == printed_rhs,
+                  text, f"{text}, printed = {printed_rhs}")
 
-    record("trace_pair_vector", ok["pair"], ok["pair"], ex["pair"])
-    record("trace_torsion_square", ok["square"], okp1["square"], ex["square"])
-    record("contraction_joined_first", ok["c_aa"], okp1["c_aa"], ex["c_aa"])
-    record("contraction_joined_second", ok["c_ab"], ok["c_ab"], ex["c_ab"])
-    record("contraction_joined_third", ok["c_ag"], ok["c_ag"], ex["c_ag"])
-
-    # Products of fixed blade matrices, formed once per call.  Each slot's
-    # trace Tr(c_j L c(nabla_j e) R) is taken, by cyclicity of the matrix
-    # trace, as Tr((R c_j L) c(nabla_j e)), so a trial forms no product.
+    # Products of fixed blade matrices, formed once per call: each slot's
+    # trace Tr(c_j L c(nabla_j e) R) is taken as Tr((R c_j L) c(nabla_j e)).
     fixed = {}
 
-    def fixed_product(*groups):
+    def fixed_product(groups):
         got = fixed.get(groups)
         if got is None:
             got = blade(*groups[0])
@@ -610,114 +588,46 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
             fixed[groups] = got
         return got
 
-    def delta4(i, j, k, l):
-        """Full contraction of Tr(c_i c_j c_k c_l)/trid."""
-        d = lambda a, b: 1 if a == b else 0
-        return d(i, j) * d(k, l) - d(i, k) * d(j, l) + d(i, l) * d(j, k)
-
     # covariant-derivative contractions with free connection scalars
-    ok2 = {k: True for k in ("d_first", "d_second", "d_third")}
-    okp = {k: True for k in ok2}
-    ex2 = {k: None for k in ok2}
     for _ in range(deriv_trials):
         T = {t: _rand_fraction(rng) for t in triples_idx}
         w = [
             [[_rand_fraction(rng) for _ in range(n + 1)] for _ in range(n + 1)]
             for _ in range(n + 1)
-        ]  # w[j][alpha][l] = <nabla_j e_alpha, e_l>, 1-based
-
-        # vmats[alpha][j] = c(nabla_j e_alpha)
-        vmats = {
-            alpha: [None]
-            + [
-                _combination(
-                    size,
-                    [
-                        (GaussRational(w[j][alpha][l]), gens[l - 1])
-                        for l in range(1, n + 1)
-                        if w[j][alpha][l]
-                    ],
-                )
-                for j in range(1, n + 1)
-            ]
-            for alpha in range(1, n + 1)
-        }
-
-        def slot(alpha, left, delta):
-            """Left-hand trace and full contraction of one derivative slot.
-
-            Per triple with T != 0: sum_j Tr(left(j) c(nabla_j e_alpha))
-            against sum_{j,l} <nabla_j e_alpha, e_l> delta4(delta(j, l)).
-            """
-            tr = GR_ZERO
-            rhs = Fraction(0)
-            for (a, b, c), tv in T.items():
-                if tv == 0:
+        ]  # w[j][x][l] = <nabla_j e_x, e_l>, 1-based
+        # vmats[x][j] = c(nabla_j e_x)
+        vmats = [None] + [
+            [None] + [oracle(vector(w[j][x][1:])) for j in range(1, n + 1)]
+            for x in range(1, n + 1)
+        ]
+        for ident, pos, fixed_groups, pattern, printed in _DERIV_SLOTS:
+            lhs, rhs = GR_ZERO, Fraction(0)
+            for t, v in T.items():
+                if v == 0:
                     continue
-                x = alpha(a, b, c)
+                x = t[pos]
                 part = GR_ZERO
                 for j in range(1, n + 1):
-                    part = part + left(a, b, c, j).trace_product(vmats[x][j])
+                    left = fixed_product(fixed_groups(*t, j))
+                    part = part + left.trace_product(vmats[x][j])
                     for l in range(1, n + 1):
-                        d = delta4(*delta(a, b, c, j, l))
+                        d = _delta4(*pattern(*t, j, l))
                         if d:
-                            rhs += tv * w[j][x][l] * d
-                tr = tr + GaussRational(tv) * part
-            return tr, rhs
+                            rhs += v * w[j][x][l] * d
+                lhs = lhs + GaussRational(v) * part
+            rhs_printed = printed(T, w, n)
+            check(ident, lhs == GaussRational(rhs) * trid, rhs == rhs_printed,
+                  f"lhs = {lhs}, contraction = {rhs}",
+                  f"contraction = {rhs}, printed = {rhs_printed}")
 
-        def check(key, tr, rhs_full, rhs_printed):
-            if not tr == GaussRational(rhs_full) * trid:
-                ok2[key] = False
-                ex2[key] = ex2[key] or f"lhs = {tr}, contraction = {rhs_full}"
-            if rhs_full != rhs_printed:
-                okp[key] = False
-                ex2[key] = (
-                    ex2[key] or f"contraction = {rhs_full}, printed = {rhs_printed}"
-                )
-
-        # first slot: sum_j c_j c(nabla_j e_alpha) c_beta c_gamma
-        tr, rhs_full = slot(
-            lambda a, b, c: a,
-            lambda a, b, c, j: fixed_product((b, c), (j,)),
-            lambda a, b, c, j, l: (j, l, b, c),
-        )
-        # printed closed form: -2 T_{a j l} <nabla_j e_a, e_l> over a<j<l
-        rhs_printed = Fraction(0)
-        for (a, jj, ll), tv in T.items():
-            rhs_printed += -2 * tv * w[jj][a][ll]
-        check("d_first", tr, rhs_full, rhs_printed)
-
-        # second slot: sum_j c_j c_alpha c(nabla_j e_beta) c_gamma
-        tr, rhs_full = slot(
-            lambda a, b, c: b,
-            lambda a, b, c, j: fixed_product((c,), (j,), (a,)),
-            lambda a, b, c, j, l: (j, a, l, c),
-        )
-        rhs_printed = Fraction(0)
-        for l in range(1, n + 1):
-            for b in range(1, n + 1):
-                for j in range(1, n + 1):
-                    rhs_printed += _t_lookup(T, l, b, j) * w[j][b][l]
-        check("d_second", tr, rhs_full, rhs_printed)
-
-        # third slot: sum_j c_j c_alpha c_beta c(nabla_j e_gamma)
-        tr, rhs_full = slot(
-            lambda a, b, c: c,
-            lambda a, b, c, j: fixed_product((j,), (a, b)),
-            lambda a, b, c, j, l: (j, a, b, l),
-        )
-        rhs_printed = Fraction(0)
-        for l in range(1, n + 1):
-            for j in range(1, n + 1):
-                for g in range(1, n + 1):
-                    rhs_printed += -_t_lookup(T, l, j, g) * w[j][g][l]
-        check("d_third", tr, rhs_full, rhs_printed)
-
-    if deriv_trials:
-        for key, ident in (
-            ("d_first", "deriv_contraction_first"),
-            ("d_second", "deriv_contraction_second"),
-            ("d_third", "deriv_contraction_third"),
-        ):
-            record(ident, ok2[key], okp[key], ex2[key], count=deriv_trials)
-    return records
+    return [
+        {
+            "identity": ident,
+            "dim": n,
+            "trials": counts[ident],
+            "status": "pass" if ok else "fail",
+            "printed_status": "pass" if ok_printed else "differs",
+            "counterexample": example,
+        }
+        for ident, (ok, ok_printed, example) in state.items()
+    ]

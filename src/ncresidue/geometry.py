@@ -189,15 +189,17 @@ class GeometricBundle:
 
 
 class LaplaceNormalForm:
-    """First-order and zero-order blocks of the operator at the base point."""
+    """First-order and zero-order blocks of the operator at the base point,
+    with the jets of W that B was built from."""
 
-    __slots__ = ("dim", "alphabet", "Ai", "B")
+    __slots__ = ("dim", "alphabet", "Ai", "B", "jets")
 
-    def __init__(self, dim, alphabet, Ai, B):
+    def __init__(self, dim, alphabet, Ai, B, jets):
         self.dim = dim
         self.alphabet = alphabet
         self.Ai = list(Ai)
         self.B = B
+        self.jets = jets
 
 
 def _var(alphabet, name):
@@ -338,17 +340,15 @@ def _connection_parts(n, alphabet, Ai, jets):
 def lichnerowicz_normal_form(geo):
     """A^i and B blocks of the operator at the base point."""
     n, alphabet = geo.n, geo.alphabet
-    Ai, b, _ = _normal_form_parts(n, alphabet)
+    Ai, b, jets = _normal_form_parts(n, alphabet)
     return LaplaceNormalForm(
-        n, alphabet, Ai, _assemble(b, CliffordElement.zero(n, alphabet))
+        n, alphabet, Ai, _assemble(b, CliffordElement.zero(n, alphabet)), jets
     )
 
 
 def connection_and_E(nf):
     """Connection coefficients and the reconstructed endomorphism block."""
-    n, alphabet = nf.dim, nf.alphabet
-    jets = [twist_vector_jet(n, alphabet, j) for j in range(1, n + 1)]
-    omega, e = _connection_parts(n, alphabet, nf.Ai, jets)
+    omega, e = _connection_parts(nf.dim, nf.alphabet, nf.Ai, nf.jets)
     return omega, _assemble(e, nf.B)
 
 
@@ -478,6 +478,8 @@ def interior_wres(geo, mode="oracle"):
     prefactor = Fraction(n - 2, factorial(n // 2 - 1))
     if mode == "printed":
         density = _printed_density(geo, Fraction(1, 12))
+    elif mode != "oracle":
+        raise ValidationError("mode", f"unknown mode {mode!r}")
     else:
         trid = ParamPoly.const(alphabet, 2 ** (n // 2))
         curv = (

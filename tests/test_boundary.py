@@ -179,6 +179,10 @@ class TestAssembly:
         )
         assert extrinsic_K(nbar) == expected
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValidationError):
+            wres_with_boundary(2, None, "bogus")
+
     def test_printed_discrepancies_reported(self):
         w = wres_with_boundary(4)
         recs = {c["term"]: c for c in w["comparisons"]}

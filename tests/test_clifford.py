@@ -1,5 +1,7 @@
 """Clifford algebra engine: blade products, traces, matrix oracle."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -19,13 +21,14 @@ from ncresidue.clifford import (
     verify_trace_lemmas,
 )
 from ncresidue.boundary import SphereSymbol
-from ncresidue.exact import GR_ZERO, Alphabet, ParamPoly
+from ncresidue.exact import GR_ONE, GR_ZERO, Alphabet, ParamPoly
 from ncresidue.errors import (
     AlphabetMismatch,
     DimMismatch,
     IndexOutOfRange,
     NonIncreasingTriple,
     UnsupportedDimension,
+    ValidationError,
 )
 from ncresidue.symbols import CliffXi, XiExpr
 from conftest import rand_gauss, rand_poly
@@ -278,6 +281,15 @@ class TestMatrixOracle:
             assert tr.is_constant()
             assert represent(a).trace() == tr.constant_value()
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_generator_matrices_satisfy_clifford_relations(self, n):
+        gens = clifford_matrix_rep(n)
+        minus = SpinorMatrix.identity(2 ** (n // 2), -GR_ONE)
+        for i, gi in enumerate(gens):
+            assert gi * gi == minus
+            for gj in gens[i + 1:]:
+                assert gi * gj == minus * (gj * gi)
+
     def test_blade_matrix_consistency(self):
         n = 4
         g1, g2 = clifford_matrix_rep(n)[:2]
@@ -326,3 +338,39 @@ class TestVerifyTraceLemmas:
     def test_deriv_block_can_be_skipped(self):
         recs = verify_trace_lemmas(4, 2, seed=0, deriv_trials=0)
         assert len(recs) == 5
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trials": -1},
+            {"trials": True},
+            {"trials": 2.0},
+            {"trials": "3"},
+            {"trials": 1, "deriv_trials": -3},
+            {"trials": 1, "deriv_trials": False},
+            {"trials": 1, "deriv_trials": 1.0},
+        ],
+    )
+    def test_rejects_bad_trial_counts(self, kwargs):
+        with pytest.raises(ValidationError):
+            verify_trace_lemmas(4, **kwargs)
+
+    # sha256 of the JSON of the records over seeds 0, 1, 3, 7 and the
+    # (trials, deriv_trials) grid below, per dimension
+    GRID = [(0, None), (1, None), (3, None), (2, 0), (0, 2), (3, 1)]
+    GRID_SHA256 = {
+        2: "2aad4afd8eec1da4f4c6ba22c8f0a44ee68bb831fcc974fbd09ee75f66a50142",
+        4: "ec3967aaa64904aab83a76d7f33a6348aa5a2fa4b729ade8f051da23357559a8",
+        6: "2da97de7c447bcdf58400dea15111d47f7af414f6a908a49c3df9b9f6bb9ab1d",
+        8: "080001e89b36bc8633ffeebed4fb0f3cd4ec5a21e385b99ecefc3e6831b8211f",
+    }
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_records_are_pinned(self, n):
+        recs = [
+            verify_trace_lemmas(n, trials, seed=seed, deriv_trials=deriv)
+            for seed in (0, 1, 3, 7)
+            for trials, deriv in self.GRID
+        ]
+        digest = hashlib.sha256(json.dumps(recs, sort_keys=True).encode()).hexdigest()
+        assert digest == self.GRID_SHA256[n]

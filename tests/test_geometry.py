@@ -15,6 +15,7 @@ from ncresidue.clifford import (
     torsion_element,
     twisted_trace,
 )
+from ncresidue import geometry
 from ncresidue.exact import GaussRational, ParamPoly
 from ncresidue.geometry import (
     GeometricBundle,
@@ -117,8 +118,25 @@ class TestNormalForm:
             )
             assert nf.Ai[j - 1] == -(drift + g * w + w * g)
 
+    def test_jets_of_w_are_built_once(self, monkeypatch):
+        calls = []
+        jet = geometry.twist_vector_jet
+
+        def counted(*args):
+            calls.append(args)
+            return jet(*args)
+
+        monkeypatch.setattr(geometry, "twist_vector_jet", counted)
+        connection_and_E(lichnerowicz_normal_form(GeometricBundle(4)))
+        assert len(calls) == 4
+
 
 class TestInteriorDensity:
+    @pytest.mark.parametrize("fn", [trace_E_density, interior_wres])
+    def test_unknown_mode_rejected(self, fn):
+        with pytest.raises(ValidationError):
+            fn(GeometricBundle(4), "bogus")
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_oracle_assembly_identity(self, n):
         # density = (1/6) s tr(id) + Tr(E), with tr(id) = 2^{n/2} dimF
