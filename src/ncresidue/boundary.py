@@ -2,11 +2,16 @@
 expansion, the assembled boundary density, the extrinsic curvature of the
 collar metric, and the paired interior + boundary total.
 
-Each case is evaluated by the engine pipeline -- Clifford trace first, then
-projection / differentiation in the normal covariable, then exact residue
-integration -- and compared against the printed closed forms, which are
-re-evaluated here from their bracket definitions via deriv_at_i.
-Disagreements are reported as comparison records, never patched.
+All five cases go through one evaluator.  A case builds its factors from
+the shared symbol pipeline: sphere restrictions, upper-half-plane
+projections and normal-covariable derivatives.  The evaluator traces the
+grade-0 join of each product, integrates the residue exactly and scales by
+the signed case prefactor times VolS, logging every step.  It then compares
+the result with the printed closed forms.  Those are kept as rows
+transcribed from the paper -- bracket numerators with their pole and
+derivative orders, and per-case factors -- and re-evaluated exactly via
+deriv_at_i.  Disagreements are reported as comparison records, never
+patched.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from math import factorial, prod
 
 from .clifford import Blades
 from .errors import ValidationError
-from .exact import GR_I, GaussRational, ParamPoly
+from .exact import GR_I, GR_ONE, GaussRational, ParamPoly
 from .geometry import (
     GeometricBundle,
     check_nbar,
@@ -108,7 +113,6 @@ class BoundaryCaseResult:
         "case_id",
         "nbar",
         "value",
-        "pi_power",
         "case_prefactor",
         "integrand",
         "parts",
@@ -122,7 +126,6 @@ class BoundaryCaseResult:
         self.case_id = case_id
         self.nbar = nbar
         self.value = value          # ParamPoly coefficient of pi (VolS included)
-        self.pi_power = 1
         self.case_prefactor = case_prefactor
         self.integrand = integrand  # traced HalfPlaneRational (pre-prefactor)
         self.parts = parts
@@ -179,62 +182,53 @@ def _normalized(value):
     return value.subs(_UNIT_TWIST)
 
 
-# ---------------------------------------------------------------------------
-# printed closed forms, re-evaluated exactly from their bracket definitions
-# ---------------------------------------------------------------------------
+def _drift_record(term, nbar, printed, engine):
+    """Drift comparison; printed is None where its closed form is undefined."""
+    if printed is None:
+        return _record(term, nbar, _OUT_OF_DOMAIN, _normalized(engine),
+                       note=_RECOMPUTED)
+    return _record(term, nbar, printed, _normalized(engine))
 
 
-def _bracket(coeffs_by_power, p, k):
-    """Derivative of sum_m c_m xi^m / (xi + i)^p at xi = i, order k."""
+# ---------------------------------------------------------------------------
+# printed closed forms, transcribed from the paper as rows and re-evaluated
+# exactly; no row is derived from the engine
+# ---------------------------------------------------------------------------
+
+# printed bracket: the order-k derivative of sum_m c_m xi^m / (xi + i)^p at
+# xi = i, with h = nbar / 2; each row is ({m: (re c_m, im c_m)} as a
+# function of nbar, p - h, k - h)
+_PRINTED_BRACKETS = {
+    "L0": (lambda nbar: {3: (0, 2 * nbar - 2), 2: (4 * nbar - 4, 0), 1: (0, -2),
+                         0: (-4, 0)}, 1, 2),
+    "L1": (lambda nbar: {0: (1, 0)}, 0, 2),
+    "L2": (lambda nbar: {3: (-(nbar - 2) * (nbar + 1), 0),
+                         1: (-2 * nbar * nbar + 3 * nbar - 2, 0)}, 1, 2),
+    "L3": (lambda nbar: {2: (0, nbar), 1: (nbar + 2, 0)}, 0, 2),
+    "Lb": (lambda nbar: {1: (1, 0)}, 0, 1),
+    "Lphi": (lambda nbar: {3: (0, -2 * nbar + 4), 2: (-4 * nbar, 0),
+                           1: (0, 2 * nbar + 4)}, 1, 2),
+}
+
+# printed case total: hp0 VolS factors(h) 2^(h + offset) bracket / (h + 2)!,
+# plus the shared drift part where flagged; each row is (factors as a
+# function of h, offset, bracket name, drift flag); case aI prints zero
+_PRINTED_CASES = {
+    "aII": (lambda h: GaussRational(Fraction(-1, 4)) * (h - 1) * GR_I, 1, "L0", False),
+    "aIII": (lambda h: GaussRational(1 - h), 1, "L1", False),
+    "b": (lambda h: GR_ONE, -1, "L2", True),
+    "c": (lambda h: GaussRational(1 - h) * GaussRational(0, 2), -1, "L3", True),
+}
+
+
+def _bracket(name, nbar):
+    """The printed bracket `name` at nbar, evaluated exactly."""
+    coeffs, dp, dk = _PRINTED_BRACKETS[name]
+    h = nbar // 2
     out = GaussRational(0)
-    for m, c in coeffs_by_power.items():
-        out = out + c * deriv_at_i(m, p, k)
+    for m, c in coeffs(nbar).items():
+        out = out + GaussRational(*c) * deriv_at_i(m, h + dp, h + dk)
     return out
-
-
-def _printed_L0(nbar):
-    h = nbar // 2
-    return _bracket(
-        {
-            3: GaussRational(0, 2 * nbar - 2),
-            2: GaussRational(4 * nbar - 4),
-            1: GaussRational(0, -2),
-            0: GaussRational(-4),
-        },
-        h + 1,
-        h + 2,
-    )
-
-
-def _printed_L1(nbar):
-    h = nbar // 2
-    return deriv_at_i(0, h, h + 2)
-
-
-def _printed_L2(nbar):
-    h = nbar // 2
-    return _bracket(
-        {
-            3: GaussRational(-(nbar - 2) * (nbar + 1)),
-            1: GaussRational(-2 * nbar * nbar + 3 * nbar - 2),
-        },
-        h + 1,
-        h + 2,
-    )
-
-
-def _printed_L3(nbar):
-    h = nbar // 2
-    return _bracket(
-        {2: GaussRational(0, nbar), 1: GaussRational(nbar + 2)},
-        h,
-        h + 2,
-    )
-
-
-def _printed_Lb(nbar):
-    h = nbar // 2
-    return deriv_at_i(1, h, h + 1)
 
 
 def _drift_poly(alphabet, n):
@@ -248,7 +242,7 @@ def _printed_drift_part(nbar, alphabet):
     scalar = (
         GaussRational(2 - nbar)
         * GaussRational(2) ** (h - 2)
-        * _printed_Lb(nbar)
+        * _bracket("Lb", nbar)
         * GaussRational(Fraction(1, factorial(h + 1)))
     )
     return _drift_poly(alphabet, nbar + 2) * _vol(alphabet) * scalar
@@ -256,46 +250,35 @@ def _printed_drift_part(nbar, alphabet):
 
 def printed_case_value(case_id, nbar, alphabet):
     """Printed total of one case, as the exact coefficient of pi."""
-    h = nbar // 2
-    hp0 = ParamPoly.var(alphabet, "hp0")
-    vol = _vol(alphabet)
+    if case_id not in CASE_IDS:
+        raise ValidationError("case_id", f"unknown case {case_id!r}")
     if case_id == "aI":
         return ParamPoly.zero(alphabet)
-    if case_id == "aII":
-        scalar = (
-            GaussRational(Fraction(-1, 4))
-            * GaussRational(h - 1)
-            * GR_I
-            * GaussRational(2) ** (h + 1)
-            * _printed_L0(nbar)
-            * GaussRational(Fraction(1, factorial(h + 2)))
+    factors, offset, bracket, drift = _PRINTED_CASES[case_id]
+    h = nbar // 2
+    scalar = (
+        factors(h)
+        * GaussRational(2) ** (h + offset)
+        * _bracket(bracket, nbar)
+        * GaussRational(Fraction(1, factorial(h + 2)))
+    )
+    value = ParamPoly.var(alphabet, "hp0") * _vol(alphabet) * scalar
+    return value + _printed_drift_part(nbar, alphabet) if drift else value
+
+
+def _printed_pi_plus_b1(nbar, alphabet):
+    """Printed projected normal part of case c,
+    i h'(0) (i nbar / (8 (xi - i)^2) + 1 / (4 (xi - i)^3))."""
+    return (
+        HalfPlaneRational(
+            alphabet,
+            [ParamPoly.const(alphabet, GaussRational(0, Fraction(nbar, 8)))],
+            a=2,
         )
-        return hp0 * vol * scalar
-    if case_id == "aIII":
-        scalar = (
-            GaussRational(1 - h)
-            * GaussRational(2) ** (h + 1)
-            * _printed_L1(nbar)
-            * GaussRational(Fraction(1, factorial(h + 2)))
+        + HalfPlaneRational(
+            alphabet, [ParamPoly.const(alphabet, Fraction(1, 4))], a=3
         )
-        return hp0 * vol * scalar
-    if case_id == "b":
-        scalar = (
-            GaussRational(2) ** (h - 1)
-            * _printed_L2(nbar)
-            * GaussRational(Fraction(1, factorial(h + 2)))
-        )
-        return hp0 * vol * scalar + _printed_drift_part(nbar, alphabet)
-    if case_id == "c":
-        scalar = (
-            GaussRational(1 - h)
-            * GaussRational(2) ** (h - 1)
-            * GaussRational(0, 2)
-            * _printed_L3(nbar)
-            * GaussRational(Fraction(1, factorial(h + 2)))
-        )
-        return hp0 * vol * scalar + _printed_drift_part(nbar, alphabet)
-    raise ValidationError("case_id", f"unknown case {case_id!r}")
+    ).scale(ParamPoly.var(alphabet, "hp0") * GR_I)
 
 
 def _printed_closed_factor(nbar):
@@ -321,32 +304,17 @@ def printed_phi_parts(nbar, alphabet):
     h = nbar // 2
     hp0 = ParamPoly.var(alphabet, "hp0")
     vol = _vol(alphabet)
-    lphi = _bracket(
-        {
-            3: GaussRational(0, -2 * nbar + 4),
-            2: GaussRational(-4 * nbar),
-            1: GaussRational(0, 2 * nbar + 4),
-        },
-        h + 1,
-        h + 2,
-    )
-    bracket_scalar = (
+    # (h - 1) 2i / (h + 2)! times the bracket form or the closed form
+    shared = hp0 * vol * (
         GaussRational(h - 1)
         * GaussRational(0, 2)
         * GaussRational(Fraction(1, factorial(h + 2)))
-        * GaussRational(2) ** (h - 2)
-        * lphi
-    )
-    closed_scalar = (
-        GaussRational(h - 1)
-        * GaussRational(0, 2)
-        * GaussRational(Fraction(1, factorial(h + 2)))
-        * _printed_closed_factor(nbar)
-        * GaussRational(Fraction(1, 2 ** (h + 2)))
     )
     out = {
-        "hprime_part": hp0 * vol * bracket_scalar,
-        "hprime_part_closed": hp0 * vol * closed_scalar,
+        "hprime_part": shared * (GaussRational(2) ** (h - 2) * _bracket("Lphi", nbar)),
+        "hprime_part_closed": shared * (
+            _printed_closed_factor(nbar) * GaussRational(Fraction(1, 2 ** (h + 2)))
+        ),
         "drift_domain_ok": h >= 2,
         "drift_part": None,
     }
@@ -413,230 +381,172 @@ def bracket_table(orders=(1, 2, 3, 4)):
 # ---------------------------------------------------------------------------
 
 
-def _trace_step(trace_list, step_id, op, value):
-    trace_list.append({"id": step_id, "op": op, "value": str(value)})
+_BRACKET_OP = "printed bracket derivative evaluated exactly"
+_BRACKET_OPS = {"Lb": "printed drift bracket evaluated exactly"}
 
 
-def _case_aI(nbar):
-    n, alphabet, _op, _par, pw = _pipeline(nbar)
-    pre = enumerate_cases(nbar)["aI"]["prefactor"]
+def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
+              extra_steps=(), extra_records=(), brackets=(), drift=None):
+    """One boundary case from what its caller builds on the pipeline.
+
+    Logs `steps` (id, op, value), showing a SphereSymbol factor by its
+    scalar part.  Each of `products` (part name or None, f, g) is traced as
+    f.mul_grade0(g), integrated and scaled by sign * prefactor * VolS.
+    `second` (f, g, note, strict) is the form before integration by parts,
+    which carries the opposite sign; a strict one raises on a mismatch.
+    `extra_steps` follow the integral and the printed `brackets` come last;
+    `extra_records` follow the by-parts record, and `drift` (two part names,
+    note) gives the drift record of a split case.
+    """
+    alphabet = _pipeline(nbar)[1]
+    rule = standard_label_trace(alphabet)
+    pre = enumerate_cases(nbar)[case_id]["prefactor"] * sign
+    vol = _vol(alphabet)
     trace = []
+
+    def log(step_id, op, v):
+        v = v.coefficient(0) if isinstance(v, SphereSymbol) else v
+        trace.append({"id": step_id, "op": op, "value": str(v)})
+
+    def integral(f, g):
+        integrand = f.mul_grade0(g).trace(rule)
+        return integrand, integrand.real_line_integral()
+
+    for step in steps:
+        log(*step)
+    value = coeff = ParamPoly.zero(alphabet)
+    integrand = HalfPlaneRational.zero(alphabet)
+    parts = {}
+    for name, f, g in products:
+        integ, c = integral(f, g)
+        val = c * pre * vol
+        value, coeff, integrand = value + val, coeff + c, integrand + integ
+        if name is None:
+            log("traced_integrand", "fibre trace of the product", integ)
+        else:
+            parts[name] = {"integrand": integ, "value": val}
+            log(f"part_{name}", "traced part integrand", integ)
+    if products:
+        log("integral", "residue integral (coefficient of pi)", coeff)
+    for step in extra_steps:
+        log(*step)
+    for name in brackets:
+        log(name, _BRACKET_OPS.get(name, _BRACKET_OP), _bracket(name, nbar))
+
+    printed = printed_case_value(case_id, nbar, alphabet)
+    records = [_record(f"case_{case_id}_total", nbar, printed, _normalized(value))]
+    if second is not None:
+        f, g, note, strict = second
+        other = integral(f, g)[1] * -pre * vol
+        if strict and other != value:
+            raise ValidationError(
+                case_id, f"integration-by-parts forms disagree: {other} vs {value}"
+            )
+        records.append(
+            _record(f"case_{case_id}_by_parts", nbar, other, value, note=note)
+        )
+    records.extend(extra_records)
+    if drift is not None:
+        (p, q), note = drift
+        records.append(
+            _record(
+                f"case_{case_id}_drift_part",
+                nbar,
+                _printed_drift_part(nbar, alphabet),
+                _normalized(parts[p]["value"] + parts[q]["value"]),
+                note=note,
+            )
+        )
+    return BoundaryCaseResult(
+        case_id, nbar, value, pre, integrand, parts or None, printed, records, trace
+    )
+
+
+def _sphere(cx):
+    return SphereSymbol.from_cliffxi(cx)
+
+
+def _aI(nbar):
+    pw = _pipeline(nbar)[4]
     # every coefficient in the jet ring is constant along the boundary
     # directions, so the tangential x-derivative of the power symbol vanishes
-    top = pw[2 - nbar]
-    _trace_step(trace, "power_top", "leading power symbol", top)
-    _trace_step(
-        trace,
-        "tangential_jet",
-        "tangential x-derivative of every coefficient",
-        "0 (no tangential base-point dependence)",
-    )
-    zero = ParamPoly.zero(alphabet)
-    return BoundaryCaseResult(
-        "aI",
-        nbar,
-        zero,
-        pre,
-        HalfPlaneRational.zero(alphabet),
-        None,
-        zero,
-        [_record("case_aI_total", nbar, zero, zero)],
-        trace,
-    )
+    return _evaluate("aI", nbar, [
+        ("power_top", "leading power symbol", pw[2 - nbar]),
+        ("tangential_jet", "tangential x-derivative of every coefficient",
+         "0 (no tangential base-point dependence)"),
+    ])
 
 
-def _case_aII(nbar):
-    n, alphabet, _op, par, pw = _pipeline(nbar)
-    rule = standard_label_trace(alphabet)
-    pre = enumerate_cases(nbar)["aII"]["prefactor"]
-    trace = []
-
-    dsig = SphereSymbol.from_cliffxi(par[-2].d_xn())
-    _trace_step(trace, "dxn_sigma_m2", "normal x-derivative of the order -2 symbol", dsig.coefficient(0))
+def _aII(nbar):
+    _n, _al, _op, par, pw = _pipeline(nbar)
+    dsig = _sphere(par[-2].d_xn())
     proj = dsig.pi_plus()
-    _trace_step(trace, "pi_plus", "upper-half-plane projection", proj.coefficient(0))
-    dd = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xin(2))
-    _trace_step(trace, "d2xi_power_top", "second covariable derivative of the power symbol", dd.coefficient(0))
-    integrand = proj.mul_grade0(dd).trace(rule)
-    _trace_step(trace, "traced_integrand", "fibre trace of the product", integrand)
-    coeff = integrand.real_line_integral()
-    _trace_step(trace, "integral", "residue integral (coefficient of pi)", coeff)
-
-    value = coeff * pre * _vol(alphabet)
-    printed = printed_case_value("aII", nbar, alphabet)
-    _trace_step(trace, "L0", "printed bracket derivative evaluated exactly", _printed_L0(nbar))
-    comparisons = [
-        _record("case_aII_total", nbar, printed, _normalized(value)),
+    dd = _sphere(pw[2 - nbar].d_xin(2))
+    steps = [
+        ("dxn_sigma_m2", "normal x-derivative of the order -2 symbol", dsig),
+        ("pi_plus", "upper-half-plane projection", proj),
+        ("d2xi_power_top", "second covariable derivative of the power symbol", dd),
     ]
-    return BoundaryCaseResult(
-        "aII", nbar, value, pre, integrand, None, printed, comparisons, trace
-    )
+    return _evaluate("aII", nbar, steps, [(None, proj, dd)], brackets=["L0"])
 
 
-def _case_aIII(nbar):
-    n, alphabet, _op, par, pw = _pipeline(nbar)
-    rule = standard_label_trace(alphabet)
-    pre = enumerate_cases(nbar)["aIII"]["prefactor"]
-    trace = []
-
-    base = SphereSymbol.from_cliffxi(par[-2]).pi_plus()
-    # first form: derivative on the projected factor once, on the power twice
-    f1 = base.deriv(1)
-    g1 = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xn().d_xin(1))
-    integrand1 = f1.mul_grade0(g1).trace(rule)
-    value1 = integrand1.real_line_integral() * pre * _vol(alphabet)
-    # second form (integration by parts): both derivatives on the projection
-    f2 = base.deriv(2)
-    _trace_step(trace, "d2_pi_plus_sigma_m2", "second derivative of the projected order -2 symbol", f2.coefficient(0))
-    g2 = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xn())
-    _trace_step(trace, "dxn_power_top", "normal x-derivative of the power symbol", g2.coefficient(0))
-    integrand2 = f2.mul_grade0(g2).trace(rule)
-    _trace_step(trace, "traced_integrand", "fibre trace of the product", integrand2)
-    value2 = integrand2.real_line_integral() * (-pre) * _vol(alphabet)
-    if not value1 == value2:
-        raise ValidationError(
-            "aIII", "integration-by-parts forms disagree: "
-            f"{value1} vs {value2}"
-        )
-    coeff = integrand2.real_line_integral()
-    _trace_step(trace, "integral", "residue integral (coefficient of pi)", coeff)
-
-    printed = printed_case_value("aIII", nbar, alphabet)
-    _trace_step(trace, "L1", "printed bracket derivative evaluated exactly", _printed_L1(nbar))
-    comparisons = [
-        _record("case_aIII_total", nbar, printed, _normalized(value2)),
-        _record("case_aIII_by_parts", nbar, value1, value2,
-                note="two integration-by-parts forms"),
+def _aIII(nbar):
+    _n, _al, _op, par, pw = _pipeline(nbar)
+    base = _sphere(par[-2]).pi_plus()
+    # both derivatives on the projection; before integration by parts, one
+    # is on the projected factor and one more on the power symbol
+    f = base.deriv(2)
+    g = _sphere(pw[2 - nbar].d_xn())
+    second = (base.deriv(1), _sphere(pw[2 - nbar].d_xn().d_xin(1)),
+              "two integration-by-parts forms", True)
+    steps = [
+        ("d2_pi_plus_sigma_m2",
+         "second derivative of the projected order -2 symbol", f),
+        ("dxn_power_top", "normal x-derivative of the power symbol", g),
     ]
-    return BoundaryCaseResult(
-        "aIII", nbar, value2, -pre, integrand2, None, printed, comparisons, trace
-    )
+    return _evaluate("aIII", nbar, steps, [(None, f, g)], -1, second,
+                     brackets=["L1"])
 
 
-def _case_b(nbar):
-    n, alphabet, _op, par, pw = _pipeline(nbar)
-    rule = standard_label_trace(alphabet)
-    pre = enumerate_cases(nbar)["b"]["prefactor"]
-    vol = _vol(alphabet)
-    trace = []
-
-    proj = SphereSymbol.from_cliffxi(par[-2]).pi_plus()
+def _b(nbar):
+    _n, _al, _op, par, pw = _pipeline(nbar)
+    proj = _sphere(par[-2]).pi_plus()
     dproj = proj.deriv(1)
-    _trace_step(trace, "d_pi_plus_sigma_m2", "derivative of the projected order -2 symbol", dproj.coefficient(0))
-
-    parts = {}
-    part_cliff = pw.meta["parts"]
-    total = ParamPoly.zero(alphabet)
-    integrand_total = HalfPlaneRational.zero(alphabet)
-    for name, key in (("A1", "normal"), ("A2", "drift"), ("A3", "twist")):
-        sym = SphereSymbol.from_cliffxi(part_cliff[key])
-        integ = dproj.mul_grade0(sym).trace(rule)
-        val = integ.real_line_integral() * (-pre) * vol
-        parts[name] = {"integrand": integ, "value": val}
-        total = total + val
-        integrand_total = integrand_total + integ
-        _trace_step(trace, f"part_{name}", "traced part integrand", integ)
-
+    power = pw.meta["parts"]
+    parts = [(name, dproj, _sphere(power[key]))
+             for name, key in (("A1", "normal"), ("A2", "drift"), ("A3", "twist"))]
     # the pre-parts form puts the derivative on the subleading power symbol
-    dpower = SphereSymbol.from_cliffxi(pw[1 - nbar].d_xin(1))
-    orig_integrand = proj.mul_grade0(dpower).trace(rule)
-    orig_value = orig_integrand.real_line_integral() * pre * vol
-    _trace_step(trace, "integral", "residue integral (coefficient of pi)",
-                integrand_total.real_line_integral())
-
-    printed = printed_case_value("b", nbar, alphabet)
-    _trace_step(trace, "L2", "printed bracket derivative evaluated exactly", _printed_L2(nbar))
-    _trace_step(trace, "Lb", "printed drift bracket evaluated exactly", _printed_Lb(nbar))
-    comparisons = [
-        _record("case_b_total", nbar, printed, _normalized(total)),
-        _record("case_b_by_parts", nbar, orig_value, total,
-                note="derivative moved between factors"),
-        _record(
-            "case_b_drift_part",
-            nbar,
-            _printed_drift_part(nbar, alphabet),
-            _normalized(parts["A2"]["value"] + parts["A3"]["value"]),
-        ),
-    ]
-    return BoundaryCaseResult(
-        "b", nbar, total, -pre, integrand_total, parts, printed, comparisons, trace
-    )
+    second = (proj, _sphere(pw[1 - nbar].d_xin(1)),
+              "derivative moved between factors", False)
+    steps = [("d_pi_plus_sigma_m2", "derivative of the projected order -2 symbol",
+              dproj)]
+    return _evaluate("b", nbar, steps, parts, -1, second, brackets=["L2", "Lb"],
+                     drift=(("A2", "A3"), None))
 
 
-def _case_c(nbar):
-    n, alphabet, op, par, pw = _pipeline(nbar)
-    rule = standard_label_trace(alphabet)
-    pre = enumerate_cases(nbar)["c"]["prefactor"]
-    vol = _vol(alphabet)
-    hp0 = ParamPoly.var(alphabet, "hp0")
-    trace = []
-
-    dsig = SphereSymbol.from_cliffxi(pw[2 - nbar].d_xin(1))
-    _trace_step(trace, "d_power_top", "covariable derivative of the power symbol", dsig.coefficient(0))
-
-    b1, b2, b3 = drift_subsymbol_parts(op)
-    parts = {}
-    total = ParamPoly.zero(alphabet)
-    integrand_total = HalfPlaneRational.zero(alphabet)
-    for name, cx in (("B1", b1), ("B2", b2), ("B3", b3)):
-        proj = SphereSymbol.from_cliffxi(cx).pi_plus()
-        integ = proj.mul_grade0(dsig).trace(rule)
-        val = integ.real_line_integral() * pre * vol
-        parts[name] = {"integrand": integ, "value": val}
-        total = total + val
-        integrand_total = integrand_total + integ
-        _trace_step(trace, f"part_{name}", "traced part integrand", integ)
-    _trace_step(trace, "integral", "residue integral (coefficient of pi)",
-                integrand_total.real_line_integral())
-
-    # printed projected normal part: i*h'(0)*(i*nbar/(8(xi-i)^2) + 1/(4(xi-i)^3));
+def _c(nbar):
+    _n, alphabet, op, _par, pw = _pipeline(nbar)
+    dsig = _sphere(pw[2 - nbar].d_xin(1))
+    projected = [_sphere(cx).pi_plus() for cx in drift_subsymbol_parts(op)]
+    parts = [(name, proj, dsig) for name, proj in zip(("B1", "B2", "B3"), projected)]
     # the engine value reflects the collar scalar fixed in the pipeline
-    printed_pi_b1 = (
-        HalfPlaneRational(
-            alphabet,
-            [ParamPoly.const(alphabet, GaussRational(0, Fraction(nbar, 8)))],
-            a=2,
-        )
-        + HalfPlaneRational(
-            alphabet, [ParamPoly.const(alphabet, Fraction(1, 4))], a=3
-        )
-    ).scale(hp0 * GR_I)
-    engine_pi_b1 = SphereSymbol.from_cliffxi(b1).pi_plus().coefficient(0)
-    _trace_step(trace, "pi_plus_B1", "projected normal part", engine_pi_b1)
-
-    printed = printed_case_value("c", nbar, alphabet)
-    _trace_step(trace, "L3", "printed bracket derivative evaluated exactly", _printed_L3(nbar))
-    comparisons = [
-        _record("case_c_total", nbar, printed, _normalized(total)),
-        _record(
-            "case_c_projected_normal_part",
-            nbar,
-            printed_pi_b1,
-            engine_pi_b1,
-            note="printed form implies a different collar scalar than the "
-            "value used consistently by the engine",
-        ),
-        _record(
-            "case_c_drift_part",
-            nbar,
-            _printed_drift_part(nbar, alphabet),
-            _normalized(parts["B2"]["value"] + parts["B3"]["value"]),
-            note="printed value repeats the case-b drift part with the same "
-            "sign; the engine derivative flips it",
-        ),
-    ]
-    return BoundaryCaseResult(
-        "c", nbar, total, pre, integrand_total, parts, printed, comparisons, trace
+    pi_b1 = projected[0].coefficient(0)
+    normal = _record(
+        "case_c_projected_normal_part", nbar, _printed_pi_plus_b1(nbar, alphabet),
+        pi_b1, note="printed form implies a different collar scalar than the "
+        "value used consistently by the engine",
+    )
+    steps = [("d_power_top", "covariable derivative of the power symbol", dsig)]
+    return _evaluate(
+        "c", nbar, steps, parts,
+        extra_steps=[("pi_plus_B1", "projected normal part", pi_b1)],
+        extra_records=[normal], brackets=["L3"],
+        drift=(("B2", "B3"), "printed value repeats the case-b drift part with "
+               "the same sign; the engine derivative flips it"),
     )
 
 
-_CASE_FN = {
-    "aI": _case_aI,
-    "aII": _case_aII,
-    "aIII": _case_aIII,
-    "b": _case_b,
-    "c": _case_c,
-}
+_CASE_FN = {"aI": _aI, "aII": _aII, "aIII": _aIII, "b": _b, "c": _c}
 
 
 @lru_cache(maxsize=None)
@@ -669,7 +579,7 @@ def _caller_copy(res, geo=None):
 
 def boundary_case(case_id, nbar, geo=None):
     """Evaluate one boundary case; geo substitutes exact point data."""
-    if case_id not in _CASE_FN:
+    if case_id not in CASE_IDS:
         raise ValidationError("case_id", f"unknown case {case_id!r}")
     check_nbar(nbar)
     if geo is not None and geo.n != nbar + 2:
@@ -749,17 +659,9 @@ def total_boundary_phi(nbar, geo=None):
             _normalized(hprime_part),
         ),
     ]
-    if printed["drift_domain_ok"]:
-        comparisons.append(
-            _record(
-                "phi_drift_part", nbar, printed["drift_part"], _normalized(drift_part)
-            )
-        )
-    else:
-        comparisons.append(
-            _record("phi_drift_part", nbar, _OUT_OF_DOMAIN,
-                    _normalized(drift_part), note=_RECOMPUTED)
-        )
+    comparisons.append(
+        _drift_record("phi_drift_part", nbar, printed["drift_part"], drift_part)
+    )
     for res in cases.values():
         comparisons.extend(res.comparisons)
 
@@ -820,25 +722,16 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
     drift_coeff = _coefficient(phi["symbolic"]["drift_part"], xn)
 
     printed_k = printed_wres_k_coefficient(nbar, alphabet)
-    printed_phi = phi["printed"]
+    printed_drift = phi["printed"]["drift_part"]
+    if printed_drift is not None:
+        printed_drift = _coefficient(printed_drift, xn)
     comparisons = list(phi["comparisons"])
     comparisons.append(
         _record("wres_K_coefficient", nbar, printed_k, _normalized(k_coeff))
     )
-    if printed_phi["drift_domain_ok"]:
-        comparisons.append(
-            _record(
-                "wres_drift_coefficient",
-                nbar,
-                _coefficient(printed_phi["drift_part"], xn),
-                _normalized(drift_coeff),
-            )
-        )
-    else:
-        comparisons.append(
-            _record("wres_drift_coefficient", nbar, _OUT_OF_DOMAIN,
-                    _normalized(drift_coeff), note=_RECOMPUTED)
-        )
+    comparisons.append(
+        _drift_record("wres_drift_coefficient", nbar, printed_drift, drift_coeff)
+    )
 
     return {
         "nbar": nbar,

@@ -22,6 +22,7 @@ from ncresidue.errors import (
 )
 from ncresidue.exact import GaussRational, ParamPoly
 from ncresidue.geometry import GeometricBundle, standard_alphabet, standard_label_trace
+from ncresidue.symbols import compose_symbols
 
 
 class TestCaseEnumeration:
@@ -106,6 +107,30 @@ class TestIndividualCases:
         rec = {c["term"]: c for c in b.comparisons}["case_b_by_parts"]
         assert rec["agree"] is True
 
+    @pytest.mark.parametrize("case_id", [["b"], None, "d"])
+    def test_unknown_case_id_rejected(self, case_id):
+        with pytest.raises(ValidationError):
+            boundary_case(case_id, 4)
+
+    def test_second_form_policy(self, monkeypatch):
+        # a wrong derivative on the main form: aIII refuses to return, while
+        # b returns and records the disagreement
+        deriv = SphereSymbol.deriv
+
+        def doubled_at(order):
+            def wrong(sym, k=1):
+                got = deriv(sym, k)
+                return got + got if k == order else got
+            return wrong
+
+        monkeypatch.setattr(SphereSymbol, "deriv", doubled_at(2))
+        with pytest.raises(ValidationError):
+            boundary._CASE_FN["aIII"](4)
+        monkeypatch.setattr(SphereSymbol, "deriv", doubled_at(1))
+        b = boundary._CASE_FN["b"](4)
+        rec = {c["term"]: c for c in b.comparisons}["case_b_by_parts"]
+        assert rec["agree"] is False
+
     def test_geo_substitution_validates_dimension(self):
         geo = GeometricBundle(4)
         with pytest.raises(ValidationError):
@@ -152,6 +177,19 @@ class TestGradeZeroJoin:
         rule = standard_label_trace(standard_alphabet(nbar + 2))
         for f, g in pairs:
             assert join(f, g).trace(rule) == (f * g).trace(rule)
+
+
+class TestPowerSymbolOracle:
+    @pytest.mark.parametrize("nbar", [4, 6, 8, 10])
+    def test_power_symbol_is_a_composed_parametrix(self, nbar):
+        # the order 2 - nbar power is the (h - 1)-fold product of the
+        # parametrix (Seeley 1967); each step keeps only its top two orders
+        _n, _al, _op, par, pw = boundary._pipeline(nbar)
+        acc = par
+        for i in range(nbar // 2 - 2):
+            acc = compose_symbols(acc, par, -2 * (i + 2) - 1)
+        assert acc[2 - nbar] == pw[2 - nbar]
+        assert acc[1 - nbar] == pw[1 - nbar]
 
 
 class TestAssembly:
