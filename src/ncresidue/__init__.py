@@ -9,7 +9,6 @@ from .clifford import (  # noqa: E402
     clifford_product,
     spinor_trace,
     twisted_trace,
-    verify_trace_lemmas,
 )
 from .halfplane import HalfPlaneRational, deriv_at_i  # noqa: E402
 from .symbols import (  # noqa: E402
@@ -70,3 +69,12 @@ __all__ = [
     "run_session",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the lemma audit loads the matrix oracle on first use (PEP 562)
+    if name == "verify_trace_lemmas":
+        from .oracle import verify_trace_lemmas
+
+        return verify_trace_lemmas
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

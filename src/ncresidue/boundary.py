@@ -668,7 +668,6 @@ def total_boundary_phi(nbar, geo=None):
     out = {
         "nbar": nbar,
         "cases": cases,
-        "pi_power": 1,
         "symbolic": {
             "value": value,
             "hprime_part": hprime_part,

@@ -10,6 +10,7 @@ import os
 from fractions import Fraction
 
 from .boundary import CASE_IDS
+from .clifford import check_lemma_budget
 from .errors import NonIncreasingTriple, ParseError, ValidationError
 from .geometry import GeometricBundle, check_nbar
 
@@ -117,6 +118,7 @@ class SessionConfig:
             raise ValidationError(
                 "verify_lemmas", f"nonnegative integer required, got {verify_lemmas!r}"
             )
+        check_lemma_budget(nbar + 2, verify_lemmas, "verify_lemmas")
         self.verify_lemmas = verify_lemmas
 
         self.scalars = {}

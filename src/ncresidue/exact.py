@@ -17,7 +17,7 @@ product; each algebra supplies its key product (the half-plane rationals,
 whose key products expand into several terms, and the Clifford-valued
 symbols, whose product runs down to the scalars in one loop, supply their
 own product instead).  The matrix oracle
-clifford.SpinorMatrix stays outside, so that it remains independent of what
+oracle.SpinorMatrix stays outside, so that it remains independent of what
 it checks.
 """
 

@@ -8,14 +8,12 @@ configs produce byte-identical output in every format.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 
 from . import __version__
 from .boundary import bracket_table, extrinsic_K, wres_with_boundary
-from .clifford import verify_trace_lemmas
 from .errors import EngineError
 from .geometry import trace_density_report
 
@@ -74,6 +72,8 @@ def run_session(cfg):
             )
 
     if cfg.verify_lemmas:
+        from .oracle import verify_trace_lemmas
+
         def add_lemmas():
             for rec in verify_trace_lemmas(n, cfg.verify_lemmas, cfg.seed):
                 records.append(
@@ -201,6 +201,8 @@ def emit(report, fmt="text"):
             ensure_ascii=False,
         )
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "value", "printed", "agree", "note"])

@@ -158,6 +158,75 @@ class TestIndividualCases:
         assert phi["cases"]["c"].comparisons
 
 
+_BY_PARTS_AIII = "two integration-by-parts forms"
+_BY_PARTS_B = "derivative moved between factors"
+_COLLAR = (
+    "printed form implies a different collar scalar than the value used "
+    "consistently by the engine"
+)
+_DRIFT_C = (
+    "printed value repeats the case-b drift part with the same sign; the "
+    "engine derivative flips it"
+)
+
+
+class TestCaseRecordPins:
+    """Every case record, pinned by term: (printed, engine, agree, note)."""
+
+    RECORDS = {
+        2: {
+            "case_aI_total": ("0", "0", True, None),
+            "case_aII_total": ("0", "0", True, None),
+            "case_aIII_total": ("0", "0", True, None),
+            "case_aIII_by_parts": ("0", "0", True, _BY_PARTS_AIII),
+            "case_b_total": ("-1/4*VolS*hp0", "0", False, None),
+            "case_b_by_parts": ("0", "0", True, _BY_PARTS_B),
+            "case_b_drift_part": ("0", "0", True, None),
+            "case_c_total": ("0", "0", True, None),
+            "case_c_projected_normal_part": (
+                "[(1/2*i*hp0) + (-1/4*hp0)*xi^1] / (xi-i)^3",
+                "[(3/4*i*hp0) + (-1/2*hp0)*xi^1] / (xi-i)^3", False, _COLLAR),
+            "case_c_drift_part": ("0", "0", True, _DRIFT_C),
+        },
+        4: {
+            "case_aI_total": ("0", "0", True, None),
+            "case_aII_total": ("-5/8*VolS*hp0", "-5/8*VolS*hp0", True, None),
+            "case_aIII_total": ("5/8*VolS*hp0", "5/8*VolS*hp0", True, None),
+            "case_aIII_by_parts": (
+                "5/8*VolS*dimF*hp0", "5/8*VolS*dimF*hp0", True, _BY_PARTS_AIII),
+            "case_b_total": (
+                "-1/8*VolS*X_6 + 1/4*VolS*Y_6 - 35/16*VolS*hp0",
+                "-1/4*VolS*X_6 + VolS*Y_6 - 15/8*VolS*hp0", False, None),
+            "case_b_by_parts": (
+                "-1/4*VolS*X_6*dimF + VolS*Y_6*trPhi - 15/8*VolS*dimF*hp0",
+                "-1/4*VolS*X_6*dimF + VolS*Y_6*trPhi - 15/8*VolS*dimF*hp0",
+                True, _BY_PARTS_B),
+            "case_b_drift_part": (
+                "-1/8*VolS*X_6 + 1/4*VolS*Y_6", "-1/4*VolS*X_6 + VolS*Y_6", False, None),
+            "case_c_total": (
+                "-1/8*VolS*X_6 + 1/4*VolS*Y_6 + 11/8*VolS*hp0",
+                "1/4*VolS*X_6 - VolS*Y_6 + 15/8*VolS*hp0", False, None),
+            "case_c_projected_normal_part": (
+                "[(3/4*i*hp0) + (-1/2*hp0)*xi^1] / (xi-i)^3",
+                "[(i*hp0) + (-3/4*hp0)*xi^1] / (xi-i)^3", False, _COLLAR),
+            "case_c_drift_part": (
+                "-1/8*VolS*X_6 + 1/4*VolS*Y_6", "1/4*VolS*X_6 - VolS*Y_6", False,
+                _DRIFT_C),
+        },
+    }
+
+    @pytest.mark.parametrize("nbar", [2, 4])
+    def test_case_records(self, nbar):
+        got = {
+            rec["term"]: (rec["printed"], rec["engine"], rec["agree"], rec.get("note"))
+            for cid in CASE_IDS
+            for rec in boundary_case(cid, nbar).comparisons
+        }
+        assert list(got) == list(self.RECORDS[nbar])
+        for term, want in self.RECORDS[nbar].items():
+            assert got[term] == want, term
+
+
 class TestGradeZeroJoin:
     @pytest.mark.parametrize("nbar", [2, 4, 6])
     def test_every_case_product_matches_the_full_product(self, monkeypatch, nbar):

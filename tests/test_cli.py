@@ -132,6 +132,27 @@ class TestFlags:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    def test_plain_report_never_imports_the_oracle_random_or_csv(self):
+        # the interpreter's own start-up may import random (site hooks do),
+        # so only what the package run adds is checked
+        code = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "import ncresidue.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ncresidue.cli.main(['--dim', '2', '--format', 'json']) == 0\n"
+            "added = set(sys.modules) - before\n"
+            "assert 'ncresidue.cli' in added\n"
+            "assert not added & {'ncresidue.oracle', 'random', 'csv'}, added\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_lemma_budget_is_a_clean_error(self, capsys):
+        assert main(["--dim", "10", "--verify-lemmas", "5001"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError: verify_lemmas: 5001 trials")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self):

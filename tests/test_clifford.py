@@ -20,8 +20,9 @@ from ncresidue.clifford import (
     twisted_trace,
     verify_trace_lemmas,
 )
+from ncresidue import oracle
 from ncresidue.boundary import SphereSymbol
-from ncresidue.exact import GR_ONE, GR_ZERO, Alphabet, ParamPoly
+from ncresidue.exact import GR_ONE, GR_ZERO, Alphabet, GaussRational, ParamPoly
 from ncresidue.errors import (
     AlphabetMismatch,
     DimMismatch,
@@ -374,3 +375,113 @@ class TestVerifyTraceLemmas:
         ]
         digest = hashlib.sha256(json.dumps(recs, sort_keys=True).encode()).hexdigest()
         assert digest == self.GRID_SHA256[n]
+
+
+def matrix_sides(n, trials, deriv_trials, rng):
+    """The audit's sides trial by trial, each left side a trace of matrix
+    products formed in that trial: the per-trial path that the tabulated
+    oracle._sides replaces, kept here as its oracle.  Same draws, same
+    yields."""
+    size = 2 ** (n // 2)
+    trid = GaussRational(size)
+    triples = oracle._triples(n)
+
+    def draw(rng):
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def blade(*idx):
+        return oracle._index_blade(n, idx)
+
+    def combo(pairs):
+        """Matrix of sum v * blade(*idx) over (idx, v) pairs."""
+        return oracle._combination(
+            size, [(GaussRational(v), blade(*idx)) for idx, v in pairs if v]
+        )
+
+    def vector(values):
+        return [((i,), v) for i, v in enumerate(values, 1)]
+
+    def joined(T, pos, first, second):
+        groups = {}
+        for t, v in T.items():
+            groups.setdefault(t[pos], []).append(((t[first], t[second]), v))
+        return {m: combo(pairs) for m, pairs in groups.items()}
+
+    for _ in range(trials):
+        T = {t: draw(rng) for t in triples}
+        X = [draw(rng) for _ in range(n)]
+        Y = [draw(rng) for _ in range(n)]
+        gyx = GaussRational(sum(y * x for y, x in zip(Y, X))) * trid
+        t2 = GaussRational(sum(v * v for v in T.values())) * trid
+        m_t = combo(T.items())
+        lhs = combo(vector(X)).trace_product(m_t + combo(vector(Y)))
+        yield "trace_pair_vector", lhs, -gyx, lhs, -gyx
+        lhs = m_t.trace_product(m_t)
+        yield "trace_torsion_square", lhs, t2, lhs, -t2
+        a_mats = joined(T, 0, 1, 2)
+        for word, b_mats, rhs, printed in (
+            ("first", a_mats, -t2, t2),
+            ("second", joined(T, 1, 0, 2), GR_ZERO, GR_ZERO),
+            ("third", joined(T, 2, 0, 1), GR_ZERO, GR_ZERO),
+        ):
+            lhs = GR_ZERO
+            for m, a_m in a_mats.items():
+                if m in b_mats:
+                    lhs = lhs + a_m.trace_product(b_mats[m])
+            yield f"contraction_joined_{word}", lhs, rhs, lhs, printed
+
+    for _ in range(deriv_trials):
+        T = {t: draw(rng) for t in triples}
+        w = [[[draw(rng) for _ in range(n + 1)] for _ in range(n + 1)] for _ in range(n + 1)]
+        vmats = [None] + [
+            [None] + [combo(vector(w[j][x][1:])) for j in range(1, n + 1)]
+            for x in range(1, n + 1)
+        ]
+        for ident, pos, fixed_groups, pattern, printed in oracle._DERIV_SLOTS:
+            lhs, rhs = GR_ZERO, Fraction(0)
+            for t, v in T.items():
+                x = t[pos]
+                for j in range(1, n + 1):
+                    groups = fixed_groups(*t, j)
+                    left = blade(*groups[0])
+                    for g in groups[1:]:
+                        left = left * blade(*g)
+                    lhs = lhs + GaussRational(v) * left.trace_product(vmats[x][j])
+                    for l in range(1, n + 1):
+                        rhs += v * w[j][x][l] * oracle._delta4(*pattern(*t, j, l))
+            yield ident, lhs, GaussRational(rhs) * trid, rhs, printed(T, w, n)
+
+
+class TestTabulatedAudit:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_sides_equal_the_per_trial_matrix_path(self, n):
+        for seed in (0, 2, 9):
+            tabulated = list(oracle._sides(n, 2, 2, random.Random(seed)))
+            per_trial = list(matrix_sides(n, 2, 2, random.Random(seed)))
+            assert len(tabulated) == len(per_trial) == 2 * 5 + 2 * 3
+            for got, want in zip(tabulated, per_trial):
+                assert got == want, (seed, got[0])
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matrix_path_holds_every_identity(self, n):
+        for ident, lhs, rhs, _, _ in matrix_sides(n, 1, 1, random.Random(n)):
+            assert lhs == rhs, ident
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_joined_entries_are_trid_delta4(self, n):
+        joined = oracle._algebraic_tables(n)[2]
+        assert [mismatch for _, mismatch in joined.values()] == [None] * 3
+        # the joined-first terms are the diagonal Tr((c_b c_c)^2) = -tr(id)
+        terms, _ = joined["first"]
+        assert len(terms) == len(oracle._triples(n))
+        assert {e for _, _, e in terms} == {(-(2 ** (n // 2)), 0)}
+
+    def test_budget_rejects_before_any_work(self):
+        before = oracle._deriv_tables.cache_info()
+        with pytest.raises(ValidationError, match="budget of 5000 trials"):
+            verify_trace_lemmas(12, 5001)
+        with pytest.raises(ValidationError, match="deriv_trials"):
+            verify_trace_lemmas(12, 0, deriv_trials=5001)
+        with pytest.raises(ValidationError, match="budget of 87880 trials"):
+            verify_trace_lemmas(4, 87881, deriv_trials=0)
+        assert oracle._deriv_tables.cache_info() == before
