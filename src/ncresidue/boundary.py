@@ -345,15 +345,18 @@ def printed_wres_k_coefficient(nbar, alphabet):
     return _vol(alphabet) * scalar
 
 
-def bracket_table(orders=(1, 2, 3, 4)):
+_BRACKET_ORDERS = (1, 2, 3, 4)
+
+
+def bracket_table():
     """Audit of the printed derivative-bracket closed forms.
 
-    For each denominator power p, compares deriv_at_i(m, p, p+1) for
+    For each denominator power p in 1..4, compares deriv_at_i(m, p, p+1) for
     m = 1, 2, 3 against the printed closed-form products.  Rows are emitted
     whether or not the two sides agree.
     """
     records = []
-    for p in orders:
+    for p in _BRACKET_ORDERS:
         printed = {
             1: GaussRational(
                 Fraction(-prod(range(p + 2, 2 * p + 2)), 2 ** (2 * p + 3))
@@ -587,14 +590,6 @@ def boundary_case(case_id, nbar, geo=None):
     return _caller_copy(_boundary_case_symbolic(case_id, nbar), geo)
 
 
-def _split_by(poly, pred):
-    """Partition a ParamPoly's terms by a monomial predicate."""
-    yes, no = {}, {}
-    for mono, c in poly.terms.items():
-        (yes if pred(mono) else no)[mono] = c
-    return ParamPoly(poly.alphabet, yes), ParamPoly(poly.alphabet, no)
-
-
 def _coefficient(poly, name):
     """P such that name * P is the part of poly whose terms contain name."""
     terms = {}
@@ -623,27 +618,25 @@ def total_boundary_phi(nbar, geo=None):
     for res in cases.values():
         value = value + res.value
 
-    def has(mono, name):
-        return any(v == name for v, _ in mono)
-
-    hprime_part, rest = _split_by(value, lambda m: has(m, "hp0"))
+    # one pass: each term goes to the h'(0) part, the drift part or the
+    # leftover, and each part's shape is checked on the way
     xn, yn = f"X_{n}", f"Y_{n}"
-    drift_part, leftover = _split_by(rest, lambda m: has(m, xn) or has(m, yn))
-
-    normal_only = all(
-        not any(
-            v.startswith(("X_", "Y_")) and v not in (xn, yn)
-            for v, _ in mono
+    hprime, drift, leftover = {}, {}, {}
+    hp_linear = drift_linear = normal_only = True
+    for mono, c in value.terms.items():
+        exps = dict(mono)
+        if "hp0" in exps:
+            hprime[mono] = c
+            hp_linear &= exps["hp0"] == 1
+        elif xn in exps or yn in exps:
+            drift[mono] = c
+            drift_linear &= exps.get(xn, 0) + exps.get(yn, 0) == 1
+        else:
+            leftover[mono] = c
+        normal_only &= not any(
+            v.startswith(("X_", "Y_")) and v not in (xn, yn) for v in exps
         )
-        for mono in value.terms
-    )
-    hp_linear = all(
-        dict(mono).get("hp0", 0) == 1 for mono in hprime_part.terms
-    )
-    drift_linear = all(
-        dict(mono).get(xn, 0) + dict(mono).get(yn, 0) == 1
-        for mono in drift_part.terms
-    )
+    hprime_part, drift_part = ParamPoly(alphabet, hprime), ParamPoly(alphabet, drift)
     # drift part must pair Y_n with exactly -2 times the X_n coefficient
     drift_paired = _coefficient(drift_part, yn) == _coefficient(drift_part, xn) * (-2)
 
@@ -677,7 +670,7 @@ def total_boundary_phi(nbar, geo=None):
         "hprime_part": hprime_part if geo is None else geo.subs(hprime_part),
         "drift_part": drift_part if geo is None else geo.subs(drift_part),
         "structure": {
-            "no_stray_terms": leftover.is_zero(),
+            "no_stray_terms": not leftover,
             "hprime_linear": hp_linear,
             "drift_linear": drift_linear,
             "drift_paired": drift_paired,

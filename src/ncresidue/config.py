@@ -253,6 +253,9 @@ def load_config(source):
         if key not in known:
             raise ValidationError(str(key), "unknown config key")
 
+    for key, synonym in (("nbar", "dim"), ("cases", "case")):
+        if key in data and synonym in data:
+            raise ValidationError(key, f"set both {key!r} and {synonym!r}; give one")
     nbar = data.get("nbar", data.get("dim"))
     if nbar is None:
         raise ValidationError("nbar", "missing boundary dimension")

@@ -173,7 +173,8 @@ class GaussRational:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes as one
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def to_complex(self):
         return complex(self.re) + 1j * complex(self.im)
@@ -542,6 +543,9 @@ class ParamPoly(SparseTerms):
         return self._collect(pairs)
 
     def __hash__(self):
+        # a constant (zero too) equals its scalar, so it hashes as one
+        if self.is_constant():
+            return hash(self.terms.get((), GR_ZERO))
         return hash(frozenset(self.terms.items()))
 
     def _sorted_terms(self):

@@ -82,8 +82,7 @@ class GeometricBundle:
     """Point data for the engine: dimension plus exact scalar values.
 
     Any field left as None stays symbolic; numeric fields must be exact
-    (int or Fraction).  gYX and normY2 may be supplied redundantly and are
-    checked against the component data.
+    (int or Fraction).
     """
 
     def __init__(
@@ -95,8 +94,6 @@ class GeometricBundle:
         s=None,
         divX=None,
         divY=None,
-        gYX=None,
-        normY2=None,
         dimF=None,
         trPhi=None,
         trPhi2=None,
@@ -144,17 +141,6 @@ class GeometricBundle:
         self.trPhi = trPhi
         self.trPhi2 = trPhi2
         self.hprime0 = hprime0
-
-        if gYX is not None and self.X is not None and self.Y is not None:
-            expect = sum(Fraction(x) * Fraction(y) for x, y in zip(self.X, self.Y))
-            if Fraction(gYX) != expect:
-                raise ValidationError("gYX", f"{gYX} != sum_j Y_j X_j = {expect}")
-        self.gYX = gYX
-        if normY2 is not None and self.Y is not None:
-            expect = sum(Fraction(y) ** 2 for y in self.Y)
-            if Fraction(normY2) != expect:
-                raise ValidationError("normY2", f"{normY2} != sum_j Y_j^2 = {expect}")
-        self.normY2 = normY2
 
     def assignment(self):
         out = {}
@@ -400,71 +386,48 @@ def trace_E_density(geo, mode="oracle"):
     return geo.subs(_trace_E_symbolic(geo.n))
 
 
+# representative monomials of the density, without the dimF factor that the
+# printed form puts on every term and the oracle only on untwisted ones; a
+# twisted monomial ends in trPhi or trPhi2
+_DENSITY_PROBES = (
+    ("scalar_curvature", (("s", 1),)),
+    ("drift_divergence", (("divX", 1),)),
+    ("drift_pairing", (("X_1", 1), ("Y_1", 1), ("trPhi", 1))),
+    ("torsion_square", (("T_1_2_3", 2), ("trPhi2", 1))),
+    ("vector_square", (("Y_1", 2), ("trPhi2", 1))),
+)
+
+
 def trace_density_report(n):
     """Per-term comparison of the printed and engine trace densities.
 
     Records carry the coefficient of each representative monomial in both
-    forms; disagreements are reported, never patched.
+    forms, then the two trace conventions that set them apart; disagreements
+    are reported, never patched.
     """
     geo = GeometricBundle(n)
     printed = trace_E_density(geo, "printed")
     oracle = trace_E_density(geo, "oracle")
     # normalize out each side's trace-of-identity convention so the per-term
-    # densities are comparable; the conventions themselves get their own
-    # records below
+    # densities are comparable
     p_unit = GaussRational(Fraction(1, 2 ** n))
     o_unit = GaussRational(Fraction(1, 2 ** (n // 2)))
-    probes = [
-        ("scalar_curvature", (("dimF", 1), ("s", 1)), (("dimF", 1), ("s", 1))),
-        ("drift_divergence", (("dimF", 1), ("divX", 1)), (("dimF", 1), ("divX", 1))),
-        (
-            "drift_pairing",
-            (("X_1", 1), ("Y_1", 1), ("dimF", 1), ("trPhi", 1)),
-            (("X_1", 1), ("Y_1", 1), ("trPhi", 1)),
-        ),
-        (
-            "torsion_square",
-            (("T_1_2_3", 2), ("dimF", 1), ("trPhi2", 1)),
-            (("T_1_2_3", 2), ("trPhi2", 1)),
-        ),
-        (
-            "vector_square",
-            (("Y_1", 2), ("dimF", 1), ("trPhi2", 1)),
-            (("Y_1", 2), ("trPhi2", 1)),
-        ),
+    dimf = (("dimF", 1),)
+    rows = []
+    for name, mono in _DENSITY_PROBES:
+        twist = mono[-1][0].startswith("trPhi")
+        rows.append((name, printed.coefficient(mono + dimf) * p_unit,
+                     oracle.coefficient(mono if twist else mono + dimf) * o_unit))
+    rows += [
+        ("identity_trace_prefactor", f"{2 ** n}*dimF", f"{2 ** (n // 2)}*dimF"),
+        ("twist_terms_dimF_factor", "dimF multiplies trPhi/trPhi2 terms",
+         "twist traces carry no dimF factor"),
     ]
-    records = []
-    for name, p_mono, o_mono in probes:
-        pc = printed.coefficient(p_mono) * p_unit
-        oc = oracle.coefficient(o_mono) * o_unit
-        records.append(
-            {
-                "term": name,
-                "dim": n,
-                "printed": str(pc),
-                "oracle": str(oc),
-                "agree": pc == oc,
-            }
-        )
-    records.append(
-        {
-            "term": "identity_trace_prefactor",
-            "dim": n,
-            "printed": f"{2 ** n}*dimF",
-            "oracle": f"{2 ** (n // 2)}*dimF",
-            "agree": False,
-        }
-    )
-    records.append(
-        {
-            "term": "twist_terms_dimF_factor",
-            "dim": n,
-            "printed": "dimF multiplies trPhi/trPhi2 terms",
-            "oracle": "twist traces carry no dimF factor",
-            "agree": False,
-        }
-    )
-    return records
+    return [
+        {"term": term, "dim": n, "printed": str(p), "oracle": str(o),
+         "agree": str(p) == str(o)}
+        for term, p, o in rows
+    ]
 
 
 def interior_wres(geo, mode="oracle"):

@@ -54,124 +54,62 @@ def _config_hash(cfg_dict):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _compared(prefix, rows, value="engine"):
+    """Records of a producer's rows: term, value, printed form, agree flag."""
+    for row in rows:
+        yield _record(f"{prefix}/{row['term']}", row[value], row["printed"],
+                      row["agree"], row.get("note", ""))
+
+
+def _lemma_records(cfg):
+    from .oracle import verify_trace_lemmas  # only an audit loads the oracle
+
+    for rec in verify_trace_lemmas(cfg.nbar + 2, cfg.verify_lemmas, cfg.seed):
+        status, printed = rec["status"], rec["printed_status"]
+        yield _record(f"trace_identity/{rec['identity']}", status, printed,
+                      status == printed == "pass", rec["counterexample"] or "")
+
+
+def _boundary_records(cfg):
+    w = wres_with_boundary(cfg.nbar, cfg.bundle(), cfg.mode)
+    interior, phi, groups = w["interior"], w["boundary"], w["groupings"]
+    note = f"prefactor {interior['prefactor']} * pi^{interior['pi_power']}"
+    yield _record("interior_density", interior["density"], note=note)
+    yield _record("boundary_phi", phi["value"], note="coefficient of pi; VolS symbolic")
+    yield _record("boundary_phi_hprime_part", phi["hprime_part"])
+    yield _record("boundary_phi_drift_part", phi["drift_part"])
+    k, printed_k = groups["K_coefficient"], groups["K_coefficient_printed"]
+    yield _record("wres_K_coefficient", k, printed_k, k == printed_k)
+    for cid in cfg.cases:
+        res = phi["cases"][cid]
+        total = next(c for c in res.comparisons if c["term"].endswith("_total"))
+        yield _record(f"boundary_case/{cid}", res.value, res.printed,
+                      total["agree"], trace=res.derivation_trace)
+    yield from _compared("comparison", w["comparisons"])
+
+
 def run_session(cfg):
     """Execute the quantities selected by a SessionConfig.
 
-    Engine errors in one quantity become error records; the session
-    continues with the remaining quantities.
+    Each block is an error-record id and a record generator.  An engine
+    error in one block keeps the records it yielded, adds its error record,
+    and the session continues with the remaining blocks.
     """
-    records = []
-    n = cfg.nbar + 2
-
-    def guarded(rec_id, fn):
-        try:
-            fn()
-        except EngineError as exc:
-            records.append(
-                _record(rec_id, note=f"error: {type(exc).__name__}: {exc}")
-            )
-
+    blocks = [
+        ("boundary", lambda: _boundary_records(cfg)),
+        ("extrinsic_K", lambda: [_record("extrinsic_K", extrinsic_K(cfg.nbar))]),
+        ("trace_density", lambda: _compared(
+            "trace_density", trace_density_report(cfg.nbar + 2), "oracle")),
+        ("bracket_table", lambda: _compared("bracket", bracket_table())),
+    ]
     if cfg.verify_lemmas:
-        from .oracle import verify_trace_lemmas
-
-        def add_lemmas():
-            for rec in verify_trace_lemmas(n, cfg.verify_lemmas, cfg.seed):
-                records.append(
-                    _record(
-                        f"trace_identity/{rec['identity']}",
-                        value=rec["status"],
-                        printed=rec["printed_status"],
-                        agree=rec["status"] == "pass"
-                        and rec["printed_status"] == "pass",
-                        note=rec["counterexample"] or "",
-                    )
-                )
-        guarded("trace_identity", add_lemmas)
-
-    def add_interior():
-        geo = cfg.bundle()
-        w = wres_with_boundary(cfg.nbar, geo, cfg.mode)
-        interior = w["interior"]
-        records.append(
-            _record(
-                "interior_density",
-                value=interior["density"],
-                note=f"prefactor {interior['prefactor']} * pi^{interior['pi_power']}",
-            )
-        )
-        phi = w["boundary"]
-        records.append(
-            _record(
-                "boundary_phi",
-                value=phi["value"],
-                note="coefficient of pi; VolS symbolic",
-            )
-        )
-        records.append(_record("boundary_phi_hprime_part", value=phi["hprime_part"]))
-        records.append(_record("boundary_phi_drift_part", value=phi["drift_part"]))
-        records.append(
-            _record(
-                "wres_K_coefficient",
-                value=w["groupings"]["K_coefficient"],
-                printed=w["groupings"]["K_coefficient_printed"],
-                agree=w["groupings"]["K_coefficient"]
-                == w["groupings"]["K_coefficient_printed"],
-            )
-        )
-        for cid in cfg.cases:
-            res = phi["cases"][cid]
-            total_cmp = next(
-                c for c in res.comparisons if c["term"].endswith("_total")
-            )
-            records.append(
-                _record(
-                    f"boundary_case/{cid}",
-                    value=res.value,
-                    printed=res.printed,
-                    agree=total_cmp["agree"],
-                    trace=res.derivation_trace,
-                )
-            )
-        for cmp_rec in w["comparisons"]:
-            records.append(
-                _record(
-                    f"comparison/{cmp_rec['term']}",
-                    value=cmp_rec["engine"],
-                    printed=cmp_rec["printed"],
-                    agree=cmp_rec["agree"],
-                    note=cmp_rec.get("note", ""),
-                )
-            )
-    guarded("boundary", add_interior)
-
-    guarded(
-        "extrinsic_K",
-        lambda: records.append(_record("extrinsic_K", value=extrinsic_K(cfg.nbar))),
-    )
-
-    def add_density_report():
-        for rec in trace_density_report(n):
-            records.append(
-                _record(
-                    f"trace_density/{rec['term']}",
-                    value=rec["oracle"],
-                    printed=rec["printed"],
-                    agree=rec["agree"],
-                )
-            )
-    guarded("trace_density", add_density_report)
-
-    def add_brackets():
-        for rec in bracket_table():
-            records.append(
-                _record(
-                    f"bracket/{rec['term']}",
-                    value=rec["engine"],
-                    printed=rec["printed"],
-                    agree=rec["agree"],
-                )
-            )
-    guarded("bracket_table", add_brackets)
+        blocks.insert(0, ("trace_identity", lambda: _lemma_records(cfg)))
+    records = []
+    for rec_id, make in blocks:
+        try:
+            records.extend(make())
+        except EngineError as exc:
+            records.append(_record(rec_id, note=f"error: {type(exc).__name__}: {exc}"))
 
     cfg_dict = cfg.as_dict()
     metadata = {

@@ -46,7 +46,9 @@ class TestExitCodes:
         assert code == 1
         assert "NonIncreasingTriple" in err
 
-    @pytest.mark.parametrize("text", ["nbar: 2\ncases: 5", "nbar: 2\ntorsion: 5"])
+    @pytest.mark.parametrize(
+        "text", ["nbar: 2\ncases: 5", "nbar: 2\ntorsion: 5", "nbar: 4\ndim: 6"]
+    )
     def test_non_list_config_fields(self, capsys, text):
         code, out, err = run_main(capsys, ["--config", text])
         assert code == 1

@@ -66,6 +66,17 @@ class TestLoadConfig:
         assert cfg.cases == ("aII",)
         assert cfg.fmt == "json"
 
+    @pytest.mark.parametrize(
+        "text, keys",
+        [("nbar: 4\ndim: 6", ("nbar", "dim")),
+         ("nbar: 2\ncases: [b]\ncase: c", ("cases", "case"))],
+    )
+    def test_key_and_synonym_both_set(self, text, keys):
+        # neither one may silently win over the other
+        with pytest.raises(ValidationError) as exc:
+            load_config(text)
+        assert all(repr(k) in str(exc.value) for k in keys)
+
     def test_rational_strings(self):
         cfg = load_config("nbar: 2\nhprime0: 1/3\ns: -4")
         assert cfg.scalars["hprime0"] == Fraction(1, 3)

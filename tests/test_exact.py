@@ -220,6 +220,18 @@ class TestGaussRationalProperties:
         assert (a == b) == (x == y)
         assert str(a) == pair_str(*x)
 
+    @given(st.fractions())
+    def test_hash_agrees_with_equal_rationals(self, q):
+        # a value equal to an int or Fraction must find it in a dict or set
+        g = GaussRational(q)
+        poly = ParamPoly.const(Alphabet(["x"]), q)
+        for value in (g, poly):
+            assert value == q and hash(value) == hash(q)
+            assert {q: "x"}.get(value) == "x"
+            assert len({q, value}) == 1
+        if q.denominator == 1:
+            assert hash(g) == hash(int(q)) and {int(q): "x"}.get(g) == "x"
+
     @given(pairs, st.integers(-4, 6))
     def test_power_matches_repeated_product(self, x, k):
         if x == (0, 0) and k < 0:

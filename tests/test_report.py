@@ -104,3 +104,33 @@ class TestErrorRecords:
         assert "ValidationError" in err["note"]
         # later quantities still ran
         assert any(i.startswith("bracket/") for i in ids)
+
+    def test_block_keeps_records_yielded_before_its_error(self, monkeypatch):
+        import ncresidue.report as report_mod
+        from ncresidue.errors import ValidationError
+
+        def partial(n):
+            yield {"term": "probe", "oracle": "1", "printed": "1", "agree": True}
+            raise ValidationError("x", "synthetic failure")
+
+        monkeypatch.setattr(report_mod, "trace_density_report", partial)
+        ids = [r["id"] for r in run_session(SessionConfig(nbar=2)).records]
+        k = ids.index("trace_density/probe")
+        assert ids[k + 1] == "trace_density"
+        assert [i for i in ids if i.startswith("trace_density")] == ids[k:k + 2]
+        # the next block still ran
+        assert ids[k + 2].startswith("bracket/")
+
+    def test_failed_lemma_audit_is_one_error_record(self, monkeypatch):
+        import ncresidue.oracle as oracle_mod
+        from ncresidue.errors import ValidationError
+
+        def boom(*args, **kwargs):
+            raise ValidationError("trials", "synthetic failure")
+
+        monkeypatch.setattr(oracle_mod, "verify_trace_lemmas", boom)
+        records = run_session(SessionConfig(nbar=2, verify_lemmas=1)).records
+        ids = [r["id"] for r in records]
+        assert [i for i in ids if i.startswith("trace_identity")] == ["trace_identity"]
+        assert ids[:2] == ["trace_identity", "interior_density"]
+        assert "ValidationError" in records[0]["note"]
