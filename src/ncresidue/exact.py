@@ -14,11 +14,12 @@ the Clifford-valued symbols (symbols.CliffXi) and their sphere restrictions
 (boundary.SphereSymbol).  It holds their sum, negation, scaling,
 term-wise maps, collection of (key, coefficient) pairs and the all-pairs
 product; each algebra supplies its key product (the half-plane rationals,
-whose key products expand into several terms, and the Clifford-valued
-symbols, whose product runs down to the scalars in one loop, supply their
-own product instead).  The matrix oracle
-oracle.SpinorMatrix stays outside, so that it remains independent of what
-it checks.
+whose key products expand into several terms, supply their own product
+instead, and so do the Clifford-valued symbols, whose products, Taylor
+terms and recursion steps are summed in one accumulator of integer triples
+in symbols; the core's product stays their test oracle).  The matrix
+oracle oracle.SpinorMatrix stays outside, so that it remains independent
+of what it checks.
 """
 
 from __future__ import annotations
@@ -343,7 +344,12 @@ class SparseTerms:
         return self._product(other)
 
     def __eq__(self, other):
-        other = self._check(other)
+        # values over different alphabets are unequal, so that dicts and
+        # sets may mix them; arithmetic on them still raises
+        try:
+            other = self._check(other)
+        except AlphabetMismatch:
+            return False
         if other is None:
             return NotImplemented
         return self.terms == other.terms

@@ -16,12 +16,14 @@ parametrix recursion, and the symbols of the relevant operator power.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from types import MappingProxyType
 
 from .clifford import Blades, blade_key_mul
 from .errors import DimMismatch, NonCanonicalInput, ValidationError
-from .exact import GR_I, GaussRational, ParamPoly, SparseTerms, _merge_monomials, _poly
+from .exact import (
+    GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, _merge_monomials, _poly, _reduced,
+)
 from .geometry import check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational
 
@@ -173,53 +175,11 @@ class CliffXi(Blades):
         })
 
     def _product(self, other):
-        """Sum of the products of all terms, in one loop over blade pairs,
-        jet terms and monomials that adds GaussRational scalars into one
-        map by blade key, then jet key, then monomial; the nested XiExpr
-        and ParamPoly coefficients are built only from its sums.
-
-        The blade key product is formed once per blade pair, jet keys and
-        monomials multiply as XiExpr._key_mul and ParamPoly._key_mul do,
-        and a negative blade sign subtracts instead of negating.
-        """
-        right = [
-            (k2, [(jk, tuple(p.terms.items())) for jk, p in x.terms.items()])
-            for k2, x in other.terms.items()
-        ]
+        """Sum of the products of all terms, summed by _accumulate in one
+        integer accumulator and built once by _built."""
         acc = {}
-        for k1, x1 in self.terms.items():
-            left = [(jk, tuple(p.terms.items())) for jk, p in x1.terms.items()]
-            for k2, jets2 in right:
-                key, sign = blade_key_mul(k1, k2)
-                block = acc.get(key)
-                if block is None:
-                    block = acc[key] = {}
-                for (a1, b1, c1, d1, t1), monos1 in left:
-                    for (a2, b2, c2, d2, t2), monos2 in jets2:
-                        jk = (a1 + a2, b1 + b2, c1 + c2, d1 + d2,
-                              t2 if not t1 else t1 if not t2 else _merge_monomials(t1, t2))
-                        sums = block.get(jk)
-                        if sums is None:
-                            sums = block[jk] = {}
-                        for mono1, g1 in monos1:
-                            for mono2, g2 in monos2:
-                                mono = (mono2 if not mono1 else mono1 if not mono2
-                                        else _merge_monomials(mono1, mono2))
-                                g = g1 * g2
-                                s = sums.get(mono)
-                                if s is None:
-                                    sums[mono] = g if sign > 0 else -g
-                                else:
-                                    sums[mono] = s + g if sign > 0 else s - g
-        alphabet = self.alphabet
-        # the constructors drop the coefficients whose sums all cancelled
-        return CliffXi(self.dim, alphabet, {
-            key: XiExpr(alphabet, {
-                jk: _poly(alphabet, {m: s for m, s in sums.items() if not s.is_zero()})
-                for jk, sums in block.items()
-            })
-            for key, block in acc.items()
-        })
+        _accumulate(acc, self, other, GR_ONE, 0)
+        return _built(self.dim, self.alphabet, acc)
 
     def scale(self, factor):
         """Multiply every coefficient by an XiExpr, ParamPoly or exact scalar."""
@@ -257,6 +217,72 @@ class CliffXi(Blades):
 
     def __repr__(self):
         return f"CliffXi({self})"
+
+
+def _accumulate(acc, p, q, factor, shift):
+    """Add factor * u^shift * p * q into acc, a map blade key -> jet key ->
+    monomial -> unreduced integer sum [a, b, d] of (a + b*i) / d.
+
+    The factor, the blade sign and the shift of the u power (u is central)
+    are folded into the left factor's scalars and jet keys, once per term.
+    Jet keys and monomials multiply as XiExpr._key_mul and ParamPoly._key_mul
+    do; sums over different denominators are brought to their lcm.
+    """
+    fa, fb, fd = factor.a, factor.b, factor.d
+    right = [
+        (k2, [(jk, [(m, g.a, g.b, g.d) for m, g in poly.terms.items()])
+              for jk, poly in x.terms.items()])
+        for k2, x in q.terms.items()
+    ]
+    for k1, x1 in p.terms.items():
+        lefts = {sign: [
+            ((a1, b1 + shift, c1, d1, t1),
+             [(m, (g.a * fa - g.b * fb) * sign, (g.a * fb + g.b * fa) * sign, g.d * fd)
+              for m, g in poly.terms.items()])
+            for (a1, b1, c1, d1, t1), poly in x1.terms.items()
+        ] for sign in (1, -1)}
+        for k2, jets2 in right:
+            key, sign = blade_key_mul(k1, k2)
+            block = acc.setdefault(key, {})
+            for (a1, b1, c1, d1, t1), monos1 in lefts[sign]:
+                for (a2, b2, c2, d2, t2), monos2 in jets2:
+                    jk = (a1 + a2, b1 + b2, c1 + c2, d1 + d2,
+                          t2 if not t1 else t1 if not t2 else _merge_monomials(t1, t2))
+                    sums = block.get(jk)
+                    if sums is None:
+                        sums = block[jk] = {}
+                    for mono1, x1a, x1b, x1d in monos1:
+                        for mono2, x2a, x2b, x2d in monos2:
+                            mono = (mono2 if not mono1 else mono1 if not mono2
+                                    else _merge_monomials(mono1, mono2))
+                            a = x1a * x2a - x1b * x2b
+                            b = x1a * x2b + x1b * x2a
+                            d = x1d * x2d
+                            s = sums.get(mono)
+                            if s is None:
+                                sums[mono] = [a, b, d]
+                            elif s[2] == d:
+                                s[0] += a
+                                s[1] += b
+                            else:
+                                sd = s[2]
+                                g = gcd(sd, d)
+                                s[0] = s[0] * (d // g) + a * (sd // g)
+                                s[1] = s[1] * (d // g) + b * (sd // g)
+                                s[2] = sd // g * d
+
+
+def _built(dim, alphabet, acc):
+    """The CliffXi holding the sums of an _accumulate map, each reduced
+    once; the constructors drop the coefficients whose sums all cancelled."""
+    return CliffXi(dim, alphabet, {
+        key: XiExpr(alphabet, {
+            jk: _poly(alphabet, {m: _reduced(a, b, d) for m, (a, b, d) in sums.items()
+                                 if a or b})
+            for jk, sums in block.items()
+        })
+        for key, block in acc.items()
+    })
 
 
 class SymbolExpansion:
@@ -328,11 +354,9 @@ def _chain(cache, k, step):
     return got
 
 
-def _taylor_term(dp, dq, k):
-    """(-i)^k / k! * dp * dq, the k-th term of the normal composition series."""
-    if k == 0:
-        return dp * dq
-    return (dp * dq).scale((GR_I * (-1)) ** k * Fraction(1, factorial(k)))
+def _taylor(k):
+    """(-i)^k / k!, the coefficient of the k-th normal composition term."""
+    return (-GR_I) ** k / factorial(k)
 
 
 def compose_symbols(left, right, min_order):
@@ -341,13 +365,14 @@ def compose_symbols(left, right, min_order):
     Only the normal covariable contributes derivative terms: tangential
     x-derivatives vanish at the base point in the collar model.  Terms of
     order below min_order are never formed, and the xi_n- and x_n-derivative
-    chains of the factors are built once per call.
+    chains of the factors are built once per call.  Each order's Taylor
+    terms, their coefficients folded in, are summed in one _accumulate map.
     """
     if isinstance(min_order, bool) or not isinstance(min_order, int):
         raise ValidationError("min_order", f"integer required, got {min_order!r}")
     if left.dim != right.dim:
         raise DimMismatch("symbol factors of different dimension")
-    pairs = {}
+    accs = {}
     left_chains = {s: {0: p} for s, p in left.orders.items()}
     right_chains = {t: {0: q} for t, q in right.orders.items()}
     for s in left.orders:
@@ -359,11 +384,10 @@ def compose_symbols(left, right, min_order):
                     break
                 dq = _chain(right_chains[t], k, CliffXi.d_xn)
                 if not dq.is_zero():
-                    piece = _taylor_term(dp, dq, k)
-                    pairs.setdefault(s - k + t, []).extend(piece.terms.items())
-    zero = CliffXi.zero(left.dim, left.alphabet)
-    out = {order: zero._collect(ps) for order, ps in pairs.items()}
-    return SymbolExpansion(left.dim, left.alphabet, out)
+                    _accumulate(accs.setdefault(s - k + t, {}), dp, dq, _taylor(k), 0)
+    dim, alphabet = left.dim, left.alphabet
+    out = {order: _built(dim, alphabet, acc) for order, acc in accs.items()}
+    return SymbolExpansion(dim, alphabet, out)
 
 
 def invert_symbol(symbol, depth):
@@ -371,22 +395,22 @@ def invert_symbol(symbol, depth):
 
     The recursion divides by the leading symbol, which must be p_2 = u
     exactly (blade- and label-free, coefficient 1); any other p_2, or none,
-    raises NonCanonicalInput.
+    raises NonCanonicalInput.  Each step sums its Taylor terms in one
+    _accumulate map, with the division by u a shift of the u power.
     """
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
         raise ValidationError("depth", f"nonnegative integer required, got {depth!r}")
     dim, alphabet = symbol.dim, symbol.alphabet
     if symbol[2] != CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1)):
         raise NonCanonicalInput("parametrix recursion needs the leading symbol u")
-    u_inv = CliffXi.scalar(dim, XiExpr.u_power(alphabet, -1))
-    zero = CliffXi.zero(dim, alphabet)
     p_chains = {s: {0: symbol[s]} for s in (2, 1, 0) if s in symbol}
-    q_chains = {-2: {0: u_inv}}
+    q_chains = {-2: {0: CliffXi.scalar(dim, XiExpr.u_power(alphabet, -1))}}
     for m in range(1, depth + 1):
         # the new symbol q_{-2-m} is fixed by the vanishing of the
         # composition at order -m, where it enters through p_2 * q_{-2-m};
-        # the k-th term of p_s * q_t lands there for t = k - m - s
-        pairs = []
+        # the k-th term of p_s * q_t lands there for t = k - m - s, and
+        # q_{-2-m} is minus u^-1 times their sum
+        acc = {}
         for s, p_chain in p_chains.items():
             for k in range(max(0, s - 1), m + s - 1):
                 dp = _chain(p_chain, k, CliffXi.d_xin)
@@ -394,8 +418,8 @@ def invert_symbol(symbol, depth):
                     break
                 dq = _chain(q_chains[k - m - s], k, CliffXi.d_xn)
                 if not dq.is_zero():
-                    pairs.extend(_taylor_term(dp, dq, k).terms.items())
-        q_chains[-2 - m] = {0: -(u_inv * zero._collect(pairs))}
+                    _accumulate(acc, dp, dq, -_taylor(k), -1)
+        q_chains[-2 - m] = {0: _built(dim, alphabet, acc)}
     q = {t: chain[0] for t, chain in q_chains.items()}
     return SymbolExpansion(dim, alphabet, q, symbol.meta)
 

@@ -43,6 +43,11 @@ def rand_poly(alphabet, rng, nterms=3, max_deg=2):
     return poly
 
 
+def cliffxi_scalars(cx):
+    """Every scalar of a CliffXi, through its jet and polynomial levels."""
+    return [g for xe in cx.terms.values() for p in xe.terms.values() for g in p.terms.values()]
+
+
 def quad_line_integral(fn, limit=400):
     """Numeric integral of fn over the real line (complex-valued fn)."""
     from scipy.integrate import quad

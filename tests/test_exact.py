@@ -27,8 +27,8 @@ from ncresidue.errors import (
     ValidationError,
 )
 from ncresidue.halfplane import HalfPlaneRational
-from ncresidue.symbols import CliffXi, XiExpr
-from conftest import rand_gauss, rand_poly
+from ncresidue.symbols import CliffXi, XiExpr, _accumulate, _built
+from conftest import cliffxi_scalars, rand_gauss, rand_poly
 
 
 class TestGaussRational:
@@ -155,6 +155,20 @@ class TestParamPoly:
         other = Alphabet(["x"])
         with pytest.raises(AlphabetMismatch):
             ParamPoly.var(small_alphabet, "a") + ParamPoly.var(other, "x")
+
+    def test_values_over_other_alphabets_are_unequal(self):
+        # equal terms over different alphabets: unequal, so one dict or set
+        # can hold both, while arithmetic still refuses to mix them
+        p, q = ParamPoly.const(Alphabet(["x"]), 2), ParamPoly.const(Alphabet(["y"]), 2)
+        assert p != q and not p == q
+        assert {p: 1}.get(q) is None and len({p, q}) == 2
+        for a, b in ((p, q), (CliffordElement.generator(4, Alphabet(["x"]), 1),
+                              CliffordElement.generator(4, Alphabet(["y"]), 1))):
+            assert a != b
+            with pytest.raises(AlphabetMismatch):
+                a + b
+            with pytest.raises(AlphabetMismatch):
+                a * b
 
     def test_unknown_name_rejected(self, small_alphabet):
         with pytest.raises(AlphabetMismatch):
@@ -486,6 +500,49 @@ class TestSparseTermsCore:
             got = x * y
             assert got == SparseTerms._product(x, y)
             assert is_clean(got)
+
+    @given(cliffxi_pairs, gauss_values, st.integers(-2, 1))
+    def test_accumulated_products_equal_the_nested_products(self, ab, factor, shift):
+        # factor * u^shift * x * y summed over several pairs in one map, against
+        # the core's product through XiExpr and ParamPoly, term by term; the
+        # factor may be zero, and adding a pair again with -factor cancels it
+        a, b = ab
+        dim, alphabet = a.dim, a.alphabet
+        u = CliffXi.scalar(dim, XiExpr.u_power(alphabet, shift))
+        acc, want = {}, CliffXi.zero(dim, alphabet)
+        for x, y, f in ((a, b, factor), (b, a, factor * GR_I), (a + b, a - b, -factor)):
+            _accumulate(acc, x, y, f, shift)
+            want = want + SparseTerms._product(SparseTerms._product(u, x), y).scale(f)
+        got = _built(dim, alphabet, acc)
+        assert got == want
+        assert is_clean(got)
+        assert all(type(g) is GaussRational and normal(g) for g in cliffxi_scalars(got))
+        acc = {}
+        for f in (factor, -factor):
+            _accumulate(acc, a, b, f, shift)
+        assert _built(dim, alphabet, acc).is_zero()
+
+    def test_accumulated_sums_are_reduced_once_and_cancelled_keys_dropped(self):
+        # the scalar sum 1/2 + 1/3 - 5/6 cancels, so its blade is dropped;
+        # 1/6 + i/4 + 1/3 + i/4 meets three denominators and leaves as the
+        # normal form (1 + i)/2, a GaussRational that hashes as its value
+        al = JET_ALPHABET
+        one = CliffXi.scalar(2, XiExpr.const(al, 1))
+        xi = CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1)})
+        acc = {}
+        for c in (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)):
+            _accumulate(acc, one, one, GaussRational(c), 0)
+        quarter_i = GaussRational(0, Fraction(1, 4))
+        for x, y, c in ((xi, one, GaussRational(Fraction(1, 6))), (one, xi, quarter_i),
+                        (xi, one, GaussRational(Fraction(1, 3))), (xi, one, quarter_i)):
+            _accumulate(acc, x, y, c, 0)
+        assert (0, ()) in acc
+        got = _built(2, al, acc)
+        want = GaussRational(Fraction(1, 2), Fraction(1, 2))
+        assert got == CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1, coeff=want)})
+        (g,) = cliffxi_scalars(got)
+        assert type(g) is GaussRational and (g.a, g.b, g.d) == (1, 1, 2)
+        assert hash(g) == hash(want) and {want: 0}.get(g) == 0
 
     def test_cliffxi_product_drops_cancelled_blades(self):
         # (c1 + c2)^2 = -2: the c1 c2 and c2 c1 terms cancel

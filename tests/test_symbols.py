@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 import sympy
@@ -31,7 +31,7 @@ from ncresidue.symbols import (
     laplace_symbol,
     power_symbol,
 )
-from conftest import rand_assignment
+from conftest import cliffxi_scalars, rand_assignment
 
 
 def subs_xi(xe, assignment):
@@ -150,6 +150,14 @@ def _laplace_p1_reference(dim, alphabet, gdn):
         p1 = p1 + CliffXi.from_clifford(k_list[j - 1]).scale(xi_j)
     p1 = p1 + CliffXi.scalar(dim, XiExpr.monomial(alphabet, m=1, coeff=gdn))
     return p1.scale(GR_I)
+
+
+def assert_normal_scalars(expansion):
+    """Every scalar of every order is a GaussRational (a + b*i) / d with
+    d > 0 and gcd(a, b, d) = 1."""
+    for piece in expansion.orders.values():
+        for g in cliffxi_scalars(piece):
+            assert type(g) is GaussRational and g.d > 0 and gcd(g.a, g.b, g.d) == 1
 
 
 def assert_same_expansion(got, expected):
@@ -362,18 +370,19 @@ class TestCompositionAgainstCollarModel:
 class TestRecursionAgainstReference:
     @pytest.mark.parametrize(
         "n, depth, numeric",
-        [(4, 3, True), (6, 2, True), (4, 2, False)],
-        ids=["numeric-n4-depth3", "numeric-n6-depth2", "symbolic-n4-depth2"],
+        [(4, 3, True), (6, 2, True), (4, 2, False), (6, 1, False)],
+        ids=["numeric-n4-depth3", "numeric-n6-depth2", "symbolic-n4-depth2",
+             "symbolic-n6-depth1"],
     )
     def test_equal_to_reference_loops(self, n, depth, numeric):
         op = numeric_operator(n) if numeric else laplace_symbol(n, standard_alphabet(n))
         inverse = invert_symbol(op, depth)
         assert_same_expansion(inverse, _invert_reference(op, depth))
+        assert_normal_scalars(inverse)
         for min_order in (-1, -2, -3):
-            assert_same_expansion(
-                compose_symbols(op, inverse, min_order),
-                _compose_reference(op, inverse, min_order),
-            )
+            composed = compose_symbols(op, inverse, min_order)
+            assert_same_expansion(composed, _compose_reference(op, inverse, min_order))
+            assert_normal_scalars(composed)
 
     def test_composition_builds_only_kept_normal_derivatives(self, monkeypatch):
         # the reference loop takes 8 x_n-derivatives here; 3 reach order -2
