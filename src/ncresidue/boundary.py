@@ -113,7 +113,6 @@ class BoundaryCaseResult:
         "case_id",
         "nbar",
         "value",
-        "case_prefactor",
         "integrand",
         "parts",
         "printed",
@@ -121,12 +120,11 @@ class BoundaryCaseResult:
         "derivation_trace",
     )
 
-    def __init__(self, case_id, nbar, value, case_prefactor, integrand, parts,
-                 printed, comparisons, derivation_trace):
+    def __init__(self, case_id, nbar, value, integrand, parts, printed,
+                 comparisons, derivation_trace):
         self.case_id = case_id
         self.nbar = nbar
         self.value = value          # ParamPoly coefficient of pi (VolS included)
-        self.case_prefactor = case_prefactor
         self.integrand = integrand  # traced HalfPlaneRational (pre-prefactor)
         self.parts = parts
         self.printed = printed
@@ -461,7 +459,7 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
             )
         )
     return BoundaryCaseResult(
-        case_id, nbar, value, pre, integrand, parts or None, printed, records, trace
+        case_id, nbar, value, integrand, parts or None, printed, records, trace
     )
 
 
@@ -571,7 +569,6 @@ def _caller_copy(res, geo=None):
         res.case_id,
         res.nbar,
         sub(res.value),
-        res.case_prefactor,
         res.integrand,
         parts,
         sub(res.printed),

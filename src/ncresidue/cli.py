@@ -11,25 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import SessionConfig, load_config
-from .errors import (
-    NonAntisymmetricTorsion,
-    NonIncreasingTriple,
-    OddBarDimension,
-    ParseError,
-    UnsupportedDimension,
-    ValidationError,
-)
+from .config import CASE_ALIASES, FORMATS, MODES, SessionConfig, load_config
+from .errors import EngineError, ValidationError
 from .report import emit, run_session
-
-_CONFIG_ERRORS = (
-    ParseError,
-    ValidationError,
-    OddBarDimension,
-    UnsupportedDimension,
-    NonIncreasingTriple,
-    NonAntisymmetricTorsion,
-)
 
 
 def build_parser():
@@ -40,11 +24,11 @@ def build_parser():
     parser.add_argument("--dim", type=int, help="even boundary dimension (2..10)")
     parser.add_argument(
         "--case",
-        choices=["a1", "a2", "a3", "b", "c", "all"],
+        choices=[*CASE_ALIASES, "all"],
         help="restrict the boundary computation to one case",
     )
-    parser.add_argument("--mode", choices=["printed", "oracle"], help="density mode")
-    parser.add_argument("--format", choices=["text", "json", "csv"], help="output format")
+    parser.add_argument("--mode", choices=MODES, help="density mode")
+    parser.add_argument("--format", choices=FORMATS, help="output format")
     parser.add_argument("--config", help="YAML config file or inline YAML text")
     parser.add_argument(
         "--verify-lemmas",
@@ -80,7 +64,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge(args)
-    except _CONFIG_ERRORS as exc:
+    except EngineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     report = run_session(cfg)

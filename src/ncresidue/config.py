@@ -7,6 +7,7 @@ numeric values must be exact integers or rational strings like "3/4".
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 
 from .boundary import CASE_IDS
@@ -14,20 +15,21 @@ from .clifford import check_lemma_budget
 from .errors import NonIncreasingTriple, ParseError, ValidationError
 from .geometry import GeometricBundle, check_nbar
 
-CASE_ALIASES = {
-    "a1": "aI",
-    "a2": "aII",
-    "a3": "aIII",
-    "aI": "aI",
-    "aII": "aII",
-    "aIII": "aIII",
-    "b": "b",
-    "c": "c",
-}
+CASE_ALIASES = {"a1": "aI", "a2": "aII", "a3": "aIII", **{c: c for c in CASE_IDS}}
 MODES = ("oracle", "printed")
 FORMATS = ("text", "json", "csv")
 
 _SCALAR_FIELDS = ("s", "divX", "divY", "dimF", "trPhi", "trPhi2", "hprime0")
+# each YAML key and the SessionConfig argument it sets
+_KEYS = {
+    "dim": "nbar",
+    "case": "cases",
+    "format": "fmt",
+    **{k: k for k in ("nbar", "mode", "cases", "seed", "verify_lemmas", "X", "Y",
+                      "torsion", *_SCALAR_FIELDS)},
+}
+# Fraction reads "1e10000000" as an integer of ten million digits
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE]")
 
 
 def _is_int(value):
@@ -46,6 +48,10 @@ def _rational(field, value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _EXPONENT.match(value):
+            raise ValidationError(
+                field, f"exponent notation {value!r} rejected; use an integer or 'p/q'"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -235,44 +241,20 @@ def load_config(source):
     if not isinstance(data, dict):
         raise ParseError("config must be a mapping of keys to values")
 
-    known = {
-        "nbar",
-        "dim",
-        "mode",
-        "cases",
-        "case",
-        "format",
-        "seed",
-        "verify_lemmas",
-        "X",
-        "Y",
-        "torsion",
-        *_SCALAR_FIELDS,
-    }
-    for key in data:
-        if key not in known:
+    args, scalars = {}, {}
+    for key, value in data.items():
+        arg = _KEYS.get(key)
+        if arg is None:
             raise ValidationError(str(key), "unknown config key")
-
-    for key, synonym in (("nbar", "dim"), ("cases", "case")):
-        if key in data and synonym in data:
-            raise ValidationError(key, f"set both {key!r} and {synonym!r}; give one")
-    nbar = data.get("nbar", data.get("dim"))
-    if nbar is None:
+        if arg in _SCALAR_FIELDS:
+            scalars[arg] = value
+        elif arg in args:
+            other = next(k for k in data if k != key and _KEYS.get(k) == arg)
+            raise ValidationError(arg, f"set both {other!r} and {key!r}; give one")
+        else:
+            args[arg] = value
+    if args.get("nbar") is None:
         raise ValidationError("nbar", "missing boundary dimension")
-    cases = data.get("cases")
-    if cases is None and "case" in data:
-        cases = [data["case"]]
-    if isinstance(cases, str):
-        cases = [cases]
-    return SessionConfig(
-        nbar=nbar,
-        mode=data.get("mode", "oracle"),
-        cases=cases,
-        fmt=data.get("format", "text"),
-        seed=data.get("seed", 0),
-        verify_lemmas=data.get("verify_lemmas", 0),
-        scalars={k: data.get(k) for k in _SCALAR_FIELDS},
-        X=data.get("X"),
-        Y=data.get("Y"),
-        torsion=data.get("torsion"),
-    )
+    if "case" in data or isinstance(args.get("cases"), str):
+        args["cases"] = [args["cases"]]
+    return SessionConfig(scalars=scalars, **args)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import AlphabetMismatch, DivisionByZero, UnboundParameter
+from .errors import AlphabetMismatch, DimMismatch, DivisionByZero, UnboundParameter
 
 
 class GaussRational:
@@ -344,11 +344,11 @@ class SparseTerms:
         return self._product(other)
 
     def __eq__(self, other):
-        # values over different alphabets are unequal, so that dicts and
-        # sets may mix them; arithmetic on them still raises
+        # values over different alphabets or dimensions are unequal, so that
+        # dicts and sets may mix them; arithmetic on them still raises
         try:
             other = self._check(other)
-        except AlphabetMismatch:
+        except (AlphabetMismatch, DimMismatch):
             return False
         if other is None:
             return NotImplemented

@@ -105,7 +105,6 @@ class GeometricBundle:
             raise OddDimension(f"even dimension >= 2 required, got {n}")
         self.n = n
         self.alphabet = standard_alphabet(n)
-        self._torsion_given = torsion is not None
         # accept redundant full-tensor input: permuted triples fold onto the
         # increasing representative with the permutation sign, and must be
         # mutually consistent with full antisymmetry
@@ -129,49 +128,30 @@ class GeometricBundle:
                     f"triple {key} breaks antisymmetry against {rep}"
                 )
             self.torsion[rep] = folded
-        self.X = list(X) if X is not None else None
-        self.Y = list(Y) if Y is not None else None
-        for name, vec in (("X", self.X), ("Y", self.Y)):
-            if vec is not None and len(vec) != n:
-                raise ValidationError(name, f"expected {n} components")
-        self.s = s
-        self.divX = divX
-        self.divY = divY
-        self.dimF = dimF
-        self.trPhi = trPhi
-        self.trPhi2 = trPhi2
-        self.hprime0 = hprime0
+        scalars = {"s": s, "divX": divX, "divY": divY, "dimF": dimF,
+                   "trPhi": trPhi, "trPhi2": trPhi2, "hp0": hprime0}
+        values = {name: v for name, v in scalars.items() if v is not None}
+        for name, vec in (("X", X), ("Y", Y)):
+            if vec is not None:
+                vec = list(vec)
+                if len(vec) != n:
+                    raise ValidationError(name, f"expected {n} components")
+                values.update((f"{name}_{j}", v) for j, v in enumerate(vec, start=1))
+        if torsion is not None:
+            # triples not mentioned are zero once torsion data is explicit
+            values.update(
+                (f"T_{a}_{b}_{c}", self.torsion.get((a, b, c), 0))
+                for a, b, c in _triples(n)
+            )
+        # alphabet name -> exact value, built once; unset names stay symbolic
+        self._assignment = {k: GaussRational.from_value(v) for k, v in values.items()}
 
     def assignment(self):
-        out = {}
-        scalars = {
-            "s": self.s,
-            "divX": self.divX,
-            "divY": self.divY,
-            "dimF": self.dimF,
-            "trPhi": self.trPhi,
-            "trPhi2": self.trPhi2,
-            "hp0": self.hprime0,
-        }
-        for name, v in scalars.items():
-            if v is not None:
-                out[name] = GaussRational.from_value(v)
-        if self.X is not None:
-            for j, v in enumerate(self.X, start=1):
-                out[f"X_{j}"] = GaussRational.from_value(v)
-        if self.Y is not None:
-            for j, v in enumerate(self.Y, start=1):
-                out[f"Y_{j}"] = GaussRational.from_value(v)
-        for (a, b, c), v in self.torsion.items():
-            out[f"T_{a}_{b}_{c}"] = GaussRational.from_value(v)
-        if self._torsion_given:
-            # triples not mentioned are zero once torsion data is explicit
-            for (a, b, c) in _triples(self.n):
-                out.setdefault(f"T_{a}_{b}_{c}", GaussRational(0))
-        return out
+        """The point data as alphabet name -> GaussRational, a fresh dict."""
+        return dict(self._assignment)
 
     def subs(self, poly):
-        return poly.subs(self.assignment())
+        return poly.subs(self._assignment)
 
 
 class LaplaceNormalForm:

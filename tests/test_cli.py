@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from ncresidue import cli
 from ncresidue.cli import _merge, build_parser, main
-from ncresidue.config import load_config
+from ncresidue.config import CASE_ALIASES, load_config
+from ncresidue.errors import DimMismatch
 
 
 def run_main(capsys, argv):
@@ -47,7 +49,9 @@ class TestExitCodes:
         assert "NonIncreasingTriple" in err
 
     @pytest.mark.parametrize(
-        "text", ["nbar: 2\ncases: 5", "nbar: 2\ntorsion: 5", "nbar: 4\ndim: 6"]
+        "text",
+        ["nbar: 2\ncases: 5", "nbar: 2\ntorsion: 5", "nbar: 4\ndim: 6",
+         "nbar: 2\ns: 1e5000"],
     )
     def test_non_list_config_fields(self, capsys, text):
         code, out, err = run_main(capsys, ["--config", text])
@@ -93,6 +97,13 @@ class TestFlags:
         assert code == 0
         assert "boundary_case/aI" in out
         assert "boundary_case/b" not in out
+
+    @pytest.mark.parametrize("alias", ["a1", "a2", "a3"])
+    def test_case_takes_both_spellings(self, capsys, alias):
+        case = CASE_ALIASES[alias]
+        assert run_main(capsys, ["--dim", "2", "--case", case]) == run_main(
+            capsys, ["--dim", "2", "--case", alias]
+        )
 
     def test_json_format(self, capsys):
         code, out, _ = run_main(capsys, ["--dim", "2", "--format", "json"])
@@ -154,6 +165,15 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ValidationError: verify_lemmas: 5001 trials")
         assert "Traceback" not in err
+
+    def test_any_engine_error_from_config_is_clean(self, capsys, monkeypatch):
+        def raising(source):
+            raise DimMismatch("dim 4 vs 6")
+
+        monkeypatch.setattr(cli, "load_config", raising)
+        code, out, err = run_main(capsys, ["--config", "nbar: 2"])
+        assert (code, out) == (1, "")
+        assert err == "error: DimMismatch: dim 4 vs 6\n"
 
 
 class TestDeterminism:

@@ -198,6 +198,15 @@ class TestTraceKernels:
             with pytest.raises(error):
                 a.mul_grade0(other)
 
+    def test_other_dimension_is_unequal(self):
+        # as over another alphabet: == answers, arithmetic raises
+        al = Alphabet(["a"])
+        a, b = CliffordElement.generator(4, al, 1), CliffordElement.generator(6, al, 1)
+        assert not a == b and a != b
+        assert a == CliffordElement.generator(4, al, 1)
+        with pytest.raises(DimMismatch):
+            a - b
+
     def test_mul_grade0_cancellation(self):
         g1 = CliffordElement.generator(4, EMPTY, 1)
         g2 = CliffordElement.generator(4, EMPTY, 2)

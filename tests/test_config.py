@@ -50,8 +50,8 @@ class TestSessionConfig:
         cfg = SessionConfig(nbar=4, scalars={"s": 3, "dimF": "1/2"})
         geo = cfg.bundle()
         assert geo.n == 6
-        assert geo.s == Fraction(3)
-        assert geo.dimF == Fraction(1, 2)
+        assert geo.assignment()["s"] == Fraction(3)
+        assert geo.assignment()["dimF"] == Fraction(1, 2)
 
 
 class TestLoadConfig:
@@ -89,6 +89,21 @@ class TestLoadConfig:
     def test_bad_rational(self):
         with pytest.raises(ValidationError):
             load_config("nbar: 2\ns: 1/0")
+
+    # Fraction would expand each to an integer of that many digits
+    @pytest.mark.parametrize(
+        "text, field",
+        [('nbar: 2\ns: "1e10000000"', "s"),
+         ("nbar: 2\ns: 1e5000", "s"),
+         ('nbar: 2\nhprime0: "-2.5E+9"', "hprime0"),
+         ("nbar: 2\nX: [1, 2, 3, 1_0e99]", "X[3]"),
+         ("nbar: 2\ntorsion:\n  - [1, 2, 3, 1e5000]", "torsion[1,2,3]")],
+    )
+    def test_exponent_notation_rejected(self, text, field):
+        with pytest.raises(ValidationError) as exc:
+            load_config(text)
+        assert exc.value.field == field
+        assert "exponent notation" in str(exc.value)
 
     def test_unknown_key(self):
         with pytest.raises(ValidationError):
@@ -156,7 +171,7 @@ class TestLoadConfig:
 # config asks for a large vector or torsion table.
 words = st.sampled_from(
     ["symbolic", "all", "b", "a2", "json", "oracle", "printed", "3/4", "-1/2",
-     "1/0", "x", "", "2", "1e3"]
+     "1/0", "x", "", "2", "1e3", "1e5000"]
 ) | st.text(max_size=5)
 scalars = (
     st.integers(-3, 12)
@@ -172,6 +187,7 @@ values = st.recursive(
     max_leaves=12,
 )
 exact = st.sampled_from([1, "3/4", "-2", "symbolic", None])
+SCALAR_KEYS = ("s", "divX", "divY", "dimF", "trPhi", "trPhi2", "hprime0")
 vectors = st.lists(exact | scalars, min_size=3, max_size=5) | values
 torsion_tables = (
     st.lists(st.lists(st.integers(0, 5) | exact, min_size=3, max_size=5), max_size=3)
@@ -188,21 +204,37 @@ FIELDS = {
     "X": vectors,
     "Y": vectors,
     "torsion": torsion_tables,
-    **{
-        k: exact | values
-        for k in ("s", "divX", "divY", "dimF", "trPhi", "trPhi2", "hprime0")
-    },
+    **{k: exact | values for k in SCALAR_KEYS},
 }
 configs = st.fixed_dictionaries(
     {"nbar": st.sampled_from([2, 2, 4]) | values}, optional=FIELDS
 )
+# Few mixed configs load at all, so these keep a valid nbar and only scalar
+# keys: most of them load, and their values, among them strings shaped like
+# numbers, reach as_dict and the bundle.
+numerals = st.from_regex(
+    r"[-+]?[0-9_]{1,3}(/[0-9]{1,2}|\.[0-9]{0,2})?([eE][-+]?[0-9]{1,4})?", fullmatch=True
+)
+scalar_configs = st.fixed_dictionaries(
+    {"nbar": st.sampled_from([2, 4])},
+    optional={k: exact | words | numerals for k in SCALAR_KEYS},
+)
+
+
+def load_everything(data):
+    try:
+        cfg = load_config(yaml.safe_dump(data))
+        cfg.as_dict()
+        cfg.bundle()
+    except EngineError:
+        pass
 
 
 class TestConfigFuzz:
     @given(configs)
     def test_any_mapping_raises_only_engine_errors(self, data):
-        text = yaml.safe_dump(data)
-        try:
-            load_config(text).bundle()
-        except EngineError:
-            pass
+        load_everything(data)
+
+    @given(scalar_configs)
+    def test_any_scalar_value_raises_only_engine_errors(self, data):
+        load_everything(data)

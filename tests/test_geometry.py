@@ -82,6 +82,42 @@ class TestGeometricBundle:
         # a zero value on a degenerate triple is just dropped
         assert GeometricBundle(4, torsion={(1, 1, 3): Fraction(0)}).torsion == {}
 
+    def test_assignment_pinned(self):
+        g = GeometricBundle(
+            4,
+            torsion={(2, 1, 3): 1, (1, 2, 4): 2},
+            X=[1, 2, 3, 4],
+            Y=[Fraction(1, 2), 0, -1, 3],
+            s=Fraction(5, 3),
+            hprime0=-2,
+        )
+        expected = {
+            "s": Fraction(5, 3),
+            "hp0": -2,
+            "X_1": 1, "X_2": 2, "X_3": 3, "X_4": 4,
+            "Y_1": Fraction(1, 2), "Y_2": 0, "Y_3": -1, "Y_4": 3,
+            # (2, 1, 3) folds onto (1, 2, 3) with its sign; unnamed triples are 0
+            "T_1_2_3": -1, "T_1_2_4": 2, "T_1_3_4": 0, "T_2_3_4": 0,
+        }
+        got = g.assignment()
+        assert got == {k: GaussRational.from_value(v) for k, v in expected.items()}
+        assert all(type(v) is GaussRational for v in got.values())
+        assert GeometricBundle(4).assignment() == {}
+        # torsion given but empty: every triple is explicitly zero
+        assert GeometricBundle(4, torsion={}).assignment() == {
+            f"T_{a}_{b}_{c}": GaussRational(0) for a, b, c in _triples(4)
+        }
+
+    def test_assignment_is_a_copy(self):
+        g = GeometricBundle(4, s=Fraction(7))
+        s_var, dimF = (ParamPoly.var(g.alphabet, k) for k in ("s", "dimF"))
+        handed = g.assignment()
+        handed["s"] = GaussRational(99)
+        handed["dimF"] = GaussRational(2)
+        assert g.subs(s_var) == ParamPoly.const(g.alphabet, 7)
+        assert g.subs(dimF) == dimF
+        assert g.assignment() == {"s": GaussRational(7)}
+
     def test_symbolic_assignment_roundtrip(self):
         g = GeometricBundle(4, s=Fraction(7), dimF=Fraction(2))
         assignment = g.assignment()
