@@ -19,10 +19,15 @@ against it.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import (
     DimMismatch, IndexOutOfRange, NonIncreasingTriple, OddDimension, ValidationError,
 )
-from .exact import GaussRational, ParamPoly, SparseTerms, add_terms
+from .exact import (
+    GR_ONE, GaussRational, ParamPoly, SparseTerms, _add_products, _from_sums, _merge_monomials,
+    add_terms,
+)
 
 
 def blade_mul(a, b):
@@ -32,15 +37,12 @@ def blade_mul(a, b):
     transposition count needed to interleave the factors with one factor
     of -1 per contracted index (e_i * e_i = -1).
     """
-    mask = a ^ b
-    contracted = bin(a & b).count("1")
-    swaps = 0
+    swaps = (a & b).bit_count()
     t = a >> 1
     while t:
-        swaps += bin(t & b).count("1")
+        swaps += (t & b).bit_count()
         t >>= 1
-    sign = -1 if (swaps + contracted) % 2 else 1
-    return mask, sign
+    return a ^ b, -1 if swaps & 1 else 1
 
 
 def _merge_labels(f1, f2):
@@ -56,6 +58,23 @@ def blade_key_mul(k1, k2):
     their sign, labels merge."""
     mask, sign = blade_mul(k1[0], k2[0])
     return (mask, _merge_labels(k1[1], k2[1])), sign
+
+
+def add_blade_products(acc, p, q, merged, factor=GR_ONE, *args):
+    """Add factor * p * q into acc, a map blade key -> exact._add_products
+    sums of the coefficients' integer terms, c._int_terms(a, b, d, *args)
+    for (a + b*i) / d * c; merged multiplies their keys.  The left terms are
+    built once per term of p and blade sign that occurs."""
+    fa, fb, fd = factor.a, factor.b, factor.d
+    right = [(k2, c._int_terms()) for k2, c in q.terms.items()]
+    for k1, c1 in p.terms.items():
+        lefts = {}
+        for k2, r in right:
+            key, sign = blade_key_mul(k1, k2)
+            left = lefts.get(sign)
+            if left is None:
+                left = lefts[sign] = c1._int_terms(fa * sign, fb * sign, fd, *args)
+            _add_products(acc.setdefault(key, {}), left, r, merged)
 
 
 class Blades(SparseTerms):
@@ -173,6 +192,14 @@ class CliffordElement(Blades):
     # other blade algebras' products alone
     __mul__ = SparseTerms.__mul__
 
+    def _product(self, other):
+        """Sum of the products of all terms, in one integer accumulator; the
+        monomial pairs, which recur across blade pairs, merge once each."""
+        acc = {}
+        add_blade_products(acc, self, other, cache(_merge_monomials))
+        return self._like({k: p for k, sums in acc.items()
+                           if (p := _from_sums(self.alphabet, sums)).terms})
+
     def with_label(self, label):
         """Tensor by a formal twist factor (merged into every term label)."""
         label = tuple(label)
@@ -182,7 +209,7 @@ class CliffordElement(Blades):
 
     def grade(self, k):
         return self._like(
-            {key: c for key, c in self.terms.items() if bin(key[0]).count("1") == k}
+            {key: c for key, c in self.terms.items() if key[0].bit_count() == k}
         )
 
     def __repr__(self):

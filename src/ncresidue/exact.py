@@ -15,11 +15,11 @@ the Clifford-valued symbols (symbols.CliffXi) and their sphere restrictions
 term-wise maps, collection of (key, coefficient) pairs and the all-pairs
 product; each algebra supplies its key product (the half-plane rationals,
 whose key products expand into several terms, supply their own product
-instead, and so do the Clifford-valued symbols, whose products, Taylor
-terms and recursion steps are summed in one accumulator of integer triples
-in symbols; the core's product stays their test oracle).  The matrix
-oracle oracle.SpinorMatrix stays outside, so that it remains independent
-of what it checks.
+instead).  Polynomials, Clifford multivectors, Clifford-valued symbols and
+the symbol recursions sum their term products as integer triples in one
+kernel, _add_products, reducing each sum once; the core's product stays
+their test oracle.  The matrix oracle oracle.SpinorMatrix stays outside,
+so that it remains independent of what it checks.
 """
 
 from __future__ import annotations
@@ -464,6 +464,16 @@ class ParamPoly(SparseTerms):
     def _key_mul(m1, m2):
         return _merge_monomials(m1, m2), 1
 
+    def _product(self, other):
+        sums = {}
+        _add_products(sums, self._int_terms(), other._int_terms(), _merge_monomials)
+        return _from_sums(self.alphabet, sums)
+
+    def _int_terms(self, a=1, b=0, d=1):
+        """The terms of (a + b*i) / d * self as unreduced (monomial, a, b, d)."""
+        return [(m, g.a * a - g.b * b, g.a * b + g.b * a, g.d * d)
+                for m, g in self.terms.items()]
+
     __add__ = __radd__ = SparseTerms.__add__
 
     def __rsub__(self, other):
@@ -475,13 +485,16 @@ class ParamPoly(SparseTerms):
             if other.alphabet is not self.alphabet:
                 self._check(other)
             other_terms = other.terms
-            # a constant factor scales the other factor's coefficients
-            if len(other_terms) == 1 and () in other_terms:
-                s = other_terms[()]
-            elif len(terms) == 1 and () in terms:
-                s, terms = terms[()], other_terms
+            # a one-term factor maps each term of the other to a term of its
+            # own, so nothing is summed; a constant only scales
+            if len(other_terms) == 1:
+                ((m2, s),) = other_terms.items()
+            elif len(terms) == 1:
+                ((m2, s),), terms = terms.items(), other_terms
             else:
                 return self._product(other)
+            if m2:
+                return self._like({_merge_monomials(m, m2): c * s for m, c in terms.items()})
         else:
             s = _coerce_scalar(other)
             if s is None:
@@ -598,3 +611,33 @@ def _merge_monomials(m1, m2):
         exps[name] = exps.get(name, 0) + exp
     return tuple(sorted(exps.items()))
 
+
+def _add_products(sums, left, right, merged):
+    """Add the products of the terms (key, a, b, d) of left and right into
+    sums, a map key -> unreduced sum [a, b, d] of (a + b*i) / d, the sums
+    over different denominators brought to their lcm.  merged multiplies
+    keys, an empty key being a unit; a caller whose key pairs recur passes
+    a memo of one call, functools.cache of the key product."""
+    for k1, a1, b1, d1 in left:
+        for k2, a2, b2, d2 in right:
+            key = k2 if not k1 else k1 if not k2 else merged(k1, k2)
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            s = sums.get(key)
+            if s is None:
+                sums[key] = [a, b, d]
+            elif s[2] == d:
+                s[0] += a
+                s[1] += b
+            else:
+                sd = s[2]
+                g = gcd(sd, d)
+                s[0] = s[0] * (d // g) + a * (sd // g)
+                s[1] = s[1] * (d // g) + b * (sd // g)
+                s[2] = sd // g * d
+
+
+def _from_sums(alphabet, sums):
+    """The ParamPoly of an _add_products map, with the cancelled sums dropped."""
+    return _poly(alphabet, {m: _reduced(a, b, d) for m, (a, b, d) in sums.items() if a or b})

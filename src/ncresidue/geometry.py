@@ -209,7 +209,7 @@ def k_vectors(w):
         g = 1 << j
         terms = {}
         for (mask, label), c in w.terms.items():
-            if not bin(mask & ~g).count("1") % 2:
+            if not (mask & ~g).bit_count() % 2:
                 key, sign = blade_mul(g, mask)
                 terms[(key, label)] = c * (2 * sign)
         k_list.append(CliffordElement(w.dim, w.alphabet, terms))

@@ -16,13 +16,14 @@ parametrix recursion, and the symbols of the relevant operator power.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from functools import cache
+from math import factorial
 from types import MappingProxyType
 
-from .clifford import Blades, blade_key_mul
+from .clifford import Blades, add_blade_products
 from .errors import DimMismatch, NonCanonicalInput, ValidationError
 from .exact import (
-    GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, _merge_monomials, _poly, _reduced,
+    GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, _from_sums, _merge_monomials,
 )
 from .geometry import check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational
@@ -70,6 +71,13 @@ class XiExpr(SparseTerms):
         return (m1 + m2, p1 + p2, q1 + q2, r1 + r2, _merge_monomials(t1, t2)), 1
 
     __mul__ = SparseTerms.__mul__
+
+    def _int_terms(self, a=1, b=0, d=1, shift=0):
+        """The terms of (a + b*i) / d * u^shift * self as unreduced
+        ((jet key, monomial), a, b, d)."""
+        return [(((m, p + shift, q, r, t), mono), ta, tb, td)
+                for (m, p, q, r, t), poly in self.terms.items()
+                for mono, ta, tb, td in poly._int_terms(a, b, d)]
 
     def d_xn(self):
         """Normal x-derivative to first jet order: brings down one hp0."""
@@ -219,70 +227,29 @@ class CliffXi(Blades):
         return f"CliffXi({self})"
 
 
-def _accumulate(acc, p, q, factor, shift):
-    """Add factor * u^shift * p * q into acc, a map blade key -> jet key ->
-    monomial -> unreduced integer sum [a, b, d] of (a + b*i) / d.
+def _jet_key_product(k1, k2):
+    """Product of two (jet key, monomial) keys."""
+    return XiExpr._key_mul(k1[0], k2[0])[0], _merge_monomials(k1[1], k2[1])
 
-    The factor, the blade sign and the shift of the u power (u is central)
-    are folded into the left factor's scalars and jet keys, once per term.
-    Jet keys and monomials multiply as XiExpr._key_mul and ParamPoly._key_mul
-    do; sums over different denominators are brought to their lcm.
-    """
-    fa, fb, fd = factor.a, factor.b, factor.d
-    right = [
-        (k2, [(jk, [(m, g.a, g.b, g.d) for m, g in poly.terms.items()])
-              for jk, poly in x.terms.items()])
-        for k2, x in q.terms.items()
-    ]
-    for k1, x1 in p.terms.items():
-        lefts = {sign: [
-            ((a1, b1 + shift, c1, d1, t1),
-             [(m, (g.a * fa - g.b * fb) * sign, (g.a * fb + g.b * fa) * sign, g.d * fd)
-              for m, g in poly.terms.items()])
-            for (a1, b1, c1, d1, t1), poly in x1.terms.items()
-        ] for sign in (1, -1)}
-        for k2, jets2 in right:
-            key, sign = blade_key_mul(k1, k2)
-            block = acc.setdefault(key, {})
-            for (a1, b1, c1, d1, t1), monos1 in lefts[sign]:
-                for (a2, b2, c2, d2, t2), monos2 in jets2:
-                    jk = (a1 + a2, b1 + b2, c1 + c2, d1 + d2,
-                          t2 if not t1 else t1 if not t2 else _merge_monomials(t1, t2))
-                    sums = block.get(jk)
-                    if sums is None:
-                        sums = block[jk] = {}
-                    for mono1, x1a, x1b, x1d in monos1:
-                        for mono2, x2a, x2b, x2d in monos2:
-                            mono = (mono2 if not mono1 else mono1 if not mono2
-                                    else _merge_monomials(mono1, mono2))
-                            a = x1a * x2a - x1b * x2b
-                            b = x1a * x2b + x1b * x2a
-                            d = x1d * x2d
-                            s = sums.get(mono)
-                            if s is None:
-                                sums[mono] = [a, b, d]
-                            elif s[2] == d:
-                                s[0] += a
-                                s[1] += b
-                            else:
-                                sd = s[2]
-                                g = gcd(sd, d)
-                                s[0] = s[0] * (d // g) + a * (sd // g)
-                                s[1] = s[1] * (d // g) + b * (sd // g)
-                                s[2] = sd // g * d
+
+def _accumulate(acc, p, q, factor, shift):
+    """Add factor * u^shift * p * q into acc, a map blade key -> (jet key,
+    monomial) -> integer sum [a, b, d] of (a + b*i) / d (clifford's
+    add_blade_products); u is central, so its power shifts the left terms.
+    Few distinct key pairs recur, so each merges once per call."""
+    add_blade_products(acc, p, q, cache(_jet_key_product), factor, shift)
 
 
 def _built(dim, alphabet, acc):
     """The CliffXi holding the sums of an _accumulate map, each reduced
-    once; the constructors drop the coefficients whose sums all cancelled."""
-    return CliffXi(dim, alphabet, {
-        key: XiExpr(alphabet, {
-            jk: _poly(alphabet, {m: _reduced(a, b, d) for m, (a, b, d) in sums.items()
-                                 if a or b})
-            for jk, sums in block.items()
-        })
-        for key, block in acc.items()
-    })
+    once; the sums that cancelled are dropped."""
+    terms = {}
+    for key, sums in acc.items():
+        jets = {}
+        for (jk, mono), s in sums.items():
+            jets.setdefault(jk, {})[mono] = s
+        terms[key] = XiExpr(alphabet, {jk: _from_sums(alphabet, t) for jk, t in jets.items()})
+    return CliffXi(dim, alphabet, terms)
 
 
 class SymbolExpansion:

@@ -41,6 +41,14 @@ class TestExitCodes:
         assert code == 1
         assert "ParseError" in err
 
+    def test_integer_past_the_digit_limit(self, capsys):
+        # PyYAML's int constructor raises ValueError past Python's digit limit
+        code, out, err = run_main(capsys, ["--config", "nbar: 2\ns: " + "1" * 5000])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: invalid config: Exceeds the limit")
+        assert "Traceback" not in err
+
     def test_bad_torsion_triple(self, capsys):
         code, _, err = run_main(
             capsys, ["--config", "nbar: 2\ntorsion:\n  - [2, 1, 3, 1]"]

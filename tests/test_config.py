@@ -1,5 +1,6 @@
 """Config loading and validation."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,10 +170,14 @@ class TestLoadConfig:
 # nbar is often valid and vectors often the right length, so the data reaches
 # the bundle; every list is short, whatever nbar is drawn, so no generated
 # config asks for a large vector or torsion table.
+# The word "LONG" draws 5,000 ones, an integer past Python's digit limit for
+# int-string conversion, which load_everything writes out unquoted, as a
+# config file may hold it.  (The strategy's repr may not hold the integer.)
+LONG = (10**5000 - 1) // 9
 words = st.sampled_from(
     ["symbolic", "all", "b", "a2", "json", "oracle", "printed", "3/4", "-1/2",
-     "1/0", "x", "", "2", "1e3", "1e5000"]
-) | st.text(max_size=5)
+     "1/0", "x", "", "2", "1e3", "1e5000", "LONG"]
+).map(lambda w: LONG if w == "LONG" else w) | st.text(max_size=5)
 scalars = (
     st.integers(-3, 12)
     | st.booleans()
@@ -222,8 +227,14 @@ scalar_configs = st.fixed_dictionaries(
 
 
 def load_everything(data):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        cfg = load_config(yaml.safe_dump(data))
+        text = yaml.safe_dump(data)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    try:
+        cfg = load_config(text)
         cfg.as_dict()
         cfg.bundle()
     except EngineError:

@@ -1,6 +1,9 @@
 """Exact scalar and parameter-polynomial arithmetic, and the sparse-term core."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -27,6 +30,7 @@ from ncresidue.errors import (
     ValidationError,
 )
 from ncresidue.halfplane import HalfPlaneRational
+from ncresidue import clifford, exact, symbols
 from ncresidue.symbols import CliffXi, XiExpr, _accumulate, _built
 from conftest import cliffxi_scalars, rand_gauss, rand_poly
 
@@ -458,6 +462,29 @@ def cliffxis(n):
 cliffxi_pairs = st.sampled_from((2, 4)).flatmap(lambda n: st.tuples(cliffxis(n), cliffxis(n)))
 
 
+def labelled_cliffords(n):
+    keys = st.tuples(st.integers(0, (1 << n) - 1), st.sampled_from(LABELS))
+    return st.dictionaries(keys, polys, max_size=4).map(
+        lambda terms: CliffordElement(n, ALPHABET, terms)
+    )
+
+
+labelled_pairs = st.sampled_from((2, 4)).flatmap(
+    lambda n: st.tuples(labelled_cliffords(n), labelled_cliffords(n))
+)
+
+
+def tangential(dim, alphabet):
+    """A CliffXi whose jet terms all carry tangential covariables, so that
+    its products merge tangential keys."""
+    a = ParamPoly.var(alphabet, "a")
+    return CliffXi(dim, alphabet, {
+        (1, ("phi",)): XiExpr(alphabet, {(0, 1, 0, 0, ((1, 1), (2, 2))): a * Fraction(1, 3),
+                                         (1, 0, 0, 1, ((2, 1),)): a + GaussRational(0, 2)}),
+        (3, ()): XiExpr(alphabet, {(0, -1, 1, 0, ((1, 2),)): ParamPoly.const(alphabet, 5)}),
+    })
+
+
 def is_clean(cx):
     """No empty coefficient at any level, and no zero scalar."""
     return all(
@@ -501,16 +528,43 @@ class TestSparseTermsCore:
             assert got == SparseTerms._product(x, y)
             assert is_clean(got)
 
+    @given(polys, polys, gauss_values, labelled_pairs)
+    def test_kernel_products_equal_the_core_product(self, p, q, s, ab):
+        # the values mix denominators and imaginary parts; (x + y)(x - y) has
+        # sums that cancel, and a constant, alone or beside other terms, takes
+        # the kernel's unit-key path (x * y itself maps the terms of x when y
+        # has one term, as a constant or a monomial has)
+        const = ParamPoly.const(ALPHABET, s)
+        mono = ParamPoly(ALPHABET, {(("a", 2), ("c", 1)): s})
+        for x, y in ((p, q), (p + q, p - q), (p + const, q), (const, p), (q, const),
+                     (q - q, p), (p, mono), (mono, q + const)):
+            got = ParamPoly._product(x, y)
+            assert got == SparseTerms._product(x, y) == x * y
+            assert all(type(c) is GaussRational and normal(c) for c in got.terms.values())
+        a, b = ab
+        c = CliffordElement.scalar(a.dim, ALPHABET, p + const)
+        for x, y in ((a, b), (b, a), (a + b, a - b), (a, c), (c, b), (b - b, a)):
+            got = x * y
+            assert got == SparseTerms._product(x, y)
+            assert all(
+                poly.terms and all(type(g) is GaussRational and normal(g)
+                                   for g in poly.terms.values())
+                for poly in got.terms.values()
+            )
+
     @given(cliffxi_pairs, gauss_values, st.integers(-2, 1))
     def test_accumulated_products_equal_the_nested_products(self, ab, factor, shift):
         # factor * u^shift * x * y summed over several pairs in one map, against
         # the core's product through XiExpr and ParamPoly, term by term; the
-        # factor may be zero, and adding a pair again with -factor cancels it
+        # factor may be zero, and adding a pair again with -factor cancels it;
+        # every pair with t merges tangential keys
         a, b = ab
         dim, alphabet = a.dim, a.alphabet
+        t = tangential(dim, alphabet)
         u = CliffXi.scalar(dim, XiExpr.u_power(alphabet, shift))
         acc, want = {}, CliffXi.zero(dim, alphabet)
-        for x, y, f in ((a, b, factor), (b, a, factor * GR_I), (a + b, a - b, -factor)):
+        for x, y, f in ((a, b, factor), (b, a, factor * GR_I), (a + b, a - b, -factor),
+                        (a + t, t, factor), (t, b - t, factor * GR_I)):
             _accumulate(acc, x, y, f, shift)
             want = want + SparseTerms._product(SparseTerms._product(u, x), y).scale(f)
         got = _built(dim, alphabet, acc)
@@ -543,6 +597,15 @@ class TestSparseTermsCore:
         (g,) = cliffxi_scalars(got)
         assert type(g) is GaussRational and (g.a, g.b, g.d) == (1, 1, 2)
         assert hash(g) == hash(want) and {want: 0}.get(g) == 0
+
+    def test_tangential_keys_merge(self):
+        # (c1 xi1 xi2^2 u)(c1 xi1^2 u^-1) = -xi1^3 xi2^2: the tangential keys
+        # merge and the blade sign is folded in
+        al = JET_ALPHABET
+        x = CliffXi(2, al, {(1, ()): XiExpr.monomial(al, p=1, tang=((1, 1), (2, 2)))})
+        y = CliffXi(2, al, {(1, ()): XiExpr.monomial(al, p=-1, tang=((1, 2),), coeff=3)})
+        want = CliffXi(2, al, {(0, ()): XiExpr.monomial(al, tang=((1, 3), (2, 2)), coeff=-3)})
+        assert x * y == want == SparseTerms._product(x, y)
 
     def test_cliffxi_product_drops_cancelled_blades(self):
         # (c1 + c2)^2 = -2: the c1 c2 and c2 c1 terms cancel
@@ -607,3 +670,90 @@ class TestSparseTermsCore:
                 a * other
         assert (a * a).coefficient(0) == HalfPlaneRational.const(ALPHABET, -1)
         assert (a + a).terms == {(1, ()): HalfPlaneRational.const(ALPHABET, 2)}
+
+
+# The same products, over two alphabets and two dimensions, run in this
+# process and in a fresh one; the printed results must agree.
+PRODUCTS = """
+from fractions import Fraction
+from ncresidue.clifford import CliffordElement
+from ncresidue.exact import Alphabet, GaussRational, ParamPoly
+from ncresidue.geometry import standard_alphabet
+from ncresidue.symbols import invert_symbol, laplace_symbol
+out = []
+for names in (("a", "b"), ("b", "c", "a")):
+    al = Alphabet(names)
+    a, b = ParamPoly.var(al, "a"), ParamPoly.var(al, "b", 2)
+    p = a * Fraction(1, 3) + b * GaussRational(0, Fraction(1, 2)) - 1
+    out.append(str(p * p * (p - a)))
+    for dim in (2, 4):
+        e = CliffordElement.from_vector(dim, al, [p] * dim, ("phi",))
+        e = e + CliffordElement.scalar(dim, al, b)
+        out.append(sorted((str(k), str(c)) for k, c in (e * e * e).terms.items()))
+for dim, depth in ((2, 3), (4, 2)):
+    inverse = invert_symbol(laplace_symbol(dim, standard_alphabet(dim)), depth)
+    out.append([str(q) for _, q in inverse.items()])
+"""
+
+
+def run_products():
+    scope = {}
+    exec(PRODUCTS, scope)
+    return json.loads(json.dumps(scope["out"]))
+
+
+def count_calls_of(monkeypatch, module, name):
+    """Record the argument pairs of every call of module.name."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda k1, k2: calls.append((k1, k2)) or fn(k1, k2))
+    return calls
+
+
+class TestMergeMemos:
+    # a memo of key products lives for one product: it merges each key pair
+    # met in the call once, keeps nothing between calls, and hands out tuples
+
+    def test_monomial_pairs_merge_once_per_product(self, monkeypatch):
+        al = JET_ALPHABET
+        a, b = ParamPoly.var(al, "a"), ParamPoly.var(al, "b")
+        p = (a + b + 1) * (a - 2)
+        x = CliffordElement(2, al, {(1, ()): p, (2, ("phi",)): p * b, (3, ()): p + 3})
+        monos = {m for c in x.terms.values() for m in c.terms if m}
+        calls = count_calls_of(monkeypatch, clifford, "_merge_monomials")
+        got = x * x
+        assert sorted(calls) == sorted((m1, m2) for m1 in monos for m2 in monos)
+        x * x
+        assert len(calls) == 2 * len(monos) ** 2
+        assert got == SparseTerms._product(x, x)
+        assert all(type(m) is tuple and all(type(f) is tuple for f in m)
+                   for c in got.terms.values() for m in c.terms)
+        # a polynomial product meets each pair once, so it has no memo
+        q = p * b
+        calls = count_calls_of(monkeypatch, exact, "_merge_monomials")
+        got = p * q
+        assert len(calls) == len(set(calls)) == len([m for m in p.terms if m]) * len(q.terms)
+        assert got == SparseTerms._product(p, q)
+
+    def test_jet_key_pairs_merge_once_per_call(self, monkeypatch):
+        al = JET_ALPHABET
+        a, b = ParamPoly.var(al, "a"), ParamPoly.var(al, "b")
+        p = (a + b + 1) * (a - 2)
+        x = CliffXi(2, al, {(1, ()): XiExpr(al, {(1, 0, 0, 0, ()): p}),
+                            (2, ()): XiExpr(al, {(0, 1, 0, 0, ((1, 1),)): p * b}),
+                            (3, ()): XiExpr(al, {(1, 0, 0, 0, ()): p * 3})})
+        keys = {(jk, m) for xe in x.terms.values()
+                for jk, c in xe.terms.items() for m in c.terms}
+        calls = count_calls_of(monkeypatch, symbols, "_jet_key_product")
+        got = x * x
+        assert sorted(calls) == sorted((k1, k2) for k1 in keys for k2 in keys)
+        x * x
+        assert len(calls) == 2 * len(keys) ** 2
+        assert got == SparseTerms._product(x, x)
+
+    def test_products_equal_a_fresh_process(self):
+        first, again = run_products(), run_products()
+        fresh = subprocess.run(
+            [sys.executable, "-c", PRODUCTS + "import json\nprint(json.dumps(out))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert first == again == json.loads(fresh.stdout)
