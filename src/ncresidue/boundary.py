@@ -16,9 +16,11 @@ patched.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from types import MappingProxyType
 
 from .clifford import Blades
 from .errors import ValidationError
@@ -106,33 +108,11 @@ class SphereSymbol(Blades):
         return self._map(lambda f: f.deriv(k))
 
 
-class BoundaryCaseResult:
-    """One boundary case: exact value, per-part split, printed comparison."""
-
-    __slots__ = (
-        "case_id",
-        "nbar",
-        "value",
-        "integrand",
-        "parts",
-        "printed",
-        "comparisons",
-        "derivation_trace",
-    )
-
-    def __init__(self, case_id, nbar, value, integrand, parts, printed,
-                 comparisons, derivation_trace):
-        self.case_id = case_id
-        self.nbar = nbar
-        self.value = value          # ParamPoly coefficient of pi (VolS included)
-        self.integrand = integrand  # traced HalfPlaneRational (pre-prefactor)
-        self.parts = parts
-        self.printed = printed
-        self.comparisons = comparisons
-        self.derivation_trace = derivation_trace
-
-    def __repr__(self):
-        return f"BoundaryCaseResult({self.case_id}, nbar={self.nbar}, value={self.value})"
+# One boundary case: exact value (coefficient of pi, VolS included), traced
+# integrand before the prefactor, per-part split, printed comparison.  Its
+# records are read-only mappings, so the cache hands out one shared result.
+BoundaryCaseResult = namedtuple("BoundaryCaseResult", "case_id nbar value integrand "
+                                "parts printed comparisons derivation_trace")
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +405,7 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
         if name is None:
             log("traced_integrand", "fibre trace of the product", integ)
         else:
-            parts[name] = {"integrand": integ, "value": val}
+            parts[name] = MappingProxyType({"integrand": integ, "value": val})
             log(f"part_{name}", "traced part integrand", integ)
     if products:
         log("integral", "residue integral (coefficient of pi)", coeff)
@@ -459,7 +439,9 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
             )
         )
     return BoundaryCaseResult(
-        case_id, nbar, value, integrand, parts or None, printed, records, trace
+        case_id, nbar, value, integrand, MappingProxyType(parts) if parts else None,
+        printed, tuple(map(MappingProxyType, records)),
+        tuple(map(MappingProxyType, trace)),
     )
 
 
@@ -555,36 +537,28 @@ def _boundary_case_symbolic(case_id, nbar):
     return _CASE_FN[case_id](nbar)
 
 
-def _caller_copy(res, geo=None):
-    """A cached case as handed out: its own lists and record dicts, so no
-    caller can change what later calls see; geo substitutes point data."""
-    sub = (lambda p: p) if geo is None else geo.subs
-    parts = None
-    if res.parts is not None:
-        parts = {
-            k: {"integrand": v["integrand"], "value": sub(v["value"])}
-            for k, v in res.parts.items()
-        }
-    return BoundaryCaseResult(
-        res.case_id,
-        res.nbar,
-        sub(res.value),
-        res.integrand,
-        parts,
-        sub(res.printed),
-        [dict(c) for c in res.comparisons],
-        [dict(step) for step in res.derivation_trace],
-    )
-
-
-def boundary_case(case_id, nbar, geo=None):
-    """Evaluate one boundary case; geo substitutes exact point data."""
-    if case_id not in CASE_IDS:
-        raise ValidationError("case_id", f"unknown case {case_id!r}")
+def _check_bundle(nbar, geo):
+    """Refuse an unsupported nbar, or point data of another dimension."""
     check_nbar(nbar)
     if geo is not None and geo.n != nbar + 2:
         raise ValidationError("geo", f"bundle dimension {geo.n} != {nbar + 2}")
-    return _caller_copy(_boundary_case_symbolic(case_id, nbar), geo)
+
+
+def boundary_case(case_id, nbar, geo=None):
+    """One boundary case, shared with every caller; geo substitutes exact
+    point data into a new result that shares the records."""
+    if case_id not in CASE_IDS:
+        raise ValidationError("case_id", f"unknown case {case_id!r}")
+    _check_bundle(nbar, geo)
+    res = _boundary_case_symbolic(case_id, nbar)
+    if geo is None:
+        return res
+    parts = res.parts and MappingProxyType({
+        k: MappingProxyType({**v, "value": geo.subs(v["value"])})
+        for k, v in res.parts.items()
+    })
+    return res._replace(value=geo.subs(res.value), parts=parts,
+                        printed=geo.subs(res.printed))
 
 
 def _coefficient(poly, name):
@@ -607,10 +581,10 @@ def total_boundary_phi(nbar, geo=None):
     h'(0)-proportional and (X_n - 2 Y_n)-proportional parts, structural
     checks, and comparison records against the printed closed form.
     """
-    check_nbar(nbar)
+    _check_bundle(nbar, geo)
     n = nbar + 2
     alphabet = standard_alphabet(n)
-    cases = {cid: _caller_copy(_boundary_case_symbolic(cid, nbar)) for cid in CASE_IDS}
+    cases = {cid: _boundary_case_symbolic(cid, nbar) for cid in CASE_IDS}
     value = ParamPoly.zero(alphabet)
     for res in cases.values():
         value = value + res.value
@@ -693,7 +667,7 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
     (h'(0) = -2K/(nbar+1)) and the normal drift combination X_n - 2 Y_n;
     both coefficients are compared against the printed assembly.
     """
-    check_nbar(nbar)
+    _check_bundle(nbar, geo)
     n = nbar + 2
     alphabet = standard_alphabet(n)
     geo_int = geo if geo is not None else GeometricBundle(n)

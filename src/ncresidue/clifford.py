@@ -285,7 +285,7 @@ def torsion_element(dim, alphabet, triples, label=()):
 LEMMA_BUDGET = 5000 * 13 ** 3
 
 
-def check_lemma_budget(n, trials, field="trials"):
+def check_lemma_budget(n, trials, field):
     """Reject a lemma audit of more than LEMMA_BUDGET trials x (n + 1)^3
     before any work; here so that a config can check it without the oracle."""
     unit = (n + 1) ** 3

@@ -225,11 +225,11 @@ def load_config(source):
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config: {exc}")
-    # PyYAML also raises ValueError, e.g. for an integer past Python's limit
-    # on the digits of an int-string conversion
+    # PyYAML also raises ValueError for an integer past Python's int-string
+    # digit limit, and RecursionError for deeply nested collections
     try:
         data = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             raise ParseError(

@@ -143,19 +143,67 @@ class TestIndividualCases:
                    res.derivation_trace)
 
     def test_cached_cases_do_not_leak_mutation(self):
+        def plain(res):
+            return (res.value, res.printed, [dict(c) for c in res.comparisons],
+                    [dict(step) for step in res.derivation_trace],
+                    {k: dict(v) for k, v in res.parts.items()})
+
         count = len(total_boundary_phi(2)["comparisons"])
         res = boundary_case("b", 2)
-        res.comparisons.append({"term": "injected"})
-        res.comparisons[0]["agree"] = "changed"
-        res.derivation_trace.clear()
-        total_boundary_phi(2)["cases"]["c"].comparisons.clear()
+        before = plain(res)
+        with pytest.raises(AttributeError):
+            res.comparisons.append({"term": "injected"})
+        with pytest.raises(TypeError):
+            res.comparisons[0]["agree"] = "changed"
+        with pytest.raises(TypeError):
+            res.comparisons[0] = {"term": "injected"}
+        with pytest.raises(TypeError):
+            res.parts["A1"]["value"] = ParamPoly.zero(res.value.alphabet)
+        with pytest.raises(AttributeError):
+            res.derivation_trace.clear()
+        with pytest.raises(AttributeError):
+            res.parts.clear()
+        with pytest.raises(AttributeError):
+            res.value = ParamPoly.zero(res.value.alphabet)
+        with pytest.raises(AttributeError):
+            total_boundary_phi(2)["cases"]["c"].comparisons.clear()
         phi = total_boundary_phi(2)
         assert len(phi["comparisons"]) == count == 13
         assert all(c["term"] != "injected" for c in phi["comparisons"])
-        fresh = boundary_case("b", 2)
-        assert fresh.comparisons[0]["agree"] in (True, False)
-        assert fresh.derivation_trace
+        assert plain(boundary_case("b", 2)) == before
         assert phi["cases"]["c"].comparisons
+
+    @pytest.mark.parametrize("nbar", [2, 4])
+    def test_cases_are_shared(self, nbar):
+        cases = total_boundary_phi(nbar)["cases"]
+        for cid in CASE_IDS:
+            assert boundary_case(cid, nbar) is cases[cid]
+
+    def test_geo_result_substitutes_values_and_shares_records(self):
+        geo = GeometricBundle(6, X=[1, 2, 3, 4, 5, 6], Y=[0, 0, 0, 0, 1, Fraction(1, 2)],
+                              s=2, dimF=3, trPhi=1, trPhi2=2, hprime0=Fraction(1, 3))
+        for cid in ("b", "c"):
+            res, sub = boundary_case(cid, 4), boundary_case(cid, 4, geo)
+            assert sub.value == geo.subs(res.value)
+            assert sub.printed == geo.subs(res.printed)
+            assert sub.value != res.value and sub.printed != res.printed
+            assert list(sub.parts) == list(res.parts)
+            for name, part in sub.parts.items():
+                assert part["value"] == geo.subs(res.parts[name]["value"])
+                assert part["integrand"] is res.parts[name]["integrand"]
+            with pytest.raises(TypeError):
+                sub.parts[name]["value"] = res.value
+            assert sub.comparisons is res.comparisons
+            assert sub.derivation_trace is res.derivation_trace
+            assert sub.integrand is res.integrand
+        assert boundary_case("aII", 4, geo).parts is None
+
+    @pytest.mark.parametrize("call", [total_boundary_phi, wres_with_boundary])
+    def test_bundle_of_another_dimension_rejected(self, call):
+        with pytest.raises(ValidationError, match="bundle dimension 8 != 6"):
+            call(4, GeometricBundle(8, s=2))
+        with pytest.raises(ValidationError, match="bundle dimension 4 != 6"):
+            call(4, GeometricBundle(4))
 
 
 _BY_PARTS_AIII = "two integration-by-parts forms"

@@ -49,6 +49,15 @@ class TestExitCodes:
         assert err.startswith("error: ParseError: invalid config: Exceeds the limit")
         assert "Traceback" not in err
 
+    def test_deeply_nested_config(self, capsys):
+        # PyYAML's composer raises RecursionError past Python's recursion limit
+        config = "nbar: 2\ns: " + "[" * 5000 + "]" * 5000
+        code, out, err = run_main(capsys, ["--config", config])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ParseError: invalid config: maximum recursion")
+        assert "Traceback" not in err
+
     def test_bad_torsion_triple(self, capsys):
         code, _, err = run_main(
             capsys, ["--config", "nbar: 2\ntorsion:\n  - [2, 1, 3, 1]"]

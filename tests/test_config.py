@@ -119,6 +119,15 @@ class TestLoadConfig:
             load_config("nbar: [unclosed")
         assert exc.value.line is not None
 
+    @pytest.mark.parametrize("nested", [
+        "{a: " * 5000 + "1" + "}" * 5000,
+        "\n  " + "- " * 5000 + "1",
+    ], ids=["flow_mappings", "block_sequences"])
+    def test_deeply_nested_collection(self, nested):
+        # PyYAML's composer recurses once per nesting level
+        with pytest.raises(ParseError, match="recursion depth"):
+            load_config("nbar: 2\ns: " + nested)
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ParseError):
             load_config("- 1\n- 2")
@@ -173,10 +182,13 @@ class TestLoadConfig:
 # The word "LONG" draws 5,000 ones, an integer past Python's digit limit for
 # int-string conversion, which load_everything writes out unquoted, as a
 # config file may hold it.  (The strategy's repr may not hold the integer.)
+# The word "DEEP" stays a string in the data, and load_everything writes it
+# as 5,000 nested flow mappings, deeper than PyYAML can compose or dump.
 LONG = (10**5000 - 1) // 9
+DEEP = "{a: " * 5000 + "1" + "}" * 5000
 words = st.sampled_from(
     ["symbolic", "all", "b", "a2", "json", "oracle", "printed", "3/4", "-1/2",
-     "1/0", "x", "", "2", "1e3", "1e5000", "LONG"]
+     "1/0", "x", "", "2", "1e3", "1e5000", "LONG", "DEEP"]
 ).map(lambda w: LONG if w == "LONG" else w) | st.text(max_size=5)
 scalars = (
     st.integers(-3, 12)
@@ -230,7 +242,7 @@ def load_everything(data):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text = yaml.safe_dump(data)
+        text = yaml.safe_dump(data).replace("DEEP", DEEP)
     finally:
         sys.set_int_max_str_digits(limit)
     try:
