@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .exact import Alphabet, GaussRational, ParamPoly  # noqa: E402
 from .clifford import (  # noqa: E402
     CliffordElement,
-    clifford_product,
     spinor_trace,
     twisted_trace,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "GaussRational",
     "ParamPoly",
     "CliffordElement",
-    "clifford_product",
     "spinor_trace",
     "twisted_trace",
     "verify_trace_lemmas",

@@ -674,12 +674,6 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
     density, (pi_power, prefactor) = interior_wres(geo_int, mode)
     phi = total_boundary_phi(nbar, geo)
 
-    # independent re-summation of the five cases
-    case_sum = ParamPoly.zero(alphabet)
-    for cid in CASE_IDS:
-        case_sum = case_sum + _boundary_case_symbolic(cid, nbar).value
-    boundary_matches_cases = case_sum == phi["symbolic"]["value"]
-
     k_coeff = _coefficient(phi["symbolic"]["hprime_part"], "hp0") * Fraction(-2, nbar + 1)
     xn = f"X_{n}"
     drift_coeff = _coefficient(phi["symbolic"]["drift_part"], xn)
@@ -705,7 +699,6 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
             "prefactor": prefactor,
         },
         "boundary": phi,
-        "boundary_equals_sum_of_cases": boundary_matches_cases,
         "groupings": {
             "K_coefficient": k_coeff,
             "K_coefficient_printed": printed_k,

@@ -216,11 +216,6 @@ class CliffordElement(Blades):
         return f"CliffordElement(n={self.dim}, {len(self.terms)} terms)"
 
 
-def clifford_product(a, b):
-    """Structural blade-mask product."""
-    return a * b
-
-
 def spinor_trace(a):
     """2^(n/2) times the plain grade-0 coefficient.
 

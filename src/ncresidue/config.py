@@ -127,9 +127,15 @@ class SessionConfig:
         check_lemma_budget(nbar + 2, verify_lemmas, "verify_lemmas")
         self.verify_lemmas = verify_lemmas
 
-        self.scalars = {}
-        for field in _SCALAR_FIELDS:
-            self.scalars[field] = _rational(field, (scalars or {}).get(field))
+        scalars = {} if scalars is None else scalars
+        if not isinstance(scalars, dict):
+            raise ValidationError("scalars", f"expected a mapping, got {scalars!r}")
+        for key in scalars:
+            if key not in _SCALAR_FIELDS:
+                raise ValidationError(
+                    "scalars", f"unknown scalar {key!r}; expected one of {_SCALAR_FIELDS}"
+                )
+        self.scalars = {f: _rational(f, scalars.get(f)) for f in _SCALAR_FIELDS}
 
         n = nbar + 2
         self.X = self._vector("X", X, n)
@@ -257,6 +263,6 @@ def load_config(source):
             args[arg] = value
     if args.get("nbar") is None:
         raise ValidationError("nbar", "missing boundary dimension")
-    if "case" in data or isinstance(args.get("cases"), str):
+    if isinstance(args.get("cases"), str):
         args["cases"] = [args["cases"]]
     return SessionConfig(scalars=scalars, **args)

@@ -12,6 +12,7 @@ dPhi_j) and never contribute to densities.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -108,10 +109,15 @@ class GeometricBundle:
         # accept redundant full-tensor input: permuted triples fold onto the
         # increasing representative with the permutation sign, and must be
         # mutually consistent with full antisymmetry
+        if torsion is not None and not isinstance(torsion, dict):
+            raise ValidationError("torsion", f"expected a mapping, got {torsion!r}")
         self.torsion = {}
         for key, value in (torsion or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 3
+                    and all(type(i) is int for i in key)):
+                raise ValidationError("torsion", f"key {key!r} is not a triple of ints")
             a, b, c = key
-            if not all(1 <= i <= n for i in (a, b, c)):
+            if not all(1 <= i <= n for i in key):
                 raise ValidationError(
                     "torsion", f"triple {key} has indices outside 1..{n}"
                 )
@@ -154,18 +160,9 @@ class GeometricBundle:
         return poly.subs(self._assignment)
 
 
-class LaplaceNormalForm:
-    """First-order and zero-order blocks of the operator at the base point,
-    with the jets of W that B was built from."""
-
-    __slots__ = ("dim", "alphabet", "Ai", "B", "jets")
-
-    def __init__(self, dim, alphabet, Ai, B, jets):
-        self.dim = dim
-        self.alphabet = alphabet
-        self.Ai = list(Ai)
-        self.B = B
-        self.jets = jets
+# First-order and zero-order blocks of the operator at the base point, with
+# the jets of W that B was built from.
+LaplaceNormalForm = namedtuple("LaplaceNormalForm", "dim alphabet Ai B jets")
 
 
 def _var(alphabet, name):
@@ -328,9 +325,9 @@ def _trace_E_symbolic(n):
     return twisted_trace(grade0, standard_label_trace(alphabet))
 
 
-def _printed_density(geo, s_coeff):
+def _printed_density(geo):
     """The printed closed-form density at geo's point data:
-    2^n dimF (-s_coeff s + divX/2 + g(Y, X) trPhi + (2|T|^2 + |Y|^2/2) trPhi2).
+    2^n dimF (-s/4 + divX/2 + g(Y, X) trPhi + (2|T|^2 + |Y|^2/2) trPhi2).
     """
     n, alphabet = geo.n, geo.alphabet
     gyx = normy2 = sum_t2 = ParamPoly.zero(alphabet)
@@ -341,7 +338,7 @@ def _printed_density(geo, s_coeff):
     for t in _triples(n):
         sum_t2 = sum_t2 + _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") ** 2
     inner = (
-        -(_var(alphabet, "s") * s_coeff)
+        -(_var(alphabet, "s") * Fraction(1, 4))
         + _var(alphabet, "divX") * Fraction(1, 2)
         + gyx * _var(alphabet, "trPhi")
         + (sum_t2 * 2 + normy2 * Fraction(1, 2)) * _var(alphabet, "trPhi2")
@@ -360,7 +357,7 @@ def trace_E_density(geo, mode="oracle"):
     2^n prefactor.
     """
     if mode == "printed":
-        return _printed_density(geo, Fraction(1, 4))
+        return _printed_density(geo)
     if mode != "oracle":
         raise ValidationError("mode", f"unknown mode {mode!r}")
     return geo.subs(_trace_E_symbolic(geo.n))
@@ -413,23 +410,13 @@ def trace_density_report(n):
 def interior_wres(geo, mode="oracle"):
     """Interior residue density and its exact prefactor.
 
+    The density is tr(E) plus the scalar-curvature term s dimF tr(id) / 6,
+    where tr(id) is 2^n in printed mode and 2^(n/2) in oracle mode.
     Returns (density, (pi_power, prefactor)): the residue is
     prefactor * pi^pi_power * integral of density.
     """
     n, alphabet = geo.n, geo.alphabet
-    pi_power = Fraction(n, 2)
-    prefactor = Fraction(n - 2, factorial(n // 2 - 1))
-    if mode == "printed":
-        density = _printed_density(geo, Fraction(1, 12))
-    elif mode != "oracle":
-        raise ValidationError("mode", f"unknown mode {mode!r}")
-    else:
-        trid = ParamPoly.const(alphabet, 2 ** (n // 2))
-        curv = (
-            _var(alphabet, "s")
-            * Fraction(1, 6)
-            * trid
-            * _var(alphabet, "dimF")
-        )
-        density = geo.subs(curv) + trace_E_density(geo, "oracle")
-    return density, (pi_power, prefactor)
+    trid = 2 ** n if mode == "printed" else 2 ** (n // 2)
+    curv = _var(alphabet, "s") * _var(alphabet, "dimF") * Fraction(trid, 6)
+    density = trace_E_density(geo, mode) + geo.subs(curv)
+    return density, (Fraction(n, 2), Fraction(n - 2, factorial(n // 2 - 1)))

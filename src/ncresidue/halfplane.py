@@ -113,10 +113,6 @@ class HalfPlaneRational(SparseTerms):
         return _hpr(alphabet, {})
 
     @classmethod
-    def const(cls, alphabet, value):
-        return cls(alphabet, [ParamPoly.const(alphabet, value)])
-
-    @classmethod
     def from_u_power(cls, alphabet, m, p):
         """xi^m * (1 + xi^2)^p with integer p of either sign."""
         if p < 0:
@@ -195,10 +191,6 @@ class HalfPlaneRational(SparseTerms):
     def pi_plus(self):
         """Projection onto the part with poles at +i only."""
         return self._like({key: c for key, c in self.terms.items() if key[0] == 1})
-
-    def pi_prime(self):
-        """i times the residue at +i (a ParamPoly)."""
-        return self.residue_at_plus_i() * GR_I
 
     def residue_at_plus_i(self):
         return self.terms.get((1, 1), ParamPoly.zero(self.alphabet))

@@ -38,8 +38,8 @@ class SpinorMatrix:
         self.rows = rows
 
     @classmethod
-    def identity(cls, size, one=GR_ONE):
-        return cls(size, [{i: one} for i in range(size)])
+    def identity(cls, size):
+        return cls(size, [{i: GR_ONE} for i in range(size)])
 
     def __add__(self, other):
         return _combination(self.size, [(GR_ONE, self), (GR_ONE, other)])
@@ -219,9 +219,9 @@ def _trace_table(lefts, rights):
 _SCALE = 12
 
 
-def _rand_scaled(rng, span=6):
-    """_SCALE times a random fraction num/den, |num| <= span, den in 1..4."""
-    num = rng.randint(-span, span)
+def _rand_scaled(rng):
+    """_SCALE times a random fraction num/den, |num| <= 6, den in 1..4."""
+    num = rng.randint(-6, 6)
     return num * (_SCALE // rng.randint(1, 4))
 
 

@@ -102,25 +102,6 @@ class XiExpr(SparseTerms):
                 pairs.append(((m + 1, p - 1, q, r, tang), c * (2 * p)))
         return self._collect(pairs)
 
-    def d_xit(self, j):
-        """Derivative in the tangential covariable xi_j."""
-        pairs = []
-        for (m, p, q, r, tang), c in self.terms.items():
-            up = _merge_monomials(tang, ((j, 1),))
-            if p:
-                pairs.append(((m, p - 1, q, r + 1, up), c * (2 * p)))
-            if q:
-                pairs.append(((m, p, q - 1, r + 1, up), c * (2 * q)))
-            exps = dict(tang)
-            e = exps.get(j, 0)
-            if e:
-                if e == 1:
-                    del exps[j]
-                else:
-                    exps[j] = e - 1
-                pairs.append(((m, p, q, r, tuple(sorted(exps.items()))), c * e))
-        return self._collect(pairs)
-
     def restrict_sphere(self):
         """Restriction to the tangential unit sphere: w = h = 1, u = 1 + xi_n^2.
 
@@ -203,9 +184,6 @@ class CliffXi(Blades):
         for _ in range(k):
             out = out._map(lambda c: c.d_xin())
         return out
-
-    def d_xit(self, j):
-        return self._map(lambda c: c.d_xit(j))
 
     def restrict_sphere(self):
         """{(mask, label): HalfPlaneRational} on the tangential unit sphere."""

@@ -24,7 +24,6 @@ from ncresidue.boundary import (
 )
 from ncresidue.clifford import (
     CliffordElement,
-    clifford_product,
     represent,
     spinor_trace,
     verify_trace_lemmas,
@@ -88,9 +87,7 @@ class TestCriterion01CliffordOracleEquivalence:
             for _ in range(200):
                 a = rand_element(n, EMPTY, rng)
                 b = rand_element(n, EMPTY, rng)
-                assert represent(clifford_product(a, b)) == (
-                    represent(a) * represent(b)
-                )
+                assert represent(a * b) == represent(a) * represent(b)
                 tr = spinor_trace(a)
                 assert tr.is_constant()
                 assert represent(a).trace() == tr.constant_value()
@@ -317,7 +314,6 @@ class TestCriterion11BoundaryAssembly:
     @pytest.mark.parametrize("nbar", [2, 4, 6])
     def test_finite_exact_and_sum_of_cases(self, nbar):
         w = wres_with_boundary(nbar)
-        assert w["boundary_equals_sum_of_cases"] is True
         total = None
         for cid in CASE_IDS:
             v = w["boundary"]["cases"][cid].value

@@ -319,7 +319,6 @@ class TestAssembly:
     @pytest.mark.parametrize("nbar", [2, 4, 6])
     def test_boundary_equals_sum_of_cases(self, nbar):
         w = wres_with_boundary(nbar)
-        assert w["boundary_equals_sum_of_cases"] is True
         total = None
         for cid in CASE_IDS:
             v = w["boundary"]["cases"][cid].value

@@ -47,6 +47,17 @@ class TestSessionConfig:
         with pytest.raises(ValidationError):
             SessionConfig(nbar=2, cases=["z"])
 
+    @pytest.mark.parametrize(
+        "scalars, named",
+        [({"S": 1}, "'S'"), ({"s": 1, "hprime": 2}, "'hprime'"), ([("s", 1)], "mapping")],
+        ids=["wrong_case", "unknown_name", "not_a_mapping"],
+    )
+    def test_bad_scalars_rejected(self, scalars, named):
+        # a misspelt name must not leave its scalar silently symbolic
+        with pytest.raises(ValidationError) as exc:
+            SessionConfig(2, scalars=scalars)
+        assert exc.value.field == "scalars" and named in str(exc.value)
+
     def test_bundle_dimension(self):
         cfg = SessionConfig(nbar=4, scalars={"s": 3, "dimF": "1/2"})
         geo = cfg.bundle()
@@ -66,6 +77,15 @@ class TestLoadConfig:
         assert cfg.nbar == 4
         assert cfg.cases == ("aII",)
         assert cfg.fmt == "json"
+
+    @pytest.mark.parametrize(
+        "text, cases",
+        [("nbar: 2\ncase: [b, c]", ("b", "c")),
+         ("nbar: 2\ncase: [a1, all]", ("aI", "aII", "aIII", "b", "c"))],
+        ids=["list", "list_with_all"],
+    )
+    def test_case_synonym_takes_a_list(self, text, cases):
+        assert load_config(text).cases == cases
 
     @pytest.mark.parametrize(
         "text, keys",

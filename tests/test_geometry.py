@@ -82,6 +82,16 @@ class TestGeometricBundle:
         # a zero value on a degenerate triple is just dropped
         assert GeometricBundle(4, torsion={(1, 1, 3): Fraction(0)}).torsion == {}
 
+    @pytest.mark.parametrize(
+        "torsion",
+        [{(1, 2): 1}, [(1, 2, 3, 1)], {(1, 2, "x"): 1}, {(1, 2, 3, 4): 1}, {"123": 1}],
+        ids=["pair_key", "list", "str_index", "four_indices", "str_key"],
+    )
+    def test_malformed_torsion_rejected(self, torsion):
+        with pytest.raises(ValidationError) as exc:
+            GeometricBundle(4, torsion=torsion)
+        assert exc.value.field == "torsion"
+
     def test_assignment_pinned(self):
         g = GeometricBundle(
             4,
@@ -229,6 +239,15 @@ class TestInteriorDensity:
             Fraction(-2 ** (n // 2), 12)
         )
         assert printed.coefficient(key) == GaussRational(Fraction(-2 ** n, 12))
+
+    @pytest.mark.parametrize("mode", ["oracle", "printed"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_density_at_point_data_is_the_substituted_density(self, n, mode):
+        # the s tr(id)/6 term must take the point data like tr(E) does
+        geo = GeometricBundle(n, s=Fraction(5), dimF=Fraction(3), divX=Fraction(-1, 2))
+        density, _ = interior_wres(geo, mode)
+        symbolic, _ = interior_wres(GeometricBundle(n), mode)
+        assert density == geo.subs(symbolic)
 
     def test_density_report_structure(self):
         recs = {r["term"]: r for r in trace_density_report(4)}

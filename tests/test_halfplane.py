@@ -94,10 +94,6 @@ class TestProjections:
         p = f.pi_plus()
         assert p.pi_plus() == p
 
-    def test_pi_prime_is_residue_scaled(self):
-        f = HalfPlaneRational.from_u_power(AL, 0, -1)
-        assert f.pi_prime() == ParamPoly.const(AL, GR_I) * f.residue_at_plus_i()
-
 
 class TestLineIntegral:
     def test_cauchy_kernel(self):
