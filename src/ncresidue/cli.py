@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import CASE_ALIASES, FORMATS, MODES, SessionConfig, load_config
+from .config import CASE_ALIASES, FORMATS, MODES, SessionConfig, read_config
 from .errors import EngineError, ValidationError
 from .report import emit, run_session
 
@@ -52,8 +52,7 @@ def _merge(args):
     }
     fields = {}
     if args.config is not None:
-        fields = load_config(args.config).as_dict()
-        fields["fmt"] = fields.pop("format")
+        fields = read_config(args.config)
     elif args.dim is None:
         raise ValidationError("dim", "provide --dim or --config")
     fields.update((k, v) for k, v in flags.items() if v is not None)

@@ -1,35 +1,30 @@
 """Session configuration: structured-text loading and validation.
 
 Configs are YAML mappings.  Every geometric parameter defaults to symbolic;
-numeric values must be exact integers or rational strings like "3/4".
+the session's GeometricBundle reads and checks the numeric values.
 """
 
 from __future__ import annotations
 
 import os
-import re
-from fractions import Fraction
 
 from .boundary import CASE_IDS
 from .clifford import check_lemma_budget
 from .errors import NonIncreasingTriple, ParseError, ValidationError
-from .geometry import GeometricBundle, check_nbar
+from .geometry import SCALAR_NAMES, GeometricBundle, check_nbar
 
 CASE_ALIASES = {"a1": "aI", "a2": "aII", "a3": "aIII", **{c: c for c in CASE_IDS}}
 MODES = ("oracle", "printed")
 FORMATS = ("text", "json", "csv")
 
-_SCALAR_FIELDS = ("s", "divX", "divY", "dimF", "trPhi", "trPhi2", "hprime0")
 # each YAML key and the SessionConfig argument it sets
 _KEYS = {
     "dim": "nbar",
     "case": "cases",
     "format": "fmt",
     **{k: k for k in ("nbar", "mode", "cases", "seed", "verify_lemmas", "X", "Y",
-                      "torsion", *_SCALAR_FIELDS)},
+                      "torsion", *SCALAR_NAMES)},
 }
-# Fraction reads "1e10000000" as an integer of ten million digits
-_EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE]")
 
 
 def _is_int(value):
@@ -37,47 +32,10 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _rational(field, value):
-    """Exact value from an int or a 'p/q' string; None stays symbolic."""
-    if value is None or value == "symbolic":
-        return None
-    if isinstance(value, bool):
-        raise ValidationError(field, f"boolean {value!r} is not a rational")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if _EXPONENT.match(value):
-            raise ValidationError(
-                field, f"exponent notation {value!r} rejected; use an integer or 'p/q'"
-            )
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(field, f"not a rational: {value!r} ({exc})")
-    if isinstance(value, float):
-        raise ValidationError(
-            field, f"float {value!r} rejected; use an exact rational string"
-        )
-    raise ValidationError(field, f"unsupported value {value!r}")
-
-
 class SessionConfig:
     """Validated inputs for one reporting session."""
 
-    __slots__ = (
-        "nbar",
-        "mode",
-        "cases",
-        "fmt",
-        "seed",
-        "verify_lemmas",
-        "scalars",
-        "X",
-        "Y",
-        "torsion",
-    )
+    __slots__ = ("nbar", "mode", "cases", "fmt", "seed", "verify_lemmas", "_bundle")
 
     def __init__(
         self,
@@ -131,35 +89,18 @@ class SessionConfig:
         if not isinstance(scalars, dict):
             raise ValidationError("scalars", f"expected a mapping, got {scalars!r}")
         for key in scalars:
-            if key not in _SCALAR_FIELDS:
+            if key not in SCALAR_NAMES:
                 raise ValidationError(
-                    "scalars", f"unknown scalar {key!r}; expected one of {_SCALAR_FIELDS}"
+                    "scalars", f"unknown scalar {key!r}; expected one of {tuple(SCALAR_NAMES)}"
                 )
-        self.scalars = {f: _rational(f, scalars.get(f)) for f in _SCALAR_FIELDS}
-
-        n = nbar + 2
-        self.X = self._vector("X", X, n)
-        self.Y = self._vector("Y", Y, n)
-        self.torsion = self._torsion(torsion, n)
+        scalars = {k: None if v == "symbolic" else v for k, v in scalars.items()}
+        self._bundle = GeometricBundle(
+            nbar + 2, torsion=self._torsion(torsion), X=X, Y=Y, **scalars
+        )
 
     @staticmethod
-    def _vector(field, values, n):
-        if values is None:
-            return None
-        if not isinstance(values, (list, tuple)):
-            raise ValidationError(field, f"expected a list of {n} components")
-        if len(values) != n:
-            raise ValidationError(field, f"expected {n} components, got {len(values)}")
-        out = []
-        for k, v in enumerate(values):
-            r = _rational(f"{field}[{k}]", v)
-            if r is None:
-                raise ValidationError(field, "vector components must be numeric")
-            out.append(r)
-        return out
-
-    @staticmethod
-    def _torsion(entries, n):
+    def _torsion(entries):
+        """The [a, b, c, value] entries as {(a, b, c): value}."""
         if entries is None:
             return None
         if not isinstance(entries, (list, tuple)):
@@ -175,34 +116,30 @@ class SessionConfig:
             a, b, c, v = entry
             if not all(_is_int(i) for i in (a, b, c)):
                 raise ValidationError("torsion", f"indices in {entry!r} must be integers")
-            if not (1 <= a < b < c <= n):
-                raise NonIncreasingTriple(
-                    f"triple ({a},{b},{c}) is not strictly increasing in 1..{n}"
-                )
+            if not a < b < c:
+                raise NonIncreasingTriple(f"triple ({a},{b},{c}) is not strictly increasing")
             if (a, b, c) in out:
                 raise ValidationError("torsion", f"duplicate triple ({a},{b},{c})")
-            r = _rational(f"torsion[{a},{b},{c}]", v)
-            if r is None:
-                raise ValidationError("torsion", "component values must be numeric")
-            out[(a, b, c)] = r
+            out[(a, b, c)] = v
         return out
 
     def bundle(self):
-        """GeometricBundle carrying this config's exact point data."""
-        return GeometricBundle(
-            self.nbar + 2, torsion=self.torsion, X=self.X, Y=self.Y, **self.scalars
-        )
+        """The GeometricBundle carrying this config's exact point data."""
+        return self._bundle
 
     def as_dict(self):
         """Canonical plain-data rendering (for hashing and metadata).
 
-        Every field is rendered in a form the constructor reads back, under
-        its own name except that fmt is "format".
+        Values render as the bundle read them; a vector or a torsion table
+        that was left out, so that its names are unset, renders as None.
         """
-        def render(v):
-            if v is None:
-                return "symbolic"
-            return str(v)
+        geo = self._bundle
+        values = {k: str(v) for k, v in geo.assignment().items()}
+
+        def vector(name):
+            if f"{name}_1" not in values:
+                return None
+            return [values[f"{name}_{j}"] for j in range(1, geo.n + 1)]
 
         return {
             "nbar": self.nbar,
@@ -211,17 +148,19 @@ class SessionConfig:
             "format": self.fmt,
             "seed": self.seed,
             "verify_lemmas": self.verify_lemmas,
-            "scalars": {k: render(v) for k, v in sorted(self.scalars.items())},
-            "X": None if self.X is None else [str(v) for v in self.X],
-            "Y": None if self.Y is None else [str(v) for v in self.Y],
+            "scalars": {
+                k: values.get(SCALAR_NAMES[k], "symbolic") for k in sorted(SCALAR_NAMES)
+            },
+            "X": vector("X"),
+            "Y": vector("Y"),
             "torsion": None
-            if self.torsion is None
-            else [[a, b, c, str(v)] for (a, b, c), v in sorted(self.torsion.items())],
+            if "T_1_2_3" not in values
+            else [[a, b, c, str(v)] for (a, b, c), v in sorted(geo.torsion.items())],
         }
 
 
-def load_config(source):
-    """SessionConfig from a YAML path or inline YAML text."""
+def read_config(source):
+    """SessionConfig arguments from a YAML path or inline YAML text."""
     import yaml  # only here: a session from flags alone never parses YAML
 
     text = source
@@ -254,15 +193,18 @@ def load_config(source):
         arg = _KEYS.get(key)
         if arg is None:
             raise ValidationError(str(key), "unknown config key")
-        if arg in _SCALAR_FIELDS:
+        if arg in SCALAR_NAMES:
             scalars[arg] = value
         elif arg in args:
             other = next(k for k in data if k != key and _KEYS.get(k) == arg)
             raise ValidationError(arg, f"set both {other!r} and {key!r}; give one")
         else:
             args[arg] = value
-    if args.get("nbar") is None:
-        raise ValidationError("nbar", "missing boundary dimension")
     if isinstance(args.get("cases"), str):
         args["cases"] = [args["cases"]]
-    return SessionConfig(scalars=scalars, **args)
+    return {"nbar": None, **args, "scalars": scalars}
+
+
+def load_config(source):
+    """SessionConfig from a YAML path or inline YAML text."""
+    return SessionConfig(**read_config(source))

@@ -12,10 +12,12 @@ dPhi_j) and never contribute to densities.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .clifford import (
     CliffordElement,
@@ -35,8 +37,48 @@ from .errors import (
 from .exact import Alphabet, GaussRational, ParamPoly
 
 
+# Fraction reads "1e10000000" as an integer of ten million digits
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]+[eE]")
+
+
+def _rational(field, value):
+    """Exact value of an int, a Fraction or a 'p/q' string.
+
+    The one reader of outside point data: anything else, bools, floats and
+    exponent notation among them, raises ValidationError naming field.
+    """
+    if isinstance(value, bool):
+        raise ValidationError(field, f"boolean {value!r} is not a rational")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        if _EXPONENT.match(value):
+            raise ValidationError(
+                field, f"exponent notation {value!r} rejected; use an integer or 'p/q'"
+            )
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(field, f"not a rational: {value!r} ({exc})")
+    if isinstance(value, float):
+        raise ValidationError(
+            field, f"float {value!r} rejected; use an exact rational string"
+        )
+    # the type only: repr fails on an int past Python's int-string digit limit
+    raise ValidationError(
+        field, f"expected an int, a Fraction or a 'p/q' string, got {type(value).__name__}"
+    )
+
+
+# each scalar keyword of GeometricBundle and its name in the alphabet
+SCALAR_NAMES = {"s": "s", "divX": "divX", "divY": "divY", "dimF": "dimF",
+                "trPhi": "trPhi", "trPhi2": "trPhi2", "hprime0": "hp0"}
+
+
 def check_nbar(nbar):
     """Reject a boundary dimension that is not an even int in 2..10."""
+    if nbar is None:
+        raise ValidationError("nbar", "missing boundary dimension")
     if isinstance(nbar, bool) or not isinstance(nbar, int):
         raise ValidationError("nbar", f"integer required, got {nbar!r}")
     if nbar % 2:
@@ -82,8 +124,8 @@ def standard_label_trace(alphabet):
 class GeometricBundle:
     """Point data for the engine: dimension plus exact scalar values.
 
-    Any field left as None stays symbolic; numeric fields must be exact
-    (int or Fraction).
+    Any field left as None stays symbolic; every value given is read by
+    _rational(), so it is an int, a Fraction or a 'p/q' string.
     """
 
     def __init__(
@@ -104,13 +146,16 @@ class GeometricBundle:
             raise ValidationError("n", f"integer required, got {n!r}")
         if n % 2 or n < 2:
             raise OddDimension(f"even dimension >= 2 required, got {n}")
+        # the alphabet grows as n^4; 12 is the largest dimension a report uses
+        if n > 12:
+            raise UnsupportedDimension(f"dimension {n} outside 2..12")
         self.n = n
         self.alphabet = standard_alphabet(n)
         # accept redundant full-tensor input: permuted triples fold onto the
         # increasing representative with the permutation sign, and must be
         # mutually consistent with full antisymmetry
         if torsion is not None and not isinstance(torsion, dict):
-            raise ValidationError("torsion", f"expected a mapping, got {torsion!r}")
+            raise ValidationError("torsion", f"expected a mapping, got {type(torsion).__name__}")
         self.torsion = {}
         for key, value in (torsion or {}).items():
             if not (isinstance(key, tuple) and len(key) == 3
@@ -121,10 +166,11 @@ class GeometricBundle:
                 raise ValidationError(
                     "torsion", f"triple {key} has indices outside 1..{n}"
                 )
+            value = _rational(f"torsion[{a},{b},{c}]", value)
             if len({a, b, c}) < 3:
                 if value != 0:
                     raise NonAntisymmetricTorsion(
-                        f"triple {key} repeats an index but has value {value}"
+                        f"triple {key} repeats an index but has a nonzero value"
                     )
                 continue
             rep = tuple(sorted(key))
@@ -134,15 +180,17 @@ class GeometricBundle:
                     f"triple {key} breaks antisymmetry against {rep}"
                 )
             self.torsion[rep] = folded
+        # read-only: a SessionConfig hands out one bundle and renders from it
+        self.torsion = MappingProxyType(self.torsion)
         scalars = {"s": s, "divX": divX, "divY": divY, "dimF": dimF,
-                   "trPhi": trPhi, "trPhi2": trPhi2, "hp0": hprime0}
-        values = {name: v for name, v in scalars.items() if v is not None}
+                   "trPhi": trPhi, "trPhi2": trPhi2, "hprime0": hprime0}
+        values = {SCALAR_NAMES[f]: _rational(f, v) for f, v in scalars.items() if v is not None}
         for name, vec in (("X", X), ("Y", Y)):
             if vec is not None:
-                vec = list(vec)
-                if len(vec) != n:
-                    raise ValidationError(name, f"expected {n} components")
-                values.update((f"{name}_{j}", v) for j, v in enumerate(vec, start=1))
+                if not isinstance(vec, (list, tuple)) or len(vec) != n:
+                    raise ValidationError(name, f"expected a list of {n} components")
+                values.update((f"{name}_{k + 1}", _rational(f"{name}[{k}]", v))
+                              for k, v in enumerate(vec))
         if torsion is not None:
             # triples not mentioned are zero once torsion data is explicit
             values.update(

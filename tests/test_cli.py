@@ -142,6 +142,15 @@ class TestFlags:
         assert code == 0
         assert "boundary_case/b" in out
 
+    def test_dim_flag_completes_config(self, capsys):
+        # flags override any key of the file, the dimension included
+        code, out, err = run_main(capsys, ["--config", "mode: printed", "--dim", "2"])
+        assert (code, err) == (0, "")
+        assert "mode=printed" in out and "nbar=2" in out
+        code, out, err = run_main(capsys, ["--config", "mode: printed"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ValidationError: nbar")
+
     def test_flags_laid_over_config(self):
         text = (
             "nbar: 4\nformat: csv\ns: 3/4\nX: [1, 2, 3, 4, 5, 6]\n"
@@ -187,7 +196,7 @@ class TestFlags:
         def raising(source):
             raise DimMismatch("dim 4 vs 6")
 
-        monkeypatch.setattr(cli, "load_config", raising)
+        monkeypatch.setattr(cli, "read_config", raising)
         code, out, err = run_main(capsys, ["--config", "nbar: 2"])
         assert (code, out) == (1, "")
         assert err == "error: DimMismatch: dim 4 vs 6\n"
@@ -221,6 +230,19 @@ class TestReportBytes:
     }
     # the same for the dim-4 audit `--verify-lemmas 4 --seed 0`
     LEMMAS_DIM4 = "5c9f9af890a2065e761a94cd9e81a28a588b23ae9805f9797090738959d7592f"
+    # a fully numeric config: how its point data renders in the metadata
+    # and config_hash, and how it enters the densities
+    NUMERIC = (
+        "nbar: 4\nmode: printed\ncases: [b, c]\n"
+        "s: 3\ndivX: -1/2\ndivY: 2/3\ndimF: 2\ntrPhi: 1/4\ntrPhi2: -3\nhprime0: 5/7\n"
+        "X: [1, -2, 1/2, 0, 3, -1/3]\nY: [0, 1, 2/5, -1, 1, 2]\n"
+        "torsion:\n  - [1, 2, 3, 1/2]\n  - [2, 4, 6, -3]\n"
+    )
+    NUMERIC_PINS = {
+        "text": "9d7242da06c0f93531bee83df880817fdd51f5abf4c0e0ec62741ba062a34245",
+        "json": "43f72a48b941b030e8ec2a873d6fbae003875c34f830ac8b8715d9dc723c5bd2",
+        "csv": "f615d241afc4f35bbfb13054f35483f5873b7d2a930be39171a5e11e65649197",
+    }
 
     @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
     def test_json_report_sha256(self, capsys, dim):
@@ -234,6 +256,12 @@ class TestReportBytes:
         code, out, _ = run_main(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PRINTED[dim]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_numeric_config_sha256(self, capsys, fmt):
+        code, out, _ = run_main(capsys, ["--config", self.NUMERIC, "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.NUMERIC_PINS[fmt]
 
     def test_lemma_audit_sha256(self, capsys):
         argv = ["--dim", "4", "--format", "json", "--verify-lemmas", "4", "--seed", "0"]

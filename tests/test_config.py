@@ -17,6 +17,7 @@ from ncresidue.errors import (
     UnsupportedDimension,
     ValidationError,
 )
+from ncresidue.geometry import GeometricBundle
 
 
 class TestSessionConfig:
@@ -65,12 +66,20 @@ class TestSessionConfig:
         assert geo.assignment()["s"] == Fraction(3)
         assert geo.assignment()["dimF"] == Fraction(1, 2)
 
+    def test_bundle_built_once(self):
+        cfg = SessionConfig(nbar=2, scalars={"s": "1/2"}, torsion=[[1, 2, 3, 1]])
+        assert cfg.bundle() is cfg.bundle()
+        # the shared bundle's data cannot drift from what as_dict renders
+        with pytest.raises(TypeError):
+            cfg.bundle().torsion[(1, 2, 3)] = 5
+        assert cfg.as_dict()["torsion"] == [[1, 2, 3, "1"]]
+
 
 class TestLoadConfig:
     def test_minimal_inline(self):
         cfg = load_config("nbar: 2")
         assert cfg.nbar == 2
-        assert all(v is None for v in cfg.scalars.values())
+        assert cfg.bundle().assignment() == {}
 
     def test_dim_synonym_and_single_case(self):
         cfg = load_config("dim: 4\ncase: a2\nformat: json")
@@ -100,8 +109,9 @@ class TestLoadConfig:
 
     def test_rational_strings(self):
         cfg = load_config("nbar: 2\nhprime0: 1/3\ns: -4")
-        assert cfg.scalars["hprime0"] == Fraction(1, 3)
-        assert cfg.scalars["s"] == Fraction(-4)
+        assignment = cfg.bundle().assignment()
+        assert assignment["hp0"] == Fraction(1, 3)
+        assert assignment["s"] == Fraction(-4)
 
     def test_float_rejected(self):
         with pytest.raises(ValidationError):
@@ -158,7 +168,7 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             load_config("nbar: 2\ntorsion:\n  - [1, 2, 3]")
         cfg = load_config("nbar: 2\ntorsion:\n  - [1, 2, 3, 1/2]")
-        assert cfg.torsion == {(1, 2, 3): Fraction(1, 2)}
+        assert cfg.bundle().torsion == {(1, 2, 3): Fraction(1, 2)}
 
     @pytest.mark.parametrize(
         "text", ["nbar: 2\ncases: 5", "nbar: 2\ntorsion: 5", "nbar: 2\ncases: [[b]]"]
@@ -184,7 +194,8 @@ class TestLoadConfig:
 
     def test_vectors(self):
         cfg = load_config("nbar: 2\nX: [1, 2, 3, 4]")
-        assert cfg.X == [Fraction(k) for k in (1, 2, 3, 4)]
+        assignment = cfg.bundle().assignment()
+        assert [assignment[f"X_{k}"] for k in (1, 2, 3, 4)] == [1, 2, 3, 4]
         with pytest.raises(ValidationError):
             load_config("nbar: 2\nX: [1, 2]")
 
@@ -273,6 +284,19 @@ def load_everything(data):
         pass
 
 
+# The same values handed to the bundle directly, as library callers do: as
+# scalars, as X/Y components and as torsion values under any index triple.
+bundle_values = exact | words | numerals | values
+bundle_data = st.fixed_dictionaries({}, optional={
+    **{k: bundle_values for k in SCALAR_KEYS},
+    "X": st.lists(bundle_values, min_size=3, max_size=5),
+    "Y": st.lists(bundle_values, min_size=3, max_size=5),
+    "torsion": st.dictionaries(
+        st.tuples(*[st.integers(0, 5)] * 3), bundle_values, max_size=3
+    ),
+})
+
+
 class TestConfigFuzz:
     @given(configs)
     def test_any_mapping_raises_only_engine_errors(self, data):
@@ -281,3 +305,10 @@ class TestConfigFuzz:
     @given(scalar_configs)
     def test_any_scalar_value_raises_only_engine_errors(self, data):
         load_everything(data)
+
+    @given(bundle_data)
+    def test_any_bundle_value_raises_only_engine_errors(self, data):
+        try:
+            GeometricBundle(4, **data)
+        except EngineError:
+            pass

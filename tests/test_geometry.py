@@ -7,6 +7,7 @@ import pytest
 from ncresidue.errors import (
     NonAntisymmetricTorsion,
     OddDimension,
+    UnsupportedDimension,
     ValidationError,
 )
 from ncresidue.clifford import (
@@ -59,6 +60,36 @@ class TestGeometricBundle:
     def test_rejects_non_integer_dimension(self, n):
         with pytest.raises(ValidationError):
             GeometricBundle(n)
+
+    def test_rejects_dimension_past_twelve(self, monkeypatch):
+        # refused before the n^4 alphabet is built
+        monkeypatch.setattr(geometry, "standard_alphabet", None)
+        for n in (14, 40):
+            with pytest.raises(UnsupportedDimension):
+                GeometricBundle(n)
+        monkeypatch.undo()
+        assert [GeometricBundle(n).n for n in range(2, 13, 2)] == [2, 4, 6, 8, 10, 12]
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"torsion": {(1, 2, 3): "x"}}, "torsion[1,2,3]"),
+         ({"torsion": {(1, 2, 3): True}}, "torsion[1,2,3]"),
+         ({"s": 0.5}, "s"), ({"s": [1]}, "s"), ({"s": "1/0"}, "s"),
+         ({"s": True}, "s"), ({"hprime0": "1e10000000"}, "hprime0"),
+         ({"X": 5}, "X"), ({"Y": [1, 2, 3, None]}, "Y[3]")],
+        ids=["torsion_word", "torsion_bool", "float", "list", "zero_denominator",
+             "bool", "exponent", "vector_int", "vector_none"],
+    )
+    def test_bad_value_names_its_field(self, kwargs, field):
+        with pytest.raises(ValidationError) as exc:
+            GeometricBundle(4, **kwargs)
+        assert exc.value.field == field
+
+    def test_torsion_strings_read_before_folding(self):
+        assert GeometricBundle(4, torsion={(2, 1, 3): "1/2"}).torsion == {
+            (1, 2, 3): Fraction(-1, 2)
+        }
+        assert GeometricBundle(4, torsion={(1, 1, 3): "0"}).torsion == {}
 
     def test_rejects_wrong_vector_length(self):
         with pytest.raises(ValidationError):
