@@ -134,6 +134,7 @@ def _vol(alphabet):
 
 
 def _record(term, nbar, printed, engine, note=None):
+    """A read-only comparison record of a printed form and an engine value."""
     rec = {
         "term": term,
         "nbar": nbar,
@@ -143,7 +144,7 @@ def _record(term, nbar, printed, engine, note=None):
     }
     if note:
         rec["note"] = note
-    return rec
+    return MappingProxyType(rec)
 
 
 # printed side and note of a record whose closed form is undefined at this
@@ -199,14 +200,19 @@ _PRINTED_CASES = {
 }
 
 
-def _bracket(name, nbar):
-    """The printed bracket `name` at nbar, evaluated exactly."""
-    coeffs, dp, dk = _PRINTED_BRACKETS[name]
+@lru_cache(maxsize=None)
+def _brackets(nbar):
+    """Every printed bracket at nbar, evaluated exactly, as a read-only
+    mapping name -> value."""
+    check_nbar(nbar)
     h = nbar // 2
-    out = GaussRational(0)
-    for m, c in coeffs(nbar).items():
-        out = out + GaussRational(*c) * deriv_at_i(m, h + dp, h + dk)
-    return out
+    out = {}
+    for name, (coeffs, dp, dk) in _PRINTED_BRACKETS.items():
+        value = GaussRational(0)
+        for m, c in coeffs(nbar).items():
+            value = value + GaussRational(*c) * deriv_at_i(m, h + dp, h + dk)
+        out[name] = value
+    return MappingProxyType(out)
 
 
 def _drift_poly(alphabet, n):
@@ -220,7 +226,7 @@ def _printed_drift_part(nbar, alphabet):
     scalar = (
         GaussRational(2 - nbar)
         * GaussRational(2) ** (h - 2)
-        * _bracket("Lb", nbar)
+        * _brackets(nbar)["Lb"]
         * GaussRational(Fraction(1, factorial(h + 1)))
     )
     return _drift_poly(alphabet, nbar + 2) * _vol(alphabet) * scalar
@@ -237,7 +243,7 @@ def printed_case_value(case_id, nbar, alphabet):
     scalar = (
         factors(h)
         * GaussRational(2) ** (h + offset)
-        * _bracket(bracket, nbar)
+        * _brackets(nbar)[bracket]
         * GaussRational(Fraction(1, factorial(h + 2)))
     )
     value = ParamPoly.var(alphabet, "hp0") * _vol(alphabet) * scalar
@@ -289,7 +295,7 @@ def printed_phi_parts(nbar, alphabet):
         * GaussRational(Fraction(1, factorial(h + 2)))
     )
     out = {
-        "hprime_part": shared * (GaussRational(2) ** (h - 2) * _bracket("Lphi", nbar)),
+        "hprime_part": shared * (GaussRational(2) ** (h - 2) * _brackets(nbar)["Lphi"]),
         "hprime_part_closed": shared * (
             _printed_closed_factor(nbar) * GaussRational(Fraction(1, 2 ** (h + 2)))
         ),
@@ -331,8 +337,14 @@ def bracket_table():
 
     For each denominator power p in 1..4, compares deriv_at_i(m, p, p+1) for
     m = 1, 2, 3 against the printed closed-form products.  Rows are emitted
-    whether or not the two sides agree.
+    whether or not the two sides agree.  A fresh list of read-only records
+    that are built once and shared by every call.
     """
+    return list(_bracket_rows())
+
+
+@lru_cache(maxsize=None)
+def _bracket_rows():
     records = []
     for p in _BRACKET_ORDERS:
         printed = {
@@ -344,17 +356,15 @@ def bracket_table():
         }
         for m in (1, 2, 3):
             engine = deriv_at_i(m, p, p + 1)
-            records.append(
-                {
-                    "term": f"bracket_m{m}_p{p}",
-                    "m": m,
-                    "p": p,
-                    "printed": str(printed[m]),
-                    "engine": str(engine),
-                    "agree": printed[m] == engine,
-                }
-            )
-    return records
+            records.append(MappingProxyType({
+                "term": f"bracket_m{m}_p{p}",
+                "m": m,
+                "p": p,
+                "printed": str(printed[m]),
+                "engine": str(engine),
+                "agree": printed[m] == engine,
+            }))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +422,7 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
     for step in extra_steps:
         log(*step)
     for name in brackets:
-        log(name, _BRACKET_OPS.get(name, _BRACKET_OP), _bracket(name, nbar))
+        log(name, _BRACKET_OPS.get(name, _BRACKET_OP), _brackets(nbar)[name])
 
     printed = printed_case_value(case_id, nbar, alphabet)
     records = [_record(f"case_{case_id}_total", nbar, printed, _normalized(value))]
@@ -440,8 +450,7 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
         )
     return BoundaryCaseResult(
         case_id, nbar, value, integrand, MappingProxyType(parts) if parts else None,
-        printed, tuple(map(MappingProxyType, records)),
-        tuple(map(MappingProxyType, trace)),
+        printed, tuple(records), tuple(map(MappingProxyType, trace)),
     )
 
 
@@ -538,9 +547,16 @@ def _boundary_case_symbolic(case_id, nbar):
 
 
 def _check_bundle(nbar, geo):
-    """Refuse an unsupported nbar, or point data of another dimension."""
+    """Refuse an unsupported nbar, or point data that is not a bundle of
+    dimension nbar + 2."""
     check_nbar(nbar)
-    if geo is not None and geo.n != nbar + 2:
+    if geo is None:
+        return
+    if not isinstance(geo, GeometricBundle):
+        raise ValidationError(
+            "geo", f"expected a GeometricBundle or None, got {type(geo).__name__}"
+        )
+    if geo.n != nbar + 2:
         raise ValidationError("geo", f"bundle dimension {geo.n} != {nbar + 2}")
 
 
@@ -574,14 +590,14 @@ def _coefficient(poly, name):
     return ParamPoly(poly.alphabet, terms)
 
 
-def total_boundary_phi(nbar, geo=None):
-    """Sum of the five boundary cases, split into its two printed groupings.
+# The part of total_boundary_phi that reads no point data, built once per
+# nbar and read-only: the shared cases, the symbolic total with its h'(0) and
+# drift parts, the structure flags, the printed parts and the comparisons.
+_PhiSymbolic = namedtuple("_PhiSymbolic", "cases parts structure printed comparisons")
 
-    Returns a dict with the total (coefficient of pi, VolS symbolic), the
-    h'(0)-proportional and (X_n - 2 Y_n)-proportional parts, structural
-    checks, and comparison records against the printed closed form.
-    """
-    _check_bundle(nbar, geo)
+
+@lru_cache(maxsize=None)
+def _phi_symbolic(nbar):
     n = nbar + 2
     alphabet = standard_alphabet(n)
     cases = {cid: _boundary_case_symbolic(cid, nbar) for cid in CASE_IDS}
@@ -612,7 +628,7 @@ def total_boundary_phi(nbar, geo=None):
     drift_paired = _coefficient(drift_part, yn) == _coefficient(drift_part, xn) * (-2)
 
     printed = printed_phi_parts(nbar, alphabet)
-    comparisons = [
+    comparisons = (
         _record(
             "phi_hprime_part", nbar, printed["hprime_part"], _normalized(hprime_part)
         ),
@@ -622,35 +638,48 @@ def total_boundary_phi(nbar, geo=None):
             printed["hprime_part_closed"],
             _normalized(hprime_part),
         ),
-    ]
-    comparisons.append(
-        _drift_record("phi_drift_part", nbar, printed["drift_part"], drift_part)
+        _drift_record("phi_drift_part", nbar, printed["drift_part"], drift_part),
     )
     for res in cases.values():
-        comparisons.extend(res.comparisons)
-
-    out = {
-        "nbar": nbar,
-        "cases": cases,
-        "symbolic": {
-            "value": value,
-            "hprime_part": hprime_part,
-            "drift_part": drift_part,
-        },
-        "value": value if geo is None else geo.subs(value),
-        "hprime_part": hprime_part if geo is None else geo.subs(hprime_part),
-        "drift_part": drift_part if geo is None else geo.subs(drift_part),
-        "structure": {
+        comparisons += res.comparisons
+    return _PhiSymbolic(
+        MappingProxyType(cases),
+        MappingProxyType(
+            {"value": value, "hprime_part": hprime_part, "drift_part": drift_part}
+        ),
+        MappingProxyType({
             "no_stray_terms": not leftover,
             "hprime_linear": hp_linear,
             "drift_linear": drift_linear,
             "drift_paired": drift_paired,
             "only_normal_components": normal_only,
-        },
-        "printed": printed,
-        "comparisons": comparisons,
+        }),
+        MappingProxyType(printed),
+        comparisons,
+    )
+
+
+def total_boundary_phi(nbar, geo=None):
+    """Sum of the five boundary cases, split into its two printed groupings.
+
+    Returns a dict with the total (coefficient of pi, VolS symbolic), the
+    h'(0)-proportional and (X_n - 2 Y_n)-proportional parts, structural
+    checks, and comparison records against the printed closed form.  Only
+    the three values read geo; everything else is built once per nbar and
+    shared: "symbolic", "structure", "printed" and the records are
+    read-only mappings, "cases" and "comparisons" fresh containers.
+    """
+    _check_bundle(nbar, geo)
+    sym = _phi_symbolic(nbar)
+    return {
+        "nbar": nbar,
+        "cases": dict(sym.cases),
+        "symbolic": sym.parts,
+        **{k: v if geo is None else geo.subs(v) for k, v in sym.parts.items()},
+        "structure": sym.structure,
+        "printed": sym.printed,
+        "comparisons": list(sym.comparisons),
     }
-    return out
 
 
 def extrinsic_K(nbar):
@@ -660,36 +689,47 @@ def extrinsic_K(nbar):
     return ParamPoly.var(alphabet, "hp0") * Fraction(-(nbar + 1), 2)
 
 
+@lru_cache(maxsize=None)
+def _wres_symbolic(nbar):
+    """The groupings and comparison records of wres_with_boundary at nbar,
+    read-only; none of them reads point data."""
+    n = nbar + 2
+    alphabet = standard_alphabet(n)
+    phi = _phi_symbolic(nbar)
+    k_coeff = _coefficient(phi.parts["hprime_part"], "hp0") * Fraction(-2, nbar + 1)
+    xn = f"X_{n}"
+    drift_coeff = _coefficient(phi.parts["drift_part"], xn)
+
+    printed_k = printed_wres_k_coefficient(nbar, alphabet)
+    printed_drift = phi.printed["drift_part"]
+    if printed_drift is not None:
+        printed_drift = _coefficient(printed_drift, xn)
+    groupings = MappingProxyType({
+        "K_coefficient": k_coeff,
+        "K_coefficient_printed": printed_k,
+        "drift_coefficient": drift_coeff,
+        "extrinsic_K": extrinsic_K(nbar),
+    })
+    comparisons = phi.comparisons + (
+        _record("wres_K_coefficient", nbar, printed_k, _normalized(k_coeff)),
+        _drift_record("wres_drift_coefficient", nbar, printed_drift, drift_coeff),
+    )
+    return groupings, comparisons
+
+
 def wres_with_boundary(nbar, geo=None, mode="oracle"):
     """Interior density paired with the boundary term and its groupings.
 
     The boundary part is re-expressed through the extrinsic curvature K
     (h'(0) = -2K/(nbar+1)) and the normal drift combination X_n - 2 Y_n;
-    both coefficients are compared against the printed assembly.
+    both coefficients are compared against the printed assembly.  The
+    groupings, a read-only mapping, and the records are built once per nbar
+    and shared; "comparisons" is a fresh list.
     """
     _check_bundle(nbar, geo)
-    n = nbar + 2
-    alphabet = standard_alphabet(n)
-    geo_int = geo if geo is not None else GeometricBundle(n)
+    geo_int = geo if geo is not None else GeometricBundle(nbar + 2)
     density, (pi_power, prefactor) = interior_wres(geo_int, mode)
-    phi = total_boundary_phi(nbar, geo)
-
-    k_coeff = _coefficient(phi["symbolic"]["hprime_part"], "hp0") * Fraction(-2, nbar + 1)
-    xn = f"X_{n}"
-    drift_coeff = _coefficient(phi["symbolic"]["drift_part"], xn)
-
-    printed_k = printed_wres_k_coefficient(nbar, alphabet)
-    printed_drift = phi["printed"]["drift_part"]
-    if printed_drift is not None:
-        printed_drift = _coefficient(printed_drift, xn)
-    comparisons = list(phi["comparisons"])
-    comparisons.append(
-        _record("wres_K_coefficient", nbar, printed_k, _normalized(k_coeff))
-    )
-    comparisons.append(
-        _drift_record("wres_drift_coefficient", nbar, printed_drift, drift_coeff)
-    )
-
+    groupings, comparisons = _wres_symbolic(nbar)
     return {
         "nbar": nbar,
         "mode": mode,
@@ -698,12 +738,7 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
             "pi_power": pi_power,
             "prefactor": prefactor,
         },
-        "boundary": phi,
-        "groupings": {
-            "K_coefficient": k_coeff,
-            "K_coefficient_printed": printed_k,
-            "drift_coefficient": drift_coeff,
-            "extrinsic_K": extrinsic_K(nbar),
-        },
-        "comparisons": comparisons,
+        "boundary": total_boundary_phi(nbar, geo),
+        "groupings": groupings,
+        "comparisons": list(comparisons),
     }

@@ -45,29 +45,36 @@ def _rational(field, value):
     """Exact value of an int, a Fraction or a 'p/q' string.
 
     The one reader of outside point data: anything else, bools, floats and
-    exponent notation among them, raises ValidationError naming field.
+    exponent notation among them, and a value whose numerator or
+    denominator str() cannot render, raises ValidationError naming field.
     """
     if isinstance(value, bool):
         raise ValidationError(field, f"boolean {value!r} is not a rational")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
     if isinstance(value, str):
         if _EXPONENT.match(value):
             raise ValidationError(
                 field, f"exponent notation {value!r} rejected; use an integer or 'p/q'"
             )
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(field, f"not a rational: {value!r} ({exc})")
-    if isinstance(value, float):
+    elif isinstance(value, float):
         raise ValidationError(
             field, f"float {value!r} rejected; use an exact rational string"
         )
-    # the type only: repr fails on an int past Python's int-string digit limit
-    raise ValidationError(
-        field, f"expected an int, a Fraction or a 'p/q' string, got {type(value).__name__}"
-    )
+    elif not isinstance(value, (int, Fraction)):
+        # the type only: repr fails on an int past Python's int-string digit limit
+        raise ValidationError(
+            field, f"expected an int, a Fraction or a 'p/q' string, got {type(value).__name__}"
+        )
+    try:
+        str(value)  # every report and as_dict() renders the value
+    except ValueError:
+        raise ValidationError(
+            field, "too many digits: past Python's int-string conversion limit"
+        ) from None
+    return Fraction(value)
 
 
 # each scalar keyword of GeometricBundle and its name in the alphabet
@@ -373,11 +380,13 @@ def _trace_E_symbolic(n):
     return twisted_trace(grade0, standard_label_trace(alphabet))
 
 
-def _printed_density(geo):
-    """The printed closed-form density at geo's point data:
-    2^n dimF (-s/4 + divX/2 + g(Y, X) trPhi + (2|T|^2 + |Y|^2/2) trPhi2).
+@lru_cache(maxsize=None)
+def _printed_density(n):
+    """The printed closed-form density over the symbolic alphabet of
+    dimension n: 2^n dimF (-s/4 + divX/2 + g(Y, X) trPhi + (2|T|^2 + |Y|^2/2)
+    trPhi2).
     """
-    n, alphabet = geo.n, geo.alphabet
+    alphabet = standard_alphabet(n)
     gyx = normy2 = sum_t2 = ParamPoly.zero(alphabet)
     for j in range(1, n + 1):
         y = _var(alphabet, f"Y_{j}")
@@ -391,24 +400,23 @@ def _printed_density(geo):
         + gyx * _var(alphabet, "trPhi")
         + (sum_t2 * 2 + normy2 * Fraction(1, 2)) * _var(alphabet, "trPhi2")
     )
-    return geo.subs(inner * _var(alphabet, "dimF") * (2 ** n))
+    return inner * _var(alphabet, "dimF") * (2 ** n)
 
 
 def trace_E_density(geo, mode="oracle"):
     """Spinor-plus-twist trace of the endomorphism block.
 
     oracle mode traces the block exactly, trace-only: the grade-0 part of
-    each summand of E is taken without forming its products, once per
-    dimension over the symbolic alphabet (cached), and geo's point data is
-    substituted afterwards.  The full assembly connection_and_E stays as
-    the test oracle.  printed mode returns the closed-form density with its
-    2^n prefactor.
+    each summand of E is taken without forming its products.  printed mode
+    returns the closed-form density with its 2^n prefactor.  Either density
+    is built once per dimension over the symbolic alphabet (cached), and
+    geo's point data is substituted afterwards.  The full assembly
+    connection_and_E stays as the test oracle of the oracle mode.
     """
-    if mode == "printed":
-        return _printed_density(geo)
-    if mode != "oracle":
+    if mode not in ("oracle", "printed"):
         raise ValidationError("mode", f"unknown mode {mode!r}")
-    return geo.subs(_trace_E_symbolic(geo.n))
+    symbolic = _trace_E_symbolic if mode == "oracle" else _printed_density
+    return geo.subs(symbolic(geo.n))
 
 
 # representative monomials of the density, without the dimF factor that the
@@ -430,9 +438,8 @@ def trace_density_report(n):
     forms, then the two trace conventions that set them apart; disagreements
     are reported, never patched.
     """
-    geo = GeometricBundle(n)
-    printed = trace_E_density(geo, "printed")
-    oracle = trace_E_density(geo, "oracle")
+    GeometricBundle(n)  # refuses an unsupported n before anything is cached
+    printed, oracle = _printed_density(n), _trace_E_symbolic(n)
     # normalize out each side's trace-of-identity convention so the per-term
     # densities are comparable
     p_unit = GaussRational(Fraction(1, 2 ** n))

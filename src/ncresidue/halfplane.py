@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import NotIntegrable
+from .errors import NotIntegrable, ValidationError
 from .exact import GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, summed_terms
 
 _TWO_I = GaussRational(0, 2)
@@ -255,7 +255,14 @@ def deriv_at_i(m, p, k):
 
     Independent of the HalfPlaneRational machinery: works on plain
     GaussRational coefficient lists via the representation P(xi)/(xi+i)^e.
+    m and k are ints >= 0 and p any int; anything else, a bool too, raises
+    ValidationError.
     """
+    for name, v in (("m", m), ("p", p), ("k", k)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValidationError(name, f"integer required, got {type(v).__name__}")
+    if m < 0 or k < 0:
+        raise ValidationError("m" if m < 0 else "k", "must not be negative")
     poly = [GaussRational(0)] * m + [GR_ONE]
     e = p
     for _ in range(k):

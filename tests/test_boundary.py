@@ -1,5 +1,8 @@
 """Boundary residue cases, their assembly, and printed-form audits."""
 
+import subprocess
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -198,6 +201,19 @@ class TestIndividualCases:
             assert sub.integrand is res.integrand
         assert boundary_case("aII", 4, geo).parts is None
 
+    @pytest.mark.parametrize(
+        "call",
+        [total_boundary_phi, wres_with_boundary,
+         lambda nbar, geo: boundary_case("b", nbar, geo)],
+        ids=["total_boundary_phi", "wres_with_boundary", "boundary_case"],
+    )
+    def test_geo_that_is_not_a_bundle_rejected(self, call):
+        # each used to raise AttributeError on geo.n
+        for geo in ("x", {"s": 1}, 6):
+            with pytest.raises(ValidationError, match="expected a GeometricBundle") as exc:
+                call(4, geo)
+            assert exc.value.field == "geo"
+
     @pytest.mark.parametrize("call", [total_boundary_phi, wres_with_boundary])
     def test_bundle_of_another_dimension_rejected(self, call):
         with pytest.raises(ValidationError, match="bundle dimension 8 != 6"):
@@ -371,6 +387,74 @@ class TestAssembly:
         assert w["boundary"]["value"].is_zero()
         # interior density substitutes to a constant
         assert w["interior"]["density"].subs(geo.assignment()).is_constant()
+
+
+def _plain(obj):
+    """A result as plain dicts, lists and strings, to compare across calls."""
+    if isinstance(obj, Mapping):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return str(obj)
+
+
+def _attempt(mutate):
+    """Apply a mutation, which a shared read-only value refuses."""
+    try:
+        mutate()
+    except (TypeError, AttributeError):
+        pass
+
+
+# what total_boundary_phi, wres_with_boundary and bracket_table build from
+# nbar alone, each once per process
+NBAR_CACHES = ("_brackets", "_bracket_rows", "_phi_symbolic", "_wres_symbolic")
+
+
+class TestSharedNbarOnlyValues:
+    def test_mutations_do_not_leak_into_the_next_call(self):
+        def results():
+            return total_boundary_phi(4), wres_with_boundary(4), bracket_table()
+
+        before = _plain(results())
+        phi, w, rows = results()
+        zero = ParamPoly.zero(standard_alphabet(6))
+        for rec in phi["comparisons"] + w["comparisons"] + rows:
+            _attempt(lambda: rec.__setitem__("agree", "LEAK"))
+            _attempt(lambda: rec.pop("term"))
+        for shared in (phi["symbolic"], phi["printed"], phi["structure"], w["groupings"]):
+            for key in list(shared):
+                _attempt(lambda: shared.__setitem__(key, zero))
+            _attempt(lambda: shared.__setitem__("injected", zero))
+            _attempt(lambda: shared.clear())
+        for fresh in (phi["comparisons"], w["comparisons"], rows,
+                      w["boundary"]["comparisons"]):
+            fresh.append({"term": "injected"})
+        phi["cases"].clear()
+        phi["value"] = w["interior"]["density"] = zero
+        assert _plain(results()) == before
+
+    def test_caches_are_lazy_and_bounded(self):
+        names = ", ".join(f"boundary.{name}" for name in NBAR_CACHES)
+        code = (
+            "import ncresidue.cli\n"
+            "from ncresidue import boundary, geometry\n"
+            f"for f in ({names}, geometry._printed_density):\n"
+            "    assert f.cache_info().currsize == 0, f\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+        for nbar in (2, 4, 6, 8, 10):
+            wres_with_boundary(nbar, mode="printed")
+        bracket_table()
+        for name in NBAR_CACHES:
+            assert getattr(boundary, name).cache_info().currsize <= 5
+
+    def test_invalid_nbar_is_not_cached(self):
+        size = boundary._brackets.cache_info().currsize
+        for nbar in (0, 3, 12, True):
+            with pytest.raises((ValidationError, OddBarDimension, UnsupportedDimension)):
+                boundary._brackets(nbar)
+        assert boundary._brackets.cache_info().currsize == size
 
 
 class TestBracketTable:

@@ -74,6 +74,12 @@ class TestSessionConfig:
             cfg.bundle().torsion[(1, 2, 3)] = 5
         assert cfg.as_dict()["torsion"] == [[1, 2, 3, "1"]]
 
+    def test_unrenderable_int_is_refused(self):
+        # as_dict() would have raised ValueError past the int-string limit
+        with pytest.raises(ValidationError) as exc:
+            SessionConfig(2, X=[LONG, 1, 1, 1])
+        assert exc.value.field == "X[0]"
+
 
 class TestLoadConfig:
     def test_minimal_inline(self):
@@ -286,7 +292,8 @@ def load_everything(data):
 
 # The same values handed to the bundle directly, as library callers do: as
 # scalars, as X/Y components and as torsion values under any index triple.
-bundle_values = exact | words | numerals | values
+# LONG is drawn on its own too, so that every run hands the bundle some.
+bundle_values = st.just(LONG) | exact | words | numerals | values
 bundle_data = st.fixed_dictionaries({}, optional={
     **{k: bundle_values for k in SCALAR_KEYS},
     "X": st.lists(bundle_values, min_size=3, max_size=5),
@@ -309,6 +316,9 @@ class TestConfigFuzz:
     @given(bundle_data)
     def test_any_bundle_value_raises_only_engine_errors(self, data):
         try:
-            GeometricBundle(4, **data)
+            geo = GeometricBundle(4, **data)
         except EngineError:
-            pass
+            return
+        # a report renders every value the bundle holds
+        for value in [*geo.assignment().values(), *geo.torsion.values()]:
+            str(value)

@@ -85,6 +85,20 @@ class TestGeometricBundle:
             GeometricBundle(4, **kwargs)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"s": 10 ** 5000}, "s"), ({"hprime0": Fraction(1, 10 ** 5000)}, "hprime0"),
+         ({"X": [(10 ** 5000 - 1) // 9, 1, 1, 1]}, "X[0]"),
+         ({"torsion": {(1, 2, 3): -10 ** 5000}}, "torsion[1,2,3]")],
+        ids=["int", "denominator", "vector", "torsion"],
+    )
+    def test_unrenderable_value_names_its_field(self, kwargs, field):
+        # str() refuses an int past Python's int-string digit limit, and
+        # every report renders the point data
+        with pytest.raises(ValidationError, match="too many digits") as exc:
+            GeometricBundle(4, **kwargs)
+        assert exc.value.field == field
+
     def test_torsion_strings_read_before_folding(self):
         assert GeometricBundle(4, torsion={(2, 1, 3): "1/2"}).torsion == {
             (1, 2, 3): Fraction(-1, 2)
@@ -251,6 +265,14 @@ class TestInteriorDensity:
         expected = ParamPoly(first.alphabet, dict(first.terms))
         first.terms.clear()
         assert trace_E_density(geo, mode="oracle") == expected
+        assert not expected.is_zero()
+
+    def test_printed_density_is_callers_own(self):
+        geo = GeometricBundle(4)
+        first = trace_E_density(geo, mode="printed")
+        expected = ParamPoly(first.alphabet, dict(first.terms))
+        first.terms.clear()
+        assert trace_E_density(geo, mode="printed") == expected
         assert not expected.is_zero()
 
     @pytest.mark.parametrize("n", [4, 6])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ncresidue.boundary import CASE_IDS, boundary_case
 from ncresidue.exact import GR_I, GR_ONE, Alphabet, GaussRational, ParamPoly
-from ncresidue.errors import NotIntegrable
+from ncresidue.errors import NotIntegrable, ValidationError
 from ncresidue.halfplane import HalfPlaneRational, deriv_at_i
 from conftest import (
     assert_integral_matches_quadrature,
@@ -139,6 +139,24 @@ class TestDerivatives:
         assert deriv_at_i(1, 1, 2) == GaussRational(Fraction(1, 4))
         assert deriv_at_i(1, 2, 3) == GaussRational(Fraction(3, 8))
         assert deriv_at_i(0, 1, 0) == GaussRational(0, Fraction(-1, 2))
+
+    def test_deriv_at_i_negative_power(self):
+        # d/dxi xi (xi + i)^2 = (xi + i)^2 + 2 xi (xi + i), which is -8 at i
+        assert deriv_at_i(1, -2, 1) == GaussRational(-8)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [((-1, 1, 1), "m"), ((1, 1, -1), "k"), ((True, 1, 1), "m"),
+         ((1, False, 1), "p"), ((1, 1, True), "k"), ((1.0, 1, 1), "m"),
+         ((1, "2", 1), "p")],
+        ids=["negative_m", "negative_k", "bool_m", "bool_p", "bool_k", "float_m",
+             "string_p"],
+    )
+    def test_deriv_at_i_refuses_bad_arguments(self, args, field):
+        # a negative m or k used to give the m = 0 or k = 0 value
+        with pytest.raises(ValidationError) as exc:
+            deriv_at_i(*args)
+        assert exc.value.field == field
 
     def test_deriv_at_i_two_path_sample(self):
         alphabet = Alphabet([])

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
-from ncresidue.config import SessionConfig
+from ncresidue import boundary, cli, geometry
+from ncresidue.config import SessionConfig, load_config
 from ncresidue.report import Report, emit, parse_report_json, run_session
 
 
@@ -134,3 +137,56 @@ class TestErrorRecords:
         assert [i for i in ids if i.startswith("trace_identity")] == ["trace_identity"]
         assert ids[:2] == ["trace_identity", "interior_density"]
         assert "ValidationError" in records[0]["note"]
+
+
+# Sessions that share one process: numeric point data at nbar 4 in both
+# modes, numeric at nbar 6, then symbolic at nbar 6.
+NUMERIC_4 = (
+    "nbar: 4\ns: 2\ndivX: 1/3\ndivY: -1\ndimF: 3\ntrPhi: -1/2\ntrPhi2: 2\n"
+    "hprime0: 1/5\nX: [1, 2, -1, 1/2, 0, 3]\nY: [1/3, -1, 2, 0, 1, -2]\n"
+    "torsion:\n  - [1, 2, 3, 2]\n  - [1, 5, 6, -1/4]\n"
+)
+PRINTED_4 = (
+    "nbar: 4\nmode: printed\ns: -1\ndimF: 2\ntrPhi: 3\ntrPhi2: 1/2\nhprime0: 2\n"
+    "X: [0, 1, 1, 2, -1, 1/4]\nY: [2, 0, -1, 1, 1/2, 1]\ntorsion:\n  - [2, 3, 4, 1]\n"
+)
+NUMERIC_6 = (
+    "nbar: 6\ns: 1/2\ndivX: 2\ndimF: -1\ntrPhi: 1\ntrPhi2: 1/3\nhprime0: -2\n"
+    "X: [1, 0, 2, -1, 1/2, 1, 3, -2]\nY: [0, 1, -1, 2, 1, 1/4, -3, 1]\n"
+    "torsion:\n  - [1, 2, 3, 1]\n  - [3, 5, 8, -2]\n"
+)
+SYMBOLIC_6 = "nbar: 6\n"
+
+
+class TestWarmSessions:
+    def test_sessions_in_one_process_equal_fresh_processes(self, capsys):
+        configs = [NUMERIC_4, PRINTED_4, NUMERIC_6, SYMBOLIC_6]
+        fresh = [
+            subprocess.Popen(
+                [sys.executable, "-m", "ncresidue.cli", "--config", text,
+                 "--format", "json"],
+                stdout=subprocess.PIPE,
+            )
+            for text in configs
+        ]
+        expected = [proc.communicate()[0].decode("utf-8") for proc in fresh]
+        assert [proc.returncode for proc in fresh] == [0] * 4
+        for text, want in zip(configs, expected):
+            assert cli.main(["--config", text, "--format", "json"]) == 0
+            assert capsys.readouterr().out == want
+
+    def test_second_session_builds_no_nbar_only_value(self, monkeypatch):
+        calls = []
+        for name in ("deriv_at_i", "printed_phi_parts", "printed_wres_k_coefficient"):
+            real = getattr(boundary, name)
+            monkeypatch.setattr(
+                boundary, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        cached = [geometry._printed_density, boundary._brackets, boundary._bracket_rows,
+                  boundary._phi_symbolic, boundary._wres_symbolic]
+        run_session(load_config(NUMERIC_4))
+        misses = [f.cache_info().misses for f in cached]
+        calls.clear()
+        run_session(load_config(PRINTED_4))
+        assert calls == []
+        assert [f.cache_info().misses for f in cached] == misses
