@@ -282,8 +282,8 @@ def printed_phi_parts(nbar, alphabet):
     """Printed total boundary density, split like the engine's output.
 
     Returns a dict with the bracket-evaluated h'(0) part, its closed-form
-    variant, and the (X_n - 2 Y_n) part with a domain flag: the closed form
-    contains (nbar/2 - 2)! which is undefined at nbar = 2.
+    variant, and the (X_n - 2 Y_n) part, None at nbar = 2: its closed form
+    contains (nbar/2 - 2)!, which is undefined there.
     """
     h = nbar // 2
     hp0 = ParamPoly.var(alphabet, "hp0")
@@ -299,7 +299,6 @@ def printed_phi_parts(nbar, alphabet):
         "hprime_part_closed": shared * (
             _printed_closed_factor(nbar) * GaussRational(Fraction(1, 2 ** (h + 2)))
         ),
-        "drift_domain_ok": h >= 2,
         "drift_part": None,
     }
     if h >= 2:
@@ -590,14 +589,12 @@ def _coefficient(poly, name):
     return ParamPoly(poly.alphabet, terms)
 
 
-# The part of total_boundary_phi that reads no point data, built once per
-# nbar and read-only: the shared cases, the symbolic total with its h'(0) and
-# drift parts, the structure flags, the printed parts and the comparisons.
-_PhiSymbolic = namedtuple("_PhiSymbolic", "cases parts structure printed comparisons")
-
-
+# The part of total_boundary_phi and wres_with_boundary that reads no point
+# data, built once per nbar, all read-only: the shared cases, the symbolic
+# total with its h'(0) and drift parts, the structure flags, the printed
+# parts, the K and drift groupings, and the comparison records of each.
 @lru_cache(maxsize=None)
-def _phi_symbolic(nbar):
+def _assembly(nbar):
     n = nbar + 2
     alphabet = standard_alphabet(n)
     cases = {cid: _boundary_case_symbolic(cid, nbar) for cid in CASE_IDS}
@@ -624,11 +621,12 @@ def _phi_symbolic(nbar):
             v.startswith(("X_", "Y_")) and v not in (xn, yn) for v in exps
         )
     hprime_part, drift_part = ParamPoly(alphabet, hprime), ParamPoly(alphabet, drift)
-    # drift part must pair Y_n with exactly -2 times the X_n coefficient
-    drift_paired = _coefficient(drift_part, yn) == _coefficient(drift_part, xn) * (-2)
+    drift_coeff = _coefficient(drift_part, xn)
+    k_coeff = _coefficient(hprime_part, "hp0") * Fraction(-2, nbar + 1)
 
     printed = printed_phi_parts(nbar, alphabet)
-    comparisons = (
+    printed_drift, printed_k = printed["drift_part"], printed_wres_k_coefficient(nbar, alphabet)
+    phi_records = (
         _record(
             "phi_hprime_part", nbar, printed["hprime_part"], _normalized(hprime_part)
         ),
@@ -638,25 +636,36 @@ def _phi_symbolic(nbar):
             printed["hprime_part_closed"],
             _normalized(hprime_part),
         ),
-        _drift_record("phi_drift_part", nbar, printed["drift_part"], drift_part),
+        _drift_record("phi_drift_part", nbar, printed_drift, drift_part),
+        *(rec for res in cases.values() for rec in res.comparisons),
     )
-    for res in cases.values():
-        comparisons += res.comparisons
-    return _PhiSymbolic(
-        MappingProxyType(cases),
-        MappingProxyType(
+    return MappingProxyType({
+        "cases": MappingProxyType(cases),
+        "symbolic": MappingProxyType(
             {"value": value, "hprime_part": hprime_part, "drift_part": drift_part}
         ),
-        MappingProxyType({
+        "structure": MappingProxyType({
             "no_stray_terms": not leftover,
             "hprime_linear": hp_linear,
             "drift_linear": drift_linear,
-            "drift_paired": drift_paired,
+            # the drift part pairs Y_n with exactly -2 times the X_n coefficient
+            "drift_paired": _coefficient(drift_part, yn) == drift_coeff * (-2),
             "only_normal_components": normal_only,
         }),
-        MappingProxyType(printed),
-        comparisons,
-    )
+        "printed": MappingProxyType(printed),
+        "phi_comparisons": phi_records,
+        "groupings": MappingProxyType({
+            "K_coefficient": k_coeff,
+            "K_coefficient_printed": printed_k,
+            "drift_coefficient": drift_coeff,
+            "extrinsic_K": extrinsic_K(nbar),
+        }),
+        "wres_comparisons": phi_records + (
+            _record("wres_K_coefficient", nbar, printed_k, _normalized(k_coeff)),
+            _drift_record("wres_drift_coefficient", nbar, None if printed_drift is None
+                          else _coefficient(printed_drift, xn), drift_coeff),
+        ),
+    })
 
 
 def total_boundary_phi(nbar, geo=None):
@@ -670,15 +679,15 @@ def total_boundary_phi(nbar, geo=None):
     read-only mappings, "cases" and "comparisons" fresh containers.
     """
     _check_bundle(nbar, geo)
-    sym = _phi_symbolic(nbar)
+    memo = _assembly(nbar)
     return {
         "nbar": nbar,
-        "cases": dict(sym.cases),
-        "symbolic": sym.parts,
-        **{k: v if geo is None else geo.subs(v) for k, v in sym.parts.items()},
-        "structure": sym.structure,
-        "printed": sym.printed,
-        "comparisons": list(sym.comparisons),
+        "cases": dict(memo["cases"]),
+        "symbolic": memo["symbolic"],
+        **{k: v if geo is None else geo.subs(v) for k, v in memo["symbolic"].items()},
+        "structure": memo["structure"],
+        "printed": memo["printed"],
+        "comparisons": list(memo["phi_comparisons"]),
     }
 
 
@@ -689,47 +698,20 @@ def extrinsic_K(nbar):
     return ParamPoly.var(alphabet, "hp0") * Fraction(-(nbar + 1), 2)
 
 
-@lru_cache(maxsize=None)
-def _wres_symbolic(nbar):
-    """The groupings and comparison records of wres_with_boundary at nbar,
-    read-only; none of them reads point data."""
-    n = nbar + 2
-    alphabet = standard_alphabet(n)
-    phi = _phi_symbolic(nbar)
-    k_coeff = _coefficient(phi.parts["hprime_part"], "hp0") * Fraction(-2, nbar + 1)
-    xn = f"X_{n}"
-    drift_coeff = _coefficient(phi.parts["drift_part"], xn)
-
-    printed_k = printed_wres_k_coefficient(nbar, alphabet)
-    printed_drift = phi.printed["drift_part"]
-    if printed_drift is not None:
-        printed_drift = _coefficient(printed_drift, xn)
-    groupings = MappingProxyType({
-        "K_coefficient": k_coeff,
-        "K_coefficient_printed": printed_k,
-        "drift_coefficient": drift_coeff,
-        "extrinsic_K": extrinsic_K(nbar),
-    })
-    comparisons = phi.comparisons + (
-        _record("wres_K_coefficient", nbar, printed_k, _normalized(k_coeff)),
-        _drift_record("wres_drift_coefficient", nbar, printed_drift, drift_coeff),
-    )
-    return groupings, comparisons
-
-
 def wres_with_boundary(nbar, geo=None, mode="oracle"):
     """Interior density paired with the boundary term and its groupings.
 
     The boundary part is re-expressed through the extrinsic curvature K
     (h'(0) = -2K/(nbar+1)) and the normal drift combination X_n - 2 Y_n;
     both coefficients are compared against the printed assembly.  The
-    groupings, a read-only mapping, and the records are built once per nbar
-    and shared; "comparisons" is a fresh list.
+    groupings, a read-only mapping, and the records are built once per nbar,
+    with the boundary's, and shared; "comparisons" is a fresh list.
     """
-    _check_bundle(nbar, geo)
-    geo_int = geo if geo is not None else GeometricBundle(nbar + 2)
-    density, (pi_power, prefactor) = interior_wres(geo_int, mode)
-    groupings, comparisons = _wres_symbolic(nbar)
+    boundary = total_boundary_phi(nbar, geo)  # checks nbar and geo
+    density, (pi_power, prefactor) = interior_wres(
+        geo if geo is not None else GeometricBundle(nbar + 2), mode
+    )
+    memo = _assembly(nbar)
     return {
         "nbar": nbar,
         "mode": mode,
@@ -738,7 +720,7 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
             "pi_power": pi_power,
             "prefactor": prefactor,
         },
-        "boundary": total_boundary_phi(nbar, geo),
-        "groupings": groupings,
-        "comparisons": list(comparisons),
+        "boundary": boundary,
+        "groupings": memo["groupings"],
+        "comparisons": list(memo["wres_comparisons"]),
     }

@@ -88,12 +88,8 @@ class SessionConfig:
         scalars = {} if scalars is None else scalars
         if not isinstance(scalars, dict):
             raise ValidationError("scalars", f"expected a mapping, got {scalars!r}")
-        for key in scalars:
-            if key not in SCALAR_NAMES:
-                raise ValidationError(
-                    "scalars", f"unknown scalar {key!r}; expected one of {tuple(SCALAR_NAMES)}"
-                )
-        scalars = {k: None if v == "symbolic" else v for k, v in scalars.items()}
+        # the bundle checks each name; keywords must be strings
+        scalars = {str(k): None if v == "symbolic" else v for k, v in scalars.items()}
         self._bundle = GeometricBundle(
             nbar + 2, torsion=self._torsion(torsion), X=X, Y=Y, **scalars
         )
@@ -160,9 +156,14 @@ class SessionConfig:
 
 
 def read_config(source):
-    """SessionConfig arguments from a YAML path or inline YAML text."""
+    """SessionConfig arguments from a YAML path, YAML text (str or bytes) or
+    an open file."""
     import yaml  # only here: a session from flags alone never parses YAML
 
+    if not isinstance(source, (str, bytes)) and not hasattr(source, "read"):
+        raise ParseError(
+            f"expected a config path, YAML text or a file, got {type(source).__name__}"
+        )
     text = source
     if isinstance(source, str) and os.path.exists(source):
         try:
@@ -206,5 +207,5 @@ def read_config(source):
 
 
 def load_config(source):
-    """SessionConfig from a YAML path or inline YAML text."""
+    """SessionConfig from a YAML path, YAML text (str or bytes) or an open file."""
     return SessionConfig(**read_config(source))

@@ -131,24 +131,13 @@ def standard_label_trace(alphabet):
 class GeometricBundle:
     """Point data for the engine: dimension plus exact scalar values.
 
+    The scalars are keywords: s, divX, divY, dimF, trPhi, trPhi2 and
+    hprime0; any other name raises ValidationError for field "scalars".
     Any field left as None stays symbolic; every value given is read by
     _rational(), so it is an int, a Fraction or a 'p/q' string.
     """
 
-    def __init__(
-        self,
-        n,
-        torsion=None,
-        X=None,
-        Y=None,
-        s=None,
-        divX=None,
-        divY=None,
-        dimF=None,
-        trPhi=None,
-        trPhi2=None,
-        hprime0=None,
-    ):
+    def __init__(self, n, torsion=None, X=None, Y=None, **scalars):
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValidationError("n", f"integer required, got {n!r}")
         if n % 2 or n < 2:
@@ -189,8 +178,11 @@ class GeometricBundle:
             self.torsion[rep] = folded
         # read-only: a SessionConfig hands out one bundle and renders from it
         self.torsion = MappingProxyType(self.torsion)
-        scalars = {"s": s, "divX": divX, "divY": divY, "dimF": dimF,
-                   "trPhi": trPhi, "trPhi2": trPhi2, "hprime0": hprime0}
+        for key in scalars:
+            if key not in SCALAR_NAMES:
+                raise ValidationError(
+                    "scalars", f"unknown scalar {key!r}; expected one of {tuple(SCALAR_NAMES)}"
+                )
         values = {SCALAR_NAMES[f]: _rational(f, v) for f, v in scalars.items() if v is not None}
         for name, vec in (("X", X), ("Y", Y)):
             if vec is not None:

@@ -37,10 +37,16 @@ class Report:
 
 
 def _record(rec_id, value="", printed="", agree=None, note="", trace=None):
+    try:
+        value, printed = str(value), str(printed)
+    except ValueError:  # products of accepted point data can outgrow the limit
+        raise EngineError(
+            f"{rec_id}: too many digits: past Python's int-string conversion limit"
+        ) from None
     rec = {
         "id": rec_id,
-        "value": str(value),
-        "printed": str(printed),
+        "value": value,
+        "printed": printed,
         "agree": agree,
         "note": note,
     }
@@ -138,46 +144,24 @@ def emit(report, fmt="text"):
             indent=2,
             ensure_ascii=False,
         )
+    headers = ("id", "value", "printed", "agree", "note")
+    rows = [(rec["id"], rec["value"], rec["printed"], _agree_text(rec["agree"]),
+             rec["note"]) for rec in report.records]
     if fmt == "csv":
         import csv
 
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "value", "printed", "agree", "note"])
-        for rec in report.records:
-            writer.writerow(
-                [
-                    rec["id"],
-                    rec["value"],
-                    rec["printed"],
-                    _agree_text(rec["agree"]),
-                    rec["note"],
-                ]
-            )
+        csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
         return buf.getvalue()
     if fmt == "text":
-        headers = ("id", "value", "printed", "agree")
-        rows = [
-            (
-                rec["id"],
-                rec["value"],
-                rec["printed"],
-                _agree_text(rec["agree"]),
-            )
-            for rec in report.records
-        ]
-        widths = [
-            max(len(h), *(len(r[k]) for r in rows)) if rows else len(h)
-            for k, h in enumerate(headers)
-        ]
+        cols = range(len(headers) - 1)  # the text table leaves out the note
+        widths = [max([len(headers[k]), *(len(r[k]) for r in rows)]) for k in cols]
         lines = [
-            "  ".join(h.ljust(widths[k]) for k, h in enumerate(headers)).rstrip(),
-            "  ".join("-" * widths[k] for k in range(len(headers))),
+            "  ".join(headers[k].ljust(widths[k]) for k in cols).rstrip(),
+            "  ".join("-" * widths[k] for k in cols),
         ]
         for r in rows:
-            lines.append(
-                "  ".join(r[k].ljust(widths[k]) for k in range(len(headers))).rstrip()
-            )
+            lines.append("  ".join(r[k].ljust(widths[k]) for k in cols).rstrip())
         meta = report.metadata
         lines.append("")
         lines.append(

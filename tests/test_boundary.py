@@ -408,7 +408,7 @@ def _attempt(mutate):
 
 # what total_boundary_phi, wres_with_boundary and bracket_table build from
 # nbar alone, each once per process
-NBAR_CACHES = ("_brackets", "_bracket_rows", "_phi_symbolic", "_wres_symbolic")
+NBAR_CACHES = ("_brackets", "_bracket_rows", "_assembly")
 
 
 class TestSharedNbarOnlyValues:

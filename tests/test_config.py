@@ -50,8 +50,9 @@ class TestSessionConfig:
 
     @pytest.mark.parametrize(
         "scalars, named",
-        [({"S": 1}, "'S'"), ({"s": 1, "hprime": 2}, "'hprime'"), ([("s", 1)], "mapping")],
-        ids=["wrong_case", "unknown_name", "not_a_mapping"],
+        [({"S": 1}, "'S'"), ({"s": 1, "hprime": 2}, "'hprime'"), ([("s", 1)], "mapping"),
+         ({1: 2}, "1")],
+        ids=["wrong_case", "unknown_name", "not_a_mapping", "not_a_string"],
     )
     def test_bad_scalars_rejected(self, scalars, named):
         # a misspelt name must not leave its scalar silently symbolic
@@ -163,6 +164,21 @@ class TestLoadConfig:
         # PyYAML's composer recurses once per nesting level
         with pytest.raises(ParseError, match="recursion depth"):
             load_config("nbar: 2\ns: " + nested)
+
+    @pytest.mark.parametrize("source", [123, None, 1.5, ["nbar: 2"]],
+                             ids=["int", "none", "float", "list"])
+    def test_source_that_is_not_text_or_a_file_rejected(self, source):
+        # each used to raise AttributeError inside PyYAML
+        with pytest.raises(ParseError, match="expected a config path"):
+            load_config(source)
+
+    def test_path_text_bytes_and_file_load(self, tmp_path):
+        path = tmp_path / "session.yaml"
+        path.write_text("nbar: 4\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            from_file = load_config(fh)
+        sources = [str(path), "nbar: 4", b"nbar: 4"]
+        assert [load_config(s).nbar for s in sources] + [from_file.nbar] == [4] * 4
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ParseError):

@@ -76,9 +76,9 @@ class TestGeometricBundle:
          ({"torsion": {(1, 2, 3): True}}, "torsion[1,2,3]"),
          ({"s": 0.5}, "s"), ({"s": [1]}, "s"), ({"s": "1/0"}, "s"),
          ({"s": True}, "s"), ({"hprime0": "1e10000000"}, "hprime0"),
-         ({"X": 5}, "X"), ({"Y": [1, 2, 3, None]}, "Y[3]")],
+         ({"X": 5}, "X"), ({"Y": [1, 2, 3, None]}, "Y[3]"), ({"sigma": 1}, "scalars")],
         ids=["torsion_word", "torsion_bool", "float", "list", "zero_denominator",
-             "bool", "exponent", "vector_int", "vector_none"],
+             "bool", "exponent", "vector_int", "vector_none", "unknown_scalar"],
     )
     def test_bad_value_names_its_field(self, kwargs, field):
         with pytest.raises(ValidationError) as exc:

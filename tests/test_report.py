@@ -138,6 +138,20 @@ class TestErrorRecords:
         assert ids[:2] == ["trace_identity", "interior_density"]
         assert "ValidationError" in records[0]["note"]
 
+    def test_value_past_the_digit_limit_is_an_error_record(self):
+        # each accepted Y component renders, but the printed density's |Y|^2
+        # term has about 5,000 digits; it used to raise a raw ValueError
+        cfg = SessionConfig(2, mode="printed", Y=[10 ** 2500] * 4,
+                            scalars={"trPhi2": 1, "dimF": 1})
+        rep = run_session(cfg)
+        ids = [r["id"] for r in rep.records]
+        assert ids[0] == "boundary"
+        assert rep.records[0]["note"].startswith("error: EngineError: interior_density")
+        # the later blocks still ran, and the report emits in every format
+        assert "extrinsic_K" in ids and ids[-1].startswith("bracket/")
+        for fmt in ("text", "json", "csv"):
+            emit(rep, fmt)
+
 
 # Sessions that share one process: numeric point data at nbar 4 in both
 # modes, numeric at nbar 6, then symbolic at nbar 6.
@@ -183,7 +197,7 @@ class TestWarmSessions:
                 boundary, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
             )
         cached = [geometry._printed_density, boundary._brackets, boundary._bracket_rows,
-                  boundary._phi_symbolic, boundary._wres_symbolic]
+                  boundary._assembly]
         run_session(load_config(NUMERIC_4))
         misses = [f.cache_info().misses for f in cached]
         calls.clear()
