@@ -707,10 +707,12 @@ def wres_with_boundary(nbar, geo=None, mode="oracle"):
     groupings, a read-only mapping, and the records are built once per nbar,
     with the boundary's, and shared; "comparisons" is a fresh list.
     """
-    boundary = total_boundary_phi(nbar, geo)  # checks nbar and geo
+    # nbar, geo and mode are refused before any memo; the density comes first
+    _check_bundle(nbar, geo)
     density, (pi_power, prefactor) = interior_wres(
         geo if geo is not None else GeometricBundle(nbar + 2), mode
     )
+    boundary = total_boundary_phi(nbar, geo)
     memo = _assembly(nbar)
     return {
         "nbar": nbar,

@@ -9,7 +9,8 @@ a sorted tuple of formal factor names living on the auxiliary bundle side
 Blades is this algebra over any coefficient ring, the base of
 CliffordElement, symbols.CliffXi and boundary.SphereSymbol.  As
 tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
-part, mul_grade0.
+part, mul_grade0.  Products sum into one integer map, blade pair by blade
+pair, in add_blade_products; the blade sign rule is _sign_mask's alone.
 
 The independent oracle, an explicit 2^(n/2)-dimensional matrix
 representation, and the trace-lemma audit live in the module oracle, loaded
@@ -30,6 +31,16 @@ from .exact import (
 )
 
 
+def _sign_mask(a):
+    """Blade a times blade b has sign -1 iff _sign_mask(a) & b has odd
+    parity: bit j is the parity of the generators of a at or above e_j."""
+    m = 0
+    while a:
+        m ^= a
+        a >>= 1
+    return m
+
+
 def blade_mul(a, b):
     """Product of two basis blades given as bitmasks.
 
@@ -37,12 +48,7 @@ def blade_mul(a, b):
     transposition count needed to interleave the factors with one factor
     of -1 per contracted index (e_i * e_i = -1).
     """
-    swaps = (a & b).bit_count()
-    t = a >> 1
-    while t:
-        swaps += (t & b).bit_count()
-        t >>= 1
-    return a ^ b, -1 if swaps & 1 else 1
+    return a ^ b, -1 if (_sign_mask(a) & b).bit_count() & 1 else 1
 
 
 def _merge_labels(f1, f2):
@@ -63,18 +69,23 @@ def blade_key_mul(k1, k2):
 def add_blade_products(acc, p, q, merged, factor=GR_ONE, *args):
     """Add factor * p * q into acc, a map blade key -> exact._add_products
     sums of the coefficients' integer terms, c._int_terms(a, b, d, *args)
-    for (a + b*i) / d * c; merged multiplies their keys.  The left terms are
-    built once per term of p and blade sign that occurs."""
-    fa, fb, fd = factor.a, factor.b, factor.d
-    right = [(k2, c._int_terms()) for k2, c in q.terms.items()]
-    for k1, c1 in p.terms.items():
-        lefts = {}
-        for k2, r in right:
-            key, sign = blade_key_mul(k1, k2)
-            left = lefts.get(sign)
+    for (a + b*i) / d * c; merged multiplies their keys.  Each term of p
+    builds its sign mask once and its left terms once per sign that occurs;
+    a blade pair costs a mask test, a label merge and one lookup."""
+    signed, fd = ((factor.a, factor.b), (-factor.a, -factor.b)), factor.d
+    right = [(m2, f2, c._int_terms()) for (m2, f2), c in q.terms.items()]
+    for (m1, f1), c1 in p.terms.items():
+        mask, lefts = _sign_mask(m1), [None, None]
+        for m2, f2, r in right:
+            odd = (mask & m2).bit_count() & 1
+            left = lefts[odd]
             if left is None:
-                left = lefts[sign] = c1._int_terms(fa * sign, fb * sign, fd, *args)
-            _add_products(acc.setdefault(key, {}), left, r, merged)
+                left = lefts[odd] = c1._int_terms(*signed[odd], fd, *args)
+            key = (m1 ^ m2, f2 if not f1 else f1 if not f2 else _merge_labels(f1, f2))
+            sums = acc.get(key)
+            if sums is None:
+                sums = acc[key] = {}
+            _add_products(sums, left, r, merged)
 
 
 class Blades(SparseTerms):
@@ -193,10 +204,14 @@ class CliffordElement(Blades):
     __mul__ = SparseTerms.__mul__
 
     def _product(self, other):
-        """Sum of the products of all terms, in one integer accumulator; the
-        monomial pairs, which recur across blade pairs, merge once each."""
-        acc = {}
-        add_blade_products(acc, self, other, cache(_merge_monomials))
+        return self._products_sum(((self, other),))
+
+    def _products_sum(self, pairs):
+        """Sum of x * y over the pairs (x, y) in one integer map, built once;
+        recurring monomial pairs merge once each per call."""
+        acc, merged = {}, cache(_merge_monomials)
+        for x, y in pairs:
+            add_blade_products(acc, x, y, merged)
         return self._like({k: p for k, sums in acc.items()
                            if (p := _from_sums(self.alphabet, sums)).terms})
 

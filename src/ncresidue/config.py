@@ -156,16 +156,17 @@ class SessionConfig:
 
 
 def read_config(source):
-    """SessionConfig arguments from a YAML path, YAML text (str or bytes) or
-    an open file."""
+    """SessionConfig arguments from a YAML path (a str naming an existing
+    file, or any os.PathLike), YAML text (str or bytes) or an open file."""
     import yaml  # only here: a session from flags alone never parses YAML
 
-    if not isinstance(source, (str, bytes)) and not hasattr(source, "read"):
+    is_path = isinstance(source, os.PathLike)
+    if not (is_path or isinstance(source, (str, bytes)) or hasattr(source, "read")):
         raise ParseError(
             f"expected a config path, YAML text or a file, got {type(source).__name__}"
         )
     text = source
-    if isinstance(source, str) and os.path.exists(source):
+    if is_path or isinstance(source, str) and os.path.exists(source):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -207,5 +208,5 @@ def read_config(source):
 
 
 def load_config(source):
-    """SessionConfig from a YAML path, YAML text (str or bytes) or an open file."""
+    """SessionConfig from a YAML path, YAML text or an open file (read_config)."""
     return SessionConfig(**read_config(source))

@@ -17,11 +17,13 @@ product; each algebra supplies its key product (the half-plane rationals,
 whose key products expand into several terms, supply their own product
 instead).  Polynomials, Clifford multivectors, Clifford-valued symbols and
 the symbol recursions sum their term products as integer triples in one
-kernel, _add_products, reducing each sum once; the core's product stays
-their test oracle.  It is also the live product of the jet ring XiExpr,
-which the power symbol, the drift subsymbol parts and CliffXi.scale
-multiply with in every report.  The matrix oracle oracle.SpinorMatrix stays outside,
-so that it remains independent of what it checks.
+kernel, _add_products, reducing each sum once; the blade algebras call it
+once per blade pair (clifford.add_blade_products), with a key memo that
+lives for one call.  The core's product stays their test oracle.  It is
+also the live product of the jet ring XiExpr, which the power symbol, the
+drift subsymbol parts and CliffXi.scale multiply with in every report.
+The matrix oracle oracle.SpinorMatrix stays outside, so that it remains
+independent of what it checks.
 """
 
 from __future__ import annotations

@@ -267,18 +267,20 @@ def _dx_component(alphabet, dim, j, l):
     return _var(alphabet, f"dX_{j}_{l}")
 
 
-def _assemble(summands, zero, grade0=False):
-    """Sum of summands given as factor tuples: (x,) is x, (x, y) is x * y.
+def _assemble(summands, start, grade0=False):
+    """start plus summands given as factor tuples: (x,) is x, (x, y) is x * y.
 
-    grade0 keeps only the grade-0 part, and then forms no product.
+    grade0 keeps only the grade-0 part, and then forms no product; else
+    start and every summand (x as x * 1) sum in one map, built once.
     """
-    out = zero
-    for f in summands:
-        if grade0:
+    if grade0:
+        out = start
+        for f in summands:
             out = out + (f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0))
-        else:
-            out = out + (f[0] * f[1] if len(f) == 2 else f[0])
-    return out
+        return out
+    one = CliffordElement.scalar(start.dim, start.alphabet, 1)
+    return start._products_sum((f[0], f[1] if len(f) == 2 else one)
+                               for f in ((start,), *summands))
 
 
 def _normal_form_parts(n, alphabet):

@@ -14,7 +14,8 @@ import json
 
 from . import __version__
 from .boundary import bracket_table, extrinsic_K, wres_with_boundary
-from .errors import EngineError
+from .config import FORMATS
+from .errors import EngineError, ValidationError
 from .geometry import trace_density_report
 
 
@@ -137,6 +138,8 @@ def _agree_text(agree):
 
 def emit(report, fmt="text"):
     """Render a report as text, JSON, or CSV (UTF-8 string)."""
+    if fmt not in FORMATS:
+        raise ValidationError("format", f"expected one of {FORMATS}, got {fmt!r}")
     if fmt == "json":
         return json.dumps(
             {"metadata": report.metadata, "records": report.records},
@@ -153,24 +156,22 @@ def emit(report, fmt="text"):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
         return buf.getvalue()
-    if fmt == "text":
-        cols = range(len(headers) - 1)  # the text table leaves out the note
-        widths = [max([len(headers[k]), *(len(r[k]) for r in rows)]) for k in cols]
-        lines = [
-            "  ".join(headers[k].ljust(widths[k]) for k in cols).rstrip(),
-            "  ".join("-" * widths[k] for k in cols),
-        ]
-        for r in rows:
-            lines.append("  ".join(r[k].ljust(widths[k]) for k in cols).rstrip())
-        meta = report.metadata
-        lines.append("")
-        lines.append(
-            f"engine {meta['engine_version']}  nbar={meta['nbar']}  "
-            f"mode={meta['mode']}  seed={meta['seed']}  "
-            f"config={meta['config_hash'][:12]}"
-        )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    cols = range(len(headers) - 1)  # the text table leaves out the note
+    widths = [max([len(headers[k]), *(len(r[k]) for r in rows)]) for k in cols]
+    lines = [
+        "  ".join(headers[k].ljust(widths[k]) for k in cols).rstrip(),
+        "  ".join("-" * widths[k] for k in cols),
+    ]
+    for r in rows:
+        lines.append("  ".join(r[k].ljust(widths[k]) for k in cols).rstrip())
+    meta = report.metadata
+    lines.append("")
+    lines.append(
+        f"engine {meta['engine_version']}  nbar={meta['nbar']}  "
+        f"mode={meta['mode']}  seed={meta['seed']}  "
+        f"config={meta['config_hash'][:12]}"
+    )
+    return "\n".join(lines) + "\n"
 
 
 def parse_report_json(text):

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from .clifford import Blades, add_blade_products
 from .errors import DimMismatch, NonCanonicalInput, ValidationError
 from .exact import (
-    GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, _from_sums, _merge_monomials,
+    GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, _merge_monomials, _new, _poly, _reduced,
 )
 from .geometry import check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational
@@ -75,9 +75,9 @@ class XiExpr(SparseTerms):
     def _int_terms(self, a=1, b=0, d=1, shift=0):
         """The terms of (a + b*i) / d * u^shift * self as unreduced
         ((jet key, monomial), a, b, d)."""
-        return [(((m, p + shift, q, r, t), mono), ta, tb, td)
+        return [(((m, p + shift, q, r, t), mono), g.a * a - g.b * b, g.a * b + g.b * a, g.d * d)
                 for (m, p, q, r, t), poly in self.terms.items()
-                for mono, ta, tb, td in poly._int_terms(a, b, d)]
+                for mono, g in poly.terms.items()]
 
     def d_xn(self):
         """Normal x-derivative to first jet order: brings down one hp0."""
@@ -220,14 +220,20 @@ def _accumulate(acc, p, q, factor, shift):
 
 def _built(dim, alphabet, acc):
     """The CliffXi holding the sums of an _accumulate map, each reduced
-    once; the sums that cancelled are dropped."""
+    once and built unvalidated; the sums that cancelled are dropped, and
+    so is a blade whose sums all cancelled."""
     terms = {}
     for key, sums in acc.items():
         jets = {}
-        for (jk, mono), s in sums.items():
-            jets.setdefault(jk, {})[mono] = s
-        terms[key] = XiExpr(alphabet, {jk: _from_sums(alphabet, t) for jk, t in jets.items()})
-    return CliffXi(dim, alphabet, terms)
+        for (jk, mono), (a, b, d) in sums.items():
+            if a or b:
+                jets.setdefault(jk, {})[mono] = _reduced(a, b, d)
+        if jets:
+            xe = terms[key] = _new(XiExpr)
+            xe.alphabet, xe.terms = alphabet, {jk: _poly(alphabet, t) for jk, t in jets.items()}
+    out = _new(CliffXi)
+    out.dim, out.alphabet, out.terms = dim, alphabet, terms
+    return out
 
 
 class SymbolExpansion:

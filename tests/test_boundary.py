@@ -353,6 +353,16 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             wres_with_boundary(2, None, "bogus")
 
+    @pytest.mark.parametrize("nbar", [4, 10])
+    def test_unknown_mode_refused_before_the_boundary_memo(self, nbar):
+        # building the boundary memo first costs 81 ms at nbar 10 in a cold
+        # process, for a call that is refused anyway
+        before = boundary._assembly.cache_info()
+        with pytest.raises(ValidationError) as exc:
+            wres_with_boundary(nbar, None, "bogus")
+        assert exc.value.field == "mode"
+        assert boundary._assembly.cache_info() == before
+
     def test_printed_discrepancies_reported(self):
         w = wres_with_boundary(4)
         recs = {c["term"]: c for c in w["comparisons"]}

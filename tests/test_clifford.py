@@ -61,6 +61,17 @@ class TestBladeMul:
         assert blade_mul(0, 13) == (13, 1)
         assert blade_mul(13, 0) == (13, 1)
 
+    def test_sign_rule_counts_transpositions(self):
+        # every blade pair at n = 6 against a count written out: bubble-sort
+        # the generators of a then b (equal ones never swap, so each swap is
+        # an anticommutation), then contract each shared generator to -1
+        for a in range(1 << 6):
+            for b in range(1 << 6):
+                seq = [j for j in range(6) if a >> j & 1] + [j for j in range(6) if b >> j & 1]
+                swaps = sum(x > y for k, x in enumerate(seq) for y in seq[k + 1:])
+                contractions = (a & b).bit_count()
+                assert blade_mul(a, b) == (a ^ b, (-1) ** (swaps + contractions))
+
 
 class TestStructuralAlgebra:
     @pytest.mark.parametrize("n", [2, 4, 6])

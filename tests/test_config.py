@@ -180,6 +180,15 @@ class TestLoadConfig:
         sources = [str(path), "nbar: 4", b"nbar: 4"]
         assert [load_config(s).nbar for s in sources] + [from_file.nbar] == [4] * 4
 
+    def test_path_object_loads(self, tmp_path):
+        # a path object is opened like a str path; a missing one is an error,
+        # not YAML text
+        path = tmp_path / "session.yaml"
+        path.write_text("nbar: 4\n", encoding="utf-8")
+        assert load_config(path).nbar == 4
+        with pytest.raises(ParseError, match="cannot read config"):
+            load_config(tmp_path / "missing.yaml")
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ParseError):
             load_config("- 1\n- 2")

@@ -29,6 +29,7 @@ from ncresidue.errors import (
     UnboundParameter,
     ValidationError,
 )
+from ncresidue.geometry import _assemble
 from ncresidue.halfplane import HalfPlaneRational
 from ncresidue import clifford, exact, symbols
 from ncresidue.symbols import CliffXi, XiExpr, _accumulate, _built
@@ -534,6 +535,26 @@ class TestSparseTermsCore:
                 for poly in got.terms.values()
             )
 
+    @given(labelled_pairs, polys)
+    def test_assembled_sum_equals_the_left_fold(self, ab, p):
+        # geometry._assemble sums start and every summand in one map; the
+        # fold adds them one by one, each product the core's; start is
+        # nonzero, as connection_and_E passes B, and summands cancel: (a, b)
+        # against (-a, b), a against -a, and then start against -start
+        a, b = ab
+        start = CliffordElement.scalar(a.dim, ALPHABET, p) + b
+        summands = [(a, b), (b,), (a + b, a - b), (-a, b), (a,), (b, a), (-a,), (-start,)]
+        want = start
+        for f in summands:
+            want = want + (SparseTerms._product(f[0], f[1]) if len(f) == 2 else f[0])
+        got = _assemble(summands, start)
+        assert got == want
+        assert all(
+            poly.terms and all(type(g) is GaussRational and normal(g) for g in poly.terms.values())
+            for poly in got.terms.values()
+        )
+        assert _assemble([(a, b), (-a, b), (b,)], -b).is_zero()
+
     @given(cliffxi_pairs, gauss_values, st.integers(-2, 1))
     def test_accumulated_products_equal_the_nested_products(self, ab, factor, shift):
         # factor * u^shift * x * y summed over several pairs in one map, against
@@ -731,6 +752,49 @@ class TestMergeMemos:
         x * x
         assert len(calls) == 2 * len(keys) ** 2
         assert got == SparseTerms._product(x, x)
+
+    def test_closures_grow_no_module_level_cache(self):
+        # the benchmark's two symbol closures, in a fresh interpreter: every
+        # memo of exact, clifford and symbols lives for one call, so no
+        # module- or class-level cache or container is larger afterwards
+        code = """
+from fractions import Fraction
+from ncresidue import clifford, exact, symbols
+from ncresidue.geometry import GeometricBundle, lichnerowicz_normal_form, standard_alphabet
+from ncresidue.symbols import CliffXi, XiExpr, compose_symbols, invert_symbol, laplace_symbol
+
+def sizes():
+    out = {}
+    for mod in (exact, clifford, symbols):
+        spaces = [(mod.__name__, vars(mod))] + [
+            (f"{mod.__name__}.{c.__name__}", vars(c)) for c in vars(mod).values()
+            if isinstance(c, type) and c.__module__ == mod.__name__]
+        for where, space in spaces:
+            for name, v in space.items():
+                if hasattr(v, "cache_info"):
+                    out[f"{where}.{name}"] = v.cache_info().currsize
+                elif isinstance(v, (dict, list, set)) and not name.startswith("__"):
+                    out[f"{where}.{name}"] = len(v)
+    return out
+
+before = sizes()
+for n, depth in ((4, 3), (6, 2)):
+    al = standard_alphabet(n)
+    point = {name: Fraction(k % 7 - 3, k % 4 + 1) or Fraction(1, 5)
+             for k, name in enumerate(al.names) if name != "hp0"}
+    b = lichnerowicz_normal_form(GeometricBundle(n)).B
+    op = laplace_symbol(n, al, b_term=b)
+    for order, cx in op.orders.items():
+        op.orders[order] = CliffXi(n, al, {
+            key: XiExpr(al, {m: p.subs(point) for m, p in xe.terms.items()})
+            for key, xe in cx.terms.items()})
+    comp = compose_symbols(op, invert_symbol(op, depth), -2)
+    assert comp[0] == CliffXi.scalar(n, XiExpr.const(al, 1)), n
+    assert comp[-1].is_zero() and comp[-2].is_zero(), n
+after = sizes()
+assert after == before, {k: (before.get(k), v) for k, v in after.items()}
+"""
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_products_equal_a_fresh_process(self):
         first, again = run_products(), run_products()

@@ -17,7 +17,7 @@ from ncresidue.clifford import (
     twisted_trace,
 )
 from ncresidue import geometry
-from ncresidue.exact import GaussRational, ParamPoly
+from ncresidue.exact import GaussRational, ParamPoly, SparseTerms
 from ncresidue.geometry import (
     GeometricBundle,
     connection_and_E,
@@ -208,6 +208,22 @@ class TestNormalForm:
                 n, al, ParamPoly.var(al, f"X_{j}") * Fraction(1, 2)
             )
             assert nf.Ai[j - 1] == -(drift + g * w + w * g)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_blocks_equal_the_left_fold_of_their_summands(self, n):
+        # B, and E from B, summed in one map against their summands added
+        # one by one, each product the core's
+        def fold(start, summands):
+            for f in summands:
+                start = start + (SparseTerms._product(f[0], f[1]) if len(f) == 2 else f[0])
+            return start
+
+        al = standard_alphabet(n)
+        ai, b, jets = geometry._normal_form_parts(n, al)
+        nf = lichnerowicz_normal_form(GeometricBundle(n))
+        assert nf.B == fold(CliffordElement.zero(n, al), b)
+        _, e = geometry._connection_parts(n, al, ai, jets)
+        assert connection_and_E(nf)[1] == fold(nf.B, e)
 
     def test_jets_of_w_are_built_once(self, monkeypatch):
         calls = []

@@ -10,6 +10,7 @@ import pytest
 
 from ncresidue import boundary, cli, geometry
 from ncresidue.config import SessionConfig, load_config
+from ncresidue.errors import ValidationError
 from ncresidue.report import Report, emit, parse_report_json, run_session
 
 
@@ -87,8 +88,17 @@ class TestEmit:
         assert set(data) == {"metadata", "records"}
 
     def test_unknown_format(self, report):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as exc:
             emit(report, "xml")
+        assert exc.value.field == "format"
+
+    @pytest.mark.parametrize("fmt", ["xml", None, ["json"]], ids=["name", "none", "list"])
+    def test_unknown_format_refused_before_any_row(self, fmt):
+        # refused before any record is read: this one cannot be mapped to
+        # a row
+        report = Report([None], {})
+        with pytest.raises(ValidationError, match="expected one of"):
+            emit(report, fmt)
 
 
 class TestErrorRecords:
