@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 from .clifford import Blades
 from .errors import ValidationError
-from .exact import GR_I, GR_ONE, GaussRational, ParamPoly
+from .exact import GR_I, GR_ONE, GaussRational, ParamPoly, read_only
 from .geometry import (
     GeometricBundle,
     check_nbar,
@@ -414,7 +414,7 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
         if name is None:
             log("traced_integrand", "fibre trace of the product", integ)
         else:
-            parts[name] = MappingProxyType({"integrand": integ, "value": val})
+            parts[name] = MappingProxyType({"integrand": integ, "value": read_only(val)})
             log(f"part_{name}", "traced part integrand", integ)
     if products:
         log("integral", "residue integral (coefficient of pi)", coeff)
@@ -448,8 +448,8 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
             )
         )
     return BoundaryCaseResult(
-        case_id, nbar, value, integrand, MappingProxyType(parts) if parts else None,
-        printed, tuple(records), tuple(map(MappingProxyType, trace)),
+        case_id, nbar, read_only(value), integrand, MappingProxyType(parts) if parts else None,
+        read_only(printed), tuple(records), tuple(map(MappingProxyType, trace)),
     )
 
 
@@ -641,9 +641,8 @@ def _assembly(nbar):
     )
     return MappingProxyType({
         "cases": MappingProxyType(cases),
-        "symbolic": MappingProxyType(
-            {"value": value, "hprime_part": hprime_part, "drift_part": drift_part}
-        ),
+        "symbolic": MappingProxyType({k: read_only(v) for k, v in (
+            ("value", value), ("hprime_part", hprime_part), ("drift_part", drift_part))}),
         "structure": MappingProxyType({
             "no_stray_terms": not leftover,
             "hprime_linear": hp_linear,

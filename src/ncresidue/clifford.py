@@ -9,8 +9,8 @@ a sorted tuple of formal factor names living on the auxiliary bundle side
 Blades is this algebra over any coefficient ring, the base of
 CliffordElement, symbols.CliffXi and boundary.SphereSymbol.  As
 tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
-part, mul_grade0.  Products sum into one integer map, blade pair by blade
-pair, in add_blade_products; the blade sign rule is _sign_mask's alone.
+part, mul_grade0.  Products sum, blade pair by blade pair, into one integer
+map over int key ids (add_blade_products); the sign rule is _sign_mask's.
 
 The independent oracle, an explicit 2^(n/2)-dimensional matrix
 representation, and the trace-lemma audit live in the module oracle, loaded
@@ -20,14 +20,12 @@ against it.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import (
     DimMismatch, IndexOutOfRange, NonIncreasingTriple, OddDimension, ValidationError,
 )
 from .exact import (
-    GR_ONE, GaussRational, ParamPoly, SparseTerms, _add_products, _from_sums, _merge_monomials,
-    add_terms,
+    GR_ONE, GaussRational, KeyTable, ParamPoly, SparseTerms, _add_products, _from_sums,
+    _merge_monomials, add_terms,
 )
 
 
@@ -66,26 +64,26 @@ def blade_key_mul(k1, k2):
     return (mask, _merge_labels(k1[1], k2[1])), sign
 
 
-def add_blade_products(acc, p, q, merged, factor=GR_ONE, *args):
+def add_blade_products(acc, p, q, table, factor=GR_ONE, *args):
     """Add factor * p * q into acc, a map blade key -> exact._add_products
-    sums of the coefficients' integer terms, c._int_terms(a, b, d, *args)
-    for (a + b*i) / d * c; merged multiplies their keys.  Each term of p
-    builds its sign mask once and its left terms once per sign that occurs;
-    a blade pair costs a mask test, a label merge and one lookup."""
+    sums of the coefficients' integer terms, c._int_terms(table, a, b, d,
+    *args) for (a + b*i) / d * c, keyed by ids of an exact.KeyTable.  Each
+    term of p builds its sign mask once and its left terms once per sign
+    that occurs; a blade pair costs a mask test, a label merge and one lookup."""
     signed, fd = ((factor.a, factor.b), (-factor.a, -factor.b)), factor.d
-    right = [(m2, f2, c._int_terms()) for (m2, f2), c in q.terms.items()]
+    right = [(m2, f2, c._int_terms(table)) for (m2, f2), c in q.terms.items()]
     for (m1, f1), c1 in p.terms.items():
         mask, lefts = _sign_mask(m1), [None, None]
         for m2, f2, r in right:
             odd = (mask & m2).bit_count() & 1
             left = lefts[odd]
             if left is None:
-                left = lefts[odd] = c1._int_terms(*signed[odd], fd, *args)
+                left = lefts[odd] = c1._int_terms(table, *signed[odd], fd, *args)
             key = (m1 ^ m2, f2 if not f1 else f1 if not f2 else _merge_labels(f1, f2))
             sums = acc.get(key)
             if sums is None:
                 sums = acc[key] = {}
-            _add_products(sums, left, r, merged)
+            _add_products(sums, left, r, table)
 
 
 class Blades(SparseTerms):
@@ -208,12 +206,12 @@ class CliffordElement(Blades):
 
     def _products_sum(self, pairs):
         """Sum of x * y over the pairs (x, y) in one integer map, built once;
-        recurring monomial pairs merge once each per call."""
-        acc, merged = {}, cache(_merge_monomials)
+        recurring monomial pairs merge once each in the call's key table."""
+        acc, table = {}, KeyTable(_merge_monomials)
         for x, y in pairs:
-            add_blade_products(acc, x, y, merged)
+            add_blade_products(acc, x, y, table)
         return self._like({k: p for k, sums in acc.items()
-                           if (p := _from_sums(self.alphabet, sums)).terms})
+                           if (p := _from_sums(self.alphabet, sums, table.key_of)).terms})
 
     def with_label(self, label):
         """Tensor by a formal twist factor (merged into every term label)."""

@@ -188,6 +188,8 @@ def read_config(source):
     if data is None:
         data = {}
     if not isinstance(data, dict):
+        if text is source and isinstance(text, str) and "\n" not in text.strip():
+            raise ParseError(f"no such config file: {source!r}")
         raise ParseError("config must be a mapping of keys to values")
 
     args, scalars = {}, {}

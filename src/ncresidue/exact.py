@@ -17,11 +17,11 @@ product; each algebra supplies its key product (the half-plane rationals,
 whose key products expand into several terms, supply their own product
 instead).  Polynomials, Clifford multivectors, Clifford-valued symbols and
 the symbol recursions sum their term products as integer triples in one
-kernel, _add_products, reducing each sum once; the blade algebras call it
-once per blade pair (clifford.add_blade_products), with a key memo that
-lives for one call.  The core's product stays their test oracle.  It is
-also the live product of the jet ring XiExpr, which the power symbol, the
-drift subsymbol parts and CliffXi.scale multiply with in every report.
+kernel, _add_products, on int key ids of a KeyTable that lives for one
+call, reducing each sum once; the blade algebras call it once per blade
+pair (clifford.add_blade_products).  The core's product stays their test
+oracle.  It is also the live product of the jet ring XiExpr, which the
+power symbol, the drift subsymbol parts and CliffXi.scale multiply with.
 The matrix oracle oracle.SpinorMatrix stays outside, so that it remains
 independent of what it checks.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from .errors import AlphabetMismatch, DimMismatch, DivisionByZero, UnboundParameter
 
@@ -154,14 +155,14 @@ class GaussRational:
             raise TypeError("integer exponent required")
         if k < 0:
             return self.inverse() ** (-k)
-        out = GR_ONE
-        base = self
-        while k:
+        out, base = None, self  # from the lowest set bit, squaring while bits remain
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return GR_ONE if out is None else out
+            base = base * base
 
     def conjugate(self):
         return _make(self.a, -self.b, self.d)
@@ -209,9 +210,7 @@ _new = object.__new__
 def _make(a, b, d):
     """GaussRational from a triple already in normal form."""
     z = _new(GaussRational)
-    z.a = a
-    z.b = b
-    z.d = d
+    z.a, z.b, z.d = a, b, d
     return z
 
 
@@ -224,9 +223,7 @@ def _reduced(a, b, d):
             b //= g
             d //= g
     z = _new(GaussRational)
-    z.a = a
-    z.b = b
-    z.d = d
+    z.a, z.b, z.d = a, b, d
     return z
 
 
@@ -312,8 +309,7 @@ class SparseTerms:
     def _like(self, terms):
         cls = type(self)
         out = cls.__new__(cls)
-        out.alphabet = self.alphabet
-        out.terms = terms
+        out.alphabet, out.terms = self.alphabet, terms
         return out
 
     def _check(self, other):
@@ -401,9 +397,14 @@ class SparseTerms:
 def _poly(alphabet, terms):
     """ParamPoly over terms that are already clean (sorted, nonzero)."""
     out = _new(ParamPoly)
-    out.alphabet = alphabet
-    out.terms = terms
+    out.alphabet, out.terms = alphabet, terms
     return out
+
+
+def read_only(poly):
+    """poly, its terms made a read-only view in place for a cache to share."""
+    poly.terms = MappingProxyType(poly.terms)
+    return poly
 
 
 class ParamPoly(SparseTerms):
@@ -450,8 +451,7 @@ class ParamPoly(SparseTerms):
 
     def _like(self, terms):
         out = _new(ParamPoly)
-        out.alphabet = self.alphabet
-        out.terms = terms
+        out.alphabet, out.terms = self.alphabet, terms
         return out
 
     def _check(self, other):
@@ -469,13 +469,13 @@ class ParamPoly(SparseTerms):
         return _merge_monomials(m1, m2), 1
 
     def _product(self, other):
-        sums = {}
-        _add_products(sums, self._int_terms(), other._int_terms(), _merge_monomials)
-        return _from_sums(self.alphabet, sums)
+        sums, table = {}, KeyTable(_merge_monomials)
+        _add_products(sums, self._int_terms(table), other._int_terms(table), table)
+        return _from_sums(self.alphabet, sums, table.key_of)
 
-    def _int_terms(self, a=1, b=0, d=1):
-        """The terms of (a + b*i) / d * self as unreduced (monomial, a, b, d)."""
-        return [(m, g.a * a - g.b * b, g.a * b + g.b * a, g.d * d)
+    def _int_terms(self, table, a=1, b=0, d=1):
+        """The terms of (a + b*i) / d * self as unreduced (table[monomial], a, b, d)."""
+        return [(table[m], g.a * a - g.b * b, g.a * b + g.b * a, g.d * d)
                 for m, g in self.terms.items()]
 
     __add__ = __radd__ = SparseTerms.__add__
@@ -552,13 +552,16 @@ class ParamPoly(SparseTerms):
         return total
 
     def subs(self, partial):
-        """Substitute some parameters, leaving the rest symbolic."""
-        pairs = []
+        """Substitute some parameters (each converted once), leaving the rest symbolic."""
+        pairs, values = [], {}
         for mono, coeff in self.terms.items():
             residual = []
             for name, exp in mono:
                 if name in partial:
-                    coeff = coeff * GaussRational.from_value(partial[name]) ** exp
+                    v = values.get(name)
+                    if v is None:
+                        v = values[name] = GaussRational.from_value(partial[name])
+                    coeff = coeff * (v if exp == 1 else v ** exp)
                 else:
                     residual.append((name, exp))
             # a subsequence of a sorted key is sorted
@@ -616,21 +619,41 @@ def _merge_monomials(m1, m2):
     return tuple(sorted(exps.items()))
 
 
-def _add_products(sums, left, right, merged):
-    """Add the products of the terms (key, a, b, d) of left and right into
-    sums, a map key -> unreduced sum [a, b, d] of (a + b*i) / d, the sums
-    over different denominators brought to their lcm.  merged multiplies
-    keys, an empty key being a unit; a caller whose key pairs recur passes
-    a memo of one call, functools.cache of the key product."""
-    for k1, a1, b1, d1 in left:
-        for k2, a2, b2, d2 in right:
-            key = k2 if not k1 else k1 if not k2 else merged(k1, k2)
+class KeyTable(dict):
+    """The int id table[key] of each key met in one product call, and the
+    memo of their products (hash-consing that lives for the call): rows[i][j]
+    is the id of key_of[i] * key_of[j] under mul, an empty key being a unit."""
+
+    __slots__ = ("key_of", "rows", "mul")
+
+    def __init__(self, mul):
+        self.key_of, self.rows, self.mul = [], [], mul
+
+    def __missing__(self, key):
+        self.key_of.append(key)
+        self.rows.append({})
+        i = self[key] = len(self.rows) - 1
+        return i
+
+
+def _add_products(sums, left, right, table):
+    """Add the products of the terms (id, a, b, d) of left and right, ids of
+    table, into sums, a map id -> unreduced sum [a, b, d] of (a + b*i) / d;
+    sums over different denominators are brought to their lcm."""
+    key_of, rows = table.key_of, table.rows
+    for i1, a1, b1, d1 in left:
+        row = rows[i1]
+        for i2, a2, b2, d2 in right:
+            i = row.get(i2)
+            if i is None:
+                k1, k2 = key_of[i1], key_of[i2]
+                i = row[i2] = table[k2 if not k1 else k1 if not k2 else table.mul(k1, k2)]
             a = a1 * a2 - b1 * b2
             b = a1 * b2 + b1 * a2
             d = d1 * d2
-            s = sums.get(key)
+            s = sums.get(i)
             if s is None:
-                sums[key] = [a, b, d]
+                sums[i] = [a, b, d]
             elif s[2] == d:
                 s[0] += a
                 s[1] += b
@@ -642,6 +665,6 @@ def _add_products(sums, left, right, merged):
                 s[2] = sd // g * d
 
 
-def _from_sums(alphabet, sums):
-    """The ParamPoly of an _add_products map, with the cancelled sums dropped."""
-    return _poly(alphabet, {m: _reduced(a, b, d) for m, (a, b, d) in sums.items() if a or b})
+def _from_sums(alphabet, sums, keys):
+    """The ParamPoly of an _add_products map, its ids decoded by the list keys."""
+    return _poly(alphabet, {keys[i]: _reduced(a, b, d) for i, (a, b, d) in sums.items() if a or b})

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .exact import Alphabet, GaussRational, ParamPoly
+from .exact import Alphabet, GaussRational, ParamPoly, read_only
 
 
 # Fraction reads "1e10000000" as an integer of ten million digits
@@ -371,7 +371,7 @@ def _trace_E_symbolic(n):
     Ai, b, jets = _normal_form_parts(n, alphabet)
     _, e = _connection_parts(n, alphabet, Ai, jets)
     grade0 = _assemble(b + e, CliffordElement.zero(n, alphabet), grade0=True)
-    return twisted_trace(grade0, standard_label_trace(alphabet))
+    return read_only(twisted_trace(grade0, standard_label_trace(alphabet)))
 
 
 @lru_cache(maxsize=None)
@@ -394,7 +394,7 @@ def _printed_density(n):
         + gyx * _var(alphabet, "trPhi")
         + (sum_t2 * 2 + normy2 * Fraction(1, 2)) * _var(alphabet, "trPhi2")
     )
-    return inner * _var(alphabet, "dimF") * (2 ** n)
+    return read_only(inner * _var(alphabet, "dimF") * (2 ** n))
 
 
 def trace_E_density(geo, mode="oracle"):

@@ -9,21 +9,22 @@ x-derivatives vanish at the base point.
 
 CliffXi couples XiExpr coefficients to Clifford blades with twist labels,
 and SymbolExpansion stacks CliffXi pieces by homogeneity order.  On top of
-this the module provides the operator symbol, formal composition, the
-parametrix recursion, and the symbols of the relevant operator power.
+this the module provides the operator symbol, formal composition and the
+parametrix recursion (each call summed over one table of int jet-key ids,
+exact.KeyTable), and the symbols of the relevant operator power.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import factorial
 from types import MappingProxyType
 
 from .clifford import Blades, add_blade_products
 from .errors import DimMismatch, NonCanonicalInput, ValidationError
 from .exact import (
-    GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, _merge_monomials, _new, _poly, _reduced,
+    GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _merge_monomials, _new, _poly,
+    _reduced,
 )
 from .geometry import check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational
@@ -72,10 +73,11 @@ class XiExpr(SparseTerms):
 
     __mul__ = SparseTerms.__mul__
 
-    def _int_terms(self, a=1, b=0, d=1, shift=0):
+    def _int_terms(self, table, a=1, b=0, d=1, shift=0):
         """The terms of (a + b*i) / d * u^shift * self as unreduced
-        ((jet key, monomial), a, b, d)."""
-        return [(((m, p + shift, q, r, t), mono), g.a * a - g.b * b, g.a * b + g.b * a, g.d * d)
+        (table[(jet key, monomial)], a, b, d)."""
+        return [(table[(m, p + shift, q, r, t), mono], g.a * a - g.b * b, g.a * b + g.b * a,
+                 g.d * d)
                 for (m, p, q, r, t), poly in self.terms.items()
                 for mono, g in poly.terms.items()]
 
@@ -164,11 +166,11 @@ class CliffXi(Blades):
         })
 
     def _product(self, other):
-        """Sum of the products of all terms, summed by _accumulate in one
-        integer accumulator and built once by _built."""
-        acc = {}
-        _accumulate(acc, self, other, GR_ONE, 0)
-        return _built(self.dim, self.alphabet, acc)
+        """Sum of the products of all terms, summed in one integer
+        accumulator and built once by _built."""
+        acc, table = {}, KeyTable(_jet_key_product)
+        add_blade_products(acc, self, other, table)
+        return _built(self.dim, self.alphabet, acc, table.key_of)
 
     def scale(self, factor):
         """Multiply every coefficient by an XiExpr, ParamPoly or exact scalar."""
@@ -210,23 +212,17 @@ def _jet_key_product(k1, k2):
     return XiExpr._key_mul(k1[0], k2[0])[0], _merge_monomials(k1[1], k2[1])
 
 
-def _accumulate(acc, p, q, factor, shift):
-    """Add factor * u^shift * p * q into acc, a map blade key -> (jet key,
-    monomial) -> integer sum [a, b, d] of (a + b*i) / d (clifford's
-    add_blade_products); u is central, so its power shifts the left terms.
-    Few distinct key pairs recur, so each merges once per call."""
-    add_blade_products(acc, p, q, cache(_jet_key_product), factor, shift)
-
-
-def _built(dim, alphabet, acc):
-    """The CliffXi holding the sums of an _accumulate map, each reduced
-    once and built unvalidated; the sums that cancelled are dropped, and
-    so is a blade whose sums all cancelled."""
+def _built(dim, alphabet, acc, keys):
+    """The CliffXi holding the sums of an add_blade_products map, ids
+    decoded by the list keys, each reduced once and built unvalidated; the
+    sums that cancelled are dropped, and so is a blade whose sums all
+    cancelled."""
     terms = {}
     for key, sums in acc.items():
         jets = {}
-        for (jk, mono), (a, b, d) in sums.items():
+        for i, (a, b, d) in sums.items():
             if a or b:
+                jk, mono = keys[i]
                 jets.setdefault(jk, {})[mono] = _reduced(a, b, d)
         if jets:
             xe = terms[key] = _new(XiExpr)
@@ -317,13 +313,14 @@ def compose_symbols(left, right, min_order):
     x-derivatives vanish at the base point in the collar model.  Terms of
     order below min_order are never formed, and the xi_n- and x_n-derivative
     chains of the factors are built once per call.  Each order's Taylor
-    terms, their coefficients folded in, are summed in one _accumulate map.
+    terms, their coefficients folded in, are summed in one map; all share
+    one key table.
     """
     if isinstance(min_order, bool) or not isinstance(min_order, int):
         raise ValidationError("min_order", f"integer required, got {min_order!r}")
     if left.dim != right.dim:
         raise DimMismatch("symbol factors of different dimension")
-    accs = {}
+    accs, table = {}, KeyTable(_jet_key_product)
     left_chains = {s: {0: p} for s, p in left.orders.items()}
     right_chains = {t: {0: q} for t, q in right.orders.items()}
     for s in left.orders:
@@ -335,9 +332,9 @@ def compose_symbols(left, right, min_order):
                     break
                 dq = _chain(right_chains[t], k, CliffXi.d_xn)
                 if not dq.is_zero():
-                    _accumulate(accs.setdefault(s - k + t, {}), dp, dq, _taylor(k), 0)
+                    add_blade_products(accs.setdefault(s - k + t, {}), dp, dq, table, _taylor(k))
     dim, alphabet = left.dim, left.alphabet
-    out = {order: _built(dim, alphabet, acc) for order, acc in accs.items()}
+    out = {order: _built(dim, alphabet, acc, table.key_of) for order, acc in accs.items()}
     return SymbolExpansion(dim, alphabet, out)
 
 
@@ -346,8 +343,8 @@ def invert_symbol(symbol, depth):
 
     The recursion divides by the leading symbol, which must be p_2 = u
     exactly (blade- and label-free, coefficient 1); any other p_2, or none,
-    raises NonCanonicalInput.  Each step sums its Taylor terms in one
-    _accumulate map, with the division by u a shift of the u power.
+    raises NonCanonicalInput.  Each step sums its Taylor terms in one map
+    (all over one key table), the division by u a shift of the u power.
     """
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
         raise ValidationError("depth", f"nonnegative integer required, got {depth!r}")
@@ -356,6 +353,7 @@ def invert_symbol(symbol, depth):
         raise NonCanonicalInput("parametrix recursion needs the leading symbol u")
     p_chains = {s: {0: symbol[s]} for s in (2, 1, 0) if s in symbol}
     q_chains = {-2: {0: CliffXi.scalar(dim, XiExpr.u_power(alphabet, -1))}}
+    table = KeyTable(_jet_key_product)
     for m in range(1, depth + 1):
         # the new symbol q_{-2-m} is fixed by the vanishing of the
         # composition at order -m, where it enters through p_2 * q_{-2-m};
@@ -369,8 +367,8 @@ def invert_symbol(symbol, depth):
                     break
                 dq = _chain(q_chains[k - m - s], k, CliffXi.d_xn)
                 if not dq.is_zero():
-                    _accumulate(acc, dp, dq, -_taylor(k), -1)
-        q_chains[-2 - m] = {0: _built(dim, alphabet, acc)}
+                    add_blade_products(acc, dp, dq, table, -_taylor(k), -1)
+        q_chains[-2 - m] = {0: _built(dim, alphabet, acc, table.key_of)}
     q = {t: chain[0] for t, chain in q_chains.items()}
     return SymbolExpansion(dim, alphabet, q, symbol.meta)
 

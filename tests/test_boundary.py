@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncresidue import boundary
+from ncresidue import SessionConfig, boundary, emit, geometry, run_session
 from ncresidue.boundary import (
     CASE_IDS,
     SphereSymbol,
@@ -443,6 +443,27 @@ class TestSharedNbarOnlyValues:
         phi["cases"].clear()
         phi["value"] = w["interior"]["density"] = zero
         assert _plain(results()) == before
+
+    def test_cached_polynomials_refuse_mutation(self):
+        # the ParamPoly values that the caches hand out keep their terms
+        # behind read-only views, so no caller changes a later report
+        def reports():
+            return [emit(run_session(SessionConfig(4, mode=m)), "json")
+                    for m in ("oracle", "printed")]
+
+        before = reports()
+        res = boundary_case("b", 4)
+        shared = [res.value, res.printed, *(part["value"] for part in res.parts.values()),
+                  *total_boundary_phi(4)["symbolic"].values(),
+                  geometry._trace_E_symbolic(6), geometry._printed_density(6)]
+        one = GaussRational(1)
+        for value in shared:
+            with pytest.raises(AttributeError):
+                value.terms.clear()
+            with pytest.raises(TypeError):
+                value.terms[(("s", 1),)] = one
+        assert all(part["value"].terms for part in res.parts.values())
+        assert reports() == before
 
     def test_caches_are_lazy_and_bounded(self):
         names = ", ".join(f"boundary.{name}" for name in NBAR_CACHES)

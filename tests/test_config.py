@@ -1,5 +1,6 @@
 """Config loading and validation."""
 
+import re
 import sys
 from fractions import Fraction
 
@@ -188,6 +189,22 @@ class TestLoadConfig:
         assert load_config(path).nbar == 4
         with pytest.raises(ParseError, match="cannot read config"):
             load_config(tmp_path / "missing.yaml")
+
+    @pytest.mark.parametrize("source", ["missing.yaml", "configs/none.yml", "  gone.yaml\n"],
+                             ids=["bare", "nested", "padded"])
+    def test_missing_str_path_says_so(self, source, tmp_path):
+        # one line of text that names no file and is no YAML mapping reads
+        # as a path; inline mappings, longer non-mappings and an existing
+        # file that holds no mapping keep their own errors
+        with pytest.raises(ParseError, match=re.escape(f"no such config file: {source!r}")):
+            load_config(source)
+        assert load_config("nbar: 4").nbar == 4
+        with pytest.raises(ParseError, match="must be a mapping"):
+            load_config("- 1\n- 2")
+        path = tmp_path / "list.yaml"
+        path.write_text("missing.yaml\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="must be a mapping"):
+            load_config(str(path))
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ParseError):

@@ -17,11 +17,12 @@ from ncresidue.exact import (
     GR_ZERO,
     Alphabet,
     GaussRational,
+    KeyTable,
     ParamPoly,
     SparseTerms,
 )
 from ncresidue.boundary import SphereSymbol
-from ncresidue.clifford import CliffordElement, represent
+from ncresidue.clifford import CliffordElement, add_blade_products, represent
 from ncresidue.errors import (
     AlphabetMismatch,
     DimMismatch,
@@ -32,7 +33,7 @@ from ncresidue.errors import (
 from ncresidue.geometry import _assemble
 from ncresidue.halfplane import HalfPlaneRational
 from ncresidue import clifford, exact, symbols
-from ncresidue.symbols import CliffXi, XiExpr, _accumulate, _built
+from ncresidue.symbols import CliffXi, XiExpr, _built, _jet_key_product
 from conftest import cliffxi_scalars, rand_gauss, rand_poly
 
 
@@ -70,6 +71,29 @@ class TestGaussRational:
         z = GaussRational(1, 1)
         assert z ** 2 == GaussRational(0, 2)
         assert z ** 0 == GR_ONE
+
+    def test_pow_against_repeated_products(self, monkeypatch):
+        # k in -3..7 against the k-fold product of the value or its inverse;
+        # a power squares only while bits remain and starts from the lowest
+        # set bit: floor(log2 k) squarings and popcount(k) - 1 products
+        z = GaussRational(Fraction(3, 2), Fraction(-1, 5))
+        for x in (GR_ZERO, GR_ONE, -GR_ONE, GR_I, GaussRational(1, 1), z):
+            for k in range(-3, 8):
+                if x.is_zero() and k < 0:
+                    with pytest.raises(DivisionByZero):
+                        x ** k
+                    continue
+                want, step = GR_ONE, x if k >= 0 else x.inverse()
+                for _ in range(abs(k)):
+                    want = want * step
+                got = x ** k
+                assert got == want and normal(got)
+        calls, mul = [], GaussRational.__mul__
+        monkeypatch.setattr(GaussRational, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        for k in range(8):
+            calls.clear()
+            z ** k
+            assert len(calls) == max(k.bit_length() - 1, 0) + max(k.bit_count() - 1, 0)
 
     def test_hash_consistent_with_eq(self):
         a = GaussRational(Fraction(1, 2), 0)
@@ -350,6 +374,24 @@ class TestParamPolyProperties:
         assert all(not c.is_zero() for c in q.terms.values())
         assert q.eval(rest) == p.eval(point)
 
+    @given(polys, st.fixed_dictionaries(
+        {name: st.integers(-9, 9) | fractions | gauss_values for name in ALPHABET.names}))
+    def test_full_subs_is_eval(self, p, point):
+        # int, Fraction and GaussRational values, a value of its own per name
+        got = p.subs(point)
+        assert got == ParamPoly.const(ALPHABET, p.eval(point))
+        assert all(type(c) is GaussRational and normal(c) for c in got.terms.values())
+
+    def test_subs_converts_each_value_once(self, monkeypatch):
+        a, b, c = (ParamPoly.var(ALPHABET, name) for name in "abc")
+        p = a * a * b + a * b * b * b * 2 + a + c * 3 + 1
+        point = {"a": Fraction(2, 3), "b": 5, "c": GaussRational(1, 2), "d": 7}
+        want = ParamPoly.const(ALPHABET, p.eval(point))
+        calls, convert = [], GaussRational.from_value
+        monkeypatch.setattr(GaussRational, "from_value", lambda v: calls.append(v) or convert(v))
+        assert p.subs(point) == want
+        assert sorted(map(str, calls)) == ["(1+2*i)", "2/3", "5"]
+
 
 JET_ALPHABET = Alphabet(["hp0", "a", "b"])
 jet_keys = st.tuples(
@@ -565,19 +607,53 @@ class TestSparseTermsCore:
         dim, alphabet = a.dim, a.alphabet
         t = tangential(dim, alphabet)
         u = CliffXi.scalar(dim, XiExpr.u_power(alphabet, shift))
-        acc, want = {}, CliffXi.zero(dim, alphabet)
+        acc, table, want = {}, KeyTable(_jet_key_product), CliffXi.zero(dim, alphabet)
         for x, y, f in ((a, b, factor), (b, a, factor * GR_I), (a + b, a - b, -factor),
                         (a + t, t, factor), (t, b - t, factor * GR_I)):
-            _accumulate(acc, x, y, f, shift)
+            add_blade_products(acc, x, y, table, f, shift)
             want = want + SparseTerms._product(SparseTerms._product(u, x), y).scale(f)
-        got = _built(dim, alphabet, acc)
+        got = _built(dim, alphabet, acc, table.key_of)
         assert got == want
         assert is_clean(got)
         assert all(type(g) is GaussRational and normal(g) for g in cliffxi_scalars(got))
-        acc = {}
+        acc, table = {}, KeyTable(_jet_key_product)
         for f in (factor, -factor):
-            _accumulate(acc, a, b, f, shift)
-        assert _built(dim, alphabet, acc).is_zero()
+            add_blade_products(acc, a, b, table, f, shift)
+        assert _built(dim, alphabet, acc, table.key_of).is_zero()
+
+    @given(cliffxi_pairs, gauss_values, st.integers(-2, 1))
+    def test_one_key_table_serves_every_map_of_a_recursion(self, ab, factor, shift):
+        # as in invert_symbol and compose_symbols: maps of their own over one
+        # key table, and built results multiplied again through it, each
+        # against the core's product through XiExpr and ParamPoly
+        a, b = ab
+        dim, alphabet = a.dim, a.alphabet
+        t, table = tangential(dim, alphabet), KeyTable(_jet_key_product)
+
+        def step(x, y, f, s):
+            acc = {}
+            add_blade_products(acc, x, y, table, f, s)
+            got = _built(dim, alphabet, acc, table.key_of)
+            u = CliffXi.scalar(dim, XiExpr.u_power(alphabet, s))
+            assert got == SparseTerms._product(SparseTerms._product(u, x), y).scale(f)
+            assert is_clean(got)
+            return got
+
+        first = step(a, b + t, factor, shift)
+        step(t, first, -GR_I, -shift)
+        step(b, a, factor, shift)
+
+    @given(labelled_pairs, gauss_values)
+    def test_products_sum_equals_the_sum_of_core_products(self, ab, s):
+        # operands recur across the pairs, so their keys share ids
+        a, b = ab
+        pairs = [(a, b), (b, a), (a, a), (a + b, b.scale(s)), (b - a, a), (-a, b)]
+        want = CliffordElement.zero(a.dim, ALPHABET)
+        for x, y in pairs:
+            want = want + SparseTerms._product(x, y)
+        got = a._products_sum(pairs)
+        assert got == want
+        assert all(poly.terms for poly in got.terms.values())
 
     def test_accumulated_sums_are_reduced_once_and_cancelled_keys_dropped(self):
         # the scalar sum 1/2 + 1/3 - 5/6 cancels, so its blade is dropped;
@@ -586,15 +662,15 @@ class TestSparseTermsCore:
         al = JET_ALPHABET
         one = CliffXi.scalar(2, XiExpr.const(al, 1))
         xi = CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1)})
-        acc = {}
+        acc, table = {}, KeyTable(_jet_key_product)
         for c in (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)):
-            _accumulate(acc, one, one, GaussRational(c), 0)
+            add_blade_products(acc, one, one, table, GaussRational(c))
         quarter_i = GaussRational(0, Fraction(1, 4))
         for x, y, c in ((xi, one, GaussRational(Fraction(1, 6))), (one, xi, quarter_i),
                         (xi, one, GaussRational(Fraction(1, 3))), (xi, one, quarter_i)):
-            _accumulate(acc, x, y, c, 0)
+            add_blade_products(acc, x, y, table, c)
         assert (0, ()) in acc
-        got = _built(2, al, acc)
+        got = _built(2, al, acc, table.key_of)
         want = GaussRational(Fraction(1, 2), Fraction(1, 2))
         assert got == CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1, coeff=want)})
         (g,) = cliffxi_scalars(got)
@@ -756,8 +832,10 @@ class TestMergeMemos:
     def test_closures_grow_no_module_level_cache(self):
         # the benchmark's two symbol closures, in a fresh interpreter: every
         # memo of exact, clifford and symbols lives for one call, so no
-        # module- or class-level cache or container is larger afterwards
+        # module- or class-level cache or container is larger afterwards,
+        # and no key table is left
         code = """
+import gc
 from fractions import Fraction
 from ncresidue import clifford, exact, symbols
 from ncresidue.geometry import GeometricBundle, lichnerowicz_normal_form, standard_alphabet
@@ -777,6 +855,12 @@ def sizes():
                     out[f"{where}.{name}"] = len(v)
     return out
 
+# each recursion makes one key table and merges each key pair once in it
+made, merged = [], []
+table, jet_key_product = symbols.KeyTable, symbols._jet_key_product
+symbols.KeyTable = lambda mul: made.append(mul) or table(mul)
+symbols._jet_key_product = lambda k1, k2: merged.append((k1, k2)) or jet_key_product(k1, k2)
+
 before = sizes()
 for n, depth in ((4, 3), (6, 2)):
     al = standard_alphabet(n)
@@ -788,11 +872,21 @@ for n, depth in ((4, 3), (6, 2)):
         op.orders[order] = CliffXi(n, al, {
             key: XiExpr(al, {m: p.subs(point) for m, p in xe.terms.items()})
             for key, xe in cx.terms.items()})
-    comp = compose_symbols(op, invert_symbol(op, depth), -2)
+    made.clear()
+    merged.clear()
+    inverse = invert_symbol(op, depth)
+    assert len(made) == 1 and merged and len(set(merged)) == len(merged), n
+    made.clear()
+    merged.clear()
+    comp = compose_symbols(op, inverse, -2)
+    assert len(made) == 1 and merged and len(set(merged)) == len(merged), n
     assert comp[0] == CliffXi.scalar(n, XiExpr.const(al, 1)), n
     assert comp[-1].is_zero() and comp[-2].is_zero(), n
 after = sizes()
 assert after == before, {k: (before.get(k), v) for k, v in after.items()}
+# and no key table outlives its call
+gc.collect()
+assert not [t for t in gc.get_objects() if type(t) is exact.KeyTable]
 """
         subprocess.run([sys.executable, "-c", code], check=True)
 
