@@ -651,14 +651,12 @@ def _assembly(nbar):
             "drift_paired": _coefficient(drift_part, yn) == drift_coeff * (-2),
             "only_normal_components": normal_only,
         }),
-        "printed": MappingProxyType(printed),
+        "printed": MappingProxyType(
+            {k: None if v is None else read_only(v) for k, v in printed.items()}),
         "phi_comparisons": phi_records,
-        "groupings": MappingProxyType({
-            "K_coefficient": k_coeff,
-            "K_coefficient_printed": printed_k,
-            "drift_coefficient": drift_coeff,
-            "extrinsic_K": extrinsic_K(nbar),
-        }),
+        "groupings": MappingProxyType({k: read_only(v) for k, v in (
+            ("K_coefficient", k_coeff), ("K_coefficient_printed", printed_k),
+            ("drift_coefficient", drift_coeff), ("extrinsic_K", extrinsic_K(nbar)))}),
         "wres_comparisons": phi_records + (
             _record("wres_K_coefficient", nbar, printed_k, _normalized(k_coeff)),
             _drift_record("wres_drift_coefficient", nbar, None if printed_drift is None

@@ -126,16 +126,17 @@ class SessionConfig:
     def as_dict(self):
         """Canonical plain-data rendering (for hashing and metadata).
 
-        Values render as the bundle read them; a vector or a torsion table
-        that was left out, so that its names are unset, renders as None.
+        Values render as the bundle read them, each once; a vector or a
+        torsion table that was left out, so that its names are unset,
+        renders as None.
         """
         geo = self._bundle
-        values = {k: str(v) for k, v in geo.assignment().items()}
+        values = geo.assignment()
 
         def vector(name):
             if f"{name}_1" not in values:
                 return None
-            return [values[f"{name}_{j}"] for j in range(1, geo.n + 1)]
+            return [str(values[f"{name}_{j}"]) for j in range(1, geo.n + 1)]
 
         return {
             "nbar": self.nbar,
@@ -145,13 +146,13 @@ class SessionConfig:
             "seed": self.seed,
             "verify_lemmas": self.verify_lemmas,
             "scalars": {
-                k: values.get(SCALAR_NAMES[k], "symbolic") for k in sorted(SCALAR_NAMES)
+                k: str(values.get(SCALAR_NAMES[k], "symbolic")) for k in sorted(SCALAR_NAMES)
             },
             "X": vector("X"),
             "Y": vector("Y"),
             "torsion": None
             if "T_1_2_3" not in values
-            else [[a, b, c, str(v)] for (a, b, c), v in sorted(geo.torsion.items())],
+            else [[a, b, c, str(values[f"T_{a}_{b}_{c}"])] for a, b, c in sorted(geo.torsion)],
         }
 
 

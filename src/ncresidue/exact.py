@@ -186,25 +186,25 @@ class GaussRational:
         return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        ims = "i" if mag == 1 else f"{mag}*i"
-        return f"({re}{sign}{ims})"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _part(a, d)
+        ims = "i" if abs(b) == d else f"{_part(abs(b), d)}*i"
+        if not a:
+            return ims if b > 0 else f"-{ims}"
+        return f"({_part(a, d)}{'+' if b > 0 else '-'}{ims})"
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
 
 
 _new = object.__new__
+
+
+def _part(x, d):
+    """x / d for d > 0 as str(Fraction(x, d)) writes it, with no Fraction built."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def _make(a, b, d):
@@ -552,21 +552,53 @@ class ParamPoly(SparseTerms):
         return total
 
     def subs(self, partial):
-        """Substitute some parameters (each converted once), leaving the rest symbolic."""
-        pairs, values = [], {}
-        for mono, coeff in self.terms.items():
+        """Substitute some parameters, leaving the rest symbolic.
+
+        Each value is converted and each (name, exponent) power raised once
+        per call; the products are summed as unreduced triples per remaining
+        monomial and reduced once.  An assignment that names none of the
+        parameters copies the terms.
+        """
+        terms = self.terms
+        if not any(name in partial for mono in terms for name, _ in mono):
+            return self._like(dict(terms))
+        values, powers, sums = {}, {}, {}
+        for mono, g in terms.items():
+            a, b, d = g.a, g.b, g.d
             residual = []
-            for name, exp in mono:
-                if name in partial:
+            for pair in mono:
+                name = pair[0]
+                if name not in partial:
+                    residual.append(pair)
+                    continue
+                v = powers.get(pair)
+                if v is None:
                     v = values.get(name)
                     if v is None:
                         v = values[name] = GaussRational.from_value(partial[name])
-                    coeff = coeff * (v if exp == 1 else v ** exp)
+                    v = powers[pair] = v if pair[1] == 1 else v ** pair[1]
+                va, vb = v.a, v.b
+                if vb:
+                    a, b = a * va - b * vb, a * vb + b * va
                 else:
-                    residual.append((name, exp))
-            # a subsequence of a sorted key is sorted
-            pairs.append((tuple(residual), coeff))
-        return self._collect(pairs)
+                    a, b = a * va, b * va
+                d *= v.d
+            # a subsequence of a sorted key is sorted; the kernel inlines the
+            # same lcm rule in its pair loop (_add_products)
+            key = tuple(residual)
+            s = sums.get(key)
+            if s is None:
+                sums[key] = [a, b, d]
+            elif s[2] == d:
+                s[0] += a
+                s[1] += b
+            else:
+                sd = s[2]
+                m = gcd(sd, d)
+                s[0] = s[0] * (d // m) + a * (sd // m)
+                s[1] = s[1] * (d // m) + b * (sd // m)
+                s[2] = sd // m * d
+        return self._like({k: _reduced(a, b, d) for k, (a, b, d) in sums.items() if a or b})
 
     def __hash__(self):
         # a constant (zero too) equals its scalar, so it hashes as one

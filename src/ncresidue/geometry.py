@@ -430,9 +430,15 @@ def trace_density_report(n):
 
     Records carry the coefficient of each representative monomial in both
     forms, then the two trace conventions that set them apart; disagreements
-    are reported, never patched.
+    are reported, never patched.  A fresh list of read-only records that
+    are built once per n and shared by every call.
     """
     GeometricBundle(n)  # refuses an unsupported n before anything is cached
+    return list(_density_rows(n))
+
+
+@lru_cache(maxsize=None)
+def _density_rows(n):
     printed, oracle = _printed_density(n), _trace_E_symbolic(n)
     # normalize out each side's trace-of-identity convention so the per-term
     # densities are comparable
@@ -442,18 +448,17 @@ def trace_density_report(n):
     rows = []
     for name, mono in _DENSITY_PROBES:
         twist = mono[-1][0].startswith("trPhi")
-        rows.append((name, printed.coefficient(mono + dimf) * p_unit,
-                     oracle.coefficient(mono if twist else mono + dimf) * o_unit))
+        rows.append((name, str(printed.coefficient(mono + dimf) * p_unit),
+                     str(oracle.coefficient(mono if twist else mono + dimf) * o_unit)))
     rows += [
         ("identity_trace_prefactor", f"{2 ** n}*dimF", f"{2 ** (n // 2)}*dimF"),
         ("twist_terms_dimF_factor", "dimF multiplies trPhi/trPhi2 terms",
          "twist traces carry no dimF factor"),
     ]
-    return [
-        {"term": term, "dim": n, "printed": str(p), "oracle": str(o),
-         "agree": str(p) == str(o)}
+    return tuple(
+        MappingProxyType({"term": term, "dim": n, "printed": p, "oracle": o, "agree": p == o})
         for term, p, o in rows
-    ]
+    )
 
 
 def interior_wres(geo, mode="oracle"):

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import __version__
-from .boundary import bracket_table, extrinsic_K, wres_with_boundary
+from .boundary import bracket_table, wres_with_boundary
 from .config import FORMATS
 from .errors import EngineError, ValidationError
 from .geometry import trace_density_report
@@ -77,21 +79,36 @@ def _lemma_records(cfg):
                       status == printed == "pass", rec["counterexample"] or "")
 
 
+@lru_cache(maxsize=None)
+def _nbar_records(nbar):
+    """The _record arguments of each record that reads nbar alone, by id:
+    the K coefficient, the five boundary cases and extrinsic_K, rendered
+    once per process from the shared symbolic values."""
+    w = wres_with_boundary(nbar)
+    groups, cases = w["groupings"], w["boundary"]["cases"]
+    k, printed_k = groups["K_coefficient"], groups["K_coefficient_printed"]
+    rows = {"wres_K_coefficient": ("wres_K_coefficient", str(k), str(printed_k),
+                                   k == printed_k),
+            "extrinsic_K": ("extrinsic_K", str(groups["extrinsic_K"]))}
+    for cid, res in cases.items():
+        total = next(c for c in res.comparisons if c["term"].endswith("_total"))
+        rows[cid] = (f"boundary_case/{cid}", str(res.value), str(res.printed),
+                     total["agree"], "", res.derivation_trace)
+    return MappingProxyType(rows)
+
+
 def _boundary_records(cfg):
     w = wres_with_boundary(cfg.nbar, cfg.bundle(), cfg.mode)
-    interior, phi, groups = w["interior"], w["boundary"], w["groupings"]
+    interior, phi = w["interior"], w["boundary"]
     note = f"prefactor {interior['prefactor']} * pi^{interior['pi_power']}"
     yield _record("interior_density", interior["density"], note=note)
     yield _record("boundary_phi", phi["value"], note="coefficient of pi; VolS symbolic")
     yield _record("boundary_phi_hprime_part", phi["hprime_part"])
     yield _record("boundary_phi_drift_part", phi["drift_part"])
-    k, printed_k = groups["K_coefficient"], groups["K_coefficient_printed"]
-    yield _record("wres_K_coefficient", k, printed_k, k == printed_k)
+    fixed = _nbar_records(cfg.nbar)
+    yield _record(*fixed["wres_K_coefficient"])
     for cid in cfg.cases:
-        res = phi["cases"][cid]
-        total = next(c for c in res.comparisons if c["term"].endswith("_total"))
-        yield _record(f"boundary_case/{cid}", res.value, res.printed,
-                      total["agree"], trace=res.derivation_trace)
+        yield _record(*fixed[cid])
     yield from _compared("comparison", w["comparisons"])
 
 
@@ -104,7 +121,7 @@ def run_session(cfg):
     """
     blocks = [
         ("boundary", lambda: _boundary_records(cfg)),
-        ("extrinsic_K", lambda: [_record("extrinsic_K", extrinsic_K(cfg.nbar))]),
+        ("extrinsic_K", lambda: [_record(*_nbar_records(cfg.nbar)["extrinsic_K"])]),
         ("trace_density", lambda: _compared(
             "trace_density", trace_density_report(cfg.nbar + 2), "oracle")),
         ("bracket_table", lambda: _compared("bracket", bracket_table())),

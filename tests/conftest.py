@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from ncresidue.exact import Alphabet, GaussRational, ParamPoly
 
@@ -15,6 +15,13 @@ settings.register_profile(
     "ncresidue", derandomize=True, deadline=None, max_examples=60, database=None
 )
 settings.load_profile("ncresidue")
+# The same examples without the shrink phase, for runs that only need to
+# know whether a test fails (a mutant's run):
+#   python -m pytest --hypothesis-profile=mutants ...
+settings.register_profile(
+    "mutants", settings.get_profile("ncresidue"),
+    phases=[p for p in Phase if p is not Phase.shrink],
+)
 
 
 def rand_fraction(rng, span=6):

@@ -453,8 +453,10 @@ class TestSharedNbarOnlyValues:
 
         before = reports()
         res = boundary_case("b", 4)
+        phi = total_boundary_phi(4)
         shared = [res.value, res.printed, *(part["value"] for part in res.parts.values()),
-                  *total_boundary_phi(4)["symbolic"].values(),
+                  *phi["symbolic"].values(), *phi["printed"].values(),
+                  *wres_with_boundary(4)["groupings"].values(),
                   geometry._trace_E_symbolic(6), geometry._printed_density(6)]
         one = GaussRational(1)
         for value in shared:

@@ -245,7 +245,28 @@ def pair_str(re, im):
     return f"({re}{sign}{'i' if mag == 1 else f'{mag}*i'})"
 
 
+# normal triples from small and large integers, with zero parts and the
+# imaginary parts +-d/d (printed i and -i) drawn on purpose
+ints = st.integers(-9, 9) | st.integers(-10**40, 10**40)
+denominators = st.integers(1, 12) | st.integers(1, 10**30)
+triples = denominators.flatmap(lambda d: st.tuples(
+    ints | st.just(0), ints | st.sampled_from((0, d, -d)), st.just(d))
+).map(lambda t: exact._reduced(*t))
+
+
 class TestGaussRationalProperties:
+    @given(triples)
+    def test_str_is_the_fraction_rendering(self, z):
+        assert normal(z)
+        assert str(z) == pair_str(Fraction(z.a, z.d), Fraction(z.b, z.d))
+
+    def test_str_past_the_digit_limit_raises(self):
+        big = 10 ** 5000
+        for z in (GaussRational(big), GaussRational(0, -big), GaussRational(Fraction(1, big)),
+                  GaussRational(1, Fraction(2, big)), exact._reduced(1, big, 3)):
+            with pytest.raises(ValueError):
+                str(z)
+
     @given(pairs, pairs)
     def test_field_operations_match_fraction_pairs(self, x, y):
         a, b = gauss(x), gauss(y)
@@ -335,6 +356,20 @@ point_values = st.just(Fraction(0)) | fractions
 assignments = st.fixed_dictionaries({name: point_values for name in ALPHABET.names})
 
 
+def subs_fold(p, partial):
+    """p.subs(partial) as a fold of GaussRational products, term by term."""
+    out = ParamPoly.zero(p.alphabet)
+    for mono, c in p.terms.items():
+        residual = []
+        for name, exp in mono:
+            if name in partial:
+                c = c * GaussRational.from_value(partial[name]) ** exp
+            else:
+                residual.append((name, exp))
+        out = out + ParamPoly(p.alphabet, {tuple(residual): c})
+    return out
+
+
 class TestParamPolyProperties:
     @given(polys, polys, gauss_values, assignments)
     def test_eval_is_a_ring_homomorphism(self, p, q, s, point):
@@ -381,6 +416,21 @@ class TestParamPolyProperties:
         got = p.subs(point)
         assert got == ParamPoly.const(ALPHABET, p.eval(point))
         assert all(type(c) is GaussRational and normal(c) for c in got.terms.values())
+
+    @given(polys, st.dictionaries(st.sampled_from((*ALPHABET.names, "d")),
+                                  st.integers(-9, 9) | fractions | gauss_values))
+    def test_subs_is_the_product_fold(self, p, partial):
+        # empty, disjoint ("d" only), partial and full assignments; p minus
+        # its fold is a sum that cancels under the same substitution
+        for q in (p, p - subs_fold(p, partial)):
+            got = q.subs(partial)
+            assert got == subs_fold(q, partial)
+            assert all(type(c) is GaussRational and normal(c) for c in got.terms.values())
+            assert type(got.terms) is dict and got.terms is not q.terms
+        assert (p - subs_fold(p, partial)).subs(partial).is_zero()
+        if not p.params() & set(partial):
+            # nothing to substitute: the coefficients are copied, not recomputed
+            assert all(p.subs(partial).terms[m] is c for m, c in p.terms.items())
 
     def test_subs_converts_each_value_once(self, monkeypatch):
         a, b, c = (ParamPoly.var(ALPHABET, name) for name in "abc")

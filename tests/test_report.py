@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from ncresidue import boundary, cli, geometry
-from ncresidue.config import SessionConfig, load_config
+from ncresidue import report as report_mod
+from ncresidue.config import FORMATS, SessionConfig, load_config
 from ncresidue.errors import ValidationError
+from ncresidue.exact import ParamPoly
 from ncresidue.report import Report, emit, parse_report_json, run_session
 
 
@@ -164,7 +166,12 @@ class TestErrorRecords:
 
 
 # Sessions that share one process: numeric point data at nbar 4 in both
-# modes, numeric at nbar 6, then symbolic at nbar 6.
+# modes, numeric at nbar 6, then symbolic at nbar 6; numeric at nbar 2 too.
+NUMERIC_2 = (
+    "nbar: 2\ns: -3\ndivX: 1/2\ndivY: 2\ndimF: 2\ntrPhi: 1/3\ntrPhi2: -1\n"
+    "hprime0: 3/4\nX: [2, -1, 1/3, 1]\nY: [1, 1/2, -2, 3]\n"
+    "torsion:\n  - [1, 2, 3, 1/2]\n  - [2, 3, 4, -1]\n"
+)
 NUMERIC_4 = (
     "nbar: 4\ns: 2\ndivX: 1/3\ndivY: -1\ndimF: 3\ntrPhi: -1/2\ntrPhi2: 2\n"
     "hprime0: 1/5\nX: [1, 2, -1, 1/2, 0, 3]\nY: [1/3, -1, 2, 0, 1, -2]\n"
@@ -199,6 +206,22 @@ class TestWarmSessions:
             assert cli.main(["--config", text, "--format", "json"]) == 0
             assert capsys.readouterr().out == want
 
+    def test_warm_sessions_equal_fresh_processes_in_every_format(self):
+        code = (
+            "import json, sys\n"
+            "from ncresidue import emit, load_config, run_session\n"
+            "rep = run_session(load_config(sys.argv[1]))\n"
+            f"print(json.dumps([emit(rep, f) for f in {FORMATS!r}]))\n"
+        )
+        configs = [NUMERIC_2, NUMERIC_4, NUMERIC_6]
+        fresh = [subprocess.Popen([sys.executable, "-c", code, text], stdout=subprocess.PIPE)
+                 for text in configs]
+        expected = [json.loads(proc.communicate()[0]) for proc in fresh]
+        assert [proc.returncode for proc in fresh] == [0] * 3
+        for text, want in zip(configs, expected):
+            # a session of its own per format, each after the first warm
+            assert [emit(run_session(load_config(text)), f) for f in FORMATS] == want
+
     def test_second_session_builds_no_nbar_only_value(self, monkeypatch):
         calls = []
         for name in ("deriv_at_i", "printed_phi_parts", "printed_wres_k_coefficient"):
@@ -206,11 +229,19 @@ class TestWarmSessions:
             monkeypatch.setattr(
                 boundary, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
             )
+        texts = [geometry._density_rows, report_mod._nbar_records]
         cached = [geometry._printed_density, boundary._brackets, boundary._bracket_rows,
-                  boundary._assembly]
+                  boundary._assembly, *texts]
         run_session(load_config(NUMERIC_4))
         misses = [f.cache_info().misses for f in cached]
+        hits = [f.cache_info().hits for f in texts]
         calls.clear()
+        # the second session renders only the four polynomials that read its
+        # point data: the interior density and the three boundary values
+        rendered, real_str = [], ParamPoly.__str__
+        monkeypatch.setattr(ParamPoly, "__str__", lambda p: rendered.append(p) or real_str(p))
         run_session(load_config(PRINTED_4))
         assert calls == []
         assert [f.cache_info().misses for f in cached] == misses
+        assert all(f.cache_info().hits > h for f, h in zip(texts, hits))
+        assert len(rendered) == 4
