@@ -32,7 +32,7 @@ from .geometry import (
     standard_alphabet,
     standard_label_trace,
 )
-from .halfplane import HalfPlaneRational, deriv_at_i
+from .halfplane import HalfPlaneRational, deriv_at_i, derivative_order
 from .symbols import drift_subsymbol_parts, invert_symbol, laplace_symbol, power_symbol
 
 CASE_IDS = ("aI", "aII", "aIII", "b", "c")
@@ -105,6 +105,7 @@ class SphereSymbol(Blades):
         return self._map(lambda f: f.pi_plus())
 
     def deriv(self, k=1):
+        k = derivative_order(k)  # checked on a zero symbol too
         return self._map(lambda f: f.deriv(k))
 
 
@@ -598,9 +599,7 @@ def _assembly(nbar):
     n = nbar + 2
     alphabet = standard_alphabet(n)
     cases = {cid: _boundary_case_symbolic(cid, nbar) for cid in CASE_IDS}
-    value = ParamPoly.zero(alphabet)
-    for res in cases.values():
-        value = value + res.value
+    value = ParamPoly.zero(alphabet).plus(res.value for res in cases.values())
 
     # one pass: each term goes to the h'(0) part, the drift part or the
     # leftover, and each part's shape is checked on the way

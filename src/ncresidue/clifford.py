@@ -146,11 +146,9 @@ class Blades(SparseTerms):
         contributes the spinor dimension 2^(dim/2), and label_rule maps each
         twist label to its trace scalar (e.g. () -> dimF)."""
         trid = GaussRational(2 ** (self.dim // 2))
-        total = self.coeff.zero(self.alphabet)
-        for (mask, label), c in self.terms.items():
-            if not mask:
-                total = total + c.scale(label_rule(label) * trid)
-        return total
+        return self.coeff.zero(self.alphabet).plus(
+            c.scale(label_rule(f) * trid) for (mask, f), c in self.terms.items() if not mask
+        )
 
 
 class CliffordElement(Blades):

@@ -11,19 +11,20 @@ the jet ring (symbols.XiExpr), the half-plane rationals
 (halfplane.HalfPlaneRational) and the one blade algebra clifford.Blades,
 whose subclasses are the Clifford multivectors (clifford.CliffordElement),
 the Clifford-valued symbols (symbols.CliffXi) and their sphere restrictions
-(boundary.SphereSymbol).  It holds their sum, negation, scaling,
-term-wise maps, collection of (key, coefficient) pairs and the all-pairs
-product; each algebra supplies its key product (the half-plane rationals,
-whose key products expand into several terms, supply their own product
-instead).  Polynomials, Clifford multivectors, Clifford-valued symbols and
-the symbol recursions sum their term products as integer triples in one
-kernel, _add_products, on int key ids of a KeyTable that lives for one
-call, reducing each sum once; the blade algebras call it once per blade
-pair (clifford.add_blade_products).  The core's product stays their test
-oracle.  It is also the live product of the jet ring XiExpr, which the
-power symbol, the drift subsymbol parts and CliffXi.scale multiply with.
-The matrix oracle oracle.SpinorMatrix stays outside, so that it remains
-independent of what it checks.
+(boundary.SphereSymbol).  It holds their sum, the n-ary sum plus (one
+map for many values), negation, scaling, term-wise maps, collection of
+(key, coefficient) pairs and the all-pairs product; each algebra supplies
+its key product (the half-plane rationals, whose key products expand into
+several terms, supply their own product instead).  Polynomials, Clifford
+multivectors, Clifford-valued symbols and the symbol recursions sum their
+term products as integer triples in one kernel, _add_products, on int key
+ids of a KeyTable that lives for one call, reducing each sum once; the
+blade algebras call it once per blade pair (clifford.add_blade_products).
+The core's product stays their test oracle.  It is also the live product
+of the jet ring XiExpr, which the power symbol multiplies with through
+CliffXi.scale; the drift subsymbol parts are read off the operator symbol
+and multiply nothing.  The matrix oracle oracle.SpinorMatrix stays
+outside, so that it remains independent of what it checks.
 """
 
 from __future__ import annotations
@@ -336,6 +337,13 @@ class SparseTerms:
         if other is None:
             return NotImplemented
         return self._like(add_terms(dict(self.terms), other.terms.items(), True))
+
+    def plus(self, values):
+        """self plus every value of values, summed in one map: a copy of self's terms."""
+        terms = dict(self.terms)
+        for v in values:
+            add_terms(terms, v.terms.items())
+        return self._like(terms)
 
     def __mul__(self, other):
         other = self._check(other)

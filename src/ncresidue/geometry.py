@@ -274,10 +274,8 @@ def _assemble(summands, start, grade0=False):
     start and every summand (x as x * 1) sum in one map, built once.
     """
     if grade0:
-        out = start
-        for f in summands:
-            out = out + (f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0))
-        return out
+        return start.plus(f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0)
+                          for f in summands)
     one = CliffordElement.scalar(start.dim, start.alphabet, 1)
     return start._products_sum((f[0], f[1] if len(f) == 2 else one)
                                for f in ((start,), *summands))
@@ -300,10 +298,8 @@ def _normal_form_parts(n, alphabet):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             b.append((-gens[i - 1].with_label((f"RF_{i}_{j}",)), gens[j - 1]))
-    normx2 = ParamPoly.zero(alphabet)
-    for j in range(1, n + 1):
-        normx2 = normx2 + _var(alphabet, f"X_{j}") ** 2
-    b.append((CliffordElement.scalar(n, alphabet, normx2 * Fraction(1, 16)),))
+    normx2 = ParamPoly(alphabet, {((f"X_{j}", 2),): Fraction(1, 16) for j in range(1, n + 1)})
+    b.append((CliffordElement.scalar(n, alphabet, normx2),))
     # minus the drift moment term: +1/4 sum_{j<l} (dX_jl - dX_lj) c_j c_l
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
@@ -381,18 +377,16 @@ def _printed_density(n):
     trPhi2).
     """
     alphabet = standard_alphabet(n)
-    gyx = normy2 = sum_t2 = ParamPoly.zero(alphabet)
-    for j in range(1, n + 1):
-        y = _var(alphabet, f"Y_{j}")
-        gyx = gyx + y * _var(alphabet, f"X_{j}")
-        normy2 = normy2 + y ** 2
-    for t in _triples(n):
-        sum_t2 = sum_t2 + _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") ** 2
+    gyx = ParamPoly(alphabet, {((f"X_{j}", 1), (f"Y_{j}", 1)): 1 for j in range(1, n + 1)})
+    squares = ParamPoly(alphabet, {  # 2|T|^2 + |Y|^2/2
+        **{((f"T_{a}_{b}_{c}", 2),): 2 for a, b, c in _triples(n)},
+        **{((f"Y_{j}", 2),): Fraction(1, 2) for j in range(1, n + 1)},
+    })
     inner = (
         -(_var(alphabet, "s") * Fraction(1, 4))
         + _var(alphabet, "divX") * Fraction(1, 2)
         + gyx * _var(alphabet, "trPhi")
-        + (sum_t2 * 2 + normy2 * Fraction(1, 2)) * _var(alphabet, "trPhi2")
+        + squares * _var(alphabet, "trPhi2")
     )
     return read_only(inner * _var(alphabet, "dimF") * (2 ** n))
 
@@ -407,10 +401,14 @@ def trace_E_density(geo, mode="oracle"):
     geo's point data is substituted afterwards.  The full assembly
     connection_and_E stays as the test oracle of the oracle mode.
     """
+    return geo.subs(_symbolic_density(mode)(geo.n))
+
+
+def _symbolic_density(mode):
+    """The cached symbolic density function of mode; another mode raises."""
     if mode not in ("oracle", "printed"):
         raise ValidationError("mode", f"unknown mode {mode!r}")
-    symbolic = _trace_E_symbolic if mode == "oracle" else _printed_density
-    return geo.subs(symbolic(geo.n))
+    return _trace_E_symbolic if mode == "oracle" else _printed_density
 
 
 # representative monomials of the density, without the dimF factor that the
@@ -469,8 +467,15 @@ def interior_wres(geo, mode="oracle"):
     Returns (density, (pi_power, prefactor)): the residue is
     prefactor * pi^pi_power * integral of density.
     """
-    n, alphabet = geo.n, geo.alphabet
-    trid = 2 ** n if mode == "printed" else 2 ** (n // 2)
-    curv = _var(alphabet, "s") * _var(alphabet, "dimF") * Fraction(trid, 6)
-    density = trace_E_density(geo, mode) + geo.subs(curv)
+    _symbolic_density(mode)  # refuses an unknown mode before the cache sees it
+    n = geo.n
+    density = geo.subs(_interior_density(n, mode))
     return density, (Fraction(n, 2), Fraction(n - 2, factorial(n // 2 - 1)))
+
+
+@lru_cache(maxsize=None)
+def _interior_density(n, mode):
+    """interior_wres's density over the symbolic alphabet of dimension n."""
+    trid = 2 ** n if mode == "printed" else 2 ** (n // 2)
+    curv = ParamPoly(standard_alphabet(n), {(("dimF", 1), ("s", 1)): Fraction(trid, 6)})
+    return read_only(_symbolic_density(mode)(n) + curv)

@@ -74,6 +74,16 @@ def _denominator(p, q):
     )
 
 
+def derivative_order(k, field="k"):
+    """k, if it is an int >= 0; a bool, a non-int or a negative k raises
+    ValidationError naming field."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValidationError(field, f"integer required, got {type(k).__name__}")
+    if k < 0:
+        raise ValidationError(field, "must not be negative")
+    return k
+
+
 def _hpr(alphabet, terms):
     out = HalfPlaneRational.__new__(HalfPlaneRational)
     out.alphabet = alphabet
@@ -164,6 +174,7 @@ class HalfPlaneRational(SparseTerms):
 
     def deriv(self, k=1):
         """Exact k-th derivative in xi."""
+        k = derivative_order(k)
         terms = {}
         for (sign, e), c in self.terms.items():
             if sign:
@@ -258,11 +269,10 @@ def deriv_at_i(m, p, k):
     m and k are ints >= 0 and p any int; anything else, a bool too, raises
     ValidationError.
     """
-    for name, v in (("m", m), ("p", p), ("k", k)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValidationError(name, f"integer required, got {type(v).__name__}")
-    if m < 0 or k < 0:
-        raise ValidationError("m" if m < 0 else "k", "must not be negative")
+    derivative_order(m, "m")
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValidationError("p", f"integer required, got {type(p).__name__}")
+    derivative_order(k)
     poly = [GaussRational(0)] * m + [GR_ONE]
     e = p
     for _ in range(k):

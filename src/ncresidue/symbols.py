@@ -27,7 +27,7 @@ from .exact import (
     _reduced,
 )
 from .geometry import check_nbar, k_vectors, twist_vector
-from .halfplane import HalfPlaneRational
+from .halfplane import HalfPlaneRational, derivative_order
 
 # key layout: (m, p, q, r, tang) for xi_n^m u^p w^q h^r * prod xi_j^e
 # with tang a sorted tuple of (j, e) pairs over tangential indices j.
@@ -111,16 +111,15 @@ class XiExpr(SparseTerms):
         sphere and are dropped; surviving even tangential powers would need a
         genuine angular average and are rejected.
         """
-        out = HalfPlaneRational.zero(self.alphabet)
-        for (m, p, _q, _r, tang), c in self.terms.items():
-            if tang:
-                if any(e % 2 for _, e in tang):
-                    continue
+        for *_, tang in self.terms:
+            if tang and not any(e % 2 for _, e in tang):
                 raise NonCanonicalInput(
                     "even tangential monomial requires angular averaging"
                 )
-            out = out + HalfPlaneRational.from_u_power(self.alphabet, m, p).scale(c)
-        return out
+        return HalfPlaneRational.zero(self.alphabet).plus(
+            HalfPlaneRational.from_u_power(self.alphabet, m, p).scale(c)
+            for (m, p, _q, _r, tang), c in self.terms.items() if not tang
+        )
 
     def __str__(self):
         if not self.terms:
@@ -183,7 +182,7 @@ class CliffXi(Blades):
 
     def d_xin(self, k=1):
         out = self
-        for _ in range(k):
+        for _ in range(derivative_order(k)):
             out = out._map(lambda c: c.d_xin())
         return out
 
@@ -374,40 +373,24 @@ def invert_symbol(symbol, depth):
 
 
 def drift_subsymbol_parts(symbol):
-    """Split of q_{-3} into normal, drift, and twist pieces.
+    """Split of q_{-3} = -u^-2 p_1 - 2i hp0 xi_n w u^-3, the first subleading
+    parametrix symbol of a laplace_symbol, into normal, drift, and twist pieces.
 
-    Returns (b1, b2, b3): b1 carries the collar normal-direction terms, b2
-    the scalar drift in the tangential covariables, b3 the twist coupling.
-    Their sum equals the first subleading parametrix symbol.
+    Returns (b1, b2, b3).  b1 = -i gdn xi_n u^-2 - 2i hp0 xi_n w u^-3 is the
+    collar normal-direction part.  The rest, b2 + b3 = -u^-2 (p_1 - i gdn xi_n),
+    is read off p_1, each jet key's u power lowered by two: b2, the scalar
+    drift, is its label-free blade (0, ()), and b3, the twist coupling, the rest.
     """
     dim, alphabet = symbol.dim, symbol.alphabet
-    gdn = symbol.meta["gdn"]
-    k_list = symbol.meta["K"]
-    hp0 = ParamPoly.var(alphabet, "hp0")
     minus_i = -GR_I
-
-    b1 = CliffXi.scalar(
-        dim, XiExpr.monomial(alphabet, m=1, p=-2, coeff=gdn * minus_i)
-    ) + CliffXi.scalar(
-        dim,
-        XiExpr.monomial(alphabet, m=1, p=-3, q=1, coeff=hp0 * (minus_i * 2)),
-    )
-
-    b2 = CliffXi.zero(dim, alphabet)
-    b3 = CliffXi.zero(dim, alphabet)
-    u2 = XiExpr.u_power(alphabet, -2)
-    for j in range(1, dim + 1):
-        if j < dim:
-            xi_j = XiExpr.monomial(alphabet, tang=((j, 1),))
-        else:
-            xi_j = XiExpr.monomial(alphabet, m=1)
-        xj = ParamPoly.var(alphabet, f"X_{j}")
-        b2 = b2 + CliffXi.scalar(
-            dim, (u2 * xi_j).scale(xj * (minus_i * Fraction(1, 2)))
-        )
-        b3 = b3 + CliffXi.from_clifford(k_list[j - 1]).scale(
-            (u2 * xi_j).scale(minus_i)
-        )
+    collar = {(1, -2, 0, 0, ()): symbol.meta["gdn"] * minus_i}
+    hp0 = ParamPoly.var(alphabet, "hp0")
+    b1 = CliffXi.scalar(dim, XiExpr(alphabet, {**collar, (1, -3, 1, 0, ()): hp0 * (minus_i * 2)}))
+    rest = symbol[1]._map(lambda xe: xe._like(  # -u^-2 p_1
+        {(m, p - 2, q, r, t): -c for (m, p, q, r, t), c in xe.terms.items()}
+    ))
+    b2 = CliffXi.scalar(dim, rest.coefficient(0) - XiExpr(alphabet, collar))
+    b3 = rest._like({key: xe for key, xe in rest.terms.items() if key != (0, ())})
     return b1, b2, b3
 
 
@@ -428,30 +411,25 @@ def power_symbol(symbol, nbar, parametrix=None):
 
     if parametrix is None:
         parametrix = invert_symbol(symbol, 1)
-    qm3 = parametrix[-3]
 
     factor = XiExpr.monomial(
         alphabet, p=2 - half, coeff=GaussRational(Fraction(nbar - 2, 2))
     )
     b1, b2, b3 = drift_subsymbol_parts(symbol)
+    if b1.plus((b2, b3)) != parametrix[-3]:
+        raise NonCanonicalInput("subleading power symbol split is inconsistent")
 
-    # correction sum from composing leading parametrix factors
-    ksum = CliffXi.zero(dim, alphabet)
-    du_inv = XiExpr.u_power(alphabet, -1).d_xn()
-    for k in range(0, half - 2):
-        dxi = XiExpr.monomial(alphabet, p=k + 2 - half).d_xin()
-        term = dxi * du_inv * XiExpr.u_power(alphabet, -k)
-        ksum = ksum + CliffXi.scalar(dim, term.scale(-GR_I))
+    # correction sum from composing leading parametrix factors: each k < half - 2
+    # adds -i d_xin(u^(k+2-half)) d_xn(u^-1) u^-k = 2i (k+2-half) hp0 xi_n w u^(-1-half)
+    ksum = CliffXi.scalar(dim, XiExpr.monomial(
+        alphabet, m=1, p=-1 - half, q=1,
+        coeff=ParamPoly.var(alphabet, "hp0") * GaussRational(0, (2 - half) * (half - 1)),
+    ))
 
     part_normal = b1.scale(factor) + ksum
     part_drift = b2.scale(factor)
     part_twist = b3.scale(factor)
-    sub = part_normal + part_drift + part_twist
-
-    check = qm3.scale(factor) + ksum
-    if not (sub - check).is_zero():
-        raise NonCanonicalInput("subleading power symbol split is inconsistent")
-
+    sub = part_normal.plus((part_drift, part_twist))
     parts = {"normal": part_normal, "drift": part_drift, "twist": part_twist}
     meta = {**symbol.meta, "parts": MappingProxyType(parts)}
     return SymbolExpansion(dim, alphabet, {2 - nbar: top, 1 - nbar: sub}, meta)

@@ -457,7 +457,8 @@ class TestSharedNbarOnlyValues:
         shared = [res.value, res.printed, *(part["value"] for part in res.parts.values()),
                   *phi["symbolic"].values(), *phi["printed"].values(),
                   *wres_with_boundary(4)["groupings"].values(),
-                  geometry._trace_E_symbolic(6), geometry._printed_density(6)]
+                  geometry._trace_E_symbolic(6), geometry._printed_density(6),
+                  *(geometry._interior_density(6, mode) for mode in ("oracle", "printed"))]
         one = GaussRational(1)
         for value in shared:
             with pytest.raises(AttributeError):
@@ -472,7 +473,7 @@ class TestSharedNbarOnlyValues:
         code = (
             "import ncresidue.cli\n"
             "from ncresidue import boundary, geometry\n"
-            f"for f in ({names}, geometry._printed_density):\n"
+            f"for f in ({names}, geometry._printed_density, geometry._interior_density):\n"
             "    assert f.cache_info().currsize == 0, f\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)

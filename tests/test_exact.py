@@ -27,6 +27,7 @@ from ncresidue.errors import (
     AlphabetMismatch,
     DimMismatch,
     DivisionByZero,
+    NonCanonicalInput,
     UnboundParameter,
     ValidationError,
 )
@@ -799,6 +800,73 @@ class TestSparseTermsCore:
                 a * other
         assert (a * a).coefficient(0) == HalfPlaneRational(ALPHABET, [-1])
         assert (a + a).terms == {(1, ()): HalfPlaneRational(ALPHABET, [2])}
+
+
+def snapshot(v):
+    """The terms of v as nested plain dicts, down to each scalar's triple."""
+    return {k: snapshot(c) if isinstance(c, SparseTerms) else (c.a, c.b, c.d)
+            for k, c in v.terms.items()}
+
+
+def assert_unchanged(operands, *ops):
+    """Run each op, then check that no operand's terms changed."""
+    before = [snapshot(v) for v in operands]
+    for op in ops:
+        try:
+            op()
+        except NonCanonicalInput:  # an even tangential power on the sphere
+            pass
+    assert [snapshot(v) for v in operands] == before
+
+
+def label_trace(alphabet):
+    return lambda label: ParamPoly.var(alphabet, "a") if label else ParamPoly.const(alphabet, 2)
+
+
+class TestOperandsUnchanged:
+    """No operation writes into its operands; the n-ary sum plus starts from
+    a nonempty value, so a sum that wrote into its start's own map fails."""
+
+    @given(polys, polys, assignments)
+    def test_polynomials(self, p, q, point):
+        partial = {"a": point["a"]}
+        assert p.plus([q, p]) == p + q + p
+        assert_unchanged(
+            (p, q), lambda: p + q, lambda: p - q, lambda: -p, lambda: p * q,
+            lambda: p.scale(q), lambda: p.subs(partial), lambda: p.subs(point),
+            lambda: p.plus([q, p]), lambda: q.plus([p]),
+        )
+
+    @given(jets, jets)
+    def test_jets(self, x, y):
+        c = next(iter(y.terms.values()), ParamPoly.const(JET_ALPHABET, 3))
+        assert x.plus([y, x]) == x + y + x
+        assert_unchanged(
+            (x, y, c), lambda: x + y, lambda: x - y, lambda: x * y, lambda: x.scale(c),
+            lambda: x.d_xn(), lambda: x.d_xin(), lambda: x.restrict_sphere(),
+            lambda: x.plus([y, x]),
+        )
+
+    @given(cliffxi_pairs, jets)
+    def test_clifford_valued_symbols(self, ab, x):
+        a, b = ab
+        assert a.plus([b, a]) == a + b + a
+        assert_unchanged(
+            (a, b, x), lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.scale(x),
+            lambda: a.scale(GR_I), lambda: a.d_xn(), lambda: a.d_xin(2),
+            lambda: a.restrict_sphere(), lambda: a.mul_grade0(b),
+            lambda: a.trace(label_trace(JET_ALPHABET)), lambda: a.plus([b, a]),
+        )
+
+    @given(labelled_pairs)
+    def test_clifford_elements(self, ab):
+        a, b = ab
+        assert a.plus([b, a]) == a + b + a
+        assert_unchanged(
+            (a, b), lambda: a + b, lambda: a - b, lambda: a * b,
+            lambda: a.mul_grade0(b), lambda: a.trace(label_trace(ALPHABET)),
+            lambda: a.plus([b, a]),
+        )
 
 
 # The same products, over two alphabets and two dimensions, run in this

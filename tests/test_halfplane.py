@@ -134,6 +134,19 @@ class TestDerivatives:
         f = HalfPlaneRational.from_u_power(AL, 1, -2)
         assert f.deriv(2) == f.deriv(1).deriv(1)
 
+    @pytest.mark.parametrize("k, field", [(-1, "k"), (True, "k"), (1.5, "k"), ("1", "k")],
+                             ids=["negative", "bool", "float", "string"])
+    def test_deriv_refuses_bad_orders(self, k, field):
+        # deriv(-1) of xi + xi^3 gave xi^2 + xi^4, and of a pole term raised
+        # a raw TypeError; deriv(True) ran as deriv(1)
+        polynomial = HalfPlaneRational(AL, [const(0), const(1), const(0), const(1)])
+        pole = HalfPlaneRational(AL, [const(1)], 1, 0)
+        for f in (polynomial, pole, HalfPlaneRational.zero(AL)):
+            with pytest.raises(ValidationError) as exc:
+                f.deriv(k)
+            assert exc.value.field == field
+        assert polynomial.deriv(0) == polynomial
+
     def test_deriv_at_i_reference_values(self):
         # k-th derivative of xi^m / (xi + i)^p at xi = i
         assert deriv_at_i(1, 1, 2) == GaussRational(Fraction(1, 4))

@@ -230,9 +230,11 @@ class TestWarmSessions:
                 boundary, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
             )
         texts = [geometry._density_rows, report_mod._nbar_records]
-        cached = [geometry._printed_density, boundary._brackets, boundary._bracket_rows,
-                  boundary._assembly, *texts]
-        run_session(load_config(NUMERIC_4))
+        cached = [geometry._printed_density, geometry._interior_density, boundary._brackets,
+                  boundary._bracket_rows, boundary._assembly, *texts]
+        # the interior density is cached per mode, so the warm-up serves both
+        for text in (NUMERIC_4, NUMERIC_4 + "mode: printed\n"):
+            run_session(load_config(text))
         misses = [f.cache_info().misses for f in cached]
         hits = [f.cache_info().hits for f in texts]
         calls.clear()
@@ -240,8 +242,14 @@ class TestWarmSessions:
         # point data: the interior density and the three boundary values
         rendered, real_str = [], ParamPoly.__str__
         monkeypatch.setattr(ParamPoly, "__str__", lambda p: rendered.append(p) or real_str(p))
+        # and substitutes into those four once each: the interior density
+        # with its curvature term is one cached polynomial
+        substituted, real_subs = [], ParamPoly.subs
+        monkeypatch.setattr(ParamPoly, "subs",
+                            lambda p, partial: substituted.append(p) or real_subs(p, partial))
         run_session(load_config(PRINTED_4))
         assert calls == []
         assert [f.cache_info().misses for f in cached] == misses
         assert all(f.cache_info().hits > h for f, h in zip(texts, hits))
         assert len(rendered) == 4
+        assert len(substituted) == 4

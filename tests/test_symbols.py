@@ -7,6 +7,7 @@ from math import factorial, gcd
 import pytest
 import sympy
 
+from ncresidue.boundary import SphereSymbol
 from ncresidue.clifford import CliffordElement, represent
 from ncresidue.errors import (
     DimMismatch,
@@ -152,6 +153,42 @@ def _laplace_p1_reference(dim, alphabet, gdn):
     return p1.scale(GR_I)
 
 
+def _drift_parts_reference(symbol):
+    """The split of q_{-3} built term by term: b1 as two monomials, b2 and
+    b3 from the X_j and the K_j of meta, each times xi_j u^-2 as a product
+    of jet expressions, summed one covariable j at a time."""
+    dim, alphabet = symbol.dim, symbol.alphabet
+    hp0 = ParamPoly.var(alphabet, "hp0")
+    minus_i = -GR_I
+    b1 = CliffXi.scalar(
+        dim, XiExpr.monomial(alphabet, m=1, p=-2, coeff=symbol.meta["gdn"] * minus_i)
+    ) + CliffXi.scalar(
+        dim, XiExpr.monomial(alphabet, m=1, p=-3, q=1, coeff=hp0 * (minus_i * 2))
+    )
+    b2 = b3 = CliffXi.zero(dim, alphabet)
+    u2 = XiExpr.u_power(alphabet, -2)
+    for j in range(1, dim + 1):
+        if j < dim:
+            xi_j = XiExpr.monomial(alphabet, tang=((j, 1),))
+        else:
+            xi_j = XiExpr.monomial(alphabet, m=1)
+        xj = ParamPoly.var(alphabet, f"X_{j}")
+        b2 = b2 + CliffXi.scalar(dim, (u2 * xi_j).scale(xj * (minus_i * Fraction(1, 2))))
+        b3 = b3 + CliffXi.from_clifford(symbol.meta["K"][j - 1]).scale((u2 * xi_j).scale(minus_i))
+    return b1, b2, b3
+
+
+def _power_ksum_reference(dim, alphabet, half):
+    """The correction sum of power_symbol, one composed term per k."""
+    ksum = CliffXi.zero(dim, alphabet)
+    du_inv = XiExpr.u_power(alphabet, -1).d_xn()
+    for k in range(0, half - 2):
+        dxi = XiExpr.monomial(alphabet, p=k + 2 - half).d_xin()
+        term = dxi * du_inv * XiExpr.u_power(alphabet, -k)
+        ksum = ksum + CliffXi.scalar(dim, term.scale(-GR_I))
+    return ksum
+
+
 def assert_normal_scalars(expansion):
     """Every scalar of every order is a GaussRational (a + b*i) / d with
     d > 0 and gcd(a, b, d) = 1."""
@@ -196,6 +233,22 @@ class TestJetRing:
         xe = XiExpr.monomial(al, tang=((1, 2),))
         with pytest.raises(NonCanonicalInput):
             xe.restrict_sphere()
+
+
+class TestDerivativeOrders:
+    @pytest.mark.parametrize("k", [-1, True, 1.5], ids=["negative", "bool", "float"])
+    def test_covariable_derivatives_refuse_bad_orders(self, k):
+        # CliffXi.d_xin(-1) returned the symbol, d_xin(True) ran once, and
+        # d_xin(1.5) raised a raw TypeError; SphereSymbol.deriv goes through
+        # HalfPlaneRational.deriv, and also refuses on a zero symbol
+        al = standard_alphabet(4)
+        cx = CliffXi.scalar(4, XiExpr.u_power(al, -1))
+        for f in (cx.d_xin, SphereSymbol.from_cliffxi(cx).deriv,
+                  SphereSymbol.zero(4, al).deriv, CliffXi.zero(4, al).d_xin):
+            with pytest.raises(ValidationError):
+                f(k)
+        assert cx.d_xin(0) == cx
+        assert cx.d_xin(2) == cx.d_xin(1).d_xin(1)
 
 
 class TestOperatorSymbol:
@@ -402,6 +455,38 @@ class TestSubsymbolStructure:
         b1, b2, b3 = drift_subsymbol_parts(op)
         par = invert_symbol(op, 2)
         assert b1 + b2 + b3 == par[-3]
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("pipeline_gdn", [False, True], ids=["default_gdn", "pipeline_gdn"])
+    def test_each_drift_part_equals_the_reference(self, n, pipeline_gdn):
+        # each part on its own: a swap of b2 and b3 keeps their sum
+        al = standard_alphabet(n)
+        gdn = ParamPoly.var(al, "hp0") * Fraction(n - 1, 2) if pipeline_gdn else None
+        op = laplace_symbol(n, al, None, gdn)
+        got, want = drift_subsymbol_parts(op), _drift_parts_reference(op)
+        for name, b, ref in zip(("b1", "b2", "b3"), got, want):
+            assert b == ref, name
+        assert not want[1].is_zero() and not want[2].is_zero()
+
+    @pytest.mark.parametrize("nbar", [2, 4, 6, 8])
+    def test_power_symbol_parts_equal_the_reference(self, nbar):
+        n, al = nbar + 2, standard_alphabet(nbar + 2)
+        op = laplace_symbol(n, al)
+        pw = power_symbol(op, nbar)
+        factor = XiExpr.monomial(al, p=2 - nbar // 2, coeff=Fraction(nbar - 2, 2))
+        b1, b2, b3 = _drift_parts_reference(op)
+        normal = b1.scale(factor) + _power_ksum_reference(n, al, nbar // 2)
+        parts = pw.meta["parts"]
+        assert parts["normal"] == normal
+        assert parts["drift"] == b2.scale(factor)
+        assert parts["twist"] == b3.scale(factor)
+        assert pw[1 - nbar] == normal + b2.scale(factor) + b3.scale(factor)
+
+    def test_power_symbol_refuses_a_parametrix_of_another_operator(self):
+        al = standard_alphabet(4)
+        other = invert_symbol(laplace_symbol(4, al, gdn=1), 1)
+        with pytest.raises(NonCanonicalInput):
+            power_symbol(laplace_symbol(4, al), 2, other)
 
     def test_power_symbol_identity_at_base_dimension(self):
         # nbar = 2 makes the fractional power the identity operator
