@@ -9,8 +9,10 @@ a sorted tuple of formal factor names living on the auxiliary bundle side
 Blades is this algebra over any coefficient ring, the base of
 CliffordElement, symbols.CliffXi and boundary.SphereSymbol.  As
 tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
-part, mul_grade0.  Products sum, blade pair by blade pair, into one integer
-map over int key ids (add_blade_products); the sign rule is _sign_mask's.
+part, mul_grade0.  `*` is the core's all-pairs product (exact.SparseTerms);
+the normal form's sum of products (CliffordElement._products_sum) and the
+symbol recursions sum, blade pair by blade pair, into one integer map over
+int key ids instead (add_blade_products); the sign rule is _sign_mask's.
 
 The independent oracle, an explicit 2^(n/2)-dimensional matrix
 representation, and the trace-lemma audit live in the module oracle, loaded
@@ -198,9 +200,6 @@ class CliffordElement(Blades):
     # its own binding, so that wrapping CliffordElement products leaves the
     # other blade algebras' products alone
     __mul__ = SparseTerms.__mul__
-
-    def _product(self, other):
-        return self._products_sum(((self, other),))
 
     def _products_sum(self, pairs):
         """Sum of x * y over the pairs (x, y) in one integer map, built once;

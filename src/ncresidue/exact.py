@@ -13,17 +13,17 @@ whose subclasses are the Clifford multivectors (clifford.CliffordElement),
 the Clifford-valued symbols (symbols.CliffXi) and their sphere restrictions
 (boundary.SphereSymbol).  It holds their sum, the n-ary sum plus (one
 map for many values), negation, scaling, term-wise maps, collection of
-(key, coefficient) pairs and the all-pairs product; each algebra supplies
-its key product (the half-plane rationals, whose key products expand into
-several terms, supply their own product instead).  Polynomials, Clifford
-multivectors, Clifford-valued symbols and the symbol recursions sum their
-term products as integer triples in one kernel, _add_products, on int key
-ids of a KeyTable that lives for one call, reducing each sum once; the
-blade algebras call it once per blade pair (clifford.add_blade_products).
-The core's product stays their test oracle.  It is also the live product
-of the jet ring XiExpr, which the power symbol multiplies with through
-CliffXi.scale; the drift subsymbol parts are read off the operator symbol
-and multiply nothing.  The matrix oracle oracle.SpinorMatrix stays
+(key, coefficient) pairs and the all-pairs product, which is the `*` of
+every algebra but the half-plane rationals (their key products expand into
+several terms, so they supply their own product); each algebra supplies
+its key product.  The two product-heavy callers that the workloads time
+sum their term products instead as integer triples in one kernel,
+_add_products, on int key ids of a KeyTable that lives for one call,
+reducing each sum once: the normal form's sum of Clifford products
+(clifford.CliffordElement._products_sum) and the symbol recursions
+(symbols.compose_symbols and symbols.invert_symbol), both once per blade
+pair through clifford.add_blade_products.  The core's product is the
+kernel's test oracle.  The matrix oracle oracle.SpinorMatrix stays
 outside, so that it remains independent of what it checks.
 """
 
@@ -475,11 +475,6 @@ class ParamPoly(SparseTerms):
     @staticmethod
     def _key_mul(m1, m2):
         return _merge_monomials(m1, m2), 1
-
-    def _product(self, other):
-        sums, table = {}, KeyTable(_merge_monomials)
-        _add_products(sums, self._int_terms(table), other._int_terms(table), table)
-        return _from_sums(self.alphabet, sums, table.key_of)
 
     def _int_terms(self, table, a=1, b=0, d=1):
         """The terms of (a + b*i) / d * self as unreduced (table[monomial], a, b, d)."""

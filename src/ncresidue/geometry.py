@@ -267,15 +267,9 @@ def _dx_component(alphabet, dim, j, l):
     return _var(alphabet, f"dX_{j}_{l}")
 
 
-def _assemble(summands, start, grade0=False):
-    """start plus summands given as factor tuples: (x,) is x, (x, y) is x * y.
-
-    grade0 keeps only the grade-0 part, and then forms no product; else
-    start and every summand (x as x * 1) sum in one map, built once.
-    """
-    if grade0:
-        return start.plus(f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0)
-                          for f in summands)
+def _assemble(summands, start):
+    """start plus summands given as factor tuples: (x,) is x, (x, y) is x * y;
+    start and every summand (x as x * 1) sum in one map, built once."""
     one = CliffordElement.scalar(start.dim, start.alphabet, 1)
     return start._products_sum((f[0], f[1] if len(f) == 2 else one)
                                for f in ((start,), *summands))
@@ -366,7 +360,9 @@ def _trace_E_symbolic(n):
     alphabet = standard_alphabet(n)
     Ai, b, jets = _normal_form_parts(n, alphabet)
     _, e = _connection_parts(n, alphabet, Ai, jets)
-    grade0 = _assemble(b + e, CliffordElement.zero(n, alphabet), grade0=True)
+    grade0 = CliffordElement.zero(n, alphabet).plus(
+        f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0) for f in b + e
+    )
     return read_only(twisted_trace(grade0, standard_label_trace(alphabet)))
 
 

@@ -110,8 +110,7 @@ class HalfPlaneRational(SparseTerms):
 
     def __init__(self, alphabet, num, a=0, b=0):
         """N / ((xi - i)^a (xi + i)^b) for the coefficient list N of xi^0, xi^1, ..."""
-        if a < 0 or b < 0:
-            raise ValueError("pole orders must be nonnegative")
+        a, b = derivative_order(a, "a"), derivative_order(b, "b")
         self.alphabet = alphabet
         self.terms = _expanded(
             ((k, a, b), c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c))

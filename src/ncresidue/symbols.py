@@ -10,8 +10,10 @@ x-derivatives vanish at the base point.
 CliffXi couples XiExpr coefficients to Clifford blades with twist labels,
 and SymbolExpansion stacks CliffXi pieces by homogeneity order.  On top of
 this the module provides the operator symbol, formal composition and the
-parametrix recursion (each call summed over one table of int jet-key ids,
-exact.KeyTable), and the symbols of the relevant operator power.
+parametrix recursion (each call summed in the integer kernel over one table
+of int jet-key ids, exact.KeyTable), and the symbols of the relevant operator
+power.  `*` is the core's all-pairs product (exact.SparseTerms); a factor
+c u^k is a shift of the u power and a scalar (_times_u_power).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .clifford import Blades, add_blade_products
-from .errors import DimMismatch, NonCanonicalInput, ValidationError
+from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput, ValidationError
 from .exact import (
     GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _merge_monomials, _new, _poly,
     _reduced,
@@ -164,17 +166,8 @@ class CliffXi(Blades):
             for key, poly in elem.terms.items()
         })
 
-    def _product(self, other):
-        """Sum of the products of all terms, summed in one integer
-        accumulator and built once by _built."""
-        acc, table = {}, KeyTable(_jet_key_product)
-        add_blade_products(acc, self, other, table)
-        return _built(self.dim, self.alphabet, acc, table.key_of)
-
     def scale(self, factor):
-        """Multiply every coefficient by an XiExpr, ParamPoly or exact scalar."""
-        if isinstance(factor, XiExpr):
-            return SparseTerms.scale(self, factor)
+        """Multiply every coefficient by a ParamPoly or an exact scalar."""
         return self._map(lambda c: c.scale(factor))
 
     def d_xn(self):
@@ -209,6 +202,15 @@ class CliffXi(Blades):
 def _jet_key_product(k1, k2):
     """Product of two (jet key, monomial) keys."""
     return XiExpr._key_mul(k1[0], k2[0])[0], _merge_monomials(k1[1], k2[1])
+
+
+def _times_u_power(x, c, k):
+    """c u^k x for a CliffXi x and an exact scalar c: each jet key's u power
+    shifted by k, each coefficient times c."""
+    return x._map(lambda xe: xe._like(
+        {(m, p + k, q, r, t): s for (m, p, q, r, t), poly in xe.terms.items()
+         if not (s := poly * c).is_zero()}
+    ))
 
 
 def _built(dim, alphabet, acc, keys):
@@ -319,6 +321,8 @@ def compose_symbols(left, right, min_order):
         raise ValidationError("min_order", f"integer required, got {min_order!r}")
     if left.dim != right.dim:
         raise DimMismatch("symbol factors of different dimension")
+    if left.alphabet != right.alphabet:
+        raise AlphabetMismatch("symbol factors over different alphabets")
     accs, table = {}, KeyTable(_jet_key_product)
     left_chains = {s: {0: p} for s, p in left.orders.items()}
     right_chains = {t: {0: q} for t, q in right.orders.items()}
@@ -378,17 +382,16 @@ def drift_subsymbol_parts(symbol):
 
     Returns (b1, b2, b3).  b1 = -i gdn xi_n u^-2 - 2i hp0 xi_n w u^-3 is the
     collar normal-direction part.  The rest, b2 + b3 = -u^-2 (p_1 - i gdn xi_n),
-    is read off p_1, each jet key's u power lowered by two: b2, the scalar
-    drift, is its label-free blade (0, ()), and b3, the twist coupling, the rest.
+    is read off p_1 by power_symbol's u-power rule (_times_u_power with c = -1,
+    k = -2): b2, the scalar drift, is its label-free blade (0, ()), and b3,
+    the twist coupling, the rest.
     """
     dim, alphabet = symbol.dim, symbol.alphabet
     minus_i = -GR_I
     collar = {(1, -2, 0, 0, ()): symbol.meta["gdn"] * minus_i}
     hp0 = ParamPoly.var(alphabet, "hp0")
     b1 = CliffXi.scalar(dim, XiExpr(alphabet, {**collar, (1, -3, 1, 0, ()): hp0 * (minus_i * 2)}))
-    rest = symbol[1]._map(lambda xe: xe._like(  # -u^-2 p_1
-        {(m, p - 2, q, r, t): -c for (m, p, q, r, t), c in xe.terms.items()}
-    ))
+    rest = _times_u_power(symbol[1], GaussRational(-1), -2)
     b2 = CliffXi.scalar(dim, rest.coefficient(0) - XiExpr(alphabet, collar))
     b3 = rest._like({key: xe for key, xe in rest.terms.items() if key != (0, ())})
     return b1, b2, b3
@@ -400,7 +403,8 @@ def power_symbol(symbol, nbar, parametrix=None):
     nbar is the boundary dimension: even, in 2..10, and dim - 2 for the
     operator's dimension dim.  Returns a SymbolExpansion with orders
     2 - nbar and 1 - nbar; meta carries the split of the subleading symbol
-    into normal / drift / twist parts.
+    into normal / drift / twist parts, each times (nbar - 2)/2 u^(2 - nbar/2)
+    by the u-power rule that reads the split off p_1 (_times_u_power).
     """
     check_nbar(nbar)
     dim, alphabet = symbol.dim, symbol.alphabet
@@ -412,9 +416,6 @@ def power_symbol(symbol, nbar, parametrix=None):
     if parametrix is None:
         parametrix = invert_symbol(symbol, 1)
 
-    factor = XiExpr.monomial(
-        alphabet, p=2 - half, coeff=GaussRational(Fraction(nbar - 2, 2))
-    )
     b1, b2, b3 = drift_subsymbol_parts(symbol)
     if b1.plus((b2, b3)) != parametrix[-3]:
         raise NonCanonicalInput("subleading power symbol split is inconsistent")
@@ -426,10 +427,9 @@ def power_symbol(symbol, nbar, parametrix=None):
         coeff=ParamPoly.var(alphabet, "hp0") * GaussRational(0, (2 - half) * (half - 1)),
     ))
 
-    part_normal = b1.scale(factor) + ksum
-    part_drift = b2.scale(factor)
-    part_twist = b3.scale(factor)
-    sub = part_normal.plus((part_drift, part_twist))
-    parts = {"normal": part_normal, "drift": part_drift, "twist": part_twist}
+    factor = GaussRational(Fraction(nbar - 2, 2))
+    normal, drift, twist = (_times_u_power(b, factor, 2 - half) for b in (b1, b2, b3))
+    parts = {"normal": normal + ksum, "drift": drift, "twist": twist}
+    sub = parts["normal"].plus((drift, twist))
     meta = {**symbol.meta, "parts": MappingProxyType(parts)}
     return SymbolExpansion(dim, alphabet, {2 - nbar: top, 1 - nbar: sub}, meta)

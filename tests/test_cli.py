@@ -263,6 +263,26 @@ class TestReportBytes:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.NUMERIC_PINS[fmt]
 
+    def test_reports_form_no_core_products(self):
+        # in a fresh interpreter, so that no cached pipeline hides a product:
+        # the power factor is a u-power shift, the normal form and the symbol
+        # recursions sum in the integer kernel, so the reports d = 2..10 and
+        # printed mode at 2, 4, 6 never run the core's all-pairs product
+        code = (
+            "import contextlib, io\n"
+            "import ncresidue.cli\n"
+            "from ncresidue.exact import SparseTerms\n"
+            "calls, core = [], SparseTerms._product\n"
+            "SparseTerms._product = lambda x, y: calls.append(x) or core(x, y)\n"
+            "runs = [['--dim', str(d)] for d in (2, 4, 6, 8, 10)]\n"
+            "runs += [['--dim', str(d), '--mode', 'printed'] for d in (2, 4, 6)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in runs:\n"
+            "        assert ncresidue.cli.main([*argv, '--format', 'json']) == 0\n"
+            "assert not calls, len(calls)\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
     def test_lemma_audit_sha256(self, capsys):
         argv = ["--dim", "4", "--format", "json", "--verify-lemmas", "4", "--seed", "0"]
         code, out, _ = run_main(capsys, argv)

@@ -34,7 +34,9 @@ from ncresidue.errors import (
 from ncresidue.geometry import _assemble
 from ncresidue.halfplane import HalfPlaneRational
 from ncresidue import clifford, exact, symbols
-from ncresidue.symbols import CliffXi, XiExpr, _built, _jet_key_product
+from ncresidue.symbols import (
+    CliffXi, SymbolExpansion, XiExpr, _built, _jet_key_product, compose_symbols,
+)
 from conftest import cliffxi_scalars, rand_gauss, rand_poly
 
 
@@ -570,6 +572,20 @@ def is_clean(cx):
     )
 
 
+def kernel_product(x, y):
+    """x * y summed in the integer kernel, as its two callers sum it: a
+    polynomial as a scalar blade and a Clifford multivector through
+    _products_sum, a Clifford-valued symbol as the symbol recursions do."""
+    if isinstance(x, ParamPoly):
+        sx, sy = (CliffordElement.scalar(2, x.alphabet, v) for v in (x, y))
+        return kernel_product(sx, sy).coefficient(0)
+    if isinstance(x, CliffordElement):
+        return x._products_sum(((x, y),))
+    acc, table = {}, KeyTable(_jet_key_product)
+    add_blade_products(acc, x, y, table)
+    return _built(x.dim, x.alphabet, acc, table.key_of)
+
+
 def count_calls(monkeypatch, cls, name, calls):
     method = getattr(cls, name)
     monkeypatch.setattr(cls, name, lambda *args: calls.append(name) or method(*args))
@@ -596,32 +612,32 @@ class TestSparseTermsCore:
 
     @given(cliffxi_pairs)
     def test_cliffxi_product_equals_the_nested_product(self, ab):
-        # the one-loop product against the core's product through XiExpr and
-        # ParamPoly; (a + b)(a - b) has sums that cancel, b - b is empty
+        # the kernel's product against the core's product `*` through XiExpr
+        # and ParamPoly; (a + b)(a - b) has sums that cancel, b - b is empty
         a, b = ab
         for x, y in ((a, b), (b, a), (a + b, a - b), (a, b - b), (b - b, a)):
-            got = x * y
-            assert got == SparseTerms._product(x, y)
+            got = kernel_product(x, y)
+            assert got == x * y
             assert is_clean(got)
 
     @given(polys, polys, gauss_values, labelled_pairs)
     def test_kernel_products_equal_the_core_product(self, p, q, s, ab):
         # the values mix denominators and imaginary parts; (x + y)(x - y) has
         # sums that cancel, and a constant, alone or beside other terms, takes
-        # the kernel's unit-key path (x * y itself maps the terms of x when y
-        # has one term, as a constant or a monomial has)
+        # the kernel's unit-key path (ParamPoly's x * y itself maps the terms
+        # of x when y has one term, as a constant or a monomial has)
         const = ParamPoly.const(ALPHABET, s)
         mono = ParamPoly(ALPHABET, {(("a", 2), ("c", 1)): s})
         for x, y in ((p, q), (p + q, p - q), (p + const, q), (const, p), (q, const),
                      (q - q, p), (p, mono), (mono, q + const)):
-            got = ParamPoly._product(x, y)
+            got = kernel_product(x, y)
             assert got == SparseTerms._product(x, y) == x * y
             assert all(type(c) is GaussRational and normal(c) for c in got.terms.values())
         a, b = ab
         c = CliffordElement.scalar(a.dim, ALPHABET, p + const)
         for x, y in ((a, b), (b, a), (a + b, a - b), (a, c), (c, b), (b - b, a)):
-            got = x * y
-            assert got == SparseTerms._product(x, y)
+            got = kernel_product(x, y)
+            assert got == x * y
             assert all(
                 poly.terms and all(type(g) is GaussRational and normal(g)
                                    for g in poly.terms.values())
@@ -735,16 +751,16 @@ class TestSparseTermsCore:
         x = CliffXi(2, al, {(1, ()): XiExpr.monomial(al, p=1, tang=((1, 1), (2, 2)))})
         y = CliffXi(2, al, {(1, ()): XiExpr.monomial(al, p=-1, tang=((1, 2),), coeff=3)})
         want = CliffXi(2, al, {(0, ()): XiExpr.monomial(al, tang=((1, 3), (2, 2)), coeff=-3)})
-        assert x * y == want == SparseTerms._product(x, y)
+        assert x * y == want == kernel_product(x, y)
 
     def test_cliffxi_product_drops_cancelled_blades(self):
         # (c1 + c2)^2 = -2: the c1 c2 and c2 c1 terms cancel
         x = XiExpr(JET_ALPHABET, {(1, 0, 0, 0, ()): ParamPoly.var(JET_ALPHABET, "a"),
                                   (0, 1, 0, 0, ()): GaussRational(1, 2)})
         a = CliffXi(2, JET_ALPHABET, {(1, ("phi",)): x, (2, ("phi",)): x})
-        got = a * a
-        assert set(got.terms) == {(0, ("phi", "phi"))}
-        assert got == CliffXi(2, JET_ALPHABET, {(0, ("phi", "phi")): (x * x).scale(-2)})
+        for got in (a * a, kernel_product(a, a)):
+            assert set(got.terms) == {(0, ("phi", "phi"))}
+            assert got == CliffXi(2, JET_ALPHABET, {(0, ("phi", "phi")): (x * x).scale(-2)})
 
     def test_cliffxi_products_refuse_mixed_operands(self):
         def cliffxi(dim, alphabet):
@@ -759,19 +775,6 @@ class TestSparseTermsCore:
                 a * other
             with pytest.raises(error):
                 other * a
-
-    def test_cliffxi_product_forms_no_jet_or_polynomial_products(self, monkeypatch):
-        hp0, x = ParamPoly.var(JET_ALPHABET, "hp0"), ParamPoly.var(JET_ALPHABET, "a")
-        xe = XiExpr(JET_ALPHABET, {(1, -1, 0, 0, ((1, 1),)): hp0 + x,
-                                   (0, 0, 1, 1, ()): hp0 * x - 3})
-        a = CliffXi(4, JET_ALPHABET, {(3, ()): xe, (5, ("phi",)): xe * xe, (0, ()): xe})
-        calls = []
-        count_calls(monkeypatch, XiExpr, "__mul__", calls)
-        count_calls(monkeypatch, ParamPoly, "__mul__", calls)
-        got = a * a
-        assert calls == []
-        assert got == SparseTerms._product(a, a)
-        assert "__mul__" in calls  # the counters see the nested product's calls
 
     def test_subtraction_negates_only_keys_new_to_the_minuend(self, monkeypatch):
         hp0 = ParamPoly.var(JET_ALPHABET, "hp0")
@@ -852,7 +855,8 @@ class TestOperandsUnchanged:
         a, b = ab
         assert a.plus([b, a]) == a + b + a
         assert_unchanged(
-            (a, b, x), lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.scale(x),
+            (a, b, x), lambda: a + b, lambda: a - b, lambda: a * b,
+            lambda: SparseTerms.scale(a, x),
             lambda: a.scale(GR_I), lambda: a.d_xn(), lambda: a.d_xin(2),
             lambda: a.restrict_sphere(), lambda: a.mul_grade0(b),
             lambda: a.trace(label_trace(JET_ALPHABET)), lambda: a.plus([b, a]),
@@ -907,8 +911,9 @@ def count_calls_of(monkeypatch, module, name):
 
 
 class TestMergeMemos:
-    # a memo of key products lives for one product: it merges each key pair
-    # met in the call once, keeps nothing between calls, and hands out tuples
+    # a memo of key products lives for one kernel call: it merges each key
+    # pair met in the call once, keeps nothing between calls, and hands out
+    # tuples
 
     def test_monomial_pairs_merge_once_per_product(self, monkeypatch):
         al = JET_ALPHABET
@@ -917,19 +922,13 @@ class TestMergeMemos:
         x = CliffordElement(2, al, {(1, ()): p, (2, ("phi",)): p * b, (3, ()): p + 3})
         monos = {m for c in x.terms.values() for m in c.terms if m}
         calls = count_calls_of(monkeypatch, clifford, "_merge_monomials")
-        got = x * x
+        got = x._products_sum(((x, x),))
         assert sorted(calls) == sorted((m1, m2) for m1 in monos for m2 in monos)
-        x * x
+        x._products_sum(((x, x), (x, x)))
         assert len(calls) == 2 * len(monos) ** 2
         assert got == SparseTerms._product(x, x)
         assert all(type(m) is tuple and all(type(f) is tuple for f in m)
                    for c in got.terms.values() for m in c.terms)
-        # a polynomial product meets each pair once, so it has no memo
-        q = p * b
-        calls = count_calls_of(monkeypatch, exact, "_merge_monomials")
-        got = p * q
-        assert len(calls) == len(set(calls)) == len([m for m in p.terms if m]) * len(q.terms)
-        assert got == SparseTerms._product(p, q)
 
     def test_jet_key_pairs_merge_once_per_call(self, monkeypatch):
         al = JET_ALPHABET
@@ -941,9 +940,10 @@ class TestMergeMemos:
         keys = {(jk, m) for xe in x.terms.values()
                 for jk, c in xe.terms.items() for m in c.terms}
         calls = count_calls_of(monkeypatch, symbols, "_jet_key_product")
-        got = x * x
+        sx = SymbolExpansion(2, al, {0: x})
+        got = compose_symbols(sx, sx, 0)[0]
         assert sorted(calls) == sorted((k1, k2) for k1 in keys for k2 in keys)
-        x * x
+        compose_symbols(sx, sx, 0)
         assert len(calls) == 2 * len(keys) ** 2
         assert got == SparseTerms._product(x, x)
 

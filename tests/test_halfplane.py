@@ -147,6 +147,20 @@ class TestDerivatives:
             assert exc.value.field == field
         assert polynomial.deriv(0) == polynomial
 
+    @pytest.mark.parametrize(
+        "a, b, field",
+        [(True, 0, "a"), (1.5, 0, "a"), (-1, 0, "a"), (0, False, "b"), (1, "2", "b"),
+         (1, -2, "b")],
+        ids=["bool_a", "float_a", "negative_a", "bool_b", "string_b", "negative_b"],
+    )
+    def test_constructor_refuses_bad_pole_orders(self, a, b, field):
+        # a pole order is checked as a derivative order is: a = True was kept
+        # and rendered as (xi-i)^True, 1.5 raised a raw TypeError and -1 a
+        # plain ValueError
+        with pytest.raises(ValidationError) as exc:
+            HalfPlaneRational(AL, [const(1)], a, b)
+        assert exc.value.field == field
+
     def test_deriv_at_i_reference_values(self):
         # k-th derivative of xi^m / (xi + i)^p at xi = i
         assert deriv_at_i(1, 1, 2) == GaussRational(Fraction(1, 4))

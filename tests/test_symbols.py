@@ -10,12 +10,13 @@ import sympy
 from ncresidue.boundary import SphereSymbol
 from ncresidue.clifford import CliffordElement, represent
 from ncresidue.errors import (
+    AlphabetMismatch,
     DimMismatch,
     NonCanonicalInput,
     OddBarDimension,
     ValidationError,
 )
-from ncresidue.exact import GR_I, GaussRational, ParamPoly
+from ncresidue.exact import GR_I, Alphabet, GaussRational, ParamPoly, SparseTerms
 from ncresidue.geometry import (
     GeometricBundle,
     lichnerowicz_normal_form,
@@ -148,7 +149,7 @@ def _laplace_p1_reference(dim, alphabet, gdn):
             xi_j = XiExpr.monomial(alphabet, m=1)
         drift = ParamPoly.var(alphabet, f"X_{j}") * Fraction(1, 2)
         p1 = p1 + CliffXi.scalar(dim, xi_j.scale(drift))
-        p1 = p1 + CliffXi.from_clifford(k_list[j - 1]).scale(xi_j)
+        p1 = p1 + SparseTerms.scale(CliffXi.from_clifford(k_list[j - 1]), xi_j)
     p1 = p1 + CliffXi.scalar(dim, XiExpr.monomial(alphabet, m=1, coeff=gdn))
     return p1.scale(GR_I)
 
@@ -174,7 +175,8 @@ def _drift_parts_reference(symbol):
             xi_j = XiExpr.monomial(alphabet, m=1)
         xj = ParamPoly.var(alphabet, f"X_{j}")
         b2 = b2 + CliffXi.scalar(dim, (u2 * xi_j).scale(xj * (minus_i * Fraction(1, 2))))
-        b3 = b3 + CliffXi.from_clifford(symbol.meta["K"][j - 1]).scale((u2 * xi_j).scale(minus_i))
+        k_j = CliffXi.from_clifford(symbol.meta["K"][j - 1])
+        b3 = b3 + SparseTerms.scale(k_j, (u2 * xi_j).scale(minus_i))
     return b1, b2, b3
 
 
@@ -313,6 +315,16 @@ class TestInversionAndComposition:
         op = laplace_symbol(4, standard_alphabet(4))
         with pytest.raises(ValidationError):
             compose_symbols(op, op, min_order)
+
+    def test_composition_refuses_factors_over_different_alphabets(self):
+        # the kernel skips the operands' checks, so such factors composed
+        # silently under the left alphabet; `*` raises, and so must this
+        al = standard_alphabet(4)
+        op = laplace_symbol(4, al)
+        other = laplace_symbol(4, Alphabet([*al.names, "extra"]))
+        for left, right in ((op, other), (other, op)):
+            with pytest.raises(AlphabetMismatch):
+                compose_symbols(left, right, -1)
 
     def test_depth_zero_gives_the_leading_inverse_only(self):
         al = standard_alphabet(4)
@@ -475,12 +487,13 @@ class TestSubsymbolStructure:
         pw = power_symbol(op, nbar)
         factor = XiExpr.monomial(al, p=2 - nbar // 2, coeff=Fraction(nbar - 2, 2))
         b1, b2, b3 = _drift_parts_reference(op)
-        normal = b1.scale(factor) + _power_ksum_reference(n, al, nbar // 2)
+        normal = SparseTerms.scale(b1, factor) + _power_ksum_reference(n, al, nbar // 2)
+        drift, twist = SparseTerms.scale(b2, factor), SparseTerms.scale(b3, factor)
         parts = pw.meta["parts"]
         assert parts["normal"] == normal
-        assert parts["drift"] == b2.scale(factor)
-        assert parts["twist"] == b3.scale(factor)
-        assert pw[1 - nbar] == normal + b2.scale(factor) + b3.scale(factor)
+        assert parts["drift"] == drift
+        assert parts["twist"] == twist
+        assert pw[1 - nbar] == normal + drift + twist
 
     def test_power_symbol_refuses_a_parametrix_of_another_operator(self):
         al = standard_alphabet(4)
