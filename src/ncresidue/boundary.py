@@ -415,7 +415,8 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
         if name is None:
             log("traced_integrand", "fibre trace of the product", integ)
         else:
-            parts[name] = MappingProxyType({"integrand": integ, "value": read_only(val)})
+            parts[name] = MappingProxyType({"integrand": read_only(integ),
+                                            "value": read_only(val)})
             log(f"part_{name}", "traced part integrand", integ)
     if products:
         log("integral", "residue integral (coefficient of pi)", coeff)
@@ -449,7 +450,8 @@ def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
             )
         )
     return BoundaryCaseResult(
-        case_id, nbar, read_only(value), integrand, MappingProxyType(parts) if parts else None,
+        case_id, nbar, read_only(value), read_only(integrand),
+        MappingProxyType(parts) if parts else None,
         read_only(printed), tuple(records), tuple(map(MappingProxyType, trace)),
     )
 

@@ -123,7 +123,10 @@ class HalfPlaneRational(SparseTerms):
 
     @classmethod
     def from_u_power(cls, alphabet, m, p):
-        """xi^m * (1 + xi^2)^p with integer p of either sign."""
+        """xi^m * (1 + xi^2)^p with integer m >= 0 and p of either sign."""
+        m = derivative_order(m, "m")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValidationError("p", f"integer required, got {type(p).__name__}")
         if p < 0:
             return _hpr(alphabet, {
                 key: ParamPoly.const(alphabet, g) for key, g in _expansion(m, -p, -p)

@@ -4,6 +4,12 @@ A Report is an ordered list of flat records plus session metadata.  Records
 carry exact values rendered losslessly as strings; agreement flags compare
 the engine's value with the printed closed form where one exists.  Identical
 configs produce byte-identical output in every format.
+
+Every record but the four that read point data (the interior density and
+boundary phi with its two parts) reads nbar alone.  The first session at an
+nbar keeps a private copy of each such record, and the JSON emitter renders
+its text once and reuses it for any record that still equals the copy; a
+warm session's JSON encodes only its point-data records and its metadata.
 """
 
 from __future__ import annotations
@@ -63,11 +69,25 @@ def _config_hash(cfg_dict):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _compared(prefix, rows, value="engine"):
+# (nbar, id) -> [record, JSON text]: a private copy of each record that reads
+# nbar alone, kept from the first session at nbar, and its text once emit has
+# rendered it
+_kept = {}
+
+
+def _nbar_only(nbar, *args):
+    """_record(*args) for a record that reads nbar alone; the first one at
+    each (nbar, id) is also kept, as a private copy, for emit."""
+    if (nbar, args[0]) not in _kept:
+        _kept[nbar, args[0]] = [_record(*args), None]
+    return _record(*args)
+
+
+def _compared(nbar, prefix, rows, value="engine"):
     """Records of a producer's rows: term, value, printed form, agree flag."""
     for row in rows:
-        yield _record(f"{prefix}/{row['term']}", row[value], row["printed"],
-                      row["agree"], row.get("note", ""))
+        yield _nbar_only(nbar, f"{prefix}/{row['term']}", row[value], row["printed"],
+                         row["agree"], row.get("note", ""))
 
 
 def _lemma_records(cfg):
@@ -106,10 +126,10 @@ def _boundary_records(cfg):
     yield _record("boundary_phi_hprime_part", phi["hprime_part"])
     yield _record("boundary_phi_drift_part", phi["drift_part"])
     fixed = _nbar_records(cfg.nbar)
-    yield _record(*fixed["wres_K_coefficient"])
+    yield _nbar_only(cfg.nbar, *fixed["wres_K_coefficient"])
     for cid in cfg.cases:
-        yield _record(*fixed[cid])
-    yield from _compared("comparison", w["comparisons"])
+        yield _nbar_only(cfg.nbar, *fixed[cid])
+    yield from _compared(cfg.nbar, "comparison", w["comparisons"])
 
 
 def run_session(cfg):
@@ -121,10 +141,11 @@ def run_session(cfg):
     """
     blocks = [
         ("boundary", lambda: _boundary_records(cfg)),
-        ("extrinsic_K", lambda: [_record(*_nbar_records(cfg.nbar)["extrinsic_K"])]),
+        ("extrinsic_K",
+         lambda: [_nbar_only(cfg.nbar, *_nbar_records(cfg.nbar)["extrinsic_K"])]),
         ("trace_density", lambda: _compared(
-            "trace_density", trace_density_report(cfg.nbar + 2), "oracle")),
-        ("bracket_table", lambda: _compared("bracket", bracket_table())),
+            cfg.nbar, "trace_density", trace_density_report(cfg.nbar + 2), "oracle")),
+        ("bracket_table", lambda: _compared(cfg.nbar, "bracket", bracket_table())),
     ]
     if cfg.verify_lemmas:
         blocks.insert(0, ("trace_identity", lambda: _lemma_records(cfg)))
@@ -154,16 +175,13 @@ def _agree_text(agree):
 
 
 def emit(report, fmt="text"):
-    """Render a report as text, JSON, or CSV (UTF-8 string)."""
+    """Render a report as text, JSON, or CSV (UTF-8 string).  JSON reuses
+    kept record texts and never computes an engine value: a report at an
+    nbar that had no session in this process is encoded in full."""
     if fmt not in FORMATS:
         raise ValidationError("format", f"expected one of {FORMATS}, got {fmt!r}")
     if fmt == "json":
-        return json.dumps(
-            {"metadata": report.metadata, "records": report.records},
-            sort_keys=True,
-            indent=2,
-            ensure_ascii=False,
-        )
+        return _json(report)
     headers = ("id", "value", "printed", "agree", "note")
     rows = [(rec["id"], rec["value"], rec["printed"], _agree_text(rec["agree"]),
              rec["note"]) for rec in report.records]
@@ -189,6 +207,36 @@ def emit(report, fmt="text"):
         f"config={meta['config_hash'][:12]}"
     )
     return "\n".join(lines) + "\n"
+
+
+_encode = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).encode
+
+
+def _indented(value, indent):
+    """JSON of value as the envelope writes it at this indent."""
+    return _encode(value).replace("\n", "\n" + indent)
+
+
+def _json(report):
+    """json.dumps({"metadata": ..., "records": ...}, sort_keys=True, indent=2,
+    ensure_ascii=False), written piece by piece: a record that equals a kept
+    one at the metadata's nbar reuses its text, every other one is encoded."""
+    nbar, texts = report.metadata.get("nbar"), []
+    for rec in report.records:
+        try:
+            kept = _kept[nbar, rec["id"]]
+        except (KeyError, TypeError):  # not a kept id, or not a mapping
+            kept = None
+        # == holds for True == 1; the flag must be the same object to share
+        if kept is None or rec != kept[0] or rec["agree"] is not kept[0]["agree"]:
+            texts.append(_indented(rec, "    "))
+            continue
+        if kept[1] is None:
+            kept[1] = _indented(kept[0], "    ")
+        texts.append(kept[1])
+    records = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+    return (f'{{\n  "metadata": {_indented(report.metadata, "  ")},\n'
+            f'  "records": {records}\n}}')
 
 
 def parse_report_json(text):

@@ -242,6 +242,11 @@ class SymbolExpansion:
         self.dim = dim
         self.alphabet = alphabet
         self.orders = {o: c for o, c in (orders or {}).items() if not c.is_zero()}
+        for c in self.orders.values():
+            if c.dim != dim:
+                raise DimMismatch(f"dim-{c.dim} piece in a dim-{dim} expansion")
+            if c.alphabet is not alphabet and c.alphabet != alphabet:
+                raise AlphabetMismatch("piece over another alphabet than its expansion")
         self.meta = MappingProxyType(dict(meta or {}))
 
     def __getitem__(self, order):

@@ -25,6 +25,7 @@ from ncresidue.errors import (
 )
 from ncresidue.exact import GaussRational, ParamPoly
 from ncresidue.geometry import GeometricBundle, standard_alphabet, standard_label_trace
+from ncresidue.halfplane import HalfPlaneRational
 from ncresidue.symbols import compose_symbols
 
 
@@ -467,6 +468,18 @@ class TestSharedNbarOnlyValues:
                 value.terms[(("s", 1),)] = one
         assert all(part["value"].terms for part in res.parts.values())
         assert reports() == before
+
+    def test_case_integrands_refuse_mutation(self):
+        # the traced integrands, whole and per part, are shared by every
+        # caller of the case cache, as its values are
+        res = boundary_case("b", 4)
+        for integrand in (res.integrand, *(part["integrand"] for part in res.parts.values())):
+            with pytest.raises(AttributeError):
+                integrand.terms.clear()
+            with pytest.raises(TypeError):
+                integrand.terms[(0, 0)] = ParamPoly.zero(integrand.alphabet)
+        assert res.integrand == sum((part["integrand"] for part in res.parts.values()),
+                                    HalfPlaneRational.zero(res.integrand.alphabet))
 
     def test_caches_are_lazy_and_bounded(self):
         names = ", ".join(f"boundary.{name}" for name in NBAR_CACHES)

@@ -45,6 +45,19 @@ class TestCanonicalForm:
             GR_ONE,
         ]
 
+    @pytest.mark.parametrize(
+        "m, p, field",
+        [(-1, 1, "m"), (True, 1, "m"), (1.5, 1, "m"), (1, True, "p"), (1, 1.5, "p"),
+         (0, "2", "p")],
+        ids=["negative_m", "bool_m", "float_m", "bool_p", "float_p", "string_p"],
+    )
+    def test_from_u_power_refuses_bad_orders(self, m, p, field):
+        # m = -1 built a pole at 0 that the partial-fraction form cannot hold,
+        # True ran as 1 and 1.5 raised a raw TypeError
+        with pytest.raises(ValidationError) as exc:
+            HalfPlaneRational.from_u_power(AL, m, p)
+        assert exc.value.field == field
+
     def test_field_operations(self):
         u_inv = HalfPlaneRational.from_u_power(AL, 0, -1)
         u = HalfPlaneRational.from_u_power(AL, 0, 1)

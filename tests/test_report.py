@@ -5,8 +5,11 @@ import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ncresidue import boundary, cli, geometry
 from ncresidue import report as report_mod
@@ -253,3 +256,89 @@ class TestWarmSessions:
         assert all(f.cache_info().hits > h for f, h in zip(texts, hits))
         assert len(rendered) == 4
         assert len(substituted) == 4
+
+        # once a session at nbar 6 has been emitted, a second one encodes its
+        # four point-data records and its metadata; every other record reuses
+        # its kept text
+        emit(run_session(load_config(NUMERIC_6)), "json")
+        rep = run_session(load_config(SYMBOLIC_6))
+        encoded, real_indented = [], report_mod._indented
+        monkeypatch.setattr(report_mod, "_indented", lambda obj, indent: encoded.append(obj)
+                            or real_indented(obj, indent))
+        text = emit(rep, "json")
+        assert [obj for obj in encoded if obj is rep.metadata] == [rep.metadata]
+        assert sorted(obj["id"] for obj in encoded if obj is not rep.metadata) == [
+            "boundary_phi", "boundary_phi_drift_part", "boundary_phi_hprime_part",
+            "interior_density"]
+        assert text == _oracle_json(rep)
+
+
+def _oracle_json(report):
+    """The whole report in one json.dumps: the oracle of emit's JSON."""
+    return json.dumps({"metadata": report.metadata, "records": report.records},
+                      sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def _assert_json(report):
+    text = emit(report, "json")
+    assert text == _oracle_json(report)
+    assert parse_report_json(text) == report
+
+
+# text with quotes, backslashes, newlines, tabs and non-ASCII characters
+TEXT = st.text(max_size=6) | st.text('"\\\n\t/ aé€\u2028', max_size=6)
+AGREE = st.sampled_from([True, False, None])
+RECORD = st.fixed_dictionaries(
+    {"id": TEXT, "value": TEXT, "printed": TEXT, "agree": AGREE, "note": TEXT},
+    optional={"trace": st.lists(st.dictionaries(TEXT, TEXT, max_size=3), max_size=2)},
+)
+# what a caller might write into a record: a flag that == a bool, text, a list
+VALUE = AGREE | st.sampled_from([0, 1, 1.0, -0.0]) | TEXT | st.lists(TEXT, max_size=2)
+SESSIONS = [NUMERIC_2, NUMERIC_4, PRINTED_4, NUMERIC_6, SYMBOLIC_6]
+
+
+class TestJsonTexts:
+    """emit's JSON, written from kept record texts, against the oracle."""
+
+    @given(st.sampled_from(SESSIONS), st.booleans(), st.data())
+    def test_session_reports_with_changed_records(self, text, first, data):
+        # with first, the report is the first session at its nbar, the one
+        # whose records the report module keeps copies of; its texts are
+        # rendered before a record changes
+        with mock.patch.dict(report_mod._kept, clear=first):
+            report = run_session(load_config(text))
+            _assert_json(report)
+            for _ in range(data.draw(st.integers(0, 2))):
+                rec = data.draw(st.sampled_from(report.records))
+                rec[data.draw(st.sampled_from(sorted(rec)))] = data.draw(VALUE)
+            if data.draw(st.booleans()):  # claim the nbar of another session
+                report.metadata["nbar"] = data.draw(st.sampled_from([2, 4, 6]))
+            _assert_json(report)
+
+    def test_numbers_equal_to_a_flag_are_encoded_as_numbers(self):
+        # True == 1 and False == 0.0, so such a record equals the kept copy
+        # whose text says true or false
+        report = run_session(load_config(NUMERIC_6))
+        emit(report, "json")
+        for rec in report.records:
+            if isinstance(rec["agree"], bool):
+                rec["agree"] = 1 if rec["agree"] else 0.0
+        _assert_json(report)
+
+    @given(st.lists(st.sampled_from(SESSIONS), min_size=1, max_size=2), st.data())
+    def test_hand_built_reports(self, texts, data):
+        # records of plain dicts, some copied from sessions at other nbar,
+        # and values that are not records at all
+        shared = [rec for text in texts for rec in run_session(load_config(text)).records]
+        records = data.draw(st.lists(RECORD | st.sampled_from(shared) | st.none() | TEXT,
+                                     max_size=6))
+        metadata = data.draw(st.fixed_dictionaries({}, optional={
+            "nbar": st.sampled_from([2, 4, 6, 8, "6", [6], None]), "mode": TEXT,
+            "seed": st.integers()}))
+        _assert_json(Report(records, metadata))
+
+    @example(records=[], metadata={})
+    @example(records=[], metadata={"nbar": 6})
+    @given(st.lists(RECORD, max_size=3), st.dictionaries(TEXT, TEXT | st.integers(), max_size=3))
+    def test_reports_without_sessions(self, records, metadata):
+        _assert_json(Report(records, metadata))

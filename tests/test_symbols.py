@@ -326,6 +326,22 @@ class TestInversionAndComposition:
             with pytest.raises(AlphabetMismatch):
                 compose_symbols(left, right, -1)
 
+    @pytest.mark.parametrize("dim, names, error", [(2, ["a"], DimMismatch),
+                                                   (4, ["b"], AlphabetMismatch)])
+    def test_expansion_refuses_pieces_of_another_dim_or_alphabet(self, dim, names, error):
+        # compose_symbols checks only the declared dim and alphabet, so a
+        # dim-2 piece over ["b"] in a dim-4 expansion over ["a"] composed into
+        # a dim-4 result whose coefficient held b
+        al = Alphabet(["a"])
+        other = Alphabet(names)
+        piece = CliffXi.scalar(dim, XiExpr.u_power(other, 1)).scale(
+            ParamPoly.var(other, names[0]))
+        with pytest.raises(error):
+            SymbolExpansion(4, al, {0: piece})
+        u = SymbolExpansion(4, al, {2: CliffXi.scalar(4, XiExpr.u_power(al, 1))})
+        assert u[2].dim == 4 and u[2].alphabet is al
+        assert SymbolExpansion(4, al, {0: CliffXi.zero(dim, other)}).orders == {}
+
     def test_depth_zero_gives_the_leading_inverse_only(self):
         al = standard_alphabet(4)
         par = invert_symbol(laplace_symbol(4, al), 0)
