@@ -127,6 +127,12 @@ def _pipeline(nbar):
     op = laplace_symbol(n, alphabet, None, gdn)
     par = invert_symbol(op, 1)
     pw = power_symbol(op, nbar, par)
+    # shared read-only: the orders maps, the pieces and what the meta carry
+    # (pw's holds op's and par's values and the power symbol's parts)
+    for symbol in (op, par, pw):
+        symbol.orders = MappingProxyType({o: read_only(c) for o, c in symbol.orders.items()})
+    for value in (gdn, pw.meta["W"], *pw.meta["K"], *pw.meta["parts"].values()):
+        read_only(value)
     return n, alphabet, op, par, pw
 
 

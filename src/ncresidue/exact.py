@@ -409,10 +409,15 @@ def _poly(alphabet, terms):
     return out
 
 
-def read_only(poly):
-    """poly, its terms made a read-only view in place for a cache to share."""
-    poly.terms = MappingProxyType(poly.terms)
-    return poly
+def read_only(value):
+    """value, its terms made a read-only view in place for a cache to share,
+    and so, in turn, those of each coefficient that is itself a SparseTerms."""
+    if not isinstance(value.terms, MappingProxyType):
+        for c in value.terms.values():
+            if isinstance(c, SparseTerms):
+                read_only(c)
+        value.terms = MappingProxyType(value.terms)
+    return value
 
 
 class ParamPoly(SparseTerms):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from types import MappingProxyType
 
@@ -207,42 +207,38 @@ class GeometricBundle:
         return poly.subs(self._assignment)
 
 
-# First-order and zero-order blocks of the operator at the base point, with
-# the jets of W that B was built from.
-LaplaceNormalForm = namedtuple("LaplaceNormalForm", "dim alphabet Ai B jets")
+# First-order and zero-order blocks of the operator at the base point of the
+# bundle geo, with the jets of W that B was built from.
+LaplaceNormalForm = namedtuple("LaplaceNormalForm", "dim alphabet Ai B jets geo")
+_SYMBOLIC = MappingProxyType({})  # the point data of a symbolic bundle
 
 
-def _var(alphabet, name):
-    return ParamPoly.var(alphabet, name)
+def _var(alphabet, name, point=_SYMBOLIC):
+    """The leaf name: its value in point (name -> value), else the symbol."""
+    value = point.get(name)
+    return ParamPoly.var(alphabet, name) if value is None else ParamPoly.const(alphabet, value)
 
 
-def twist_vector(dim, alphabet, label=("phi",)):
-    """W = (c(T) + c(Y)) carrying one twist endomorphism factor (the label)."""
-    triples = {
-        t: _var(alphabet, f"T_{t[0]}_{t[1]}_{t[2]}") for t in _triples(dim)
-    }
-    y = [_var(alphabet, f"Y_{j}") for j in range(1, dim + 1)]
+def twist_vector(dim, alphabet, label=("phi",), point=_SYMBOLIC):
+    """W = (c(T) + c(Y)) carrying one twist endomorphism factor (the label),
+    with point's values at its leaves."""
+    triples = {t: _var(alphabet, "T_{}_{}_{}".format(*t), point) for t in _triples(dim)}
+    y = [_var(alphabet, f"Y_{j}", point) for j in range(1, dim + 1)]
     return torsion_element(dim, alphabet, triples, label) + CliffordElement.from_vector(
         dim, alphabet, y, label
     )
 
 
-def twist_vector_jet(dim, alphabet, j):
+def twist_vector_jet(dim, alphabet, j, point):
     """Derivative of W in the j-th coordinate at the base point."""
     phi = ("phi",)
-    dt = {
-        t: _var(alphabet, f"dT_{j}_{t[0]}_{t[1]}_{t[2]}") for t in _triples(dim)
-    }
-    dy = [
-        _var(alphabet, "divY") * Fraction(1, dim) if l == j
-        else _var(alphabet, f"dY_{j}_{l}")
-        for l in range(1, dim + 1)
-    ]
+    dt = {t: _var(alphabet, "dT_{}_{}_{}_{}".format(j, *t), point) for t in _triples(dim)}
+    dy = [_first_jet(alphabet, "Y", dim, j, l, point) for l in range(1, dim + 1)]
     out = torsion_element(dim, alphabet, dt, phi) + CliffordElement.from_vector(
         dim, alphabet, dy, phi
     )
     # the endomorphism's own derivative rides along as an opaque label
-    return out + twist_vector(dim, alphabet, (f"dPhi_{j}",))
+    return out + twist_vector(dim, alphabet, (f"dPhi_{j}",), point)
 
 
 def k_vectors(w):
@@ -260,11 +256,12 @@ def k_vectors(w):
     return k_list
 
 
-def _dx_component(alphabet, dim, j, l):
-    """First jet of the drift: dX_{j}_{l} off-diagonal, divX/n on-diagonal."""
+def _first_jet(alphabet, v, dim, j, l, point):
+    """First jet of the vector field v, X or Y: d{v}_{j}_{l} off-diagonal,
+    div{v}/n on-diagonal."""
     if j == l:
-        return _var(alphabet, "divX") * Fraction(1, dim)
-    return _var(alphabet, f"dX_{j}_{l}")
+        return _var(alphabet, f"div{v}", point) * Fraction(1, dim)
+    return _var(alphabet, f"d{v}_{j}_{l}", point)
 
 
 def _assemble(summands, start):
@@ -275,91 +272,106 @@ def _assemble(summands, start):
                                for f in ((start,), *summands))
 
 
-def _normal_form_parts(n, alphabet):
-    """A^i, the summands of B, and the jets of W, at the base point."""
-    w = twist_vector(n, alphabet)
+def _normal_form_parts(geo):
+    """A^i and the summands of B but the jet summands, at the base point,
+    with geo's point data at the leaves."""
+    n, alphabet, point = geo.n, geo.alphabet, geo._assignment
+    var = partial(_var, alphabet, point=point)
+    w = twist_vector(n, alphabet, point=point)
     gens = [CliffordElement.generator(n, alphabet, j) for j in range(1, n + 1)]
-    jets = [twist_vector_jet(n, alphabet, j) for j in range(1, n + 1)]
     half = Fraction(1, 2)
     Ai = [
-        -(CliffordElement.scalar(n, alphabet, _var(alphabet, f"X_{j}") * half) + k_j)
+        -(CliffordElement.scalar(n, alphabet, var(f"X_{j}") * half) + k_j)
         for j, k_j in enumerate(k_vectors(w), 1)
     ]
 
     quarter = Fraction(1, 4)
-    b = [(CliffordElement.scalar(n, alphabet, -(_var(alphabet, "s") * quarter)),)]
+    b = [(CliffordElement.scalar(n, alphabet, -(var("s") * quarter)),)]
     # auxiliary-bundle curvature, one opaque label per ordered pair i < j
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             b.append((-gens[i - 1].with_label((f"RF_{i}_{j}",)), gens[j - 1]))
     normx2 = ParamPoly(alphabet, {((f"X_{j}", 2),): Fraction(1, 16) for j in range(1, n + 1)})
-    b.append((CliffordElement.scalar(n, alphabet, normx2),))
+    b.append((CliffordElement.scalar(n, alphabet, geo.subs(normx2)),))
     # minus the drift moment term: +1/4 sum_{j<l} (dX_jl - dX_lj) c_j c_l
     for j in range(1, n + 1):
         for l in range(j + 1, n + 1):
-            coeff = (
-                _var(alphabet, f"dX_{j}_{l}") - _var(alphabet, f"dX_{l}_{j}")
-            ) * quarter
+            coeff = (var(f"dX_{j}_{l}") - var(f"dX_{l}_{j}")) * quarter
             b.append((gens[j - 1].scale(coeff), gens[l - 1]))
     # -1/4 sum_j c_j c(first jet of the drift)
     for j in range(1, n + 1):
         for l in range(1, n + 1):
-            coeff = -_dx_component(alphabet, n, j, l) * quarter
+            coeff = -_first_jet(alphabet, "X", n, j, l, point) * quarter
             b.append((gens[j - 1].scale(coeff), gens[l - 1]))
-    # - sum_j c_j (jet of W)
-    for j in range(1, n + 1):
-        b.append((-gens[j - 1], jets[j - 1]))
     # -1/4 (W c(X) + c(X) W)
     cx = CliffordElement.from_vector(
-        n, alphabet, [_var(alphabet, f"X_{j}") * -quarter for j in range(1, n + 1)]
+        n, alphabet, [var(f"X_{j}") * -quarter for j in range(1, n + 1)]
     )
     b += [(w, cx), (cx, w)]
     # - W^2
     b.append((-w, w))
-    return Ai, b, jets
+    return Ai, b
 
 
-def _connection_parts(n, alphabet, Ai, jets):
-    """Connection coefficients and the summands of E - B."""
+def _connection_parts(geo, Ai):
+    """Connection coefficients and the summands of E - B but the jet summands."""
+    n, alphabet = geo.n, geo.alphabet
     omega = [a.scale(Fraction(1, 2)) for a in Ai]
-    gens = [CliffordElement.generator(n, alphabet, j) for j in range(1, n + 1)]
-    half = Fraction(1, 2)
     e = []
     for j in range(1, n + 1):
-        # plus the jet of omega_j in the j-th coordinate (A^j carries the
-        # overall minus sign), minus omega_j^2
-        dw = jets[j - 1]
-        dx = _dx_component(alphabet, n, j, j) * Fraction(1, 4)
+        # plus the drift part of the jet of omega_j in the j-th coordinate
+        # (A^j carries the overall minus sign), minus omega_j^2
+        dx = _first_jet(alphabet, "X", n, j, j, geo._assignment) * Fraction(1, 4)
         e += [
             (CliffordElement.scalar(n, alphabet, dx),),
-            (gens[j - 1].scale(half), dw),
-            (dw, gens[j - 1].scale(half)),
             (-omega[j - 1], omega[j - 1]),
         ]
     return omega, e
 
 
+def _jet_summands(jets):
+    """-c_j dW_j, the jet summands of B, and 1/2 (c_j dW_j + dW_j c_j), those
+    of E - B; only the full assemblies add them (see _trace_E_symbolic)."""
+    gens = [CliffordElement.generator(dw.dim, dw.alphabet, j) for j, dw in enumerate(jets, 1)]
+    halves = [g.scale(Fraction(1, 2)) for g in gens]
+    return ([(-g, dw) for g, dw in zip(gens, jets)],
+            [f for h, dw in zip(halves, jets) for f in ((h, dw), (dw, h))])
+
+
 def lichnerowicz_normal_form(geo):
-    """A^i and B blocks of the operator at the base point."""
+    """A^i and B blocks of the operator at the base point, geo's point data
+    at the leaves: the symbolic blocks with it substituted (unset names, the
+    jets among them, stay symbolic)."""
+    if not isinstance(geo, GeometricBundle):
+        raise ValidationError("geo", f"expected a GeometricBundle, got {type(geo).__name__}")
     n, alphabet = geo.n, geo.alphabet
-    Ai, b, jets = _normal_form_parts(n, alphabet)
+    Ai, b = _normal_form_parts(geo)
+    jets = [twist_vector_jet(n, alphabet, j, geo._assignment) for j in range(1, n + 1)]
+    b += _jet_summands(jets)[0]
     return LaplaceNormalForm(
-        n, alphabet, Ai, _assemble(b, CliffordElement.zero(n, alphabet)), jets
+        n, alphabet, Ai, _assemble(b, CliffordElement.zero(n, alphabet)), jets, geo
     )
 
 
 def connection_and_E(nf):
     """Connection coefficients and the reconstructed endomorphism block."""
-    omega, e = _connection_parts(nf.dim, nf.alphabet, nf.Ai, nf.jets)
-    return omega, _assemble(e, nf.B)
+    omega, e = _connection_parts(nf.geo, nf.Ai)
+    return omega, _assemble(e + _jet_summands(nf.jets)[1], nf.B)
 
 
 @lru_cache(maxsize=None)
 def _trace_E_symbolic(n):
-    """Tr(E) over the symbolic alphabet of dimension n, traced term by term."""
-    alphabet = standard_alphabet(n)
-    Ai, b, jets = _normal_form_parts(n, alphabet)
-    _, e = _connection_parts(n, alphabet, Ai, jets)
+    """Tr(E) over the symbolic alphabet of dimension n, traced term by term.
+
+    The jets of W enter E only through the jet summands: -c_j dW_j in B and
+    1/2 (c_j dW_j + dW_j c_j) in E - B.  As tr(c_j A) = tr(A c_j), their
+    traces sum to zero (their grade-0 parts cancel already), so neither
+    they nor the jets are built here.
+    """
+    geo = GeometricBundle(n)
+    alphabet = geo.alphabet
+    Ai, b = _normal_form_parts(geo)
+    _, e = _connection_parts(geo, Ai)
     grade0 = CliffordElement.zero(n, alphabet).plus(
         f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0) for f in b + e
     )

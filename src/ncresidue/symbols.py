@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .clifford import Blades, add_blade_products
+from .clifford import Blades, CliffordElement, add_blade_products
 from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput, ValidationError
 from .exact import (
     GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _merge_monomials, _new, _poly,
@@ -263,11 +263,15 @@ class SymbolExpansion:
 def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     """Symbol (orders 2, 1, 0) of the generalized Laplacian on the collar.
 
-    b_term is the Clifford-valued zero-order block (the operator is written
-    as a metric Laplacian plus first-order drift minus b_term).  gdn is the
-    scalar multiplying i*xi_n in the subleading symbol; by default it is the
-    collar value dim/2 * hp0.
+    b_term is the zero-order block, a CliffordElement or None (the operator
+    is written as a metric Laplacian plus first-order drift minus b_term).
+    gdn is the scalar multiplying i*xi_n in the subleading symbol; by
+    default it is the collar value dim/2 * hp0.
     """
+    if b_term is not None and not isinstance(b_term, CliffordElement):
+        raise ValidationError(
+            "b_term", f"expected a CliffordElement or None, got {type(b_term).__name__}"
+        )
     if gdn is None:
         gdn = ParamPoly.var(alphabet, "hp0") * Fraction(dim, 2)
     elif not isinstance(gdn, ParamPoly):

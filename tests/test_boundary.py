@@ -481,6 +481,51 @@ class TestSharedNbarOnlyValues:
         assert res.integrand == sum((part["integrand"] for part in res.parts.values()),
                                     HalfPlaneRational.zero(res.integrand.alphabet))
 
+    def test_case_integrand_coefficients_refuse_mutation(self):
+        # read-only all the way down: the coefficient polynomials of the
+        # shared integrands too
+        res = boundary_case("b", 4)
+        text = str(res.integrand)
+        one = GaussRational(1)
+        for integrand in (res.integrand, *(part["integrand"] for part in res.parts.values())):
+            for coeff in integrand.terms.values():
+                with pytest.raises(AttributeError):
+                    coeff.terms.clear()
+                with pytest.raises(TypeError):
+                    coeff.terms[()] = one
+        assert str(boundary_case("b", 4).integrand) == text
+
+    def test_pipeline_symbols_refuse_mutation(self):
+        # in a fresh interpreter, before the first session: every map of the
+        # shared symbol expansions, down to the coefficient polynomials,
+        # refuses a change, and the nbar = 4 report is the one computed here
+        code = """
+import sys
+from ncresidue import SessionConfig, boundary, emit, run_session
+made = refused = 0
+def attempt(change):
+    global made, refused
+    made += 1
+    try:
+        change()
+    except (AttributeError, TypeError):
+        refused += 1
+_, _, op, par, pw = boundary._pipeline(4)
+for symbol in (op, par, pw):
+    attempt(lambda: symbol.orders.clear())
+    for cx in (*symbol.orders.values(), *symbol.meta.get("parts", {}).values()):
+        attempt(lambda: cx.terms.clear())
+        for xe in cx.terms.values():
+            attempt(lambda: xe.terms.clear())
+            for poly in xe.terms.values():
+                attempt(lambda: poly.terms.clear())
+assert made > 100 and refused == made, (refused, made)
+sys.stdout.write(emit(run_session(SessionConfig(4)), "json"))
+"""
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out == emit(run_session(SessionConfig(4)), "json")
+
     def test_caches_are_lazy_and_bounded(self):
         names = ", ".join(f"boundary.{name}" for name in NBAR_CACHES)
         code = (

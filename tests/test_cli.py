@@ -283,6 +283,21 @@ class TestReportBytes:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    def test_reports_build_no_jets_of_w(self):
+        # in a fresh interpreter: the jets of W cancel in tr(E), so the
+        # interior density of an nbar = 6 report never builds them
+        code = (
+            "import contextlib, io\n"
+            "import ncresidue.cli\n"
+            "from ncresidue import geometry\n"
+            "calls, jet = [], geometry.twist_vector_jet\n"
+            "geometry.twist_vector_jet = lambda *a: calls.append(a) or jet(*a)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert ncresidue.cli.main(['--dim', '6', '--format', 'json']) == 0\n"
+            "assert not calls, len(calls)\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
     def test_lemma_audit_sha256(self, capsys):
         argv = ["--dim", "4", "--format", "json", "--verify-lemmas", "4", "--seed", "0"]
         code, out, _ = run_main(capsys, argv)

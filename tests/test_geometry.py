@@ -1,5 +1,6 @@
 """Geometric data bundle, normal form, and interior density."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ncresidue.errors import (
 from ncresidue.clifford import (
     CliffordElement,
     _triples,
+    blade_mul,
     torsion_element,
     twisted_trace,
 )
@@ -28,6 +30,10 @@ from ncresidue.geometry import (
     trace_E_density,
     trace_density_report,
 )
+from ncresidue.symbols import CliffXi, laplace_symbol
+from conftest import rand_assignment
+from test_acceptance import random_bundle
+from test_symbols import subs_expansion
 
 
 def mono(*pairs):
@@ -219,11 +225,43 @@ class TestNormalForm:
             return start
 
         al = standard_alphabet(n)
-        ai, b, jets = geometry._normal_form_parts(n, al)
+        geo = GeometricBundle(n)
+        ai, b = geometry._normal_form_parts(geo)
+        nf = lichnerowicz_normal_form(geo)
+        in_b, in_e = geometry._jet_summands(nf.jets)
+        assert nf.B == fold(CliffordElement.zero(n, al), b + in_b)
+        _, e = geometry._connection_parts(geo, ai)
+        assert connection_and_E(nf)[1] == fold(nf.B, e + in_e)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_jet_summands_cancel_in_the_grade0_part(self, n):
+        # c_j A and A c_j have the same grade-0 part (tr(c_j A) = tr(A c_j)),
+        # so -c_j dW_j in B and 1/2 (c_j dW_j + dW_j c_j) in E - B leave
+        # nothing for tr(E), which is why the trace never builds them
         nf = lichnerowicz_normal_form(GeometricBundle(n))
-        assert nf.B == fold(CliffordElement.zero(n, al), b)
-        _, e = geometry._connection_parts(n, al, ai, jets)
-        assert connection_and_E(nf)[1] == fold(nf.B, e)
+        in_b, in_e = geometry._jet_summands(nf.jets)
+        assert len(in_b) == n and len(in_e) == 2 * n
+
+        def grade0(summands):
+            return CliffordElement.zero(n, nf.alphabet).plus(x.mul_grade0(y) for x, y in summands)
+
+        assert not grade0(in_b).is_zero()
+        assert grade0(in_b + in_e).is_zero()
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_B_holds_minus_c_j_times_the_jet_of_W(self, numeric):
+        # the coefficient of dT_j_a_b_c in B is that of -c_j c_a c_b c_c (one
+        # phi label), for j inside the triple and outside it; the jets stay
+        # symbolic under point data
+        n = 4
+        geo = random_bundle(n, random.Random(7)) if numeric else GeometricBundle(n)
+        b = lichnerowicz_normal_form(geo).B
+        for j in range(1, n + 1):
+            for t in _triples(n):
+                mask, sign = blade_mul(1 << (j - 1), sum(1 << (i - 1) for i in t))
+                coeff = b.coefficient(mask, ("phi",)).coefficient(
+                    ((f"dT_{j}_{t[0]}_{t[1]}_{t[2]}", 1),))
+                assert coeff == GaussRational(-sign)
 
     def test_jets_of_w_are_built_once(self, monkeypatch):
         calls = []
@@ -236,6 +274,73 @@ class TestNormalForm:
         monkeypatch.setattr(geometry, "twist_vector_jet", counted)
         connection_and_E(lichnerowicz_normal_form(GeometricBundle(4)))
         assert len(calls) == 4
+
+
+def _point_data(kind, n):
+    if kind == "random":
+        return random_bundle(n, random.Random(2600 + n))
+    if kind == "only_X":
+        return GeometricBundle(n, X=[Fraction(k - 1, 3) for k in range(n)])
+    return GeometricBundle(n, torsion={(1, 2, 3): Fraction(2, 5), (2, 3, 4): -1})
+
+
+POINT_DATA = [("random", 4), ("random", 6), ("random", 8), ("only_X", 4), ("only_torsion", 6)]
+
+
+class TestPointDataNormalForm:
+    # lichnerowicz_normal_form puts a bundle's point data at its leaves; the
+    # oracle is the symbolic normal form with that data substituted after
+
+    @pytest.mark.parametrize("kind, n", POINT_DATA)
+    def test_blocks_equal_the_symbolic_ones_substituted(self, kind, n):
+        geo = _point_data(kind, n)
+        nf = lichnerowicz_normal_form(geo)
+        sym = lichnerowicz_normal_form(GeometricBundle(n))
+
+        def subs(elements):
+            return [x._map(geo.subs) for x in elements]
+
+        assert nf.Ai == subs(sym.Ai)
+        assert nf.B == sym.B._map(geo.subs)
+        assert nf.jets == subs(sym.jets)
+        omega, E = connection_and_E(nf)
+        sym_omega, sym_E = connection_and_E(sym)
+        assert omega == subs(sym_omega)
+        assert E == sym_E._map(geo.subs)
+        if kind == "random":
+            # every name the bundle sets is gone from B; its jets stay
+            names = set().union(*(c.params() for c in nf.B.terms.values()))
+            assert names and all(name.startswith(("dX_", "dY_", "dT_")) for name in names)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_closure_recipe_gives_the_same_operator(self, n):
+        # the benchmark's closures: normal form, laplace_symbol, and every
+        # parameter, jets included, substituted
+        geo = random_bundle(n, random.Random(2601 + n))
+        al = geo.alphabet
+        full = {**rand_assignment(al, random.Random(n), span=3), **geo.assignment()}
+        ops = [subs_expansion(laplace_symbol(n, al, b_term=lichnerowicz_normal_form(g).B), full)
+               for g in (geo, GeometricBundle(n))]
+        assert ops[0].orders == ops[1].orders
+        assert not ops[0][0].is_zero()
+
+
+class TestLibraryInputs:
+    @pytest.mark.parametrize("geo", ["x", 4, None, {"n": 4}], ids=["str", "int", "none", "dict"])
+    def test_normal_form_refuses_a_non_bundle(self, geo):
+        with pytest.raises(ValidationError) as err:
+            lichnerowicz_normal_form(geo)
+        assert err.value.field == "geo"
+
+    @pytest.mark.parametrize("b_term", [
+        3, "x", Fraction(1, 2),
+        ParamPoly.var(standard_alphabet(4), "s"),
+        CliffXi.zero(4, standard_alphabet(4)),
+    ], ids=["int", "str", "fraction", "poly", "cliffxi"])
+    def test_laplace_symbol_refuses_a_non_clifford_b_term(self, b_term):
+        with pytest.raises(ValidationError) as err:
+            laplace_symbol(4, standard_alphabet(4), b_term=b_term)
+        assert err.value.field == "b_term"
 
 
 class TestInteriorDensity:
