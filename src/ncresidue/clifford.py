@@ -10,9 +10,10 @@ Blades is this algebra over any coefficient ring, the base of
 CliffordElement, symbols.CliffXi and boundary.SphereSymbol.  As
 tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
 part, mul_grade0.  `*` is the core's all-pairs product (exact.SparseTerms);
-the normal form's sum of products (CliffordElement._products_sum) and the
-symbol recursions sum, blade pair by blade pair, into one integer map over
-int key ids instead (add_blade_products); the sign rule is _sign_mask's.
+the normal form's sum of products (CliffordElement._products_sum, with the
+cyclic collector paused) and the symbol recursions sum, blade pair by blade
+pair, integer forms over int key ids into one integer map instead
+(add_blade_products); the sign rule is _sign_mask's.
 
 The independent oracle, an explicit 2^(n/2)-dimensional matrix
 representation, and the trace-lemma audit live in the module oracle, loaded
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .exact import (
     GR_ONE, GaussRational, KeyTable, ParamPoly, SparseTerms, _add_products, _from_sums,
-    _merge_monomials, add_terms,
+    _merge_monomials, add_terms, collector_paused,
 )
 
 
@@ -66,26 +67,28 @@ def blade_key_mul(k1, k2):
     return (mask, _merge_labels(k1[1], k2[1])), sign
 
 
-def add_blade_products(acc, p, q, table, factor=GR_ONE, *args):
+def add_blade_products(acc, p, q, table, factor=GR_ONE):
     """Add factor * p * q into acc, a map blade key -> exact._add_products
-    sums of the coefficients' integer terms, c._int_terms(table, a, b, d,
-    *args) for (a + b*i) / d * c, keyed by ids of an exact.KeyTable.  Each
-    term of p builds its sign mask once and its left terms once per sign
-    that occurs; a blade pair costs a mask test, a label merge and one lookup."""
-    signed, fd = ((factor.a, factor.b), (-factor.a, -factor.b)), factor.d
-    right = [(m2, f2, c._int_terms(table)) for (m2, f2), c in q.terms.items()]
-    for (m1, f1), c1 in p.terms.items():
+    sums, for p and q in the kernel's integer form: blade key -> terms
+    (id, a, b, d) of its coefficient, (a + b*i) / d times the key of id in
+    the exact.KeyTable table.  Each blade of p builds its sign mask once and
+    its scaled terms once per sign that occurs; a blade pair costs a mask
+    test, a label merge and one kernel call."""
+    fa, fb, fd = factor.a, factor.b, factor.d
+    for (m1, f1), terms in p.items():
         mask, lefts = _sign_mask(m1), [None, None]
-        for m2, f2, r in right:
+        for (m2, f2), right in q.items():
             odd = (mask & m2).bit_count() & 1
             left = lefts[odd]
             if left is None:
-                left = lefts[odd] = c1._int_terms(table, *signed[odd], fd, *args)
+                sa, sb = (-fa, -fb) if odd else (fa, fb)
+                left = lefts[odd] = terms if (sa, sb, fd) == (1, 0, 1) else [
+                    (i, a * sa - b * sb, a * sb + b * sa, d * fd) for i, a, b, d in terms]
             key = (m1 ^ m2, f2 if not f1 else f1 if not f2 else _merge_labels(f1, f2))
             sums = acc.get(key)
             if sums is None:
                 sums = acc[key] = {}
-            _add_products(sums, left, r, table)
+            _add_products(sums, left, right, table)
 
 
 class Blades(SparseTerms):
@@ -201,11 +204,15 @@ class CliffordElement(Blades):
     # other blade algebras' products alone
     __mul__ = SparseTerms.__mul__
 
+    @collector_paused
     def _products_sum(self, pairs):
-        """Sum of x * y over the pairs (x, y) in one integer map, built once;
-        recurring monomial pairs merge once each in the call's key table."""
+        """Sum of x * y over the pairs (x, y) in one integer map, built once,
+        each factor brought to the integer form once; recurring monomial
+        pairs merge once each in the call's key table."""
         acc, table = {}, KeyTable(_merge_monomials)
         for x, y in pairs:
+            x, y = ({key: [(table[m], g.a, g.b, g.d) for m, g in c.terms.items()]
+                     for key, c in v.terms.items()} for v in (x, y))
             add_blade_products(acc, x, y, table)
         return self._like({k: p for k, sums in acc.items()
                            if (p := _from_sums(self.alphabet, sums, table.key_of)).terms})

@@ -22,14 +22,17 @@ _add_products, on int key ids of a KeyTable that lives for one call,
 reducing each sum once: the normal form's sum of Clifford products
 (clifford.CliffordElement._products_sum) and the symbol recursions
 (symbols.compose_symbols and symbols.invert_symbol), both once per blade
-pair through clifford.add_blade_products.  The core's product is the
-kernel's test oracle.  The matrix oracle oracle.SpinorMatrix stays
+pair through clifford.add_blade_products, and all three with the cyclic
+collector paused (collector_paused).  The core's product is the kernel's
+test oracle.  The matrix oracle oracle.SpinorMatrix stays
 outside, so that it remains independent of what it checks.
 """
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 from types import MappingProxyType
 
@@ -481,11 +484,6 @@ class ParamPoly(SparseTerms):
     def _key_mul(m1, m2):
         return _merge_monomials(m1, m2), 1
 
-    def _int_terms(self, table, a=1, b=0, d=1):
-        """The terms of (a + b*i) / d * self as unreduced (table[monomial], a, b, d)."""
-        return [(table[m], g.a * a - g.b * b, g.a * b + g.b * a, g.d * d)
-                for m, g in self.terms.items()]
-
     __add__ = __radd__ = SparseTerms.__add__
 
     def __rsub__(self, other):
@@ -661,13 +659,15 @@ def _merge_monomials(m1, m2):
 
 class KeyTable(dict):
     """The int id table[key] of each key met in one product call, and the
-    memo of their products (hash-consing that lives for the call): rows[i][j]
-    is the id of key_of[i] * key_of[j] under mul, an empty key being a unit."""
+    memos of their maps (hash-consing that lives for the call): rows[i][j]
+    is the id of key_of[i] * key_of[j] under mul, an empty key being a unit,
+    and steps[step][i] the (id, int factor) images of key_of[i] under a
+    caller's step (symbols._nth)."""
 
-    __slots__ = ("key_of", "rows", "mul")
+    __slots__ = ("key_of", "rows", "mul", "steps")
 
     def __init__(self, mul):
-        self.key_of, self.rows, self.mul = [], [], mul
+        self.key_of, self.rows, self.mul, self.steps = [], [], mul, {}
 
     def __missing__(self, key):
         self.key_of.append(key)
@@ -708,3 +708,21 @@ def _add_products(sums, left, right, table):
 def _from_sums(alphabet, sums, keys):
     """The ParamPoly of an _add_products map, its ids decoded by the list keys."""
     return _poly(alphabet, {keys[i]: _reduced(a, b, d) for i, (a, b, d) in sums.items() if a or b})
+
+
+def collector_paused(kernel):
+    """kernel with the cyclic collector off while it runs, on again after it
+    only if it was on at entry.  A kernel that builds no reference cycles
+    frees its temporaries by refcount: a collection inside it frees nothing."""
+
+    @wraps(kernel)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return kernel(*args, **kwargs)
+        gc.disable()
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused

@@ -10,23 +10,25 @@ x-derivatives vanish at the base point.
 CliffXi couples XiExpr coefficients to Clifford blades with twist labels,
 and SymbolExpansion stacks CliffXi pieces by homogeneity order.  On top of
 this the module provides the operator symbol, formal composition and the
-parametrix recursion (each call summed in the integer kernel over one table
-of int jet-key ids, exact.KeyTable), and the symbols of the relevant operator
-power.  `*` is the core's all-pairs product (exact.SparseTerms); a factor
-c u^k is a shift of the u power and a scalar (_times_u_power).
+parametrix recursion, and the symbols of the relevant operator power.  The
+two recursions keep every symbol in the integer kernel's form over one table
+of int (jet key, monomial) ids (exact.KeyTable), their derivatives id maps
+(_images, _nth), and pause the cyclic collector.  `*` is the core's
+all-pairs product (exact.SparseTerms); a factor c u^k is a shift of the u
+power and a scalar (_times_u_power).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from types import MappingProxyType
 
 from .clifford import Blades, CliffordElement, add_blade_products
 from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput, ValidationError
 from .exact import (
-    GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _merge_monomials, _new, _poly,
-    _reduced,
+    GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _add_products, _make,
+    _merge_monomials, _new, _poly, collector_paused,
 )
 from .geometry import check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational, derivative_order
@@ -75,36 +77,17 @@ class XiExpr(SparseTerms):
 
     __mul__ = SparseTerms.__mul__
 
-    def _int_terms(self, table, a=1, b=0, d=1, shift=0):
-        """The terms of (a + b*i) / d * u^shift * self as unreduced
-        (table[(jet key, monomial)], a, b, d)."""
-        return [(table[(m, p + shift, q, r, t), mono], g.a * a - g.b * b, g.a * b + g.b * a,
-                 g.d * d)
-                for (m, p, q, r, t), poly in self.terms.items()
-                for mono, g in poly.terms.items()]
-
     def d_xn(self):
         """Normal x-derivative to first jet order: brings down one hp0."""
-        hp0 = ParamPoly.var(self.alphabet, "hp0")
-        pairs = []
-        for (m, p, q, r, tang), c in self.terms.items():
-            if p:
-                pairs.append(((m, p - 1, q + 1, r, tang), c * hp0 * p))
-            if q:
-                pairs.append(((m, p, q, r, tang), c * hp0 * q))
-            if r:
-                pairs.append(((m, p, q, r, tang), c * hp0 * r))
-        return self._collect(pairs)
+        return self._stepped("xn").scale(ParamPoly.var(self.alphabet, "hp0"))
 
     def d_xin(self):
         """Derivative in the normal covariable."""
-        pairs = []
-        for (m, p, q, r, tang), c in self.terms.items():
-            if m:
-                pairs.append(((m - 1, p, q, r, tang), c * m))
-            if p:
-                pairs.append(((m + 1, p - 1, q, r, tang), c * (2 * p)))
-        return self._collect(pairs)
+        return self._stepped("xin")
+
+    def _stepped(self, step):
+        return self._collect(
+            (k, c * f) for jk, c in self.terms.items() for k, f in _images(step, jk) if f)
 
     def restrict_sphere(self):
         """Restriction to the tangential unit sphere: w = h = 1, u = 1 + xi_n^2.
@@ -213,21 +196,67 @@ def _times_u_power(x, c, k):
     ))
 
 
-def _built(dim, alphabet, acc, keys):
-    """The CliffXi holding the sums of an add_blade_products map, ids
-    decoded by the list keys, each reduced once and built unvalidated; the
-    sums that cancelled are dropped, and so is a blade whose sums all
-    cancelled."""
+def _images(step, jk):
+    """The (jet key, int factor) images of the jet key jk under step: "xin"
+    the xi_n-derivative, "xn" the x_n-derivative but its factor hp0, and "u"
+    the division by u."""
+    m, p, q, r, t = jk
+    if step == "xin":
+        return [((m - 1, p, q, r, t), m), ((m + 1, p - 1, q, r, t), 2 * p)]
+    if step == "xn":
+        return [((m, p - 1, q + 1, r, t), p), (jk, q + r)]
+    return [((m, p - 1, q, r, t), 1)]
+
+
+def _jet_form(cx, table):
+    """The integer form of a CliffXi, in which the recursions keep every
+    symbol: blade key -> terms (id, a, b, d), (a + b*i) / d times the (jet
+    key, monomial) key of id in table."""
+    return {key: [(table[jk, mono], g.a, g.b, g.d)
+                  for jk, poly in xe.terms.items() for mono, g in poly.terms.items()]
+            for key, xe in cx.terms.items()}
+
+
+def _reduced_form(acc):
+    """The integer form of an add_blade_products map: each sum reduced once,
+    the sums that cancelled dropped, and so is a blade whose sums all did."""
+    return {key: terms for key, sums in acc.items() if (terms := [
+        (i, a // g, b // g, d // g) for i, (a, b, d) in sums.items() if (a or b)
+        and (g := gcd(a, b, d))])}
+
+
+def _nth(chain, k, table, step):
+    """The k-th form of chain, a list from form 0, each form the last one's
+    image under step: the nonzero images of each id (an x_n-derivative's
+    monomial times hp0), memoized in table.steps, are summed per blade in
+    the kernel, as products with the unit key ()."""
+    memo, key_of, unit = table.steps.setdefault(step, {}), table.key_of, [(table[()], 1, 0, 1)]
+    while len(chain) <= k:
+        acc = {}
+        for key, terms in chain[-1].items():
+            images = []
+            for i, a, b, d in terms:
+                got = memo.get(i)
+                if got is None:
+                    jk, mono = key_of[i]
+                    mono = _merge_monomials(mono, (("hp0", 1),)) if step == "xn" else mono
+                    got = memo[i] = [(table[jk, mono], f) for jk, f in _images(step, jk) if f]
+                images += [(j, a * f, b * f, d) for j, f in got]
+            _add_products(acc.setdefault(key, {}), images, unit, table)
+        chain.append(_reduced_form(acc))
+    return chain[k]
+
+
+def _built(dim, alphabet, form, keys):
+    """The CliffXi of an integer form, ids decoded by keys, built unvalidated."""
     terms = {}
-    for key, sums in acc.items():
+    for key, ts in form.items():
         jets = {}
-        for i, (a, b, d) in sums.items():
-            if a or b:
-                jk, mono = keys[i]
-                jets.setdefault(jk, {})[mono] = _reduced(a, b, d)
-        if jets:
-            xe = terms[key] = _new(XiExpr)
-            xe.alphabet, xe.terms = alphabet, {jk: _poly(alphabet, t) for jk, t in jets.items()}
+        for i, a, b, d in ts:
+            jk, mono = keys[i]
+            jets.setdefault(jk, {})[mono] = _make(a, b, d)
+        xe = terms[key] = _new(XiExpr)
+        xe.alphabet, xe.terms = alphabet, {jk: _poly(alphabet, t) for jk, t in jets.items()}
     out = _new(CliffXi)
     out.dim, out.alphabet, out.terms = dim, alphabet, terms
     return out
@@ -241,7 +270,11 @@ class SymbolExpansion:
     def __init__(self, dim, alphabet, orders=None, meta=None):
         self.dim = dim
         self.alphabet = alphabet
-        self.orders = {o: c for o, c in (orders or {}).items() if not c.is_zero()}
+        orders = orders or {}
+        if not isinstance(orders, (dict, MappingProxyType)) or any(
+                type(o) is not int or not isinstance(c, CliffXi) for o, c in orders.items()):
+            raise ValidationError("orders", "expected a map from int orders to CliffXi pieces")
+        self.orders = {o: c for o, c in orders.items() if not c.is_zero()}
         for c in self.orders.values():
             if c.dim != dim:
                 raise DimMismatch(f"dim-{c.dim} piece in a dim-{dim} expansion")
@@ -268,6 +301,8 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     gdn is the scalar multiplying i*xi_n in the subleading symbol; by
     default it is the collar value dim/2 * hp0.
     """
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValidationError("dim", f"integer required, got {dim!r}")
     if b_term is not None and not isinstance(b_term, CliffordElement):
         raise ValidationError(
             "b_term", f"expected a CliffordElement or None, got {type(b_term).__name__}"
@@ -303,29 +338,33 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     return SymbolExpansion(dim, alphabet, {2: p2, 1: p1, 0: p0}, meta)
 
 
-def _chain(cache, k, step):
-    """step applied k times to cache[0], memoized in cache."""
-    got = cache.get(k)
-    if got is None:
-        got = cache[k] = step(_chain(cache, k - 1, step))
-    return got
-
-
 def _taylor(k):
     """(-i)^k / k!, the coefficient of the k-th normal composition term."""
     return (-GR_I) ** k / factorial(k)
 
 
+def _check_expansion(field, value):
+    """Refuse a value that is not a SymbolExpansion over an alphabet holding
+    hp0, which the x_n-derivatives bring down."""
+    if not isinstance(value, SymbolExpansion):
+        raise ValidationError(field, f"expected a SymbolExpansion, got {type(value).__name__}")
+    if "hp0" not in value.alphabet:
+        raise AlphabetMismatch("the symbol recursions need hp0 in the alphabet")
+
+
+@collector_paused
 def compose_symbols(left, right, min_order):
     """Formal symbol product, collected by order down to min_order.
 
     Only the normal covariable contributes derivative terms: tangential
     x-derivatives vanish at the base point in the collar model.  Terms of
     order below min_order are never formed, and the xi_n- and x_n-derivative
-    chains of the factors are built once per call.  Each order's Taylor
-    terms, their coefficients folded in, are summed in one map; all share
-    one key table.
+    chains of the factors are built once per call, in the integer form.
+    Each order's Taylor terms, their coefficients folded in, are summed in
+    one map; all share one key table.
     """
+    _check_expansion("left", left)
+    _check_expansion("right", right)
     if isinstance(min_order, bool) or not isinstance(min_order, int):
         raise ValidationError("min_order", f"integer required, got {min_order!r}")
     if left.dim != right.dim:
@@ -333,55 +372,63 @@ def compose_symbols(left, right, min_order):
     if left.alphabet != right.alphabet:
         raise AlphabetMismatch("symbol factors over different alphabets")
     accs, table = {}, KeyTable(_jet_key_product)
-    left_chains = {s: {0: p} for s, p in left.orders.items()}
-    right_chains = {t: {0: q} for t, q in right.orders.items()}
-    for s in left.orders:
-        for t in right.orders:
+    # only the orders that reach min_order with the other factor's top order
+    low_s, low_t = (min_order - max(x.orders, default=0) for x in (right, left))
+    left_chains = {s: [_jet_form(p, table)] for s, p in left.orders.items() if s >= low_s}
+    right_chains = {t: [_jet_form(q, table)] for t, q in right.orders.items() if t >= low_t}
+    for s, left_chain in left_chains.items():
+        for t, right_chain in right_chains.items():
             # the k-th term has order s - k + t
             for k in range(0, s + t - min_order + 1):
-                dp = _chain(left_chains[s], k, CliffXi.d_xin)
-                if dp.is_zero():
+                dp = _nth(left_chain, k, table, "xin")
+                if not dp:
                     break
-                dq = _chain(right_chains[t], k, CliffXi.d_xn)
-                if not dq.is_zero():
+                dq = _nth(right_chain, k, table, "xn")
+                if dq:
                     add_blade_products(accs.setdefault(s - k + t, {}), dp, dq, table, _taylor(k))
     dim, alphabet = left.dim, left.alphabet
-    out = {order: _built(dim, alphabet, acc, table.key_of) for order, acc in accs.items()}
+    out = {order: _built(dim, alphabet, _reduced_form(acc), table.key_of)
+           for order, acc in accs.items()}
     return SymbolExpansion(dim, alphabet, out)
 
 
+@collector_paused
 def invert_symbol(symbol, depth):
     """Parametrix symbols q_{-2}, ..., q_{-2-depth} of a second-order symbol.
 
     The recursion divides by the leading symbol, which must be p_2 = u
     exactly (blade- and label-free, coefficient 1); any other p_2, or none,
     raises NonCanonicalInput.  Each step sums its Taylor terms in one map
-    (all over one key table), the division by u a shift of the u power.
+    (all over one key table, every symbol in the integer form), the
+    division by u an id map; only the returned orders are built as CliffXi.
     """
+    _check_expansion("symbol", symbol)
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
         raise ValidationError("depth", f"nonnegative integer required, got {depth!r}")
     dim, alphabet = symbol.dim, symbol.alphabet
     if symbol[2] != CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1)):
         raise NonCanonicalInput("parametrix recursion needs the leading symbol u")
-    p_chains = {s: {0: symbol[s]} for s in (2, 1, 0) if s in symbol}
-    q_chains = {-2: {0: CliffXi.scalar(dim, XiExpr.u_power(alphabet, -1))}}
     table = KeyTable(_jet_key_product)
+    p_chains = {s: [_jet_form(symbol[s], table)] for s in (2, 1, 0) if s in symbol}
+    q_chains = {-2: [{(0, ()): [(table[(0, -1, 0, 0, ()), ()], 1, 0, 1)]}]}
+    over_u = {}  # [d^k p_s / dxi_n^k, u^-1 times it], by (s, k)
     for m in range(1, depth + 1):
         # the new symbol q_{-2-m} is fixed by the vanishing of the
         # composition at order -m, where it enters through p_2 * q_{-2-m};
         # the k-th term of p_s * q_t lands there for t = k - m - s, and
-        # q_{-2-m} is minus u^-1 times their sum
+        # q_{-2-m} is minus their sum, u^-1 taken on the left factors
         acc = {}
         for s, p_chain in p_chains.items():
             for k in range(max(0, s - 1), m + s - 1):
-                dp = _chain(p_chain, k, CliffXi.d_xin)
-                if dp.is_zero():
+                dp = _nth(p_chain, k, table, "xin")
+                if not dp:
                     break
-                dq = _chain(q_chains[k - m - s], k, CliffXi.d_xn)
-                if not dq.is_zero():
-                    add_blade_products(acc, dp, dq, table, -_taylor(k), -1)
-        q_chains[-2 - m] = {0: _built(dim, alphabet, acc, table.key_of)}
-    q = {t: chain[0] for t, chain in q_chains.items()}
+                dq = _nth(q_chains[k - m - s], k, table, "xn")
+                if dq:
+                    dp = _nth(over_u.setdefault((s, k), [dp]), 1, table, "u")
+                    add_blade_products(acc, dp, dq, table, -_taylor(k))
+        q_chains[-2 - m] = [_reduced_form(acc)]
+    q = {t: _built(dim, alphabet, chain[0], table.key_of) for t, chain in q_chains.items()}
     return SymbolExpansion(dim, alphabet, q, symbol.meta)
 
 

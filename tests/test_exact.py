@@ -35,7 +35,8 @@ from ncresidue.geometry import _assemble
 from ncresidue.halfplane import HalfPlaneRational
 from ncresidue import clifford, exact, symbols
 from ncresidue.symbols import (
-    CliffXi, SymbolExpansion, XiExpr, _built, _jet_key_product, compose_symbols,
+    CliffXi, SymbolExpansion, XiExpr, _built, _jet_form, _jet_key_product, _nth, _reduced_form,
+    _times_u_power, compose_symbols,
 )
 from conftest import cliffxi_scalars, rand_gauss, rand_poly
 
@@ -540,6 +541,30 @@ def cliffxis(n):
 cliffxi_pairs = st.sampled_from((2, 4)).flatmap(lambda n: st.tuples(cliffxis(n), cliffxis(n)))
 
 
+class TestIntegerFormChains:
+    @given(cliffxi_pairs, st.integers(1, 3))
+    def test_chains_built_back_equal_the_object_derivatives(self, ab, k):
+        # the recursions' id-level maps over one key table, its memos met
+        # again by later operands: the xi_n- and x_n-derivative chains built
+        # back against CliffXi.d_xin(j) and j-fold d_xn(), and the division
+        # by u against the shift of every u power
+        a, b = ab
+        table = KeyTable(_jet_key_product)
+        for x in (a, b, a + b, a - b, b - b):
+            def built(form):
+                got = _built(x.dim, x.alphabet, form, table.key_of)
+                assert is_clean(got)
+                assert all(type(g) is GaussRational and normal(g) for g in cliffxi_scalars(got))
+                return got
+
+            xin, xn, want = [_jet_form(x, table)], [_jet_form(x, table)], x
+            for j in range(k + 1):
+                assert built(_nth(xin, j, table, "xin")) == x.d_xin(j)
+                assert built(_nth(xn, j, table, "xn")) == want
+                want = want.d_xn()
+            assert built(_nth(xn[:1], 1, table, "u")) == _times_u_power(x, GR_ONE, -1)
+
+
 def labelled_cliffords(n):
     keys = st.tuples(st.integers(0, (1 << n) - 1), st.sampled_from(LABELS))
     return st.dictionaries(keys, polys, max_size=4).map(
@@ -581,9 +606,18 @@ def kernel_product(x, y):
         return kernel_product(sx, sy).coefficient(0)
     if isinstance(x, CliffordElement):
         return x._products_sum(((x, y),))
-    acc, table = {}, KeyTable(_jet_key_product)
-    add_blade_products(acc, x, y, table)
-    return _built(x.dim, x.alphabet, acc, table.key_of)
+    return summed_in_kernel(KeyTable(_jet_key_product), [(x, y, GR_ONE)])
+
+
+def summed_in_kernel(table, triples):
+    """The sum of factor * x * y over the triples (x, y, factor) of
+    Clifford-valued symbols, each pair brought to the integer form and added
+    into one map over table, built back."""
+    acc = {}
+    for x, y, f in triples:
+        add_blade_products(acc, _jet_form(x, table), _jet_form(y, table), table, f)
+    x = triples[0][0]
+    return _built(x.dim, x.alphabet, _reduced_form(acc), table.key_of)
 
 
 def count_calls(monkeypatch, cls, name, calls):
@@ -669,24 +703,23 @@ class TestSparseTermsCore:
         # factor * u^shift * x * y summed over several pairs in one map, against
         # the core's product through XiExpr and ParamPoly, term by term; the
         # factor may be zero, and adding a pair again with -factor cancels it;
-        # every pair with t merges tangential keys
+        # every pair with t merges tangential keys; u^shift is taken on the
+        # left factors before the kernel, as invert_symbol takes u^-1
         a, b = ab
         dim, alphabet = a.dim, a.alphabet
         t = tangential(dim, alphabet)
         u = CliffXi.scalar(dim, XiExpr.u_power(alphabet, shift))
-        acc, table, want = {}, KeyTable(_jet_key_product), CliffXi.zero(dim, alphabet)
+        triples, want = [], CliffXi.zero(dim, alphabet)
         for x, y, f in ((a, b, factor), (b, a, factor * GR_I), (a + b, a - b, -factor),
                         (a + t, t, factor), (t, b - t, factor * GR_I)):
-            add_blade_products(acc, x, y, table, f, shift)
+            triples.append((_times_u_power(x, GR_ONE, shift), y, f))
             want = want + SparseTerms._product(SparseTerms._product(u, x), y).scale(f)
-        got = _built(dim, alphabet, acc, table.key_of)
+        got = summed_in_kernel(KeyTable(_jet_key_product), triples)
         assert got == want
         assert is_clean(got)
         assert all(type(g) is GaussRational and normal(g) for g in cliffxi_scalars(got))
-        acc, table = {}, KeyTable(_jet_key_product)
-        for f in (factor, -factor):
-            add_blade_products(acc, a, b, table, f, shift)
-        assert _built(dim, alphabet, acc, table.key_of).is_zero()
+        cancelled = [(a, b, factor), (a, b, -factor)]
+        assert summed_in_kernel(KeyTable(_jet_key_product), cancelled).is_zero()
 
     @given(cliffxi_pairs, gauss_values, st.integers(-2, 1))
     def test_one_key_table_serves_every_map_of_a_recursion(self, ab, factor, shift):
@@ -698,9 +731,7 @@ class TestSparseTermsCore:
         t, table = tangential(dim, alphabet), KeyTable(_jet_key_product)
 
         def step(x, y, f, s):
-            acc = {}
-            add_blade_products(acc, x, y, table, f, s)
-            got = _built(dim, alphabet, acc, table.key_of)
+            got = summed_in_kernel(table, [(_times_u_power(x, GR_ONE, s), y, f)])
             u = CliffXi.scalar(dim, XiExpr.u_power(alphabet, s))
             assert got == SparseTerms._product(SparseTerms._product(u, x), y).scale(f)
             assert is_clean(got)
@@ -730,14 +761,15 @@ class TestSparseTermsCore:
         one = CliffXi.scalar(2, XiExpr.const(al, 1))
         xi = CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1)})
         acc, table = {}, KeyTable(_jet_key_product)
-        for c in (Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)):
-            add_blade_products(acc, one, one, table, GaussRational(c))
         quarter_i = GaussRational(0, Fraction(1, 4))
-        for x, y, c in ((xi, one, GaussRational(Fraction(1, 6))), (one, xi, quarter_i),
+        for x, y, c in ((one, one, GaussRational(Fraction(1, 2))),
+                        (one, one, GaussRational(Fraction(1, 3))),
+                        (one, one, GaussRational(Fraction(-5, 6))),
+                        (xi, one, GaussRational(Fraction(1, 6))), (one, xi, quarter_i),
                         (xi, one, GaussRational(Fraction(1, 3))), (xi, one, quarter_i)):
-            add_blade_products(acc, x, y, table, c)
+            add_blade_products(acc, _jet_form(x, table), _jet_form(y, table), table, c)
         assert (0, ()) in acc
-        got = _built(2, al, acc, table.key_of)
+        got = _built(2, al, _reduced_form(acc), table.key_of)
         want = GaussRational(Fraction(1, 2), Fraction(1, 2))
         assert got == CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1, coeff=want)})
         (g,) = cliffxi_scalars(got)

@@ -276,6 +276,58 @@ class TestNormalForm:
         assert len(calls) == 4
 
 
+def _fold(start, summands):
+    """start plus the summands added one by one, each product the core's."""
+    for f in summands:
+        start = start + (SparseTerms._product(f[0], f[1]) if len(f) == 2 else f[0])
+    return start
+
+
+def _two_loop_drift_jet(geo):
+    """The drift's first-jet summands of B as two loops: minus the drift
+    moment term, +1/4 sum_{j<l} (dX_jl - dX_lj) c_j c_l, and -1/4 sum_{j,l}
+    d_jX_l c_j c_l, the first jet d{X}_{j}_{l} off-diagonal, divX/n on it."""
+    n, al, point = geo.n, geo.alphabet, geo.assignment()
+    gens = [CliffordElement.generator(n, al, j) for j in range(1, n + 1)]
+    quarter = Fraction(1, 4)
+
+    def jet(j, l):
+        name = "divX" if j == l else f"dX_{j}_{l}"
+        value = geometry._var(al, name, point)
+        return value * Fraction(1, n) if j == l else value
+
+    out = [(gens[j - 1].scale((jet(j, l) - jet(l, j)) * quarter), gens[l - 1])
+           for j in range(1, n + 1) for l in range(j + 1, n + 1)]
+    out += [(gens[j - 1].scale(-jet(j, l) * quarter), gens[l - 1])
+            for j in range(1, n + 1) for l in range(1, n + 1)]
+    return out
+
+
+class TestDriftJet:
+    # B states the drift's first jet as one scalar, +1/4 divX; the two loops
+    # it replaces stay here as the oracle of B and of tr(E)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "random"])
+    def test_B_and_trace_equal_the_two_loop_formula(self, n, numeric):
+        geo = random_bundle(n, random.Random(4400 + n)) if numeric else GeometricBundle(n)
+        al = geo.alphabet
+        zero = CliffordElement.zero(n, al)
+        divx = CliffordElement.scalar(
+            n, al, geometry._var(al, "divX", geo.assignment()) * Fraction(1, 4))
+        ai, b = geometry._normal_form_parts(geo)
+        rest = [f for f in b if not (len(f) == 1 and f[0] == divx)]
+        assert len(rest) == len(b) - 1
+        summands = rest + _two_loop_drift_jet(geo)
+        nf = lichnerowicz_normal_form(geo)
+        assert nf.B == _fold(zero, summands + geometry._jet_summands(nf.jets)[0])
+        _, e = geometry._connection_parts(geo, ai)
+        grade0 = zero.plus(
+            f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0) for f in summands + e)
+        # the label trace's dimF, trPhi and trPhi2 take the point data too
+        assert trace_E_density(geo) == geo.subs(twisted_trace(grade0, standard_label_trace(al)))
+
+
 def _point_data(kind, n):
     if kind == "random":
         return random_bundle(n, random.Random(2600 + n))

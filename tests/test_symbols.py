@@ -1,12 +1,17 @@
 """Symbol calculus: jet ring, operator symbol, inversion, composition."""
 
+import gc
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 import sympy
 
+from ncresidue import clifford, symbols
 from ncresidue.boundary import SphereSymbol
 from ncresidue.clifford import CliffordElement, represent
 from ncresidue.errors import (
@@ -70,10 +75,39 @@ def numeric_operator(n):
 # Reference loops for the symbol recursions: every derivative is rebuilt
 # from scratch, every term of every order is formed and the ones below
 # min_order are dropped afterwards, and the pieces are summed one by one.
+# Their derivatives are the collar model's, written out here term by term,
+# so that they do not share the engine's derivative rule.
+def _derivative_reference(cx, pieces):
+    def one(xe):
+        out = XiExpr.zero(xe.alphabet)
+        for (m, p, q, r, tang), c in xe.terms.items():
+            for key, f in pieces(m, p, q, r, tang):
+                out = out + XiExpr(xe.alphabet, {key: c * f})
+        return out
+
+    return CliffXi(cx.dim, cx.alphabet, {key: one(xe) for key, xe in cx.terms.items()})
+
+
+def _dxin_reference(cx, k):
+    # d/dxi_n of xi_n^m u^p, u = xi_n^2 + w: m xi_n^(m-1) u^p + 2p xi_n^(m+1) u^(p-1)
+    for _ in range(k):
+        cx = _derivative_reference(cx, lambda m, p, q, r, t: [
+            ((m - 1, p, q, r, t), m), ((m + 1, p - 1, q, r, t), 2 * p)])
+    return cx
+
+
 def _dxn_power_reference(c, k, cache):
+    # d/dx_n at x_n = 0 of u^p w^q h^r with h = exp(hp0 x_n), w = h |xi'|^2:
+    # each of u, w and h brings down hp0, and u's derivative is hp0 w
     got = cache.get(k)
     if got is None:
-        got = _dxn_power_reference(c, k - 1, cache).d_xn() if k else c
+        got = c
+        if k:
+            hp0 = ParamPoly.var(c.alphabet, "hp0")
+            got = _derivative_reference(
+                _dxn_power_reference(c, k - 1, cache), lambda m, p, q, r, t: [
+                    ((m, p - 1, q + 1, r, t), hp0 * p), ((m, p, q, r, t), hp0 * q),
+                    ((m, p, q, r, t), hp0 * r)])
         cache[k] = got
     return got
 
@@ -84,7 +118,7 @@ def _compose_reference(left, right, min_order):
     for s, p in left.orders.items():
         for t, q in right.orders.items():
             for k in range(0, s - min_order - t + 1):
-                dp = p.d_xin(k)
+                dp = _dxin_reference(p, k)
                 if dp.is_zero():
                     break
                 dq = _dxn_power_reference(q, k, right_caches[t])
@@ -115,7 +149,7 @@ def _invert_reference(symbol, depth):
                 t = -m - s + k
                 if t not in q:
                     continue
-                dp = p.d_xin(k)
+                dp = _dxin_reference(p, k)
                 if dp.is_zero():
                     continue
                 dq = _dxn_power_reference(q[t], k, caches[t])
@@ -182,10 +216,13 @@ def _drift_parts_reference(symbol):
 
 def _power_ksum_reference(dim, alphabet, half):
     """The correction sum of power_symbol, one composed term per k."""
+    def scalar(xe):
+        return CliffXi.scalar(dim, xe)
+
     ksum = CliffXi.zero(dim, alphabet)
-    du_inv = XiExpr.u_power(alphabet, -1).d_xn()
+    du_inv = _dxn_power_reference(scalar(XiExpr.u_power(alphabet, -1)), 1, {}).coefficient(0)
     for k in range(0, half - 2):
-        dxi = XiExpr.monomial(alphabet, p=k + 2 - half).d_xin()
+        dxi = _dxin_reference(scalar(XiExpr.monomial(alphabet, p=k + 2 - half)), 1).coefficient(0)
         term = dxi * du_inv * XiExpr.u_power(alphabet, -k)
         ksum = ksum + CliffXi.scalar(dim, term.scale(-GR_I))
     return ksum
@@ -451,9 +488,9 @@ class TestCompositionAgainstCollarModel:
 class TestRecursionAgainstReference:
     @pytest.mark.parametrize(
         "n, depth, numeric",
-        [(4, 3, True), (6, 2, True), (4, 2, False), (6, 1, False)],
+        [(4, 3, True), (6, 2, True), (4, 2, False), (6, 1, False), (4, 3, False)],
         ids=["numeric-n4-depth3", "numeric-n6-depth2", "symbolic-n4-depth2",
-             "symbolic-n6-depth1"],
+             "symbolic-n6-depth1", "symbolic-n4-depth3"],
     )
     def test_equal_to_reference_loops(self, n, depth, numeric):
         op = numeric_operator(n) if numeric else laplace_symbol(n, standard_alphabet(n))
@@ -469,11 +506,179 @@ class TestRecursionAgainstReference:
         # the reference loop takes 8 x_n-derivatives here; 3 reach order -2
         num = numeric_operator(4)
         inverse = invert_symbol(num, 3)
-        calls = []
-        d_xn = CliffXi.d_xn
-        monkeypatch.setattr(CliffXi, "d_xn", lambda self: calls.append(1) or d_xn(self))
+        built, nth = [], symbols._nth
+
+        def counted(chain, k, table, step):
+            before = len(chain)
+            out = nth(chain, k, table, step)
+            if step == "xn":
+                built.append(len(chain) - before)
+            return out
+
+        monkeypatch.setattr(symbols, "_nth", counted)
         compose_symbols(num, inverse, -2)
-        assert len(calls) <= 3
+        assert 0 < sum(built) <= 3
+
+
+def _laplace4():
+    return laplace_symbol(4, standard_alphabet(4))
+
+
+class TestLibraryInputs:
+    # each of these raised a raw AttributeError or TypeError, or was accepted
+
+    @pytest.mark.parametrize("symbol", [
+        "x", None, 2, lambda: _laplace4()[2], lambda: dict(_laplace4().orders),
+    ], ids=["str", "none", "int", "cliffxi", "dict"])
+    def test_invert_symbol_refuses_a_non_expansion(self, symbol):
+        with pytest.raises(ValidationError) as err:
+            invert_symbol(symbol() if callable(symbol) else symbol, 1)
+        assert err.value.field == "symbol"
+
+    @pytest.mark.parametrize("side, value", [
+        ("right", 3), ("left", "x"), ("left", None), ("right", lambda: _laplace4()[2]),
+    ], ids=["right-int", "left-str", "left-none", "right-cliffxi"])
+    def test_compose_symbols_refuses_a_non_expansion(self, side, value):
+        op = _laplace4()
+        value = value() if callable(value) else value
+        factors = (op, value) if side == "right" else (value, op)
+        with pytest.raises(ValidationError) as err:
+            compose_symbols(*factors, -2)
+        assert err.value.field == side
+
+    @pytest.mark.parametrize("dim", ["4", 4.0, True, None], ids=["str", "float", "bool", "none"])
+    def test_laplace_symbol_refuses_a_non_int_dim(self, dim):
+        with pytest.raises(ValidationError) as err:
+            laplace_symbol(dim, standard_alphabet(4))
+        assert err.value.field == "dim"
+
+    @pytest.mark.parametrize("orders", [
+        {"a": "piece"}, {True: "piece"}, {1.0: "piece"}, {0: "x"}, {0: "jet"}, ["piece"],
+    ], ids=["str-order", "bool-order", "float-order", "str-piece", "xiexpr-piece", "list"])
+    def test_expansion_refuses_malformed_orders(self, orders):
+        al = standard_alphabet(4)
+        stand_in = {"piece": CliffXi.scalar(4, XiExpr.u_power(al, 1)),
+                    "jet": XiExpr.u_power(al, 1)}
+        orders = ([stand_in[c] for c in orders] if isinstance(orders, list)
+                  else {o: stand_in.get(c, c) for o, c in orders.items()})
+        with pytest.raises(ValidationError) as err:
+            SymbolExpansion(4, al, orders)
+        assert err.value.field == "orders"
+
+    def test_recursions_need_hp0_in_the_alphabet(self):
+        # the x_n-derivatives bring down hp0, which must be a name of the
+        # alphabet (ParamPoly.var raised for the object chains)
+        al = Alphabet(["a"])
+        u = SymbolExpansion(4, al, {2: CliffXi.scalar(4, XiExpr.u_power(al, 1))})
+        with pytest.raises(AlphabetMismatch):
+            invert_symbol(u, 1)
+        with pytest.raises(AlphabetMismatch):
+            compose_symbols(u, u, 0)
+
+
+def numeric_config_text(nbar, rng):
+    """A fully numeric session config in JSON, drawn as the benchmark draws
+    its warm-up and closure configs: nonzero small rationals everywhere."""
+    def rational(span):
+        return f"{rng.choice((-1, 1)) * rng.randint(1, span)}/{rng.randint(1, 4)}"
+
+    n = nbar + 2
+    cfg = {"nbar": nbar, "format": "json"}
+    cfg.update({f: rational(6) for f in ("s", "divX", "divY", "dimF", "trPhi", "trPhi2",
+                                         "hprime0")})
+    cfg["X"] = [rational(3) for _ in range(n)]
+    cfg["Y"] = [rational(3) for _ in range(n)]
+    cfg["torsion"] = [[a, b, c, rational(3)] for a in range(1, n + 1)
+                      for b in range(a + 1, n + 1) for c in range(b + 1, n + 1)]
+    return json.dumps(cfg)
+
+
+# The benchmark's closure recipe after a warm-up session, in a fresh
+# interpreter: the collections of any generation inside each recursion, from
+# its key table to its last built order, are counted (a collection the pause
+# defers runs at the first allocation after it, outside the kernel).
+CLOSURE_COLLECTIONS = """
+import gc, json, sys
+from fractions import Fraction
+from ncresidue import compose_symbols, emit, invert_symbol, laplace_symbol, load_config
+from ncresidue import run_session, symbols
+from ncresidue.geometry import lichnerowicz_normal_form
+from ncresidue.symbols import CliffXi, SymbolExpansion, XiExpr
+
+warmup, config, jets = json.loads(sys.argv[1])
+emit(run_session(load_config(warmup)), "json")
+geo = load_config(config).bundle()
+point = {**geo.assignment(), **{name: Fraction(v) for name, v in jets.items()}}
+op = laplace_symbol(geo.n, geo.alphabet, b_term=lichnerowicz_normal_form(geo).B)
+op = SymbolExpansion(geo.n, geo.alphabet, {r: CliffXi(geo.n, geo.alphabet, {
+    key: XiExpr(geo.alphabet, {m: p.subs(point) for m, p in xe.terms.items()})
+    for key, xe in cx.terms.items()}) for r, cx in op.orders.items()})
+
+marks, table, built = [], symbols.KeyTable, symbols._built
+
+def mark():
+    marks.append(sum(g["collections"] for g in gc.get_stats()))
+
+def marked_built(*args):
+    out = built(*args)
+    mark()
+    return out
+
+symbols.KeyTable = lambda mul: mark() or table(mul)
+symbols._built = marked_built
+
+def collections(call, *args):
+    marks.clear()
+    out = call(*args)
+    return out, marks[-1] - marks[0]
+
+inverse, inverting = collections(invert_symbol, op, 2)
+comp, composing = collections(compose_symbols, op, inverse, -2)
+assert comp[0] == CliffXi.scalar(geo.n, XiExpr.const(geo.alphabet, 1))
+unpaused = collections(invert_symbol.__wrapped__, op, 2)[1]
+print(json.dumps([inverting, composing, unpaused, gc.isenabled()]))
+"""
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_is_restored(self, enabled, monkeypatch):
+        # invert_symbol, compose_symbols and _products_sum (under the normal
+        # form) run with the collector off and leave it as they found it,
+        # also when one raises
+        al = standard_alphabet(4)
+        op = laplace_symbol(4, al)
+        seen, nth, add = [], symbols._nth, clifford.add_blade_products
+        monkeypatch.setattr(symbols, "_nth",
+                            lambda *args: seen.append(gc.isenabled()) or nth(*args))
+        monkeypatch.setattr(clifford, "add_blade_products",
+                            lambda *args: seen.append(gc.isenabled()) or add(*args))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            compose_symbols(op, invert_symbol(op, 1), -1)
+            assert gc.isenabled() is enabled
+            lichnerowicz_normal_form(GeometricBundle(4))
+            assert gc.isenabled() is enabled
+            with pytest.raises(NonCanonicalInput):
+                invert_symbol(SymbolExpansion(4, al, {1: op[1]}), 1)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(seen) > 2 and not any(seen)
+
+    def test_warm_closure_runs_no_collection(self):
+        rng = random.Random(2901)
+        names = standard_alphabet(6).names
+        jets = {name: f"{rng.choice((-1, 1)) * rng.randint(1, 3)}/{rng.randint(1, 4)}"
+                for name in names if name.startswith(("dX_", "dY_", "dT_")) or name == "VolS"}
+        job = [numeric_config_text(6, rng), numeric_config_text(4, rng), jets]
+        out = subprocess.run([sys.executable, "-c", CLOSURE_COLLECTIONS, json.dumps(job)],
+                             capture_output=True, text=True, check=True)
+        inverting, composing, unpaused, enabled = json.loads(out.stdout)
+        assert (inverting, composing, enabled) == (0, 0, True)
+        # the same inversion with the collector on collects: the pin can fail
+        assert unpaused > 0
 
 
 class TestSubsymbolStructure:
