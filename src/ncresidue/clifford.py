@@ -12,8 +12,8 @@ tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
 part, mul_grade0.  `*` is the core's all-pairs product (exact.SparseTerms);
 the normal form's sum of products (CliffordElement._products_sum, with the
 cyclic collector paused) and the symbol recursions sum, blade pair by blade
-pair, integer forms over int key ids into one integer map instead
-(add_blade_products); the sign rule is _sign_mask's.
+pair, integer forms over int key ids into one accumulator over one
+denominator instead (add_blade_products); the sign rule is _sign_mask's.
 
 The independent oracle, an explicit 2^(n/2)-dimensional matrix
 representation, and the trace-lemma audit live in the module oracle, loaded
@@ -22,6 +22,8 @@ against it.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import (
     DimMismatch, IndexOutOfRange, NonIncreasingTriple, OddDimension, ValidationError,
@@ -68,13 +70,20 @@ def blade_key_mul(k1, k2):
 
 
 def add_blade_products(acc, p, q, table, factor=GR_ONE):
-    """Add factor * p * q into acc, a map blade key -> exact._add_products
-    sums, for p and q in the kernel's integer form: blade key -> terms
-    (id, a, b, d) of its coefficient, (a + b*i) / d times the key of id in
-    the exact.KeyTable table.  Each blade of p builds its sign mask once and
-    its scaled terms once per sign that occurs; a blade pair costs a mask
-    test, a label merge and one kernel call."""
-    fa, fb, fd = factor.a, factor.b, factor.d
+    """Add factor * p * q into acc, [D, {blade key: exact._add_products sums}]
+    over one denominator D, for p and q in the kernel's integer form (d,
+    {blade key: terms (id, a, b)}), (a + b*i) / d times the key of id in the
+    exact.KeyTable table.  Where dp * dq * factor.d does not divide D, acc
+    is raised in place to the lcm; the left terms are scaled by the
+    quotient, once per blade of p and sign that occurs.  A blade pair costs
+    a mask test, a label merge and one kernel call."""
+    (dp, p), (dq, q), (d, blades) = p, q, acc
+    dpq = dp * dq * factor.d
+    if d % dpq:
+        r = lcm(d, dpq) // d
+        acc[:] = d, blades = d * r, {key: {i: [a * r, b * r] for i, (a, b) in sums.items()}
+                                     for key, sums in blades.items()}
+    fa, fb = factor.a * (d // dpq), factor.b * (d // dpq)
     for (m1, f1), terms in p.items():
         mask, lefts = _sign_mask(m1), [None, None]
         for (m2, f2), right in q.items():
@@ -82,12 +91,12 @@ def add_blade_products(acc, p, q, table, factor=GR_ONE):
             left = lefts[odd]
             if left is None:
                 sa, sb = (-fa, -fb) if odd else (fa, fb)
-                left = lefts[odd] = terms if (sa, sb, fd) == (1, 0, 1) else [
-                    (i, a * sa - b * sb, a * sb + b * sa, d * fd) for i, a, b, d in terms]
+                left = lefts[odd] = terms if (sa, sb) == (1, 0) else [
+                    (i, a * sa - b * sb, a * sb + b * sa) for i, a, b in terms]
             key = (m1 ^ m2, f2 if not f1 else f1 if not f2 else _merge_labels(f1, f2))
-            sums = acc.get(key)
+            sums = blades.get(key)
             if sums is None:
-                sums = acc[key] = {}
+                sums = blades[key] = {}
             _add_products(sums, left, right, table)
 
 
@@ -206,16 +215,22 @@ class CliffordElement(Blades):
 
     @collector_paused
     def _products_sum(self, pairs):
-        """Sum of x * y over the pairs (x, y) in one integer map, built once,
-        each factor brought to the integer form once; recurring monomial
-        pairs merge once each in the call's key table."""
-        acc, table = {}, KeyTable(_merge_monomials)
+        """Sum of x * y over the pairs (x, y) in one integer accumulator, built
+        once, each factor brought to the integer form (over the lcm of its
+        denominators) once; recurring monomial pairs merge once each in the
+        call's key table."""
+        acc, table = [1, {}], KeyTable(_merge_monomials)
+
+        def form(v):
+            d = lcm(*[g.d for c in v.terms.values() for g in c.terms.values()])
+            return d, {key: [(table[m], g.a * (d // g.d), g.b * (d // g.d))
+                             for m, g in c.terms.items()] for key, c in v.terms.items()}
+
         for x, y in pairs:
-            x, y = ({key: [(table[m], g.a, g.b, g.d) for m, g in c.terms.items()]
-                     for key, c in v.terms.items()} for v in (x, y))
-            add_blade_products(acc, x, y, table)
-        return self._like({k: p for k, sums in acc.items()
-                           if (p := _from_sums(self.alphabet, sums, table.key_of)).terms})
+            add_blade_products(acc, form(x), form(y), table)
+        d, blades = acc
+        return self._like({k: p for k, sums in blades.items()
+                           if (p := _from_sums(self.alphabet, sums, d, table.key_of)).terms})
 
     def with_label(self, label):
         """Tensor by a formal twist factor (merged into every term label)."""

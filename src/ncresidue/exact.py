@@ -17,9 +17,10 @@ map for many values), negation, scaling, term-wise maps, collection of
 every algebra but the half-plane rationals (their key products expand into
 several terms, so they supply their own product); each algebra supplies
 its key product.  The two product-heavy callers that the workloads time
-sum their term products instead as integer triples in one kernel,
-_add_products, on int key ids of a KeyTable that lives for one call,
-reducing each sum once: the normal form's sum of Clifford products
+sum their term products instead as Gaussian integers in one kernel,
+_add_products, on int key ids of a KeyTable that lives for one call, over
+one denominator per operand and per sum, each sum reduced once where it
+becomes a GaussRational: the normal form's sum of Clifford products
 (clifford.CliffordElement._products_sum) and the symbol recursions
 (symbols.compose_symbols and symbols.invert_symbol), both once per blade
 pair through clifford.add_blade_products, and all three with the cyclic
@@ -589,8 +590,7 @@ class ParamPoly(SparseTerms):
                 else:
                     a, b = a * va, b * va
                 d *= v.d
-            # a subsequence of a sorted key is sorted; the kernel inlines the
-            # same lcm rule in its pair loop (_add_products)
+            # a subsequence of a sorted key is sorted
             key = tuple(residual)
             s = sums.get(key)
             if s is None:
@@ -677,37 +677,28 @@ class KeyTable(dict):
 
 
 def _add_products(sums, left, right, table):
-    """Add the products of the terms (id, a, b, d) of left and right, ids of
-    table, into sums, a map id -> unreduced sum [a, b, d] of (a + b*i) / d;
-    sums over different denominators are brought to their lcm."""
+    """Add the products of the terms (id, a, b) of left and right, ids of
+    table, into sums, a map id -> [a, b]: Gaussian integers a + b*i, all
+    over the one denominator that the caller keeps (add_blade_products)."""
     key_of, rows = table.key_of, table.rows
-    for i1, a1, b1, d1 in left:
+    for i1, a1, b1 in left:
         row = rows[i1]
-        for i2, a2, b2, d2 in right:
+        for i2, a2, b2 in right:
             i = row.get(i2)
             if i is None:
                 k1, k2 = key_of[i1], key_of[i2]
                 i = row[i2] = table[k2 if not k1 else k1 if not k2 else table.mul(k1, k2)]
-            a = a1 * a2 - b1 * b2
-            b = a1 * b2 + b1 * a2
-            d = d1 * d2
             s = sums.get(i)
             if s is None:
-                sums[i] = [a, b, d]
-            elif s[2] == d:
-                s[0] += a
-                s[1] += b
+                sums[i] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
             else:
-                sd = s[2]
-                g = gcd(sd, d)
-                s[0] = s[0] * (d // g) + a * (sd // g)
-                s[1] = s[1] * (d // g) + b * (sd // g)
-                s[2] = sd // g * d
+                s[0] += a1 * a2 - b1 * b2
+                s[1] += a1 * b2 + b1 * a2
 
 
-def _from_sums(alphabet, sums, keys):
-    """The ParamPoly of an _add_products map, its ids decoded by the list keys."""
-    return _poly(alphabet, {keys[i]: _reduced(a, b, d) for i, (a, b, d) in sums.items() if a or b})
+def _from_sums(alphabet, sums, d, keys):
+    """The ParamPoly of an _add_products map over d, ids decoded by keys."""
+    return _poly(alphabet, {keys[i]: _reduced(a, b, d) for i, (a, b) in sums.items() if a or b})
 
 
 def collector_paused(kernel):

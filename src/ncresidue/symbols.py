@@ -12,8 +12,9 @@ and SymbolExpansion stacks CliffXi pieces by homogeneity order.  On top of
 this the module provides the operator symbol, formal composition and the
 parametrix recursion, and the symbols of the relevant operator power.  The
 two recursions keep every symbol in the integer kernel's form over one table
-of int (jet key, monomial) ids (exact.KeyTable), their derivatives id maps
-(_images, _nth), and pause the cyclic collector.  `*` is the core's
+of int (jet key, monomial) ids (exact.KeyTable) and one denominator, their
+derivatives integer id maps (_images, _nth), reduce only what they build
+(_built), and pause the cyclic collector.  `*` is the core's
 all-pairs product (exact.SparseTerms); a factor c u^k is a shift of the u
 power and a scalar (_times_u_power).
 """
@@ -21,14 +22,14 @@ power and a scalar (_times_u_power).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, lcm
 from types import MappingProxyType
 
 from .clifford import Blades, CliffordElement, add_blade_products
 from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput, ValidationError
 from .exact import (
-    GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _add_products, _make,
-    _merge_monomials, _new, _poly, collector_paused,
+    GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _merge_monomials,
+    _new, _poly, _reduced, collector_paused,
 )
 from .geometry import check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational, derivative_order
@@ -209,52 +210,56 @@ def _images(step, jk):
 
 
 def _jet_form(cx, table):
-    """The integer form of a CliffXi, in which the recursions keep every
-    symbol: blade key -> terms (id, a, b, d), (a + b*i) / d times the (jet
-    key, monomial) key of id in table."""
-    return {key: [(table[jk, mono], g.a, g.b, g.d)
-                  for jk, poly in xe.terms.items() for mono, g in poly.terms.items()]
-            for key, xe in cx.terms.items()}
+    """The integer form (d, {blade key: terms (id, a, b)}) of a CliffXi: (a +
+    b*i) / d times the (jet key, monomial) key of id in table."""
+    d = lcm(*[g.d for xe in cx.terms.values() for poly in xe.terms.values()
+              for g in poly.terms.values()])
+    return d, {key: [(table[jk, mono], g.a * (d // g.d), g.b * (d // g.d))
+                     for jk, poly in xe.terms.items() for mono, g in poly.terms.items()]
+               for key, xe in cx.terms.items()}
 
 
-def _reduced_form(acc):
-    """The integer form of an add_blade_products map: each sum reduced once,
-    the sums that cancelled dropped, and so is a blade whose sums all did."""
-    return {key: terms for key, sums in acc.items() if (terms := [
-        (i, a // g, b // g, d // g) for i, (a, b, d) in sums.items() if (a or b)
-        and (g := gcd(a, b, d))])}
+def _summed_form(acc):
+    """The integer form of an add_blade_products accumulator, less what cancelled."""
+    d, blades = acc
+    return d, {key: terms for key, sums in blades.items()
+               if (terms := [(i, a, b) for i, (a, b) in sums.items() if a or b])}
 
 
 def _nth(chain, k, table, step):
     """The k-th form of chain, a list from form 0, each form the last one's
-    image under step: the nonzero images of each id (an x_n-derivative's
-    monomial times hp0), memoized in table.steps, are summed per blade in
-    the kernel, as products with the unit key ()."""
-    memo, key_of, unit = table.steps.setdefault(step, {}), table.key_of, [(table[()], 1, 0, 1)]
+    image under step over its denominator: the int-factor images of each id
+    (an x_n-derivative's monomial times hp0), memoized in table.steps, merged
+    per blade in one map."""
+    memo, key_of = table.steps.setdefault(step, {}), table.key_of
     while len(chain) <= k:
-        acc = {}
-        for key, terms in chain[-1].items():
-            images = []
-            for i, a, b, d in terms:
+        d, form = chain[-1]
+        blades = {}
+        for key, terms in form.items():
+            sums = blades[key] = {}
+            for i, a, b in terms:
                 got = memo.get(i)
                 if got is None:
                     jk, mono = key_of[i]
                     mono = _merge_monomials(mono, (("hp0", 1),)) if step == "xn" else mono
                     got = memo[i] = [(table[jk, mono], f) for jk, f in _images(step, jk) if f]
-                images += [(j, a * f, b * f, d) for j, f in got]
-            _add_products(acc.setdefault(key, {}), images, unit, table)
-        chain.append(_reduced_form(acc))
+                for j, f in got:
+                    s = sums.setdefault(j, [0, 0])
+                    s[0] += a * f
+                    s[1] += b * f
+        chain.append(_summed_form((d, blades)))
     return chain[k]
 
 
 def _built(dim, alphabet, form, keys):
     """The CliffXi of an integer form, ids decoded by keys, built unvalidated."""
+    d, form = form
     terms = {}
     for key, ts in form.items():
         jets = {}
-        for i, a, b, d in ts:
+        for i, a, b in ts:
             jk, mono = keys[i]
-            jets.setdefault(jk, {})[mono] = _make(a, b, d)
+            jets.setdefault(jk, {})[mono] = _reduced(a, b, d)
         xe = terms[key] = _new(XiExpr)
         xe.alphabet, xe.terms = alphabet, {jk: _poly(alphabet, t) for jk, t in jets.items()}
     out = _new(CliffXi)
@@ -268,6 +273,8 @@ class SymbolExpansion:
     __slots__ = ("dim", "alphabet", "orders", "meta")
 
     def __init__(self, dim, alphabet, orders=None, meta=None):
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValidationError("dim", f"integer required, got {dim!r}")
         self.dim = dim
         self.alphabet = alphabet
         orders = orders or {}
@@ -381,13 +388,14 @@ def compose_symbols(left, right, min_order):
             # the k-th term has order s - k + t
             for k in range(0, s + t - min_order + 1):
                 dp = _nth(left_chain, k, table, "xin")
-                if not dp:
+                if not dp[1]:
                     break
                 dq = _nth(right_chain, k, table, "xn")
-                if dq:
-                    add_blade_products(accs.setdefault(s - k + t, {}), dp, dq, table, _taylor(k))
+                if dq[1]:
+                    add_blade_products(accs.setdefault(s - k + t, [1, {}]), dp, dq, table,
+                                       _taylor(k))
     dim, alphabet = left.dim, left.alphabet
-    out = {order: _built(dim, alphabet, _reduced_form(acc), table.key_of)
+    out = {order: _built(dim, alphabet, _summed_form(acc), table.key_of)
            for order, acc in accs.items()}
     return SymbolExpansion(dim, alphabet, out)
 
@@ -410,24 +418,24 @@ def invert_symbol(symbol, depth):
         raise NonCanonicalInput("parametrix recursion needs the leading symbol u")
     table = KeyTable(_jet_key_product)
     p_chains = {s: [_jet_form(symbol[s], table)] for s in (2, 1, 0) if s in symbol}
-    q_chains = {-2: [{(0, ()): [(table[(0, -1, 0, 0, ()), ()], 1, 0, 1)]}]}
+    q_chains = {-2: [(1, {(0, ()): [(table[(0, -1, 0, 0, ()), ()], 1, 0)]})]}
     over_u = {}  # [d^k p_s / dxi_n^k, u^-1 times it], by (s, k)
     for m in range(1, depth + 1):
         # the new symbol q_{-2-m} is fixed by the vanishing of the
         # composition at order -m, where it enters through p_2 * q_{-2-m};
         # the k-th term of p_s * q_t lands there for t = k - m - s, and
         # q_{-2-m} is minus their sum, u^-1 taken on the left factors
-        acc = {}
+        acc = [1, {}]
         for s, p_chain in p_chains.items():
             for k in range(max(0, s - 1), m + s - 1):
                 dp = _nth(p_chain, k, table, "xin")
-                if not dp:
+                if not dp[1]:
                     break
                 dq = _nth(q_chains[k - m - s], k, table, "xn")
-                if dq:
+                if dq[1]:
                     dp = _nth(over_u.setdefault((s, k), [dp]), 1, table, "u")
                     add_blade_products(acc, dp, dq, table, -_taylor(k))
-        q_chains[-2 - m] = [_reduced_form(acc)]
+        q_chains[-2 - m] = [_summed_form(acc)]
     q = {t: _built(dim, alphabet, chain[0], table.key_of) for t, chain in q_chains.items()}
     return SymbolExpansion(dim, alphabet, q, symbol.meta)
 
@@ -471,6 +479,7 @@ def power_symbol(symbol, nbar, parametrix=None):
 
     if parametrix is None:
         parametrix = invert_symbol(symbol, 1)
+    _check_expansion("parametrix", parametrix)
 
     b1, b2, b3 = drift_subsymbol_parts(symbol)
     if b1.plus((b2, b3)) != parametrix[-3]:

@@ -35,8 +35,8 @@ from ncresidue.geometry import _assemble
 from ncresidue.halfplane import HalfPlaneRational
 from ncresidue import clifford, exact, symbols
 from ncresidue.symbols import (
-    CliffXi, SymbolExpansion, XiExpr, _built, _jet_form, _jet_key_product, _nth, _reduced_form,
-    _times_u_power, compose_symbols,
+    CliffXi, SymbolExpansion, XiExpr, _built, _jet_form, _jet_key_product, _nth, _summed_form,
+    _taylor, _times_u_power, compose_symbols,
 )
 from conftest import cliffxi_scalars, rand_gauss, rand_poly
 
@@ -563,6 +563,8 @@ class TestIntegerFormChains:
                 assert built(_nth(xn, j, table, "xn")) == want
                 want = want.d_xn()
             assert built(_nth(xn[:1], 1, table, "u")) == _times_u_power(x, GR_ONE, -1)
+            # the steps are integer maps: a chain keeps its form's denominator
+            assert {d for d, _ in xin + xn} == {xn[0][0]}
 
 
 def labelled_cliffords(n):
@@ -612,12 +614,47 @@ def kernel_product(x, y):
 def summed_in_kernel(table, triples):
     """The sum of factor * x * y over the triples (x, y, factor) of
     Clifford-valued symbols, each pair brought to the integer form and added
-    into one map over table, built back."""
-    acc = {}
+    into one accumulator over table, built back."""
+    acc = [1, {}]
     for x, y, f in triples:
         add_blade_products(acc, _jet_form(x, table), _jet_form(y, table), table, f)
     x = triples[0][0]
-    return _built(x.dim, x.alphabet, _reduced_form(acc), table.key_of)
+    return _built(x.dim, x.alphabet, _summed_form(acc), table.key_of)
+
+
+# Scalars whose denominators are coprime (2, 3, 5, 7) or do not divide one
+# another (4, 6, 9), with real and imaginary parts over different ones.
+DENOMINATORS = st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9))
+mixed_scalars = st.builds(
+    lambda a, b, d1, d2: GaussRational(Fraction(a, d1), Fraction(b, d2)),
+    st.integers(-4, 4), st.integers(-4, 4), DENOMINATORS, DENOMINATORS,
+).filter(lambda g: not g.is_zero())
+
+
+def denominated_cliffxis(n):
+    blade_keys = st.tuples(st.integers(0, (1 << n) - 1), st.sampled_from(LABELS))
+    monomials = st.sampled_from(((), (("a", 1),), (("b", 2), ("hp0", 1))))
+    terms = st.lists(st.tuples(blade_keys, jet_keys, monomials, mixed_scalars),
+                     min_size=1, max_size=6)
+    al = JET_ALPHABET
+    return terms.map(lambda ts: CliffXi.zero(n, al).plus(
+        CliffXi(n, al, {key: XiExpr(al, {jk: ParamPoly(al, {m: g})})}) for key, jk, m, g in ts))
+
+
+def denominated_cliffords(n):
+    keys = st.tuples(st.integers(0, (1 << n) - 1), st.sampled_from(LABELS))
+    monomials = st.sampled_from(((), (("a", 1),), (("b", 2), ("c", 1))))
+    terms = st.lists(st.tuples(keys, monomials, mixed_scalars), min_size=1, max_size=6)
+    return terms.map(lambda ts: CliffordElement.zero(n, ALPHABET).plus(
+        CliffordElement(n, ALPHABET, {key: ParamPoly(ALPHABET, {m: g})}) for key, m, g in ts))
+
+
+# the factors of the symbol recursions, (-i)^k / k!, and mixed Gaussian ones
+factors = st.integers(0, 4).map(_taylor) | mixed_scalars
+denominated_triples = st.sampled_from((2, 4)).flatmap(lambda n: st.lists(
+    st.tuples(denominated_cliffxis(n), denominated_cliffxis(n), factors), min_size=1, max_size=4))
+denominated_pairs = st.sampled_from((2, 4)).flatmap(lambda n: st.lists(
+    st.tuples(denominated_cliffords(n), denominated_cliffords(n)), min_size=1, max_size=4))
 
 
 def count_calls(monkeypatch, cls, name, calls):
@@ -760,7 +797,7 @@ class TestSparseTermsCore:
         al = JET_ALPHABET
         one = CliffXi.scalar(2, XiExpr.const(al, 1))
         xi = CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1)})
-        acc, table = {}, KeyTable(_jet_key_product)
+        acc, table = [1, {}], KeyTable(_jet_key_product)
         quarter_i = GaussRational(0, Fraction(1, 4))
         for x, y, c in ((one, one, GaussRational(Fraction(1, 2))),
                         (one, one, GaussRational(Fraction(1, 3))),
@@ -768,13 +805,51 @@ class TestSparseTermsCore:
                         (xi, one, GaussRational(Fraction(1, 6))), (one, xi, quarter_i),
                         (xi, one, GaussRational(Fraction(1, 3))), (xi, one, quarter_i)):
             add_blade_products(acc, _jet_form(x, table), _jet_form(y, table), table, c)
-        assert (0, ()) in acc
-        got = _built(2, al, _reduced_form(acc), table.key_of)
+        assert (0, ()) in acc[1]
+        got = _built(2, al, _summed_form(acc), table.key_of)
         want = GaussRational(Fraction(1, 2), Fraction(1, 2))
         assert got == CliffXi(2, al, {(1, ("phi",)): XiExpr.monomial(al, m=1, coeff=want)})
         (g,) = cliffxi_scalars(got)
         assert type(g) is GaussRational and (g.a, g.b, g.d) == (1, 1, 2)
         assert hash(g) == hash(want) and {want: 0}.get(g) == 0
+
+    @given(denominated_triples)
+    def test_one_denominator_sums_equal_the_core_sum(self, triples):
+        # factor * x * y summed into one accumulator over one denominator,
+        # against the sum of the core's products: the head's 1/2 then 1/3
+        # raise the accumulator's sums from 2 to the lcm 6, and the tail's
+        # 1/2 divides it, so its left terms are scaled by the quotient 3
+        dim = triples[0][0].dim
+        one = CliffXi.scalar(dim, XiExpr.const(JET_ALPHABET, 1))
+        head = [(one, one, GaussRational(Fraction(1, k))) for k in (2, 3)]
+        acc, table, denominators = [1, {}], KeyTable(_jet_key_product), []
+        want = CliffXi.zero(dim, JET_ALPHABET)
+        for x, y, f in head + triples + head[:1]:
+            add_blade_products(acc, _jet_form(x, table), _jet_form(y, table), table, f)
+            denominators.append(acc[0])
+            want = want + SparseTerms._product(x, y).scale(f)
+        assert denominators[:2] == [2, 6]
+        got = _built(dim, JET_ALPHABET, _summed_form(acc), table.key_of)
+        assert got == want
+        assert is_clean(got)
+        assert all(type(g) is GaussRational and normal(g) for g in cliffxi_scalars(got))
+
+    @given(denominated_pairs)
+    def test_one_denominator_products_sum_equals_the_core_sum(self, pairs):
+        # the same for _products_sum: the head raises its accumulator from
+        # 2 to 6 before the drawn pairs, and the tail divides it
+        dim = pairs[0][0].dim
+        one, half, third = (CliffordElement.scalar(dim, ALPHABET, Fraction(1, k))
+                            for k in (1, 2, 3))
+        pairs = [(half, one), (third, one)] + pairs + [(half, one)]
+        want = CliffordElement.zero(dim, ALPHABET)
+        for x, y in pairs:
+            want = want + SparseTerms._product(x, y)
+        got = half._products_sum(pairs)
+        assert got == want
+        assert all(poly.terms and all(type(g) is GaussRational and normal(g)
+                                      for g in poly.terms.values())
+                   for poly in got.terms.values())
 
     def test_tangential_keys_merge(self):
         # (c1 xi1 xi2^2 u)(c1 xi1^2 u^-1) = -xi1^3 xi2^2: the tangential keys

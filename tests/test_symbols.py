@@ -11,7 +11,7 @@ from math import factorial, gcd
 import pytest
 import sympy
 
-from ncresidue import clifford, symbols
+from ncresidue import clifford, exact, load_config, symbols
 from ncresidue.boundary import SphereSymbol
 from ncresidue.clifford import CliffordElement, represent
 from ncresidue.errors import (
@@ -552,6 +552,22 @@ class TestLibraryInputs:
             laplace_symbol(dim, standard_alphabet(4))
         assert err.value.field == "dim"
 
+    @pytest.mark.parametrize("dim", ["4", 4.0, True, None], ids=["str", "float", "bool", "none"])
+    def test_expansion_refuses_a_non_int_dim(self, dim):
+        # also with no piece, which no dimension comparison would catch
+        for orders in (None, {2: CliffXi.scalar(4, XiExpr.u_power(standard_alphabet(4), 1))}):
+            with pytest.raises(ValidationError) as err:
+                SymbolExpansion(dim, standard_alphabet(4), orders)
+            assert err.value.field == "dim"
+
+    @pytest.mark.parametrize("parametrix", [
+        "x", 3, lambda: _laplace4()[2], lambda: dict(_laplace4().orders),
+    ], ids=["str", "int", "cliffxi", "dict"])
+    def test_power_symbol_refuses_a_non_expansion_parametrix(self, parametrix):
+        with pytest.raises(ValidationError) as err:
+            power_symbol(_laplace4(), 2, parametrix() if callable(parametrix) else parametrix)
+        assert err.value.field == "parametrix"
+
     @pytest.mark.parametrize("orders", [
         {"a": "piece"}, {True: "piece"}, {1.0: "piece"}, {0: "x"}, {0: "jet"}, ["piece"],
     ], ids=["str-order", "bool-order", "float-order", "str-piece", "xiexpr-piece", "list"])
@@ -679,6 +695,34 @@ class TestCollectorPause:
         assert (inverting, composing, enabled) == (0, 0, True)
         # the same inversion with the collector on collects: the pin can fail
         assert unpaused > 0
+
+
+class TestKernelCallers:
+    def test_every_kernel_call_sums_blade_products(self, monkeypatch):
+        # the benchmark's n = 6, depth-2 closure recipe, its normal form
+        # included: the derivative chains merge their images per blade, so
+        # every kernel call is one blade pair of add_blade_products
+        rng = random.Random(3001)
+        geo = load_config(numeric_config_text(4, rng)).bundle()
+        point = geo.assignment()
+        point.update((name, Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 4)))
+                     for name in geo.alphabet.names
+                     if name.startswith(("dX_", "dY_", "dT_")) or name == "VolS")
+        callers, kernel = [], exact._add_products
+
+        def counted(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return kernel(*args)
+
+        for module in (exact, clifford, symbols):
+            if hasattr(module, "_add_products"):
+                monkeypatch.setattr(module, "_add_products", counted)
+        op = laplace_symbol(6, geo.alphabet, b_term=lichnerowicz_normal_form(geo).B)
+        op = subs_expansion(op, point)
+        comp = compose_symbols(op, invert_symbol(op, 2), -2)
+        assert comp[0] == CliffXi.scalar(6, XiExpr.const(geo.alphabet, 1))
+        assert comp[-1].is_zero() and comp[-2].is_zero()
+        assert callers and set(callers) == {"add_blade_products"}
 
 
 class TestSubsymbolStructure:
