@@ -4,11 +4,7 @@ boundary symbol expansions."""
 __version__ = "0.1.0"
 
 from .exact import Alphabet, GaussRational, ParamPoly  # noqa: E402
-from .clifford import (  # noqa: E402
-    CliffordElement,
-    spinor_trace,
-    twisted_trace,
-)
+from .clifford import CliffordElement, twisted_trace  # noqa: E402
 from .halfplane import HalfPlaneRational, deriv_at_i  # noqa: E402
 from .symbols import (  # noqa: E402
     SymbolExpansion,
@@ -70,9 +66,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # the lemma audit loads the matrix oracle on first use (PEP 562)
-    if name == "verify_trace_lemmas":
-        from .oracle import verify_trace_lemmas
+    # the lemma audit and spinor_trace load the oracle on first use (PEP 562)
+    if name in ("spinor_trace", "verify_trace_lemmas"):
+        from . import oracle
 
-        return verify_trace_lemmas
+        return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

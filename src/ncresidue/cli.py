@@ -3,41 +3,61 @@
 Loads an optional YAML config, applies flag overrides, runs the selected
 computations, and writes the report to stdout.  Exit code 0 unless the
 config fails to parse or validate; disagreements with printed closed forms
-are findings, not failures.
+are findings, not failures.  argparse reads only the argv that _read_argv
+declines, so help, usage errors and exit codes stay its own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
-from .config import CASE_ALIASES, FORMATS, MODES, SessionConfig, read_config
+from .config import CASE_ALIASES, FORMATS, MODES, SessionConfig
 from .errors import EngineError, ValidationError
 from .report import emit, run_session
 
+# flag: dest, int or the choices (None: any text), help, metavar
+_FLAGS = {
+    "--dim": ("dim", int, "even boundary dimension (2..10)", None),
+    "--case": ("case", (*CASE_ALIASES, "all"),
+               "restrict the boundary computation to one case", None),
+    "--mode": ("mode", MODES, "density mode", None),
+    "--format": ("format", FORMATS, "output format", None),
+    "--config": ("config", None, "YAML config file or inline YAML text", None),
+    "--verify-lemmas": ("verify_lemmas", int,
+                        "run the trace-identity verification with this many trials", "TRIALS"),
+    "--seed": ("seed", int, "seed for verification trials", None),
+}
+
 
 def build_parser():
+    import argparse  # only for argv that _read_argv declines
+
     parser = argparse.ArgumentParser(
         prog="ncresidue",
         description="Exact residue-density reports with printed-form audits.",
     )
-    parser.add_argument("--dim", type=int, help="even boundary dimension (2..10)")
-    parser.add_argument(
-        "--case",
-        choices=[*CASE_ALIASES, "all"],
-        help="restrict the boundary computation to one case",
-    )
-    parser.add_argument("--mode", choices=MODES, help="density mode")
-    parser.add_argument("--format", choices=FORMATS, help="output format")
-    parser.add_argument("--config", help="YAML config file or inline YAML text")
-    parser.add_argument(
-        "--verify-lemmas",
-        type=int,
-        metavar="TRIALS",
-        help="run the trace-identity verification with this many trials",
-    )
-    parser.add_argument("--seed", type=int, help="seed for verification trials")
+    for flag, (dest, kind, text, metavar) in _FLAGS.items():
+        parser.add_argument(flag, dest=dest, type=kind if kind is int else None,
+                            choices=None if kind is int else kind, help=text, metavar=metavar)
     return parser
+
+
+def _read_argv(argv):
+    """parse_args' attributes if argv is distinct `--flag value` pairs, flags
+    in full, values valid and not starting with '-'; else None, for argparse."""
+    args = dict.fromkeys(spec[0] for spec in _FLAGS.values())
+    pairs = dict(zip(argv[::2], argv[1::2]))
+    try:
+        for flag, value in pairs.items():
+            dest, kind, _, _ = _FLAGS[flag]  # KeyError: not a flag in full
+            if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+                return None
+            args[dest] = int(value) if kind is int else value  # int() may raise
+    except (KeyError, ValueError):
+        return None
+    # an odd count, or a flag given twice, leaves fewer pairs
+    return SimpleNamespace(**args) if 2 * len(pairs) == len(argv) else None
 
 
 def _merge(args):
@@ -52,6 +72,8 @@ def _merge(args):
     }
     fields = {}
     if args.config is not None:
+        from .yamlconfig import read_config  # only a config source loads the reader
+
         fields = read_config(args.config)
     elif args.dim is None:
         raise ValidationError("dim", "provide --dim or --config")
@@ -60,7 +82,10 @@ def _merge(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         cfg = _merge(args)
     except EngineError as exc:

@@ -248,20 +248,6 @@ class CliffordElement(Blades):
         return f"CliffordElement(n={self.dim}, {len(self.terms)} terms)"
 
 
-def spinor_trace(a):
-    """2^(n/2) times the plain grade-0 coefficient.
-
-    Twisted labels are deliberately rejected here; use twisted_trace with an
-    explicit label trace rule for elements carrying twist factors.
-    """
-    if a.dim % 2:
-        raise OddDimension("even dimension required")
-    for (_, label) in a.terms:
-        if label:
-            raise ValueError("element carries twist labels; use twisted_trace")
-    return a.coefficient(0).scale(2 ** (a.dim // 2))
-
-
 def twisted_trace(a, label_trace):
     """Spinor trace combined with a trace rule on twist labels.
 
@@ -323,11 +309,10 @@ def check_lemma_budget(n, trials, field):
         )
 
 
-# The matrix oracle and the lemma audit live in .oracle, which plain reports
-# never load; these names reach it on first use (PEP 562).
-_ORACLE_NAMES = frozenset(
-    ("SpinorMatrix", "blade_matrix", "clifford_matrix_rep", "represent", "verify_trace_lemmas")
-)
+# The matrix oracle, the lemma audit and spinor_trace live in .oracle, which
+# plain reports never load; these names reach it on first use (PEP 562).
+_ORACLE_NAMES = frozenset(("SpinorMatrix", "blade_matrix", "clifford_matrix_rep", "represent",
+                           "spinor_trace", "verify_trace_lemmas"))
 
 
 def __getattr__(name):

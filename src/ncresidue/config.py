@@ -1,35 +1,20 @@
 """Session configuration: structured-text loading and validation.
 
-Configs are YAML mappings.  Every geometric parameter defaults to symbolic;
-the session's GeometricBundle reads and checks the numeric values.
+Configs are YAML mappings, read by the module yamlconfig, which loads only
+when a config source is given.  Every geometric parameter defaults to
+symbolic; the session's GeometricBundle reads and checks the numeric values.
 """
 
 from __future__ import annotations
 
-import os
-
 from .boundary import CASE_IDS
 from .clifford import check_lemma_budget
-from .errors import NonIncreasingTriple, ParseError, ValidationError
+from .errors import NonIncreasingTriple, ValidationError, check_int, is_int
 from .geometry import SCALAR_NAMES, GeometricBundle, check_nbar
 
 CASE_ALIASES = {"a1": "aI", "a2": "aII", "a3": "aIII", **{c: c for c in CASE_IDS}}
 MODES = ("oracle", "printed")
 FORMATS = ("text", "json", "csv")
-
-# each YAML key and the SessionConfig argument it sets
-_KEYS = {
-    "dim": "nbar",
-    "case": "cases",
-    "format": "fmt",
-    **{k: k for k in ("nbar", "mode", "cases", "seed", "verify_lemmas", "X", "Y",
-                      "torsion", *SCALAR_NAMES)},
-}
-
-
-def _is_int(value):
-    """An integer that is not a bool (YAML reads true/false as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SessionConfig:
@@ -75,13 +60,9 @@ class SessionConfig:
         if fmt not in FORMATS:
             raise ValidationError("format", f"expected one of {FORMATS}, got {fmt!r}")
         self.fmt = fmt
-        if not _is_int(seed) or seed < 0:
-            raise ValidationError("seed", f"nonnegative integer required, got {seed!r}")
+        check_int("seed", seed, nonnegative=True)
         self.seed = seed
-        if not _is_int(verify_lemmas) or verify_lemmas < 0:
-            raise ValidationError(
-                "verify_lemmas", f"nonnegative integer required, got {verify_lemmas!r}"
-            )
+        check_int("verify_lemmas", verify_lemmas, nonnegative=True)
         check_lemma_budget(nbar + 2, verify_lemmas, "verify_lemmas")
         self.verify_lemmas = verify_lemmas
 
@@ -110,7 +91,7 @@ class SessionConfig:
                     "torsion", f"entry {entry!r} is not [a, b, c, value]"
                 )
             a, b, c, v = entry
-            if not all(_is_int(i) for i in (a, b, c)):
+            if not all(is_int(i) for i in (a, b, c)):
                 raise ValidationError("torsion", f"indices in {entry!r} must be integers")
             if not a < b < c:
                 raise NonIncreasingTriple(f"triple ({a},{b},{c}) is not strictly increasing")
@@ -156,60 +137,8 @@ class SessionConfig:
         }
 
 
-def read_config(source):
-    """SessionConfig arguments from a YAML path (a str naming an existing
-    file, or any os.PathLike), YAML text (str or bytes) or an open file."""
-    import yaml  # only here: a session from flags alone never parses YAML
-
-    is_path = isinstance(source, os.PathLike)
-    if not (is_path or isinstance(source, (str, bytes)) or hasattr(source, "read")):
-        raise ParseError(
-            f"expected a config path, YAML text or a file, got {type(source).__name__}"
-        )
-    text = source
-    if is_path or isinstance(source, str) and os.path.exists(source):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read config: {exc}")
-    # PyYAML also raises ValueError for an integer past Python's int-string
-    # digit limit, and RecursionError for deeply nested collections
-    try:
-        data = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise ParseError(
-                f"invalid config: {getattr(exc, 'problem', exc)}",
-                line=mark.line + 1,
-                column=mark.column + 1,
-            )
-        raise ParseError(f"invalid config: {exc}")
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        if text is source and isinstance(text, str) and "\n" not in text.strip():
-            raise ParseError(f"no such config file: {source!r}")
-        raise ParseError("config must be a mapping of keys to values")
-
-    args, scalars = {}, {}
-    for key, value in data.items():
-        arg = _KEYS.get(key)
-        if arg is None:
-            raise ValidationError(str(key), "unknown config key")
-        if arg in SCALAR_NAMES:
-            scalars[arg] = value
-        elif arg in args:
-            other = next(k for k in data if k != key and _KEYS.get(k) == arg)
-            raise ValidationError(arg, f"set both {other!r} and {key!r}; give one")
-        else:
-            args[arg] = value
-    if isinstance(args.get("cases"), str):
-        args["cases"] = [args["cases"]]
-    return {"nbar": None, **args, "scalars": scalars}
-
-
 def load_config(source):
-    """SessionConfig from a YAML path, YAML text or an open file (read_config)."""
+    """SessionConfig from a YAML path, YAML text or an open file (yamlconfig)."""
+    from .yamlconfig import read_config  # only a config source loads the reader
+
     return SessionConfig(**read_config(source))

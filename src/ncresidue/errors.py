@@ -79,3 +79,17 @@ class ValidationError(EngineError):
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def is_int(value):
+    """An integer that is not a bool (YAML reads true/false as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(field, value, nonnegative=False, by_type=False):
+    """The engine's one "an int, not a bool" check: ValidationError for field
+    unless value is one (and >= 0 if nonnegative), showing it or its type."""
+    if not is_int(value) or nonnegative and value < 0:
+        got = type(value).__name__ if by_type else repr(value)
+        kind = "nonnegative integer" if nonnegative else "integer"
+        raise ValidationError(field, f"{kind} required, got {got}")

@@ -3,8 +3,8 @@
 Two layers: GaussRational is the scalar field (complex numbers with exact
 rational real and imaginary parts), ParamPoly is a sparse multivariate
 polynomial over GaussRational in a fixed alphabet of named parameters.
-No floating point anywhere; floats only appear when a caller explicitly
-asks for a numeric approximation via to_complex().
+No floating point anywhere; floats only appear in the quadrature
+cross-checks' approximations (oracle.to_complex).
 
 SparseTerms is the shared core of the engine's sparse algebras: ParamPoly,
 the jet ring (symbols.XiExpr), the half-plane rationals
@@ -37,7 +37,7 @@ from functools import wraps
 from math import gcd
 from types import MappingProxyType
 
-from .errors import AlphabetMismatch, DimMismatch, DivisionByZero, UnboundParameter
+from .errors import AlphabetMismatch, DimMismatch, DivisionByZero
 
 
 class GaussRational:
@@ -186,9 +186,6 @@ class GaussRational:
     def __hash__(self):
         # a real value equals its int or Fraction, so it hashes as one
         return hash((self.re, self.im)) if self.b else hash(self.re)
-
-    def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self):
         a, b, d = self.a, self.b, self.d
@@ -529,34 +526,9 @@ class ParamPoly(SparseTerms):
     def is_constant(self):
         return all(m == () for m in self.terms)
 
-    def constant_value(self):
-        """The value of a constant polynomial (errors if non-constant)."""
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), GR_ZERO)
-
-    def params(self):
-        used = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                used.add(name)
-        return used
-
     def coefficient(self, mono):
         """Coefficient of an exact monomial, given as ((name, exp), ...)."""
         return self.terms.get(tuple(sorted(mono)), GR_ZERO)
-
-    def eval(self, assignment):
-        """Exact substitution; assignment must cover every parameter used."""
-        total = GR_ZERO
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for name, exp in mono:
-                if name not in assignment:
-                    raise UnboundParameter(name)
-                val = val * GaussRational.from_value(assignment[name]) ** exp
-            total = total + val
-        return total
 
     def subs(self, partial):
         """Substitute some parameters, leaving the rest symbolic.

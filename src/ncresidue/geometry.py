@@ -33,6 +33,7 @@ from .errors import (
     OddDimension,
     UnsupportedDimension,
     ValidationError,
+    check_int,
 )
 from .exact import Alphabet, GaussRational, ParamPoly, read_only
 
@@ -86,8 +87,7 @@ def check_nbar(nbar):
     """Reject a boundary dimension that is not an even int in 2..10."""
     if nbar is None:
         raise ValidationError("nbar", "missing boundary dimension")
-    if isinstance(nbar, bool) or not isinstance(nbar, int):
-        raise ValidationError("nbar", f"integer required, got {nbar!r}")
+    check_int("nbar", nbar)
     if nbar % 2:
         raise OddBarDimension(f"even boundary dimension required, got {nbar}")
     if not 2 <= nbar <= 10:
@@ -138,8 +138,7 @@ class GeometricBundle:
     """
 
     def __init__(self, n, torsion=None, X=None, Y=None, **scalars):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValidationError("n", f"integer required, got {n!r}")
+        check_int("n", n)
         if n % 2 or n < 2:
             raise OddDimension(f"even dimension >= 2 required, got {n}")
         # the alphabet grows as n^4; 12 is the largest dimension a report uses
@@ -324,12 +323,10 @@ def _connection_parts(geo, Ai):
 
 
 def _jet_summands(jets):
-    """-c_j dW_j, the jet summands of B, and 1/2 (c_j dW_j + dW_j c_j), those
-    of E - B; only the full assemblies add them (see _trace_E_symbolic)."""
-    gens = [CliffordElement.generator(dw.dim, dw.alphabet, j) for j, dw in enumerate(jets, 1)]
-    halves = [g.scale(Fraction(1, 2)) for g in gens]
-    return ([(-g, dw) for g, dw in zip(gens, jets)],
-            [f for h, dw in zip(halves, jets) for f in ((h, dw), (dw, h))])
+    """-c_j dW_j, the jet summands of B; those of E - B, 1/2 (c_j dW_j +
+    dW_j c_j), only oracle.connection_and_E adds (see _trace_E_symbolic)."""
+    return [(-CliffordElement.generator(dw.dim, dw.alphabet, j), dw)
+            for j, dw in enumerate(jets, 1)]
 
 
 def lichnerowicz_normal_form(geo):
@@ -341,16 +338,10 @@ def lichnerowicz_normal_form(geo):
     n, alphabet = geo.n, geo.alphabet
     Ai, b = _normal_form_parts(geo)
     jets = [twist_vector_jet(n, alphabet, j, geo._assignment) for j in range(1, n + 1)]
-    b += _jet_summands(jets)[0]
+    b += _jet_summands(jets)
     return LaplaceNormalForm(
         n, alphabet, Ai, _assemble(b, CliffordElement.zero(n, alphabet)), jets, geo
     )
-
-
-def connection_and_E(nf):
-    """Connection coefficients and the reconstructed endomorphism block."""
-    omega, e = _connection_parts(nf.geo, nf.Ai)
-    return omega, _assemble(e + _jet_summands(nf.jets)[1], nf.B)
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +392,8 @@ def trace_E_density(geo, mode="oracle"):
     returns the closed-form density with its 2^n prefactor.  Either density
     is built once per dimension over the symbolic alphabet (cached), and
     geo's point data is substituted afterwards.  The full assembly
-    connection_and_E stays as the test oracle of the oracle mode.
+    connection_and_E (in the module oracle) is the test oracle of the
+    oracle mode.
     """
     return geo.subs(_symbolic_density(mode)(geo.n))
 
@@ -481,3 +473,12 @@ def _interior_density(n, mode):
     trid = 2 ** n if mode == "printed" else 2 ** (n // 2)
     curv = ParamPoly(standard_alphabet(n), {(("dimF", 1), ("s", 1)): Fraction(trid, 6)})
     return read_only(_symbolic_density(mode)(n) + curv)
+
+
+def __getattr__(name):
+    # the full assembly of E is a test oracle: it lives in .oracle (PEP 562)
+    if name == "connection_and_E":
+        from .oracle import connection_and_E
+
+        return connection_and_E
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import NotIntegrable, ValidationError
+from .errors import NotIntegrable, ValidationError, check_int
 from .exact import GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, summed_terms
 
 _TWO_I = GaussRational(0, 2)
@@ -77,8 +77,7 @@ def _denominator(p, q):
 def derivative_order(k, field="k"):
     """k, if it is an int >= 0; a bool, a non-int or a negative k raises
     ValidationError naming field."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValidationError(field, f"integer required, got {type(k).__name__}")
+    check_int(field, k, by_type=True)
     if k < 0:
         raise ValidationError(field, "must not be negative")
     return k
@@ -125,8 +124,7 @@ class HalfPlaneRational(SparseTerms):
     def from_u_power(cls, alphabet, m, p):
         """xi^m * (1 + xi^2)^p with integer m >= 0 and p of either sign."""
         m = derivative_order(m, "m")
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise ValidationError("p", f"integer required, got {type(p).__name__}")
+        check_int("p", p, by_type=True)
         if p < 0:
             return _hpr(alphabet, {
                 key: ParamPoly.const(alphabet, g) for key, g in _expansion(m, -p, -p)
@@ -170,9 +168,6 @@ class HalfPlaneRational(SparseTerms):
         coeffs = summed_terms(pairs)
         zero = ParamPoly.zero(self.alphabet)
         return tuple(coeffs.get(j, zero) for j in range(max(coeffs, default=-1) + 1))
-
-    def degree(self):
-        return len(self.num) - 1
 
     def deriv(self, k=1):
         """Exact k-th derivative in xi."""
@@ -220,30 +215,10 @@ class HalfPlaneRational(SparseTerms):
             residue + self.terms.get((-1, 1), 0)
         ).is_zero():
             raise NotIntegrable(
-                f"numerator degree {self.degree()} too large for pole orders "
+                f"numerator degree {len(self.num) - 1} too large for pole orders "
                 f"({self.a}, {self.b})"
             )
         return residue * _TWO_I
-
-    def eval_exact(self, x):
-        """Exact value at a GaussRational point away from the poles."""
-        out = ParamPoly.zero(self.alphabet)
-        for (sign, k), c in self.terms.items():
-            out = out + c * (x ** k if not sign else (x - GaussRational(0, sign)) ** -k)
-        return out
-
-    def numeric_fn(self, assignment):
-        """Float-valued callable for quadrature cross-checks."""
-        coeffs = [c.eval(assignment).to_complex() for c in self.num]
-        a, b = self.a, self.b
-
-        def f(x):
-            num = 0j
-            for c in reversed(coeffs):
-                num = num * x + c
-            return num / ((x - 1j) ** a * (x + 1j) ** b)
-
-        return f
 
     def __str__(self):
         coeffs = self.num
@@ -272,8 +247,7 @@ def deriv_at_i(m, p, k):
     ValidationError.
     """
     derivative_order(m, "m")
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise ValidationError("p", f"integer required, got {type(p).__name__}")
+    check_int("p", p, by_type=True)
     derivative_order(k)
     poly = [GaussRational(0)] * m + [GR_ONE]
     e = p

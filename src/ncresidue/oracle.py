@@ -1,11 +1,16 @@
-"""Matrix oracle for Cl(n) and the trace-lemma audit.
+"""Matrix oracle for Cl(n), the trace-lemma audit and the helpers no report runs.
 
 The oracle is an explicit 2^(n/2)-dimensional matrix representation whose
 generators are sparse iterated Kronecker products of Pauli matrices.  It
-imports only the scalar layer (and the audit's trial budget) and reads only
-the `terms` maps of the multivectors it represents, so it stays independent
-of the blade algebra it checks.  Plain reports never load this module: clifford and the package
-reach its names on first use.
+uses only the scalar layer and reads only the `terms` maps of the
+multivectors it represents, so it stays independent of the blade algebra it
+checks.  Plain reports never load this module: clifford, geometry and the
+package reach its names on first use (PEP 562).
+
+The helpers that tests and library callers use but no report runs live here
+too, so that reports compile none of them: spinor_trace, connection_and_E
+(the full assembly of E) and exact or float evaluation: to_complex,
+poly_eval, poly_params, constant_value, eval_exact and numeric_fn.
 
 The audit, verify_trace_lemmas, checks the Clifford trace identities the
 torsion terms rest on.  Every left side is linear or bilinear in the random
@@ -21,9 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .clifford import check_lemma_budget
-from .errors import DimMismatch, UnsupportedDimension, ValidationError
-from .exact import GR_I, GR_ONE, GR_ZERO, GaussRational
+from .clifford import CliffordElement, check_lemma_budget
+from .errors import DimMismatch, OddDimension, UnboundParameter, UnsupportedDimension, check_int
+from .exact import GR_I, GR_ONE, GR_ZERO, GaussRational, ParamPoly
+from .geometry import _assemble, _connection_parts
 
 
 class SpinorMatrix:
@@ -489,8 +495,7 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
         deriv_trials = trials
     named = (("trials", trials), ("deriv_trials", deriv_trials))
     for name, count in named:
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValidationError(name, f"nonnegative integer required, got {count!r}")
+        check_int(name, count, nonnegative=True)
     _generators(n)  # rejects an unsupported n before any trial
     for name, count in named:
         check_lemma_budget(n, count, name)
@@ -524,3 +529,79 @@ def verify_trace_lemmas(n, trials, seed=0, deriv_trials=None):
         }
         for ident, (ok, ok_printed, example) in state.items()
     ]
+
+
+def spinor_trace(a):
+    """2^(n/2) times the plain grade-0 coefficient.
+
+    Twisted labels are deliberately rejected here; use twisted_trace with an
+    explicit label trace rule for elements carrying twist factors.
+    """
+    if a.dim % 2:
+        raise OddDimension("even dimension required")
+    for (_, label) in a.terms:
+        if label:
+            raise ValueError("element carries twist labels; use twisted_trace")
+    return a.coefficient(0).scale(2 ** (a.dim // 2))
+
+
+def connection_and_E(nf):
+    """Connection coefficients and the reconstructed endomorphism block; its
+    jet summands are 1/2 (c_j dW_j + dW_j c_j) for each jet dW_j of W."""
+    omega, e = _connection_parts(nf.geo, nf.Ai)
+    for j, dw in enumerate(nf.jets, 1):
+        half = CliffordElement.generator(dw.dim, dw.alphabet, j).scale(Fraction(1, 2))
+        e += [(half, dw), (dw, half)]
+    return omega, _assemble(e, nf.B)
+
+
+def constant_value(p):
+    """The value of a constant ParamPoly (errors if non-constant)."""
+    if not p.is_constant():
+        raise ValueError("polynomial is not constant")
+    return p.terms.get((), GR_ZERO)
+
+
+def poly_params(p):
+    """The parameter names a ParamPoly uses."""
+    return {name for mono in p.terms for name, _ in mono}
+
+
+def poly_eval(p, assignment):
+    """Exact value of a ParamPoly; assignment must cover every parameter used."""
+    total = GR_ZERO
+    for mono, coeff in p.terms.items():
+        val = coeff
+        for name, exp in mono:
+            if name not in assignment:
+                raise UnboundParameter(name)
+            val = val * GaussRational.from_value(assignment[name]) ** exp
+        total = total + val
+    return total
+
+
+def to_complex(z):
+    """Float approximation of a GaussRational."""
+    return complex(z.re) + 1j * complex(z.im)
+
+
+def eval_exact(f, x):
+    """Exact value of a HalfPlaneRational at a GaussRational x off the poles."""
+    out = ParamPoly.zero(f.alphabet)
+    for (sign, k), c in f.terms.items():
+        out = out + c * (x ** k if not sign else (x - GaussRational(0, sign)) ** -k)
+    return out
+
+
+def numeric_fn(f, assignment):
+    """Float-valued callable of a HalfPlaneRational, for quadrature checks."""
+    coeffs = [to_complex(poly_eval(c, assignment)) for c in f.num]
+    a, b = f.a, f.b
+
+    def value(x):
+        num = 0j
+        for c in reversed(coeffs):
+            num = num * x + c
+        return num / ((x - 1j) ** a * (x + 1j) ** b)
+
+    return value

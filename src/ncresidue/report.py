@@ -23,7 +23,7 @@ from types import MappingProxyType
 from . import __version__
 from .boundary import bracket_table, wres_with_boundary
 from .config import FORMATS
-from .errors import EngineError, ValidationError
+from .errors import EngineError, ParseError, ValidationError
 from .geometry import trace_density_report
 
 
@@ -240,6 +240,12 @@ def _json(report):
 
 
 def parse_report_json(text):
-    """Inverse of emit(report, 'json')."""
-    data = json.loads(text)
+    """Inverse of emit(report, 'json'); ParseError for text that is not one."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise ParseError(f"report is not JSON: {exc}") from None
+    if not (isinstance(data, dict) and isinstance(data.get("records"), list)
+            and isinstance(data.get("metadata"), dict)):
+        raise ParseError("report must be an object with a records list and a metadata object")
     return Report(data["records"], data["metadata"])

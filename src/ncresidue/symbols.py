@@ -26,7 +26,7 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from .clifford import Blades, CliffordElement, add_blade_products
-from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput, ValidationError
+from .errors import AlphabetMismatch, DimMismatch, NonCanonicalInput, ValidationError, check_int
 from .exact import (
     GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _merge_monomials,
     _new, _poly, _reduced, collector_paused,
@@ -273,8 +273,7 @@ class SymbolExpansion:
     __slots__ = ("dim", "alphabet", "orders", "meta")
 
     def __init__(self, dim, alphabet, orders=None, meta=None):
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValidationError("dim", f"integer required, got {dim!r}")
+        check_int("dim", dim)
         self.dim = dim
         self.alphabet = alphabet
         orders = orders or {}
@@ -308,8 +307,7 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     gdn is the scalar multiplying i*xi_n in the subleading symbol; by
     default it is the collar value dim/2 * hp0.
     """
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValidationError("dim", f"integer required, got {dim!r}")
+    check_int("dim", dim)
     if b_term is not None and not isinstance(b_term, CliffordElement):
         raise ValidationError(
             "b_term", f"expected a CliffordElement or None, got {type(b_term).__name__}"
@@ -372,8 +370,7 @@ def compose_symbols(left, right, min_order):
     """
     _check_expansion("left", left)
     _check_expansion("right", right)
-    if isinstance(min_order, bool) or not isinstance(min_order, int):
-        raise ValidationError("min_order", f"integer required, got {min_order!r}")
+    check_int("min_order", min_order)
     if left.dim != right.dim:
         raise DimMismatch("symbol factors of different dimension")
     if left.alphabet != right.alphabet:
@@ -411,8 +408,7 @@ def invert_symbol(symbol, depth):
     division by u an id map; only the returned orders are built as CliffXi.
     """
     _check_expansion("symbol", symbol)
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise ValidationError("depth", f"nonnegative integer required, got {depth!r}")
+    check_int("depth", depth, nonnegative=True)
     dim, alphabet = symbol.dim, symbol.alphabet
     if symbol[2] != CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1)):
         raise NonCanonicalInput("parametrix recursion needs the leading symbol u")

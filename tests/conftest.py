@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, settings
 
 from ncresidue.exact import Alphabet, GaussRational, ParamPoly
+from ncresidue.oracle import numeric_fn, poly_eval, to_complex
 
 # Property tests draw the same examples on every run, so tier-1 stays
 # reproducible and its time bounded.
@@ -66,8 +67,8 @@ def quad_line_integral(fn, limit=400):
 
 def assert_integral_matches_quadrature(f, assignment, tol=1e-8):
     """Exact pi-coefficient of the line integral vs scipy quadrature."""
-    exact = f.real_line_integral().eval(assignment).to_complex() * math.pi
-    numeric = quad_line_integral(f.numeric_fn(assignment))
+    exact = to_complex(poly_eval(f.real_line_integral(), assignment)) * math.pi
+    numeric = quad_line_integral(numeric_fn(f, assignment))
     assert abs(exact - numeric) < tol, (
         f"exact {exact} vs quadrature {numeric} (|diff| = {abs(exact - numeric)})"
     )

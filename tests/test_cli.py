@@ -1,13 +1,17 @@
 """Command-line interface behavior and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ncresidue import cli
+from ncresidue import cli, yamlconfig
 from ncresidue.cli import _merge, build_parser, main
 from ncresidue.config import CASE_ALIASES, load_config
 from ncresidue.errors import DimMismatch
@@ -171,20 +175,39 @@ class TestFlags:
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
-    def test_plain_report_never_imports_the_oracle_random_or_csv(self):
-        # the interpreter's own start-up may import random (site hooks do),
-        # so only what the package run adds is checked
+    @staticmethod
+    def added_modules(argv):
+        """The modules that one request adds to a fresh interpreter's: its
+        own start-up may import random (site hooks do), so only what the
+        package run adds is counted."""
         code = (
             "import contextlib, io, sys\n"
             "before = set(sys.modules)\n"
             "import ncresidue.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert ncresidue.cli.main(['--dim', '2', '--format', 'json']) == 0\n"
-            "added = set(sys.modules) - before\n"
-            "assert 'ncresidue.cli' in added\n"
-            "assert not added & {'ncresidue.oracle', 'random', 'csv'}, added\n"
+            f"    assert ncresidue.cli.main({argv!r}) == 0\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
-        subprocess.run([sys.executable, "-c", code], check=True)
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
+        return set(out.stdout.decode().split())
+
+    def test_plain_report_never_imports_the_oracle_random_or_csv(self):
+        # nor the argument parser with its gettext and locale, nor the YAML
+        # reader: canonical flags skip argparse
+        added = self.added_modules(["--dim", "4", "--format", "json"])
+        assert "ncresidue.cli" in added
+        unrun = {"ncresidue.oracle", "random", "csv", "argparse", "gettext", "locale",
+                 "yaml", "ncresidue.yamlconfig"}
+        assert not added & unrun, added
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["--config", "nbar: 2"], {"ncresidue.yamlconfig", "yaml"}),
+        (["--dim", "4", "--verify-lemmas", "1"], {"ncresidue.oracle"}),
+    ], ids=["config", "lemmas"])
+    def test_a_request_loads_the_code_it_runs(self, argv, loaded):
+        added = self.added_modules(argv)
+        assert loaded <= added, added
+        assert "argparse" not in added
 
     def test_lemma_budget_is_a_clean_error(self, capsys):
         assert main(["--dim", "10", "--verify-lemmas", "5001"]) == 1
@@ -196,10 +219,134 @@ class TestFlags:
         def raising(source):
             raise DimMismatch("dim 4 vs 6")
 
-        monkeypatch.setattr(cli, "read_config", raising)
+        monkeypatch.setattr(yamlconfig, "read_config", raising)
         code, out, err = run_main(capsys, ["--config", "nbar: 2"])
         assert (code, out) == (1, "")
         assert err == "error: DimMismatch: dim 4 vs 6\n"
+
+
+USAGE = (
+    "usage: ncresidue [-h] [--dim DIM] [--case {a1,a2,a3,aI,aII,aIII,b,c,all}]\n"
+    "                 [--mode {oracle,printed}] [--format {text,json,csv}]\n"
+    "                 [--config CONFIG] [--verify-lemmas TRIALS] [--seed SEED]\n"
+)
+# the help text at 80 columns, as argparse printed it before the flag table
+HELP = USAGE + (
+    "\nExact residue-density reports with printed-form audits.\n\noptions:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --dim DIM             even boundary dimension (2..10)\n"
+    "  --case {a1,a2,a3,aI,aII,aIII,b,c,all}\n"
+    "                        restrict the boundary computation to one case\n"
+    "  --mode {oracle,printed}\n"
+    "                        density mode\n"
+    "  --format {text,json,csv}\n"
+    "                        output format\n"
+    "  --config CONFIG       YAML config file or inline YAML text\n"
+    "  --verify-lemmas TRIALS\n"
+    "                        run the trace-identity verification with this many\n"
+    "                        trials\n"
+    "  --seed SEED           seed for verification trials\n"
+)
+
+# argv drawn around the reader's edges: full flags, abbreviations,
+# --flag=value, help, the separator and repeated flags; values with a
+# leading -, +, space or _, non-ASCII digits, valid and invalid choices, the
+# empty string and YAML text
+FLAG = st.sampled_from(
+    [*cli._FLAGS]
+    + ["--di", "--verify", "--for", "--dim=4", "--case=b", "--seed=-1", "-h", "--help", "--",
+       "--unknown"]
+)
+INT_TEXT = ["2", "4", "07", "-2", "+4", " 4", "4 ", "4_0", "_4", "1 0", "\u0664", "\uff14",
+            "", "x", "1e3", "1" * 5000]
+CONFIG_TEXT = ["nbar: 2", "nbar: 2\nmode: printed", "", "-x", "--dim", "[oops"]
+VALUE = st.sampled_from(INT_TEXT + CONFIG_TEXT + ["a1", "all", "zz", "B", "printed", "csv"])
+# a full flag with a value drawn for its kind, mostly a valid one
+PAIR = st.sampled_from(list(cli._FLAGS.items())).flatmap(lambda item: st.tuples(
+    st.just(item[0]),
+    st.sampled_from(INT_TEXT if item[1][1] is int else CONFIG_TEXT if item[1][1] is None
+                    else [*item[1][1], "zz", "", "-b"]),
+))
+
+
+def _joined(pairs):
+    return [token for pair in pairs for token in pair]
+
+
+ARGV = st.one_of(
+    st.lists(PAIR, max_size=4, unique_by=lambda pair: pair[0]).map(_joined),
+    st.lists(PAIR | st.tuples(FLAG, VALUE), max_size=4).map(_joined),
+    st.lists(FLAG | VALUE | st.text(max_size=3), max_size=6),
+)
+
+
+def parse_or_exit(argv):
+    """vars(parse_args(argv)), or the exit code where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestArgvReader:
+    @settings(max_examples=400)
+    @given(ARGV)
+    @example(["--dim", "4", "--format", "json"])
+    @example(["--dim", "2", "--dim", "4"])
+    @example(["--case", "zz"])
+    @example(["--dim", "-2"])
+    def test_reader_equals_argparse_or_declines(self, argv):
+        got = cli._read_argv(argv)
+        want = parse_or_exit(argv)
+        if not isinstance(want, dict):
+            assert got is None
+        elif got is not None:
+            assert vars(got) == want
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--dim", "4", "--format", "json"],
+        ["--dim", "6", "--mode", "printed", "--case", "a2", "--format", "csv"],
+        ["--config", "nbar: 2\nmode: printed", "--seed", "7", "--verify-lemmas", "3"],
+        ["--dim", " +4_0 ", "--config", ""],
+    ])
+    def test_canonical_argv_skips_argparse(self, argv):
+        assert vars(cli._read_argv(argv)) == parse_or_exit(argv)
+
+    def test_help_is_argparse_own(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._read_argv(["--help"]) is None
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP, "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--case", "zz"], "argument --case: invalid choice: 'zz' (choose from 'a1', 'a2', "
+                           "'a3', 'aI', 'aII', 'aIII', 'b', 'c', 'all')"),
+        (["--dim", "x"], "argument --dim: invalid int value: 'x'"),
+        (["--dim"], "argument --dim: expected one argument"),
+    ])
+    def test_usage_errors_are_argparse_own(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._read_argv(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"{USAGE}ncresidue: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--dim=4"], ["--di", "4"], ["--dim", "2", "--dim", "4"]])
+    def test_declined_spellings_read_as_before(self, capsys, argv):
+        assert cli._read_argv([*argv, "--format", "json"]) is None
+        code, out, err = run_main(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == TestReportBytes.REFERENCE[4]
+
+    def test_negative_dimension_reads_as_before(self, capsys):
+        assert cli._read_argv(["--dim", "-2"]) is None
+        assert run_main(capsys, ["--dim", "-2"]) == (
+            1, "", "error: UnsupportedDimension: boundary dimension -2 outside 2..10\n")
 
 
 class TestDeterminism:

@@ -33,6 +33,7 @@ from ncresidue.errors import (
 )
 from ncresidue.geometry import _assemble
 from ncresidue.halfplane import HalfPlaneRational
+from ncresidue.oracle import constant_value, poly_eval, poly_params, to_complex
 from ncresidue import clifford, exact, symbols
 from ncresidue.symbols import (
     CliffXi, SymbolExpansion, XiExpr, _built, _jet_form, _jet_key_product, _nth, _summed_form,
@@ -114,7 +115,7 @@ class TestGaussRational:
 
     def test_to_complex(self):
         z = GaussRational(Fraction(1, 2), Fraction(-3))
-        assert z.to_complex() == complex(0.5, -3.0)
+        assert to_complex(z) == complex(0.5, -3.0)
 
 
 class TestAlphabet:
@@ -132,11 +133,11 @@ class TestParamPoly:
         al = small_alphabet
         one = ParamPoly.one(al)
         zero = ParamPoly.zero(al)
-        assert one.is_constant() and one.constant_value() == GR_ONE
+        assert one.is_constant() and constant_value(one) == GR_ONE
         assert zero.is_zero()
         a = ParamPoly.var(al, "a")
         assert not a.is_constant()
-        assert a.params() == {"a"}
+        assert poly_params(a) == {"a"}
 
     def test_ring_axioms_random(self, small_alphabet):
         rng = random.Random(7)
@@ -170,16 +171,16 @@ class TestParamPoly:
     def test_eval_and_unbound(self, small_alphabet):
         al = small_alphabet
         p = ParamPoly.var(al, "a") * ParamPoly.var(al, "b")
-        got = p.eval({"a": Fraction(2), "b": Fraction(3, 2), "c": Fraction(0)})
+        got = poly_eval(p, {"a": Fraction(2), "b": Fraction(3, 2), "c": Fraction(0)})
         assert got == GaussRational(3)
         with pytest.raises(UnboundParameter):
-            p.eval({"a": Fraction(2)})
+            poly_eval(p, {"a": Fraction(2)})
 
     def test_partial_subs(self, small_alphabet):
         al = small_alphabet
         p = ParamPoly.var(al, "a") * ParamPoly.var(al, "b") + ParamPoly.var(al, "c")
         q = p.subs({"a": Fraction(2)})
-        assert q.params() == {"b", "c"}
+        assert poly_params(q) == {"b", "c"}
         assert q == ParamPoly.var(al, "b") * ParamPoly.const(al, 2) + ParamPoly.var(
             al, "c"
         )
@@ -377,14 +378,14 @@ def subs_fold(p, partial):
 class TestParamPolyProperties:
     @given(polys, polys, gauss_values, assignments)
     def test_eval_is_a_ring_homomorphism(self, p, q, s, point):
-        ep, eq = p.eval(point), q.eval(point)
+        ep, eq = poly_eval(p, point), poly_eval(q, point)
         const = ParamPoly.const(ALPHABET, s)
-        assert (p + q).eval(point) == ep + eq
-        assert (p - q).eval(point) == ep - eq
-        assert (p * q).eval(point) == ep * eq
-        assert (p * s).eval(point) == ep * s
-        assert (p * const).eval(point) == ep * s
-        assert (const * p).eval(point) == ep * s
+        assert poly_eval(p + q, point) == ep + eq
+        assert poly_eval(p - q, point) == ep - eq
+        assert poly_eval(p * q, point) == ep * eq
+        assert poly_eval(p * s, point) == ep * s
+        assert poly_eval(p * const, point) == ep * s
+        assert poly_eval(const * p, point) == ep * s
 
     @given(polys, gauss_values)
     def test_scalar_and_constant_factors_scale_each_coefficient(self, p, s):
@@ -409,16 +410,16 @@ class TestParamPolyProperties:
         partial = {k: v for k, v in point.items() if k in names}
         rest = {k: v for k, v in point.items() if k not in names}
         q = p.subs(partial)
-        assert q.params() <= set(rest)
+        assert poly_params(q) <= set(rest)
         assert all(not c.is_zero() for c in q.terms.values())
-        assert q.eval(rest) == p.eval(point)
+        assert poly_eval(q, rest) == poly_eval(p, point)
 
     @given(polys, st.fixed_dictionaries(
         {name: st.integers(-9, 9) | fractions | gauss_values for name in ALPHABET.names}))
     def test_full_subs_is_eval(self, p, point):
         # int, Fraction and GaussRational values, a value of its own per name
         got = p.subs(point)
-        assert got == ParamPoly.const(ALPHABET, p.eval(point))
+        assert got == ParamPoly.const(ALPHABET, poly_eval(p, point))
         assert all(type(c) is GaussRational and normal(c) for c in got.terms.values())
 
     @given(polys, st.dictionaries(st.sampled_from((*ALPHABET.names, "d")),
@@ -432,7 +433,7 @@ class TestParamPolyProperties:
             assert all(type(c) is GaussRational and normal(c) for c in got.terms.values())
             assert type(got.terms) is dict and got.terms is not q.terms
         assert (p - subs_fold(p, partial)).subs(partial).is_zero()
-        if not p.params() & set(partial):
+        if not poly_params(p) & set(partial):
             # nothing to substitute: the coefficients are copied, not recomputed
             assert all(p.subs(partial).terms[m] is c for m, c in p.terms.items())
 
@@ -440,7 +441,7 @@ class TestParamPolyProperties:
         a, b, c = (ParamPoly.var(ALPHABET, name) for name in "abc")
         p = a * a * b + a * b * b * b * 2 + a + c * 3 + 1
         point = {"a": Fraction(2, 3), "b": 5, "c": GaussRational(1, 2), "d": 7}
-        want = ParamPoly.const(ALPHABET, p.eval(point))
+        want = ParamPoly.const(ALPHABET, poly_eval(p, point))
         calls, convert = [], GaussRational.from_value
         monkeypatch.setattr(GaussRational, "from_value", lambda v: calls.append(v) or convert(v))
         assert p.subs(point) == want

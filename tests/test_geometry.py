@@ -31,9 +31,18 @@ from ncresidue.geometry import (
     trace_density_report,
 )
 from ncresidue.symbols import CliffXi, laplace_symbol
+from ncresidue.oracle import poly_params
 from conftest import rand_assignment
 from test_acceptance import random_bundle
 from test_symbols import subs_expansion
+
+
+def e_jet_summands(jets):
+    """1/2 (c_j dW_j + dW_j c_j) for each jet dW_j of W: the jet summands of
+    E - B, which only the full assembly connection_and_E adds."""
+    halves = [CliffordElement.generator(dw.dim, dw.alphabet, j).scale(Fraction(1, 2))
+              for j, dw in enumerate(jets, 1)]
+    return [f for h, dw in zip(halves, jets) for f in ((h, dw), (dw, h))]
 
 
 def mono(*pairs):
@@ -228,7 +237,7 @@ class TestNormalForm:
         geo = GeometricBundle(n)
         ai, b = geometry._normal_form_parts(geo)
         nf = lichnerowicz_normal_form(geo)
-        in_b, in_e = geometry._jet_summands(nf.jets)
+        in_b, in_e = geometry._jet_summands(nf.jets), e_jet_summands(nf.jets)
         assert nf.B == fold(CliffordElement.zero(n, al), b + in_b)
         _, e = geometry._connection_parts(geo, ai)
         assert connection_and_E(nf)[1] == fold(nf.B, e + in_e)
@@ -239,7 +248,7 @@ class TestNormalForm:
         # so -c_j dW_j in B and 1/2 (c_j dW_j + dW_j c_j) in E - B leave
         # nothing for tr(E), which is why the trace never builds them
         nf = lichnerowicz_normal_form(GeometricBundle(n))
-        in_b, in_e = geometry._jet_summands(nf.jets)
+        in_b, in_e = geometry._jet_summands(nf.jets), e_jet_summands(nf.jets)
         assert len(in_b) == n and len(in_e) == 2 * n
 
         def grade0(summands):
@@ -320,7 +329,7 @@ class TestDriftJet:
         assert len(rest) == len(b) - 1
         summands = rest + _two_loop_drift_jet(geo)
         nf = lichnerowicz_normal_form(geo)
-        assert nf.B == _fold(zero, summands + geometry._jet_summands(nf.jets)[0])
+        assert nf.B == _fold(zero, summands + geometry._jet_summands(nf.jets))
         _, e = geometry._connection_parts(geo, ai)
         grade0 = zero.plus(
             f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0) for f in summands + e)
@@ -361,7 +370,7 @@ class TestPointDataNormalForm:
         assert E == sym_E._map(geo.subs)
         if kind == "random":
             # every name the bundle sets is gone from B; its jets stay
-            names = set().union(*(c.params() for c in nf.B.terms.values()))
+            names = set().union(*(poly_params(c) for c in nf.B.terms.values()))
             assert names and all(name.startswith(("dX_", "dY_", "dT_")) for name in names)
 
     @pytest.mark.parametrize("n", [4, 6])

@@ -12,6 +12,7 @@ from ncresidue.boundary import CASE_IDS, boundary_case
 from ncresidue.exact import GR_I, GR_ONE, Alphabet, GaussRational, ParamPoly
 from ncresidue.errors import NotIntegrable, ValidationError
 from ncresidue.halfplane import HalfPlaneRational, deriv_at_i
+from ncresidue.oracle import constant_value, eval_exact, numeric_fn, poly_eval, to_complex
 from conftest import (
     assert_integral_matches_quadrature,
     rand_assignment,
@@ -37,7 +38,7 @@ class TestCanonicalForm:
         # xi^2 (1 + xi^2)^1 expands to a polynomial numerator
         f = HalfPlaneRational.from_u_power(AL, 2, 1)
         assert (f.a, f.b) == (0, 0)
-        assert [p.constant_value() for p in f.num] == [
+        assert [constant_value(p) for p in f.num] == [
             GaussRational(0),
             GaussRational(0),
             GR_ONE,
@@ -73,8 +74,8 @@ class TestCanonicalForm:
         )
         assignment = rand_assignment(AL, rng)
         x = Fraction(5, 7)
-        exact = f.eval_exact(GaussRational(x)).eval(assignment).to_complex()
-        numeric = f.numeric_fn(assignment)(float(x))
+        exact = to_complex(poly_eval(eval_exact(f, GaussRational(x)), assignment))
+        numeric = numeric_fn(f, assignment)(float(x))
         assert abs(exact - numeric) < 1e-12
 
 
@@ -84,7 +85,7 @@ class TestProjections:
         f = HalfPlaneRational.from_u_power(AL, 0, -1)
         p = f.pi_plus()
         assert (p.a, p.b) == (1, 0)
-        assert p.num[0].constant_value() == GaussRational(0, Fraction(-1, 2))
+        assert constant_value(p.num[0]) == GaussRational(0, Fraction(-1, 2))
 
     def test_decomposition_reassembles(self):
         rng = random.Random(4)
@@ -203,7 +204,7 @@ class TestDerivatives:
         for m, p, k in [(0, 1, 1), (1, 3, 2), (2, 4, 5), (3, 2, 3)]:
             num = [ParamPoly.zero(alphabet)] * m + [ParamPoly.one(alphabet)]
             f = HalfPlaneRational(alphabet, num, 0, p)
-            direct = f.deriv(k).eval_exact(GR_I).constant_value()
+            direct = constant_value(eval_exact(f.deriv(k), GR_I))
             assert deriv_at_i(m, p, k) == direct
 
 
@@ -219,7 +220,7 @@ gauss = st.builds(
 def to_sympy(value):
     """A constant ParamPoly or a GaussRational as an exact sympy number."""
     if isinstance(value, ParamPoly):
-        value = value.constant_value()
+        value = constant_value(value)
     return sympy.Rational(value.a, value.d) + sympy.I * sympy.Rational(value.b, value.d)
 
 
@@ -307,7 +308,7 @@ class TestNormalFormProperties:
         p, q = sympy.expand(p / lead), sympy.expand(q / lead)
         got = sum(to_sympy(c) * X**k for k, c in enumerate(f.num))
         assert sympy.expand(got - p) == 0
-        assert f.degree() == (sympy.degree(p, X) if p != 0 else -1)
+        assert len(f.num) - 1 == (sympy.degree(p, X) if p != 0 else -1)
         assert sympy.expand((X - I) ** f.a * (X + I) ** f.b - q) == 0
         # integrable exactly when f = O(xi^-2)
         if p != 0 and sympy.degree(p, X) > sympy.degree(q, X) - 2:
@@ -348,8 +349,8 @@ class TestCaseIntegrands:
         for cid in CASE_IDS:
             f = boundary_case(cid, nbar).integrand
             assignment = rand_assignment(f.alphabet, rng)
-            num = sum(to_sympy(c.eval(assignment)) * X**k for k, c in enumerate(f.num))
+            num = sum(to_sympy(poly_eval(c, assignment)) * X**k for k, c in enumerate(f.num))
             expr = num / ((X - I) ** f.a * (X + I) ** f.b)
             expected = 2 * I * sympy.residue(expr, X, I)
-            got = to_sympy(f.real_line_integral().eval(assignment))
+            got = to_sympy(poly_eval(f.real_line_integral(), assignment))
             assert sympy.expand(got - expected) == 0

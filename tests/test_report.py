@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ncresidue import boundary, cli, geometry
 from ncresidue import report as report_mod
 from ncresidue.config import FORMATS, SessionConfig, load_config
-from ncresidue.errors import ValidationError
+from ncresidue.errors import ParseError, ValidationError
 from ncresidue.exact import ParamPoly
 from ncresidue.report import Report, emit, parse_report_json, run_session
 
@@ -87,6 +87,16 @@ class TestEmit:
         again = parse_report_json(text)
         assert again == report
         assert emit(again, "json") == text
+
+    @pytest.mark.parametrize("text", [
+        "x", "[]", "{}", '{"records": 1, "metadata": {}}', '{"records": [], "metadata": []}',
+        '{"records": []}', "1" * 5000,
+    ])
+    def test_text_that_is_not_a_report(self, text):
+        # not JSON, not an object, or records not a list or metadata not an
+        # object: each a ParseError, never a raw JSON, type or key error
+        with pytest.raises(ParseError, match="^report "):
+            parse_report_json(text)
 
     def test_json_is_valid(self, report):
         data = json.loads(emit(report, "json"))
