@@ -10,7 +10,7 @@ Blades is this algebra over any coefficient ring, the base of
 CliffordElement, symbols.CliffXi and boundary.SphereSymbol.  As
 tr(c_I c_J) = 0 for I != J, the trace of a product needs only its grade-0
 part, mul_grade0.  `*` is the core's all-pairs product (exact.SparseTerms);
-the normal form's sum of products (CliffordElement._products_sum, with the
+the sums of factor-pair products of B and E - B (_products_sum, with the
 cyclic collector paused) and the symbol recursions sum, blade pair by blade
 pair, integer forms over int key ids into one accumulator over one
 denominator instead (add_blade_products); the sign rule is _sign_mask's.

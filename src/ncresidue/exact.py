@@ -20,8 +20,8 @@ its key product.  The two product-heavy callers that the workloads time
 sum their term products instead as Gaussian integers in one kernel,
 _add_products, on int key ids of a KeyTable that lives for one call, over
 one denominator per operand and per sum, each sum reduced once where it
-becomes a GaussRational: the normal form's sum of Clifford products
-(clifford.CliffordElement._products_sum) and the symbol recursions
+becomes a GaussRational: the sums of Clifford factor-pair products of B
+and E - B (clifford.CliffordElement._products_sum) and the symbol recursions
 (symbols.compose_symbols and symbols.invert_symbol), both once per blade
 pair through clifford.add_blade_products, and all three with the cyclic
 collector paused (collector_paused).  The core's product is the kernel's

@@ -7,7 +7,9 @@ first jets, auxiliary vector Y_j, strictly-increasing torsion components
 T_a_b_c with jets, the collar jet hp0, and formal trace values dimF, trPhi,
 trPhi2 of the twist endomorphism.  Curvature of the auxiliary bundle and
 derivatives of the twist endomorphism ride along as twist labels (RF_i_j,
-dPhi_j) and never contribute to densities.
+dPhi_j) and never contribute to densities.  The zero-order block B and E - B
+are each one scalar plus factor pairs (x, y), the products x * y summed by
+one CliffordElement._products_sum.
 """
 
 from __future__ import annotations
@@ -94,9 +96,20 @@ def check_nbar(nbar):
         raise UnsupportedDimension(f"boundary dimension {nbar} outside 2..10")
 
 
-@lru_cache(maxsize=None)
 def standard_alphabet(n):
-    """The full parameter alphabet for dimension n, one shared instance per n."""
+    """The full parameter alphabet for an even n in 2..12, one instance per
+    n.  Any other n is refused before anything is built: the alphabet grows
+    as n^4, and 12 is the largest dimension a report uses."""
+    check_int("n", n)
+    if n % 2 or n < 2:
+        raise OddDimension(f"even dimension >= 2 required, got {n}")
+    if n > 12:
+        raise UnsupportedDimension(f"dimension {n} outside 2..12")
+    return _alphabet(n)
+
+
+@lru_cache(maxsize=None)
+def _alphabet(n):
     names = ["hp0", "s", "divX", "divY", "dimF", "trPhi", "trPhi2", "VolS"]
     names += [f"X_{j}" for j in range(1, n + 1)]
     names += [f"Y_{j}" for j in range(1, n + 1)]
@@ -138,12 +151,6 @@ class GeometricBundle:
     """
 
     def __init__(self, n, torsion=None, X=None, Y=None, **scalars):
-        check_int("n", n)
-        if n % 2 or n < 2:
-            raise OddDimension(f"even dimension >= 2 required, got {n}")
-        # the alphabet grows as n^4; 12 is the largest dimension a report uses
-        if n > 12:
-            raise UnsupportedDimension(f"dimension {n} outside 2..12")
         self.n = n
         self.alphabet = standard_alphabet(n)
         # accept redundant full-tensor input: permuted triples fold onto the
@@ -232,7 +239,7 @@ def twist_vector_jet(dim, alphabet, j, point):
     """Derivative of W in the j-th coordinate at the base point."""
     phi = ("phi",)
     dt = {t: _var(alphabet, "dT_{}_{}_{}_{}".format(j, *t), point) for t in _triples(dim)}
-    dy = [_first_jet(alphabet, "Y", dim, j, l, point) for l in range(1, dim + 1)]
+    dy = [_first_jet(alphabet, dim, j, l, point) for l in range(1, dim + 1)]
     out = torsion_element(dim, alphabet, dt, phi) + CliffordElement.from_vector(
         dim, alphabet, dy, phi
     )
@@ -255,25 +262,16 @@ def k_vectors(w):
     return k_list
 
 
-def _first_jet(alphabet, v, dim, j, l, point):
-    """First jet of the vector field v, X or Y: d{v}_{j}_{l} off-diagonal,
-    div{v}/n on-diagonal."""
+def _first_jet(alphabet, dim, j, l, point):
+    """First jet of Y: dY_{j}_{l} off-diagonal, divY/n on-diagonal."""
     if j == l:
-        return _var(alphabet, f"div{v}", point) * Fraction(1, dim)
-    return _var(alphabet, f"d{v}_{j}_{l}", point)
-
-
-def _assemble(summands, start):
-    """start plus summands given as factor tuples: (x,) is x, (x, y) is x * y;
-    start and every summand (x as x * 1) sum in one map, built once."""
-    one = CliffordElement.scalar(start.dim, start.alphabet, 1)
-    return start._products_sum((f[0], f[1] if len(f) == 2 else one)
-                               for f in ((start,), *summands))
+        return _var(alphabet, "divY", point) * Fraction(1, dim)
+    return _var(alphabet, f"dY_{j}_{l}", point)
 
 
 def _normal_form_parts(geo):
-    """A^i and the summands of B but the jet summands, at the base point,
-    with geo's point data at the leaves."""
+    """A^i, and B but its jet summands as a scalar plus the products x * y
+    of factor pairs, at the base point, with geo's point data at the leaves."""
     n, alphabet, point = geo.n, geo.alphabet, geo._assignment
     var = partial(_var, alphabet, point=point)
     w = twist_vector(n, alphabet, point=point)
@@ -285,80 +283,66 @@ def _normal_form_parts(geo):
     ]
 
     quarter = Fraction(1, 4)
-    b = [(CliffordElement.scalar(n, alphabet, -(var("s") * quarter)),)]
-    # auxiliary-bundle curvature, one opaque label per ordered pair i < j
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            b.append((-gens[i - 1].with_label((f"RF_{i}_{j}",)), gens[j - 1]))
+    # -s/4 + |X|^2/16 + the drift's first jet: minus the drift moment term,
+    # +1/4 sum_{j<l} (dX_jl - dX_lj) c_j c_l, and -1/4 sum_{j,l} d_jX_l c_j c_l
+    # sum to +1/4 divX, their off-diagonal parts cancelling (tests keep both)
     normx2 = ParamPoly(alphabet, {((f"X_{j}", 2),): Fraction(1, 16) for j in range(1, n + 1)})
-    b.append((CliffordElement.scalar(n, alphabet, geo.subs(normx2)),))
-    # the drift's first jet: minus the drift moment term, +1/4 sum_{j<l}
-    # (dX_jl - dX_lj) c_j c_l, and -1/4 sum_{j,l} d_jX_l c_j c_l sum to
-    # +1/4 divX, their off-diagonal parts cancelling (tests keep both loops)
-    b.append((CliffordElement.scalar(n, alphabet, var("divX") * quarter),))
-    # -1/4 (W c(X) + c(X) W)
+    scalar = geo.subs(normx2) - var("s") * quarter + var("divX") * quarter
+    # auxiliary-bundle curvature, one opaque label per ordered pair i < j
+    pairs = [(-gens[i - 1].with_label((f"RF_{i}_{j}",)), gens[j - 1])
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    # -1/4 (W c(X) + c(X) W) and -W^2
     cx = CliffordElement.from_vector(
         n, alphabet, [var(f"X_{j}") * -quarter for j in range(1, n + 1)]
     )
-    b += [(w, cx), (cx, w)]
-    # - W^2
-    b.append((-w, w))
-    return Ai, b
+    pairs += [(w, cx), (cx, w), (-w, w)]
+    return Ai, scalar, pairs
 
 
 def _connection_parts(geo, Ai):
-    """Connection coefficients and the summands of E - B but the jet summands."""
-    n, alphabet = geo.n, geo.alphabet
+    """Connection coefficients, and E - B but its jet summands: the drift
+    parts divX/(4n) of the jets d_j omega_j summed as divX/4, and the pairs
+    of -omega_j^2."""
     omega = [a.scale(Fraction(1, 2)) for a in Ai]
-    e = []
-    for j in range(1, n + 1):
-        # plus the drift part of the jet of omega_j in the j-th coordinate
-        # (A^j carries the overall minus sign), minus omega_j^2
-        dx = _first_jet(alphabet, "X", n, j, j, geo._assignment) * Fraction(1, 4)
-        e += [
-            (CliffordElement.scalar(n, alphabet, dx),),
-            (-omega[j - 1], omega[j - 1]),
-        ]
-    return omega, e
+    divx = _var(geo.alphabet, "divX", geo._assignment) * Fraction(1, 4)
+    return omega, divx, [(-o, o) for o in omega]
 
 
-def _jet_summands(jets):
-    """-c_j dW_j, the jet summands of B; those of E - B, 1/2 (c_j dW_j +
-    dW_j c_j), only oracle.connection_and_E adds (see _trace_E_symbolic)."""
-    return [(-CliffordElement.generator(dw.dim, dw.alphabet, j), dw)
-            for j, dw in enumerate(jets, 1)]
+def _check_geo(geo):
+    """Refuse anything but a GeometricBundle as geo."""
+    if not isinstance(geo, GeometricBundle):
+        raise ValidationError("geo", f"expected a GeometricBundle, got {type(geo).__name__}")
 
 
 def lichnerowicz_normal_form(geo):
     """A^i and B blocks of the operator at the base point, geo's point data
     at the leaves: the symbolic blocks with it substituted (unset names, the
-    jets among them, stay symbolic)."""
-    if not isinstance(geo, GeometricBundle):
-        raise ValidationError("geo", f"expected a GeometricBundle, got {type(geo).__name__}")
+    jets among them, stay symbolic).  B's jet summands are -c_j dW_j; those
+    of E - B only oracle.connection_and_E adds (see _trace_E_symbolic)."""
+    _check_geo(geo)
     n, alphabet = geo.n, geo.alphabet
-    Ai, b = _normal_form_parts(geo)
+    Ai, scalar, pairs = _normal_form_parts(geo)
     jets = [twist_vector_jet(n, alphabet, j, geo._assignment) for j in range(1, n + 1)]
-    b += _jet_summands(jets)
-    return LaplaceNormalForm(
-        n, alphabet, Ai, _assemble(b, CliffordElement.zero(n, alphabet)), jets, geo
-    )
+    pairs += [(-CliffordElement.generator(n, alphabet, j), dw) for j, dw in enumerate(jets, 1)]
+    b = CliffordElement.scalar(n, alphabet, scalar)
+    return LaplaceNormalForm(n, alphabet, Ai, b + b._products_sum(pairs), jets, geo)
 
 
 @lru_cache(maxsize=None)
 def _trace_E_symbolic(n):
-    """Tr(E) over the symbolic alphabet of dimension n, traced term by term.
+    """Tr(E) over the symbolic alphabet of dimension n: the grade-0 part of
+    E is B's and E - B's scalars plus the grade-0 joins of their pairs.
 
-    The jets of W enter E only through the jet summands: -c_j dW_j in B and
-    1/2 (c_j dW_j + dW_j c_j) in E - B.  As tr(c_j A) = tr(A c_j), their
-    traces sum to zero (their grade-0 parts cancel already), so neither
-    they nor the jets are built here.
+    The jets of W enter E only through the jet summands, -c_j dW_j in B and
+    1/2 (c_j dW_j + dW_j c_j) in E - B, whose traces sum to zero (tr(c_j A)
+    = tr(A c_j)), so neither they nor the jets are built here.
     """
     geo = GeometricBundle(n)
     alphabet = geo.alphabet
-    Ai, b = _normal_form_parts(geo)
-    _, e = _connection_parts(geo, Ai)
-    grade0 = CliffordElement.zero(n, alphabet).plus(
-        f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0) for f in b + e
+    Ai, b_scalar, b_pairs = _normal_form_parts(geo)
+    _, e_scalar, e_pairs = _connection_parts(geo, Ai)
+    grade0 = CliffordElement.scalar(n, alphabet, b_scalar + e_scalar).plus(
+        x.mul_grade0(y) for x, y in b_pairs + e_pairs
     )
     return read_only(twisted_trace(grade0, standard_label_trace(alphabet)))
 
@@ -395,6 +379,7 @@ def trace_E_density(geo, mode="oracle"):
     connection_and_E (in the module oracle) is the test oracle of the
     oracle mode.
     """
+    _check_geo(geo)
     return geo.subs(_symbolic_density(mode)(geo.n))
 
 
@@ -461,6 +446,7 @@ def interior_wres(geo, mode="oracle"):
     Returns (density, (pi_power, prefactor)): the residue is
     prefactor * pi^pi_power * integral of density.
     """
+    _check_geo(geo)
     _symbolic_density(mode)  # refuses an unknown mode before the cache sees it
     n = geo.n
     density = geo.subs(_interior_density(n, mode))

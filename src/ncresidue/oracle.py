@@ -29,7 +29,7 @@ from itertools import combinations, permutations
 from .clifford import CliffordElement, check_lemma_budget
 from .errors import DimMismatch, OddDimension, UnboundParameter, UnsupportedDimension, check_int
 from .exact import GR_I, GR_ONE, GR_ZERO, GaussRational, ParamPoly
-from .geometry import _assemble, _connection_parts
+from .geometry import _connection_parts
 
 
 class SpinorMatrix:
@@ -546,13 +546,14 @@ def spinor_trace(a):
 
 
 def connection_and_E(nf):
-    """Connection coefficients and the reconstructed endomorphism block; its
-    jet summands are 1/2 (c_j dW_j + dW_j c_j) for each jet dW_j of W."""
-    omega, e = _connection_parts(nf.geo, nf.Ai)
+    """Connection coefficients and the reconstructed endomorphism block, B +
+    divX/4 + the products of E - B, its jet summands 1/2 (c_j dW_j + dW_j c_j)."""
+    omega, divx, pairs = _connection_parts(nf.geo, nf.Ai)
     for j, dw in enumerate(nf.jets, 1):
-        half = CliffordElement.generator(dw.dim, dw.alphabet, j).scale(Fraction(1, 2))
-        e += [(half, dw), (dw, half)]
-    return omega, _assemble(e, nf.B)
+        half = CliffordElement.generator(nf.dim, nf.alphabet, j).scale(Fraction(1, 2))
+        pairs += [(half, dw), (dw, half)]
+    scalar = CliffordElement.scalar(nf.dim, nf.alphabet, divx)
+    return omega, nf.B + scalar + nf.B._products_sum(pairs)
 
 
 def constant_value(p):

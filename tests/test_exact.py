@@ -31,7 +31,6 @@ from ncresidue.errors import (
     UnboundParameter,
     ValidationError,
 )
-from ncresidue.geometry import _assemble
 from ncresidue.halfplane import HalfPlaneRational
 from ncresidue.oracle import constant_value, poly_eval, poly_params, to_complex
 from ncresidue import clifford, exact, symbols
@@ -716,26 +715,6 @@ class TestSparseTermsCore:
                 for poly in got.terms.values()
             )
 
-    @given(labelled_pairs, polys)
-    def test_assembled_sum_equals_the_left_fold(self, ab, p):
-        # geometry._assemble sums start and every summand in one map; the
-        # fold adds them one by one, each product the core's; start is
-        # nonzero, as connection_and_E passes B, and summands cancel: (a, b)
-        # against (-a, b), a against -a, and then start against -start
-        a, b = ab
-        start = CliffordElement.scalar(a.dim, ALPHABET, p) + b
-        summands = [(a, b), (b,), (a + b, a - b), (-a, b), (a,), (b, a), (-a,), (-start,)]
-        want = start
-        for f in summands:
-            want = want + (SparseTerms._product(f[0], f[1]) if len(f) == 2 else f[0])
-        got = _assemble(summands, start)
-        assert got == want
-        assert all(
-            poly.terms and all(type(g) is GaussRational and normal(g) for g in poly.terms.values())
-            for poly in got.terms.values()
-        )
-        assert _assemble([(a, b), (-a, b), (b,)], -b).is_zero()
-
     @given(cliffxi_pairs, gauss_values, st.integers(-2, 1))
     def test_accumulated_products_equal_the_nested_products(self, ab, factor, shift):
         # factor * u^shift * x * y summed over several pairs in one map, against
@@ -779,17 +758,26 @@ class TestSparseTermsCore:
         step(t, first, -GR_I, -shift)
         step(b, a, factor, shift)
 
-    @given(labelled_pairs, gauss_values)
-    def test_products_sum_equals_the_sum_of_core_products(self, ab, s):
-        # operands recur across the pairs, so their keys share ids
+    @given(labelled_pairs, gauss_values, polys)
+    def test_products_sum_equals_the_sum_of_core_products(self, ab, s, p):
+        # operands recur across the pairs, so their keys share ids; the head
+        # pair is nonzero, with a polynomial scalar as B's normal form has,
+        # and pairs cancel: (a, b) against (-a, b), then the head against
+        # its negative
         a, b = ab
-        pairs = [(a, b), (b, a), (a, a), (a + b, b.scale(s)), (b - a, a), (-a, b)]
+        head = CliffordElement.scalar(a.dim, ALPHABET, p) + b
+        pairs = [(head, b), (a, b), (b, a), (a, a), (a + b, b.scale(s)), (b - a, a), (-a, b),
+                 (a + b, a - b), (-head, b)]
         want = CliffordElement.zero(a.dim, ALPHABET)
         for x, y in pairs:
             want = want + SparseTerms._product(x, y)
         got = a._products_sum(pairs)
         assert got == want
-        assert all(poly.terms for poly in got.terms.values())
+        assert all(
+            poly.terms and all(type(g) is GaussRational and normal(g) for g in poly.terms.values())
+            for poly in got.terms.values()
+        )
+        assert a._products_sum([(a, b), (-a, b)]).is_zero()
 
     def test_accumulated_sums_are_reduced_once_and_cancelled_keys_dropped(self):
         # the scalar sum 1/2 + 1/3 - 5/6 cancels, so its blade is dropped;

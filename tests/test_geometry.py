@@ -37,6 +37,12 @@ from test_acceptance import random_bundle
 from test_symbols import subs_expansion
 
 
+def b_jet_summands(jets):
+    """-c_j dW_j for each jet dW_j of W: the jet summands of B."""
+    return [(-CliffordElement.generator(dw.dim, dw.alphabet, j), dw)
+            for j, dw in enumerate(jets, 1)]
+
+
 def e_jet_summands(jets):
     """1/2 (c_j dW_j + dW_j c_j) for each jet dW_j of W: the jet summands of
     E - B, which only the full assembly connection_and_E adds."""
@@ -55,6 +61,22 @@ class TestStandardAlphabet:
         for name in ("hp0", "s", "divX", "divY", "dimF", "trPhi", "trPhi2",
                      "VolS", "X_1", "X_4", "Y_2", "T_1_2_3"):
             assert name in al.names
+
+    @pytest.mark.parametrize("n, error", [
+        ("4", ValidationError), (4.0, ValidationError), (True, ValidationError),
+        ([4], ValidationError), (None, ValidationError), (3, OddDimension),
+        (0, OddDimension), (-2, OddDimension), (14, UnsupportedDimension),
+    ], ids=["str", "float", "bool", "list", "none", "odd", "zero", "negative", "fourteen"])
+    def test_refuses_what_the_bundle_refuses(self, monkeypatch, n, error):
+        # before any alphabet is built or cached, with the bundle's error
+        with pytest.raises(error) as want:
+            GeometricBundle(n)
+        monkeypatch.setattr(geometry, "_alphabet", None)
+        with pytest.raises(error) as got:
+            standard_alphabet(n)
+        assert str(got.value) == str(want.value)
+        if error is ValidationError:
+            assert got.value.field == "n"
 
     def test_label_trace_rules(self):
         al = standard_alphabet(4)
@@ -78,7 +100,7 @@ class TestGeometricBundle:
 
     def test_rejects_dimension_past_twelve(self, monkeypatch):
         # refused before the n^4 alphabet is built
-        monkeypatch.setattr(geometry, "standard_alphabet", None)
+        monkeypatch.setattr(geometry, "_alphabet", None)
         for n in (14, 40):
             with pytest.raises(UnsupportedDimension):
                 GeometricBundle(n)
@@ -226,21 +248,17 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_blocks_equal_the_left_fold_of_their_summands(self, n):
-        # B, and E from B, summed in one map against their summands added
-        # one by one, each product the core's
-        def fold(start, summands):
-            for f in summands:
-                start = start + (SparseTerms._product(f[0], f[1]) if len(f) == 2 else f[0])
-            return start
-
+        # B, and E from B, summed in one map against their scalars plus the
+        # products of their factor pairs added one by one, each the core's
         al = standard_alphabet(n)
         geo = GeometricBundle(n)
-        ai, b = geometry._normal_form_parts(geo)
+        ai, b_scalar, b_pairs = geometry._normal_form_parts(geo)
         nf = lichnerowicz_normal_form(geo)
-        in_b, in_e = geometry._jet_summands(nf.jets), e_jet_summands(nf.jets)
-        assert nf.B == fold(CliffordElement.zero(n, al), b + in_b)
-        _, e = geometry._connection_parts(geo, ai)
-        assert connection_and_E(nf)[1] == fold(nf.B, e + in_e)
+        b = CliffordElement.scalar(n, al, b_scalar)
+        assert nf.B == _fold(b, b_pairs + b_jet_summands(nf.jets))
+        _, e_scalar, e_pairs = geometry._connection_parts(geo, ai)
+        e = nf.B + CliffordElement.scalar(n, al, e_scalar)
+        assert connection_and_E(nf)[1] == _fold(e, e_pairs + e_jet_summands(nf.jets))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_jet_summands_cancel_in_the_grade0_part(self, n):
@@ -248,7 +266,7 @@ class TestNormalForm:
         # so -c_j dW_j in B and 1/2 (c_j dW_j + dW_j c_j) in E - B leave
         # nothing for tr(E), which is why the trace never builds them
         nf = lichnerowicz_normal_form(GeometricBundle(n))
-        in_b, in_e = geometry._jet_summands(nf.jets), e_jet_summands(nf.jets)
+        in_b, in_e = b_jet_summands(nf.jets), e_jet_summands(nf.jets)
         assert len(in_b) == n and len(in_e) == 2 * n
 
         def grade0(summands):
@@ -285,56 +303,98 @@ class TestNormalForm:
         assert len(calls) == 4
 
 
-def _fold(start, summands):
-    """start plus the summands added one by one, each product the core's."""
-    for f in summands:
-        start = start + (SparseTerms._product(f[0], f[1]) if len(f) == 2 else f[0])
+def _fold(start, pairs):
+    """start plus the products x * y of pairs added one by one, each the core's."""
+    for x, y in pairs:
+        start = start + SparseTerms._product(x, y)
     return start
 
 
-def _two_loop_drift_jet(geo):
-    """The drift's first-jet summands of B as two loops: minus the drift
-    moment term, +1/4 sum_{j<l} (dX_jl - dX_lj) c_j c_l, and -1/4 sum_{j,l}
-    d_jX_l c_j c_l, the first jet d{X}_{j}_{l} off-diagonal, divX/n on it."""
+def _b_summands(nf):
+    """B at the base point, summand by summand, from the formula
+
+        B = -s/4 - sum_{i<j} RF_ij c_i c_j + |X|^2/16
+            + 1/4 sum_{j<l} (dX_jl - dX_lj) c_j c_l - 1/4 sum_{j,l} d_jX_l c_j c_l
+            - 1/4 (W c(X) + c(X) W) - W^2 - sum_j c_j d_jW,
+
+    minus the drift moment term and the drift's first jet as two loops,
+    d_jX_l = dX_jl off the diagonal and divX/n on it; each product is the
+    core's.  W = c(T) + c(Y) with one phi label, and the jets d_jW, come from
+    twist_vector and nf.jets; the bundle's point data sits at the leaves.
+    """
+    geo = nf.geo
     n, al, point = geo.n, geo.alphabet, geo.assignment()
     gens = [CliffordElement.generator(n, al, j) for j in range(1, n + 1)]
     quarter = Fraction(1, 4)
 
-    def jet(j, l):
-        name = "divX" if j == l else f"dX_{j}_{l}"
-        value = geometry._var(al, name, point)
-        return value * Fraction(1, n) if j == l else value
+    def var(name):
+        return geometry._var(al, name, point)
 
-    out = [(gens[j - 1].scale((jet(j, l) - jet(l, j)) * quarter), gens[l - 1])
-           for j in range(1, n + 1) for l in range(j + 1, n + 1)]
-    out += [(gens[j - 1].scale(-jet(j, l) * quarter), gens[l - 1])
+    def scalar(value):
+        return CliffordElement.scalar(n, al, value)
+
+    def jet(j, l):
+        return var("divX") * Fraction(1, n) if j == l else var(f"dX_{j}_{l}")
+
+    w = geometry.twist_vector(n, al, point=point)
+    cx = CliffordElement.from_vector(n, al, [var(f"X_{j}") for j in range(1, n + 1)])
+    out = [scalar(-(var("s") * quarter))]
+    out += [-(gens[i - 1].with_label((f"RF_{i}_{j}",)) * gens[j - 1])
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    out += [scalar(var(f"X_{j}") * var(f"X_{j}") * Fraction(1, 16)) for j in range(1, n + 1)]
+    out += [(gens[j - 1] * gens[l - 1]).scale((jet(j, l) - jet(l, j)) * quarter)
+            for j in range(1, n + 1) for l in range(j + 1, n + 1)]
+    out += [(gens[j - 1] * gens[l - 1]).scale(-jet(j, l) * quarter)
             for j in range(1, n + 1) for l in range(1, n + 1)]
+    out.append((w * cx + cx * w).scale(-quarter))
+    out.append(-(w * w))
+    out += [-(gens[j - 1] * dw) for j, dw in enumerate(nf.jets, 1)]
+    return out
+
+
+def _e_minus_b_summands(nf):
+    """E - B at the base point, summand by summand: for each j the drift
+    part divX/(4n) of the jet of omega_j = A^j/2, -omega_j^2, and the jet
+    halves 1/2 (c_j d_jW + d_jW c_j); each product is the core's."""
+    n, al = nf.dim, nf.alphabet
+    divx = geometry._var(al, "divX", nf.geo.assignment())
+    out = []
+    for j in range(1, n + 1):
+        omega = nf.Ai[j - 1].scale(Fraction(1, 2))
+        half = CliffordElement.generator(n, al, j).scale(Fraction(1, 2))
+        dw = nf.jets[j - 1]
+        out += [CliffordElement.scalar(n, al, divx * Fraction(1, 4 * n)), -(omega * omega),
+                half * dw, dw * half]
     return out
 
 
 class TestDriftJet:
-    # B states the drift's first jet as one scalar, +1/4 divX; the two loops
-    # it replaces stay here as the oracle of B and of tr(E)
+    # B and E - B as their formulas state them, each summand with its own
+    # loop, the drift's first jet among them as two loops where B and E - B
+    # state one scalar: nothing here reads _normal_form_parts or
+    # _connection_parts
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "random"])
     def test_B_and_trace_equal_the_two_loop_formula(self, n, numeric):
         geo = random_bundle(n, random.Random(4400 + n)) if numeric else GeometricBundle(n)
         al = geo.alphabet
-        zero = CliffordElement.zero(n, al)
-        divx = CliffordElement.scalar(
-            n, al, geometry._var(al, "divX", geo.assignment()) * Fraction(1, 4))
-        ai, b = geometry._normal_form_parts(geo)
-        rest = [f for f in b if not (len(f) == 1 and f[0] == divx)]
-        assert len(rest) == len(b) - 1
-        summands = rest + _two_loop_drift_jet(geo)
         nf = lichnerowicz_normal_form(geo)
-        assert nf.B == _fold(zero, summands + geometry._jet_summands(nf.jets))
-        _, e = geometry._connection_parts(geo, ai)
-        grade0 = zero.plus(
-            f[0].mul_grade0(f[1]) if len(f) == 2 else f[0].grade(0) for f in summands + e)
+        b, e_minus_b = _b_summands(nf), _e_minus_b_summands(nf)
+        zero = CliffordElement.zero(n, al)
+        assert nf.B == zero.plus(b)
+        grade0 = zero.plus(x.grade(0) for x in b + e_minus_b)
         # the label trace's dimF, trPhi and trPhi2 take the point data too
         assert trace_E_density(geo) == geo.subs(twisted_trace(grade0, standard_label_trace(al)))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "random"])
+    def test_E_equals_B_plus_its_formula(self, n, numeric):
+        geo = random_bundle(n, random.Random(4410 + n)) if numeric else GeometricBundle(n)
+        nf = lichnerowicz_normal_form(geo)
+        omega, E = connection_and_E(nf)
+        assert omega == [a.scale(Fraction(1, 2)) for a in nf.Ai]
+        assert E == nf.B.plus(_e_minus_b_summands(nf))
 
 
 def _point_data(kind, n):
@@ -407,8 +467,21 @@ class TestLibraryInputs:
 class TestInteriorDensity:
     @pytest.mark.parametrize("fn", [trace_E_density, interior_wres])
     def test_unknown_mode_rejected(self, fn):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             fn(GeometricBundle(4), "bogus")
+        assert err.value.field == "mode"
+
+    @pytest.mark.parametrize("fn", [trace_E_density, interior_wres])
+    @pytest.mark.parametrize("geo", ["x", 4, None, {"n": 4}], ids=["str", "int", "none", "dict"])
+    def test_non_bundle_refused_before_the_mode(self, fn, geo):
+        # the error, and its message, of lichnerowicz_normal_form
+        with pytest.raises(ValidationError) as want:
+            lichnerowicz_normal_form(geo)
+        for mode in ("oracle", "bogus"):
+            with pytest.raises(ValidationError) as err:
+                fn(geo, mode)
+            assert err.value.field == "geo"
+            assert str(err.value) == str(want.value)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_oracle_assembly_identity(self, n):
