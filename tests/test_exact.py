@@ -715,6 +715,28 @@ class TestSparseTermsCore:
                 for poly in got.terms.values()
             )
 
+    @given(labelled_pairs, polys)
+    def test_assembled_sum_equals_the_left_fold(self, ab, p):
+        # B and E - B are assembled as start + start._products_sum(pairs); the
+        # fold adds the core's products one by one.  start is nonzero, as
+        # B's scalar is, and pairs cancel: (a, b) against (-a, b), a against
+        # -a (each against the unit), and then start against -start
+        a, b = ab
+        one = CliffordElement.scalar(a.dim, ALPHABET, 1)
+        start = CliffordElement.scalar(a.dim, ALPHABET, p) + b
+        pairs = [(a, b), (b, one), (a + b, a - b), (-a, b), (a, one), (b, a), (-a, one),
+                 (-start, one)]
+        want = start
+        for x, y in pairs:
+            want = want + SparseTerms._product(x, y)
+        got = start + start._products_sum(pairs)
+        assert got == want
+        assert all(
+            poly.terms and all(type(g) is GaussRational and normal(g) for g in poly.terms.values())
+            for poly in got.terms.values()
+        )
+        assert (-b + b._products_sum([(a, b), (-a, b), (b, one)])).is_zero()
+
     @given(cliffxi_pairs, gauss_values, st.integers(-2, 1))
     def test_accumulated_products_equal_the_nested_products(self, ab, factor, shift):
         # factor * u^shift * x * y summed over several pairs in one map, against
