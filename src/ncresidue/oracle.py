@@ -27,9 +27,10 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .clifford import CliffordElement, check_lemma_budget
-from .errors import DimMismatch, OddDimension, UnboundParameter, UnsupportedDimension, check_int
+from .errors import (DimMismatch, OddDimension, UnboundParameter, UnsupportedDimension,
+                     ValidationError, check_int)
 from .exact import GR_I, GR_ONE, GR_ZERO, GaussRational, ParamPoly
-from .geometry import _connection_parts
+from .geometry import LaplaceNormalForm, _connection_parts
 
 
 class SpinorMatrix:
@@ -547,7 +548,10 @@ def spinor_trace(a):
 
 def connection_and_E(nf):
     """Connection coefficients and the reconstructed endomorphism block, B +
-    divX/4 + the products of E - B, its jet summands 1/2 (c_j dW_j + dW_j c_j)."""
+    divX/4 + the products of E - B, its jet summands 1/2 (c_j dW_j + dW_j c_j).
+    nf must be a LaplaceNormalForm (ValidationError, field nf)."""
+    if not isinstance(nf, LaplaceNormalForm):
+        raise ValidationError("nf", f"expected a LaplaceNormalForm, got {type(nf).__name__}")
     omega, divx, pairs = _connection_parts(nf.geo, nf.Ai)
     for j, dw in enumerate(nf.jets, 1):
         half = CliffordElement.generator(nf.dim, nf.alphabet, j).scale(Fraction(1, 2))

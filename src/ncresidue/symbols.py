@@ -13,14 +13,18 @@ this the module provides the operator symbol, formal composition and the
 parametrix recursion, and the symbols of the relevant operator power.  The
 two recursions keep every symbol in the integer kernel's form over one table
 of int (jet key, monomial) ids (exact.KeyTable) and one denominator, their
-derivatives integer id maps (_images, _nth), reduce only what they build
-(_built), and pause the cyclic collector.  `*` is the core's
+derivatives integer id maps (_images, _nth), and pause the cyclic collector.
+Each returns its orders in that form with its table's decode list
+(_carried); the CliffXi pieces are built and reduced on the first read
+(_built), and a recursion handed such a result re-keys its forms into its
+own table (_chains) instead of building them.  `*` is the core's
 all-pairs product (exact.SparseTerms); a factor c u^k is a shift of the u
 power and a scalar (_times_u_power).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, lcm
 from types import MappingProxyType
@@ -31,7 +35,7 @@ from .exact import (
     GR_I, GaussRational, KeyTable, ParamPoly, SparseTerms, _merge_monomials,
     _new, _poly, _reduced, collector_paused,
 )
-from .geometry import check_nbar, k_vectors, twist_vector
+from .geometry import _rational, check_nbar, k_vectors, twist_vector
 from .halfplane import HalfPlaneRational, derivative_order
 
 # key layout: (m, p, q, r, tang) for xi_n^m u^p w^q h^r * prod xi_j^e
@@ -267,13 +271,41 @@ def _built(dim, alphabet, form, keys):
     return out
 
 
-class SymbolExpansion:
-    """Finite stack of homogeneous CliffXi pieces, keyed by order."""
+def _carried(dim, alphabet, forms, keys, meta=None):
+    """A SymbolExpansion that carries the nonzero integer forms {order: form},
+    ids decoded by keys, and builds their CliffXi pieces on first read."""
+    out = SymbolExpansion(dim, alphabet, None, meta)
+    out._orders, out._keys = {o: f for o, f in forms.items() if f[1]}, keys
+    return out
 
-    __slots__ = ("dim", "alphabet", "orders", "meta")
+
+def _chains(x, table, low, high):
+    """The derivative chains (_nth) of x's orders in low..high, each begun
+    with the order's integer form over table: a carried form re-keyed, one
+    table lookup per distinct id; a built piece by _jet_form."""
+    forms = {o: f for o, f in x._orders.items() if low <= o <= high}
+    if x._keys is None:
+        return {o: [_jet_form(c, table)] for o, c in forms.items()}
+    ids = {i for _, form in forms.values() for ts in form.values() for i, _, _ in ts}
+    ids = {i: table[x._keys[i]] for i in ids}
+    return {o: [(d, {key: [(ids[i], a, b) for i, a, b in ts] for key, ts in form.items()})]
+            for o, (d, form) in forms.items()}
+
+
+class SymbolExpansion:
+    """Finite stack of homogeneous CliffXi pieces, keyed by order.
+
+    A recursion's result carries its orders' integer forms and its call's
+    decode list instead (_carried): the first read of orders builds the
+    pieces and drops both, and so does assigning orders.
+    """
+
+    __slots__ = ("dim", "alphabet", "_orders", "_keys", "meta")
 
     def __init__(self, dim, alphabet, orders=None, meta=None):
         check_int("dim", dim)
+        if meta is not None and not isinstance(meta, Mapping):
+            raise ValidationError("meta", f"expected a mapping or None, got {type(meta).__name__}")
         self.dim = dim
         self.alphabet = alphabet
         orders = orders or {}
@@ -287,6 +319,17 @@ class SymbolExpansion:
             if c.alphabet is not alphabet and c.alphabet != alphabet:
                 raise AlphabetMismatch("piece over another alphabet than its expansion")
         self.meta = MappingProxyType(dict(meta or {}))
+
+    @property
+    def orders(self):
+        if self._keys is not None:
+            dim, alphabet, keys = self.dim, self.alphabet, self._keys
+            self.orders = {o: _built(dim, alphabet, f, keys) for o, f in self._orders.items()}
+        return self._orders
+
+    @orders.setter
+    def orders(self, orders):
+        self._orders, self._keys = orders, None
 
     def __getitem__(self, order):
         got = self.orders.get(order)
@@ -315,7 +358,8 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
     if gdn is None:
         gdn = ParamPoly.var(alphabet, "hp0") * Fraction(dim, 2)
     elif not isinstance(gdn, ParamPoly):
-        gdn = ParamPoly.const(alphabet, gdn)
+        value = gdn if isinstance(gdn, GaussRational) else _rational("gdn", gdn)
+        gdn = ParamPoly.const(alphabet, value)
 
     p2 = CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1))
 
@@ -334,10 +378,7 @@ def laplace_symbol(dim, alphabet, b_term=None, gdn=None):
         )
     p1 = CliffXi.zero(dim, alphabet)._collect(pairs)
 
-    if b_term is None:
-        p0 = CliffXi.zero(dim, alphabet)
-    else:
-        p0 = -CliffXi.from_clifford(b_term)
+    p0 = CliffXi.zero(dim, alphabet) if b_term is None else -CliffXi.from_clifford(b_term)
 
     meta = {"gdn": gdn, "K": tuple(k_list), "W": w_elem}
     return SymbolExpansion(dim, alphabet, {2: p2, 1: p1, 0: p0}, meta)
@@ -366,7 +407,8 @@ def compose_symbols(left, right, min_order):
     order below min_order are never formed, and the xi_n- and x_n-derivative
     chains of the factors are built once per call, in the integer form.
     Each order's Taylor terms, their coefficients folded in, are summed in
-    one map; all share one key table.
+    one map; all share one key table.  The result carries its orders in
+    that form, built as CliffXi on first read.
     """
     _check_expansion("left", left)
     _check_expansion("right", right)
@@ -377,9 +419,9 @@ def compose_symbols(left, right, min_order):
         raise AlphabetMismatch("symbol factors over different alphabets")
     accs, table = {}, KeyTable(_jet_key_product)
     # only the orders that reach min_order with the other factor's top order
-    low_s, low_t = (min_order - max(x.orders, default=0) for x in (right, left))
-    left_chains = {s: [_jet_form(p, table)] for s, p in left.orders.items() if s >= low_s}
-    right_chains = {t: [_jet_form(q, table)] for t, q in right.orders.items() if t >= low_t}
+    top_s, top_t = (max(x._orders, default=0) for x in (left, right))
+    left_chains = _chains(left, table, min_order - top_t, top_s)
+    right_chains = _chains(right, table, min_order - top_s, top_t)
     for s, left_chain in left_chains.items():
         for t, right_chain in right_chains.items():
             # the k-th term has order s - k + t
@@ -391,10 +433,8 @@ def compose_symbols(left, right, min_order):
                 if dq[1]:
                     add_blade_products(accs.setdefault(s - k + t, [1, {}]), dp, dq, table,
                                        _taylor(k))
-    dim, alphabet = left.dim, left.alphabet
-    out = {order: _built(dim, alphabet, _summed_form(acc), table.key_of)
-           for order, acc in accs.items()}
-    return SymbolExpansion(dim, alphabet, out)
+    forms = {order: _summed_form(acc) for order, acc in accs.items()}
+    return _carried(left.dim, left.alphabet, forms, table.key_of)
 
 
 @collector_paused
@@ -405,15 +445,17 @@ def invert_symbol(symbol, depth):
     exactly (blade- and label-free, coefficient 1); any other p_2, or none,
     raises NonCanonicalInput.  Each step sums its Taylor terms in one map
     (all over one key table, every symbol in the integer form), the
-    division by u an id map; only the returned orders are built as CliffXi.
+    division by u an id map.  The result carries its orders in that form,
+    built as CliffXi on first read.
     """
     _check_expansion("symbol", symbol)
     check_int("depth", depth, nonnegative=True)
-    dim, alphabet = symbol.dim, symbol.alphabet
-    if symbol[2] != CliffXi.scalar(dim, XiExpr.u_power(alphabet, 1)):
-        raise NonCanonicalInput("parametrix recursion needs the leading symbol u")
     table = KeyTable(_jet_key_product)
-    p_chains = {s: [_jet_form(symbol[s], table)] for s in (2, 1, 0) if s in symbol}
+    p_chains = _chains(symbol, table, 0, 2)
+    # p_2 = u in the integer form: one term, d/d times u's id
+    d, p2 = p_chains[2][0] if 2 in p_chains else (1, None)
+    if p2 != {(0, ()): [(table[(0, 1, 0, 0, ()), ()], d, 0)]}:
+        raise NonCanonicalInput("parametrix recursion needs the leading symbol u")
     q_chains = {-2: [(1, {(0, ()): [(table[(0, -1, 0, 0, ()), ()], 1, 0)]})]}
     over_u = {}  # [d^k p_s / dxi_n^k, u^-1 times it], by (s, k)
     for m in range(1, depth + 1):
@@ -432,8 +474,8 @@ def invert_symbol(symbol, depth):
                     dp = _nth(over_u.setdefault((s, k), [dp]), 1, table, "u")
                     add_blade_products(acc, dp, dq, table, -_taylor(k))
         q_chains[-2 - m] = [_summed_form(acc)]
-    q = {t: _built(dim, alphabet, chain[0], table.key_of) for t, chain in q_chains.items()}
-    return SymbolExpansion(dim, alphabet, q, symbol.meta)
+    q = {t: chain[0] for t, chain in q_chains.items()}
+    return _carried(symbol.dim, symbol.alphabet, q, table.key_of, symbol.meta)
 
 
 def drift_subsymbol_parts(symbol):

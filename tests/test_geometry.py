@@ -453,6 +453,13 @@ class TestLibraryInputs:
             lichnerowicz_normal_form(geo)
         assert err.value.field == "geo"
 
+    @pytest.mark.parametrize("nf", [GeometricBundle(4), "x", None], ids=["bundle", "str", "none"])
+    def test_connection_and_E_refuses_a_non_normal_form(self, nf):
+        # each let a raw AttributeError out
+        with pytest.raises(ValidationError) as err:
+            connection_and_E(nf)
+        assert err.value.field == "nf"
+
     @pytest.mark.parametrize("b_term", [
         3, "x", Fraction(1, 2),
         ParamPoly.var(standard_alphabet(4), "s"),

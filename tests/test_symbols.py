@@ -7,12 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial, gcd
+from types import MappingProxyType
 
 import pytest
 import sympy
 
 from ncresidue import clifford, exact, load_config, symbols
-from ncresidue.boundary import SphereSymbol
+from ncresidue.boundary import SphereSymbol, _pipeline
 from ncresidue.clifford import CliffordElement, represent
 from ncresidue.errors import (
     AlphabetMismatch,
@@ -582,6 +583,39 @@ class TestLibraryInputs:
             SymbolExpansion(4, al, orders)
         assert err.value.field == "orders"
 
+    @pytest.mark.parametrize("gdn", [0.5, True, False, "x", "1e3", [1], 1j], ids=[
+        "float", "true", "false", "str", "exponent", "list", "complex"])
+    def test_laplace_symbol_refuses_a_non_rational_gdn(self, gdn):
+        # a float, [1] and 1j raised a raw TypeError, "x" a raw ValueError,
+        # and True ran as 1
+        with pytest.raises(ValidationError) as err:
+            laplace_symbol(4, standard_alphabet(4), gdn=gdn)
+        assert err.value.field == "gdn"
+
+    def test_laplace_symbol_takes_an_exact_gdn(self):
+        al = standard_alphabet(4)
+        three_halves = Fraction(3, 2)
+        for value, gdns in [(2, [2, "2"]),
+                            (three_halves, [three_halves, GaussRational(three_halves), "3/2"])]:
+            want = laplace_symbol(4, al, gdn=ParamPoly.const(al, value))
+            for gdn in gdns:
+                got = laplace_symbol(4, al, gdn=gdn)
+                assert got.items() == want.items() and got.meta["gdn"] == want.meta["gdn"], gdn
+        with pytest.raises(AlphabetMismatch):
+            laplace_symbol(4, al, gdn=ParamPoly.var(standard_alphabet(6), "X_6"))
+
+    @pytest.mark.parametrize("meta", [5, [1], [], "x"], ids=["int", "list", "empty-list", "str"])
+    def test_expansion_refuses_a_non_mapping_meta(self, meta):
+        # 5 and [1] raised a raw TypeError, "x" a raw ValueError, and [] was kept
+        with pytest.raises(ValidationError) as err:
+            SymbolExpansion(4, standard_alphabet(4), None, meta)
+        assert err.value.field == "meta"
+
+    def test_expansion_takes_a_mapping_or_no_meta(self):
+        al = standard_alphabet(4)
+        for meta in (None, {}, {"a": 1}, MappingProxyType({"a": 1})):
+            assert dict(SymbolExpansion(4, al, None, meta).meta) == dict(meta or {})
+
     def test_recursions_need_hp0_in_the_alphabet(self):
         # the x_n-derivatives bring down hp0, which must be a name of the
         # alphabet (ParamPoly.var raised for the object chains)
@@ -612,8 +646,9 @@ def numeric_config_text(nbar, rng):
 
 # The benchmark's closure recipe after a warm-up session, in a fresh
 # interpreter: the collections of any generation inside each recursion, from
-# its key table to its last built order, are counted (a collection the pause
-# defers runs at the first allocation after it, outside the kernel).
+# its key table to its result, which carries the integer forms (_carried), are
+# counted (a collection the pause defers runs at the first allocation after
+# it, outside the kernel).
 CLOSURE_COLLECTIONS = """
 import gc, json, sys
 from fractions import Fraction
@@ -631,18 +666,18 @@ op = SymbolExpansion(geo.n, geo.alphabet, {r: CliffXi(geo.n, geo.alphabet, {
     key: XiExpr(geo.alphabet, {m: p.subs(point) for m, p in xe.terms.items()})
     for key, xe in cx.terms.items()}) for r, cx in op.orders.items()})
 
-marks, table, built = [], symbols.KeyTable, symbols._built
+marks, table, carried = [], symbols.KeyTable, symbols._carried
 
 def mark():
     marks.append(sum(g["collections"] for g in gc.get_stats()))
 
-def marked_built(*args):
-    out = built(*args)
+def marked_carried(*args):
+    out = carried(*args)
     mark()
     return out
 
 symbols.KeyTable = lambda mul: mark() or table(mul)
-symbols._built = marked_built
+symbols._carried = marked_carried
 
 def collections(call, *args):
     marks.clear()
@@ -724,6 +759,112 @@ class TestKernelCallers:
         assert comp[0] == CliffXi.scalar(6, XiExpr.const(geo.alphabet, 1))
         assert comp[-1].is_zero() and comp[-2].is_zero()
         assert callers and set(callers) == {"add_blade_products"}
+
+
+def _built_copy(x):
+    """x with its pieces built: a recursion reads it through _jet_form."""
+    return SymbolExpansion(x.dim, x.alphabet, dict(x.orders), x.meta)
+
+
+def _carries_a_form(x):
+    return isinstance(x, SymbolExpansion) and x._keys is not None
+
+
+def _closure_operator(n, numeric):
+    """The closure recipe's operator symbol, B included, symbolic or at
+    numeric point data."""
+    if numeric:
+        return numeric_operator(n)
+    al = standard_alphabet(n)
+    return laplace_symbol(n, al, b_term=lichnerowicz_normal_form(GeometricBundle(n)).B)
+
+
+CARRIED_CASES = [(4, 1), (4, 2), (4, 3), (6, 1), (6, 2)]
+
+
+class TestCarriedForms:
+    # invert_symbol and compose_symbols return their orders' integer forms
+    # and build the CliffXi pieces on first read; handed to a recursion, a
+    # carried form is re-keyed into its key table, not built and read back
+    # through _jet_form as a built operand is
+
+    @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("n, depth", CARRIED_CASES)
+    def test_carried_operands_give_what_built_ones_give(self, n, depth, numeric, monkeypatch):
+        op = _closure_operator(n, numeric)
+        al = op.alphabet
+        unit = SymbolExpansion(n, al, {0: CliffXi.scalar(n, XiExpr.const(al, 1))})
+
+        def carried_op():  # op times the unit is op, carried
+            return compose_symbols(op, unit, 0)
+
+        def inverse():
+            return invert_symbol(op, depth)
+
+        calls = [
+            (compose_symbols, lambda: (op, inverse(), -2)),
+            (compose_symbols, lambda: (inverse(), op, -2)),
+            (compose_symbols, lambda: (carried_op(), inverse(), -2)),
+            (invert_symbol, lambda: (carried_op(), depth)),
+        ]
+        built, build = [], symbols._built
+        for k, (recursion, operands) in enumerate(calls):
+            want = recursion(*[_built_copy(x) if _carries_a_form(x) else x for x in operands()])
+            args = operands()
+            carried = [x for x in args if _carries_a_form(x)]
+            assert carried, k
+            monkeypatch.setattr(symbols, "_built", lambda *a: built.append(a) or build(*a))
+            got = recursion(*args)
+            monkeypatch.setattr(symbols, "_built", build)
+            # no operand was built, and each still carries its form
+            assert not built and all(map(_carries_a_form, carried)), k
+            assert got.items() == want.items(), k
+            assert dict(got.meta) == dict(want.meta), k
+
+    @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+    @pytest.mark.parametrize("n, depth", CARRIED_CASES)
+    def test_a_carried_result_reads_as_its_built_copy(self, n, depth, numeric):
+        op = _closure_operator(n, numeric)
+        results = {
+            "inverse": lambda: invert_symbol(op, depth),
+            "composition": lambda: compose_symbols(op, invert_symbol(op, depth), -depth),
+        }
+        # absent orders at both ends, and the composition's zero orders
+        # -1..-depth (p q = 1 + O(-depth - 1))
+        orders = range(-depth - 4, 4)
+        reads = {
+            "items": lambda x: x.items(),
+            "in": lambda x: [o in x for o in orders],
+            "[]": lambda x: [x[o] for o in orders],
+            "orders": lambda x: x.orders,
+        }
+        for name, make in results.items():
+            want = _built_copy(make())
+            if name == "composition":
+                assert set(want.orders) == {0}
+            for read_name, read in reads.items():
+                x = make()
+                assert _carries_a_form(x)
+                assert read(x) == read(want), (name, read_name)
+                assert not _carries_a_form(x), (name, read_name)
+
+    def test_assigning_orders_drops_the_form(self):
+        # a recursion then reads the assigned pieces, never a stale form
+        # (the inverse's form has no order 2, which inversion refuses)
+        op = _laplace4()
+        for orders in (dict(op.orders), MappingProxyType(dict(op.orders))):
+            x = invert_symbol(op, 1)
+            x.orders = orders
+            assert not _carries_a_form(x) and x.orders is orders
+            assert invert_symbol(x, 2).items() == invert_symbol(op, 2).items()
+
+    @pytest.mark.parametrize("nbar", [2, 4])
+    def test_the_boundary_pipeline_holds_no_form(self, nbar):
+        # its shared read-only expansions are built once, the parametrix's
+        # order -3 read by power_symbol and every orders map reassigned
+        *_, op, par, pw = _pipeline(nbar)
+        assert not any(map(_carries_a_form, (op, par, pw)))
+        assert all(type(x.orders) is MappingProxyType for x in (op, par, pw))
 
 
 class TestSubsymbolStructure:
