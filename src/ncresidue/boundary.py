@@ -2,16 +2,22 @@
 expansion, the assembled boundary density, the extrinsic curvature of the
 collar metric, and the paired interior + boundary total.
 
+The five cases are stated once, in one table (_CASES): per case, the index
+that takes the boundary-sum constraint's one unit of deficit, and the
+case's printed row.  CASE_IDS, enumerate_cases and printed_case_value read
+it; nothing searches the constraint.
+
 All five cases go through one evaluator.  A case builds its factors from
 the shared symbol pipeline: sphere restrictions, upper-half-plane
 projections and normal-covariable derivatives.  The evaluator traces the
 grade-0 join of each product, integrates the residue exactly and scales by
-the signed case prefactor times VolS, logging every step.  It then compares
-the result with the printed closed forms.  Those are kept as rows
-transcribed from the paper -- bracket numerators with their pole and
-derivative orders, and per-case factors -- and re-evaluated exactly via
-deriv_at_i.  Disagreements are reported as comparison records, never
-patched.
+the case prefactor times VolS, logging every step; a case given in its
+integration-by-parts form (one that also gives the form before it) takes
+the opposite sign.  It then compares the result with the printed closed
+forms.  Those are kept as rows transcribed from the paper -- bracket
+numerators with their pole and derivative orders, and per-case factors --
+and re-evaluated exactly via deriv_at_i.  Disagreements are reported as
+comparison records, never patched.
 """
 
 from __future__ import annotations
@@ -35,7 +41,21 @@ from .geometry import (
 from .halfplane import HalfPlaneRational, deriv_at_i, derivative_order
 from .symbols import drift_subsymbol_parts, invert_symbol, laplace_symbol, power_symbol
 
-CASE_IDS = ("aI", "aII", "aIII", "b", "c")
+# The five boundary cases, in report order.  With r <= -2 and l <= 2 - nbar,
+# the constraint r + l - k - j - |alpha| - 1 = -(nbar + 2) leaves exactly one
+# unit of deficit over (-2 - r, 2 - nbar - l, j, k, |alpha|); each row names
+# the index that takes it.  Its printed row gives the printed case total,
+# hp0 VolS factors(h) 2^(h + offset) bracket / (h + 2)!, plus the shared
+# drift part where flagged, as (factors as a function of h, offset, bracket
+# name, drift flag); case aI prints zero.
+_CASES = {
+    "aI": ("alpha", None),
+    "aII": ("j", (lambda h: GaussRational(Fraction(-1, 4)) * (h - 1) * GR_I, 1, "L0", False)),
+    "aIII": ("k", (lambda h: GaussRational(1 - h), 1, "L1", False)),
+    "b": ("l", (lambda h: GR_ONE, -1, "L2", True)),
+    "c": ("r", (lambda h: GaussRational(1 - h) * GaussRational(0, 2), -1, "L3", True)),
+}
+CASE_IDS = tuple(_CASES)
 
 # normalization used when comparing engine values (which keep the twist
 # trace scalars symbolic) against printed closed forms (which absorb them)
@@ -43,44 +63,24 @@ _UNIT_TWIST = {"dimF": 1, "trPhi": 1, "trPhi2": 1}
 
 
 def enumerate_cases(nbar):
-    """All index tuples satisfying the boundary-sum constraint.
+    """The five index tuples of the boundary-sum constraint, read off _CASES.
 
-    The constraint r + l - k - j - |alpha| - 1 = -(nbar + 2) with r <= -2 and
-    l <= 2 - nbar leaves a total deficit of one unit to distribute, so there
-    are exactly five solutions.  Returns {case_id: dict} with the
-    combinatorial prefactor (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!).
+    r + l - k - j - |alpha| - 1 = -(nbar + 2) with r <= -2 and l <= 2 - nbar
+    reads (-2 - r) + (2 - nbar - l) + j + k + |alpha| = 1: one unit of
+    deficit to place on one of five indices, so there are exactly five
+    solutions.  Returns a fresh {case_id: dict} in report order, each with
+    the combinatorial prefactor (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!).
     """
     check_nbar(nbar)
-    found = []
-    for r in range(-2, -6, -1):
-        for l in range(2 - nbar, 2 - nbar - 4, -1):
-            for j in range(0, 3):
-                for k in range(0, 3):
-                    for alpha in range(0, 3):
-                        if r + l - k - j - alpha - 1 == -(nbar + 2):
-                            found.append((r, l, j, k, alpha))
-    if len(found) != 5:
-        raise ValidationError(
-            "cases", f"constraint enumeration produced {len(found)} cases, not 5"
-        )
     out = {}
-    for (r, l, j, k, alpha) in found:
-        if alpha == 1:
-            cid = "aI"
-        elif j == 1:
-            cid = "aII"
-        elif k == 1:
-            cid = "aIII"
-        elif l == 1 - nbar:
-            cid = "b"
-        else:
-            cid = "c"
-        pre = ((-GR_I) ** (alpha + j + k + 1)) * GaussRational(
-            Fraction(1, factorial(alpha) * factorial(j + k + 1))
+    for cid, (unit, _printed) in _CASES.items():
+        deficit = {"r": 0, "l": 0, "j": 0, "k": 0, "alpha": 0, unit: 1}
+        alpha, jk = deficit["alpha"], deficit["j"] + deficit["k"]
+        pre = ((-GR_I) ** (alpha + jk + 1)) * GaussRational(
+            Fraction(1, factorial(alpha) * factorial(jk + 1))
         )
-        out[cid] = {"r": r, "l": l, "j": j, "k": k, "alpha": alpha, "prefactor": pre}
-    if set(out) != set(CASE_IDS):
-        raise ValidationError("cases", f"unexpected case labels {sorted(out)}")
+        out[cid] = {**deficit, "r": -2 - deficit["r"], "l": 2 - nbar - deficit["l"],
+                    "prefactor": pre}
     return out
 
 
@@ -196,17 +196,6 @@ _PRINTED_BRACKETS = {
                            1: (0, 2 * nbar + 4)}, 1, 2),
 }
 
-# printed case total: hp0 VolS factors(h) 2^(h + offset) bracket / (h + 2)!,
-# plus the shared drift part where flagged; each row is (factors as a
-# function of h, offset, bracket name, drift flag); case aI prints zero
-_PRINTED_CASES = {
-    "aII": (lambda h: GaussRational(Fraction(-1, 4)) * (h - 1) * GR_I, 1, "L0", False),
-    "aIII": (lambda h: GaussRational(1 - h), 1, "L1", False),
-    "b": (lambda h: GR_ONE, -1, "L2", True),
-    "c": (lambda h: GaussRational(1 - h) * GaussRational(0, 2), -1, "L3", True),
-}
-
-
 @lru_cache(maxsize=None)
 def _brackets(nbar):
     """Every printed bracket at nbar, evaluated exactly, as a read-only
@@ -243,9 +232,10 @@ def printed_case_value(case_id, nbar, alphabet):
     """Printed total of one case, as the exact coefficient of pi."""
     if case_id not in CASE_IDS:
         raise ValidationError("case_id", f"unknown case {case_id!r}")
-    if case_id == "aI":
+    row = _CASES[case_id][1]
+    if row is None:
         return ParamPoly.zero(alphabet)
-    factors, offset, bracket, drift = _PRINTED_CASES[case_id]
+    factors, offset, bracket, drift = row
     h = nbar // 2
     scalar = (
         factors(h)
@@ -382,22 +372,25 @@ _BRACKET_OP = "printed bracket derivative evaluated exactly"
 _BRACKET_OPS = {"Lb": "printed drift bracket evaluated exactly"}
 
 
-def _evaluate(case_id, nbar, steps, products=(), sign=1, second=None,
+def _evaluate(case_id, nbar, steps, products=(), second=None,
               extra_steps=(), extra_records=(), brackets=(), drift=None):
     """One boundary case from what its caller builds on the pipeline.
 
     Logs `steps` (id, op, value), showing a SphereSymbol factor by its
     scalar part.  Each of `products` (part name or None, f, g) is traced as
-    f.mul_grade0(g), integrated and scaled by sign * prefactor * VolS.
-    `second` (f, g, note, strict) is the form before integration by parts,
-    which carries the opposite sign; a strict one raises on a mismatch.
+    f.mul_grade0(g), integrated and scaled by prefactor * VolS.  A case
+    that gives `second` (f, g, note, strict), its form before integration by
+    parts, is stated in its by-parts form and so takes the opposite sign;
+    `second` keeps the prefactor's sign, and a strict one raises on a
+    mismatch.
     `extra_steps` follow the integral and the printed `brackets` come last;
     `extra_records` follow the by-parts record, and `drift` (two part names,
     note) gives the drift record of a split case.
     """
     alphabet = _pipeline(nbar)[1]
     rule = standard_label_trace(alphabet)
-    pre = enumerate_cases(nbar)[case_id]["prefactor"] * sign
+    pre = enumerate_cases(nbar)[case_id]["prefactor"]
+    pre = pre if second is None else -pre
     vol = _vol(alphabet)
     trace = []
 
@@ -466,18 +459,18 @@ def _sphere(cx):
     return SphereSymbol.from_cliffxi(cx)
 
 
-def _aI(nbar):
+def _aI(case_id, nbar):
     pw = _pipeline(nbar)[4]
     # every coefficient in the jet ring is constant along the boundary
     # directions, so the tangential x-derivative of the power symbol vanishes
-    return _evaluate("aI", nbar, [
+    return _evaluate(case_id, nbar, [
         ("power_top", "leading power symbol", pw[2 - nbar]),
         ("tangential_jet", "tangential x-derivative of every coefficient",
          "0 (no tangential base-point dependence)"),
     ])
 
 
-def _aII(nbar):
+def _aII(case_id, nbar):
     _n, _al, _op, par, pw = _pipeline(nbar)
     dsig = _sphere(par[-2].d_xn())
     proj = dsig.pi_plus()
@@ -487,10 +480,10 @@ def _aII(nbar):
         ("pi_plus", "upper-half-plane projection", proj),
         ("d2xi_power_top", "second covariable derivative of the power symbol", dd),
     ]
-    return _evaluate("aII", nbar, steps, [(None, proj, dd)], brackets=["L0"])
+    return _evaluate(case_id, nbar, steps, [(None, proj, dd)], brackets=["L0"])
 
 
-def _aIII(nbar):
+def _aIII(case_id, nbar):
     _n, _al, _op, par, pw = _pipeline(nbar)
     base = _sphere(par[-2]).pi_plus()
     # both derivatives on the projection; before integration by parts, one
@@ -504,11 +497,10 @@ def _aIII(nbar):
          "second derivative of the projected order -2 symbol", f),
         ("dxn_power_top", "normal x-derivative of the power symbol", g),
     ]
-    return _evaluate("aIII", nbar, steps, [(None, f, g)], -1, second,
-                     brackets=["L1"])
+    return _evaluate(case_id, nbar, steps, [(None, f, g)], second, brackets=["L1"])
 
 
-def _b(nbar):
+def _b(case_id, nbar):
     _n, _al, _op, par, pw = _pipeline(nbar)
     proj = _sphere(par[-2]).pi_plus()
     dproj = proj.deriv(1)
@@ -520,11 +512,11 @@ def _b(nbar):
               "derivative moved between factors", False)
     steps = [("d_pi_plus_sigma_m2", "derivative of the projected order -2 symbol",
               dproj)]
-    return _evaluate("b", nbar, steps, parts, -1, second, brackets=["L2", "Lb"],
+    return _evaluate(case_id, nbar, steps, parts, second, brackets=["L2", "Lb"],
                      drift=(("A2", "A3"), None))
 
 
-def _c(nbar):
+def _c(case_id, nbar):
     _n, alphabet, op, _par, pw = _pipeline(nbar)
     dsig = _sphere(pw[2 - nbar].d_xin(1))
     projected = [_sphere(cx).pi_plus() for cx in drift_subsymbol_parts(op)]
@@ -538,7 +530,7 @@ def _c(nbar):
     )
     steps = [("d_power_top", "covariable derivative of the power symbol", dsig)]
     return _evaluate(
-        "c", nbar, steps, parts,
+        case_id, nbar, steps, parts,
         extra_steps=[("pi_plus_B1", "projected normal part", pi_b1)],
         extra_records=[normal], brackets=["L3"],
         drift=(("B2", "B3"), "printed value repeats the case-b drift part with "
@@ -551,7 +543,7 @@ _CASE_FN = {"aI": _aI, "aII": _aII, "aIII": _aIII, "b": _b, "c": _c}
 
 @lru_cache(maxsize=None)
 def _boundary_case_symbolic(case_id, nbar):
-    return _CASE_FN[case_id](nbar)
+    return _CASE_FN[case_id](case_id, nbar)
 
 
 def _check_bundle(nbar, geo):

@@ -443,13 +443,17 @@ def invert_symbol(symbol, depth):
 
     The recursion divides by the leading symbol, which must be p_2 = u
     exactly (blade- and label-free, coefficient 1); any other p_2, or none,
-    raises NonCanonicalInput.  Each step sums its Taylor terms in one map
-    (all over one key table, every symbol in the integer form), the
+    raises NonCanonicalInput, and so does a nonzero order outside 0..2,
+    which the recursion would not read.  Each step sums its Taylor terms in
+    one map (all over one key table, every symbol in the integer form), the
     division by u an id map.  The result carries its orders in that form,
     built as CliffXi on first read.
     """
     _check_expansion("symbol", symbol)
     check_int("depth", depth, nonnegative=True)
+    unread = sorted(o for o in symbol._orders if not 0 <= o <= 2)
+    if unread:
+        raise NonCanonicalInput(f"parametrix recursion reads orders 0..2 only, not {unread}")
     table = KeyTable(_jet_key_product)
     p_chains = _chains(symbol, table, 0, 2)
     # p_2 = u in the integer form: one term, d/d times u's id

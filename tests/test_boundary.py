@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -46,6 +47,37 @@ class TestCaseEnumeration:
         assert cases["aIII"]["prefactor"] == GaussRational(Fraction(-1, 2))
         assert cases["b"]["prefactor"] == GaussRational(0, -1)
         assert cases["c"]["prefactor"] == GaussRational(0, -1)
+
+    @pytest.mark.parametrize("nbar", range(2, 11, 2))
+    def test_the_constraint_search_finds_the_five_cases(self, nbar):
+        # brute force over a box wider than the one unit of deficit reaches
+        found = {
+            (r, l, j, k, alpha)
+            for r in range(-2, -7, -1)
+            for l in range(2 - nbar, 2 - nbar - 5, -1)
+            for j in range(4)
+            for k in range(4)
+            for alpha in range(4)
+            if r + l - k - j - alpha - 1 == -(nbar + 2)
+        }
+        cases = enumerate_cases(nbar)
+        assert list(cases) == list(CASE_IDS)
+        assert found == {tuple(c[i] for i in ("r", "l", "j", "k", "alpha"))
+                         for c in cases.values()}
+        assert len(found) == 5
+
+    @pytest.mark.parametrize("nbar", range(2, 11, 2))
+    def test_prefactors(self, nbar):
+        # (-i)^m / (alpha! (j+k+1)!), the power of -i read off its period
+        minus_i_power = [(1, 0), (0, -1), (-1, 0), (0, 1)]
+        for cid, c in enumerate_cases(nbar).items():
+            m = c["alpha"] + c["j"] + c["k"] + 1
+            scale = Fraction(1, factorial(c["alpha"]) * factorial(c["j"] + c["k"] + 1))
+            real, imag = minus_i_power[m % 4]
+            assert c["prefactor"] == GaussRational(real * scale, imag * scale), cid
+        # every call hands out fresh dicts
+        enumerate_cases(nbar)["aI"]["prefactor"] = None
+        assert enumerate_cases(nbar)["aI"]["prefactor"] is not None
 
     def test_dimension_validation(self):
         with pytest.raises(OddBarDimension):
@@ -129,9 +161,9 @@ class TestIndividualCases:
 
         monkeypatch.setattr(SphereSymbol, "deriv", doubled_at(2))
         with pytest.raises(ValidationError):
-            boundary._CASE_FN["aIII"](4)
+            boundary._CASE_FN["aIII"]("aIII", 4)
         monkeypatch.setattr(SphereSymbol, "deriv", doubled_at(1))
-        b = boundary._CASE_FN["b"](4)
+        b = boundary._CASE_FN["b"]("b", 4)
         rec = {c["term"]: c for c in b.comparisons}["case_b_by_parts"]
         assert rec["agree"] is False
 
@@ -306,7 +338,7 @@ class TestGradeZeroJoin:
 
         monkeypatch.setattr(SphereSymbol, "mul_grade0", recording)
         for cid in CASE_IDS:
-            boundary._CASE_FN[cid](nbar)
+            boundary._CASE_FN[cid](cid, nbar)
         assert len(pairs) == 10  # aII 1, aIII 2, b 4, c 3
         rule = standard_label_trace(standard_alphabet(nbar + 2))
         for f, g in pairs:

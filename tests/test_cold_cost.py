@@ -21,9 +21,10 @@ def test_a_dim_2_report_lists_the_modules_it_compiles():
     assert {"ncresidue.cli", "ncresidue.boundary", "total"} <= set(rows)
     assert not {"ncresidue.oracle", "ncresidue.yamlconfig"} & set(rows)
     modules = [name for name in rows if name != "total"]
-    for i in range(2):  # source and code lines add up to the totals
+    for i in range(3):  # source lines, code lines and statements add up to the totals
         assert sum(int(rows[m][i]) for m in modules) == int(rows["total"][i])
-    assert all(0 < int(rows[m][1]) <= int(rows[m][0]) and float(rows[m][2]) > 0 for m in modules)
+    assert all(0 < int(rows[m][1]) <= int(rows[m][0]) and int(rows[m][2]) > 0
+               and float(rows[m][3]) > 0 for m in modules)
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():
@@ -40,3 +41,16 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
     )
     # the two header lines of f and the three lines of its return
     assert cold_cost.code_lines(source) == 5
+
+
+def test_statements_skip_docstrings_and_ignore_wrapping():
+    doc = '"""Module docstring."""\n'
+    one_line = doc + "def f(a, b): return {a: b}\n"
+    wrapped = doc + (
+        "def f(a,\n"
+        "      b):\n"
+        "    return {a: b}\n"
+    )
+    # the def and its return, on one line or three; code lines count the lines
+    assert cold_cost.statements(one_line) == cold_cost.statements(wrapped) == 2
+    assert (cold_cost.code_lines(one_line), cold_cost.code_lines(wrapped)) == (1, 3)

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -396,6 +397,20 @@ class TestInversionAndComposition:
             orders[2] = op[2].scale(GaussRational(2))
         with pytest.raises(NonCanonicalInput):
             invert_symbol(SymbolExpansion(4, al, orders), 1)
+
+    @pytest.mark.parametrize("extra", [{3: 1}, {-1: 1}, {3: 1, -1: 1}, {5: 2, -3: 1}],
+                             ids=["above", "below", "both", "far"])
+    def test_inversion_rejects_orders_it_would_not_read(self, extra):
+        # the recursion reads p_2, p_1 and p_0 only; a nonzero piece at any
+        # other order changes the operator, so it is refused by name
+        al = standard_alphabet(4)
+        op = laplace_symbol(4, al)
+        orders = {**op.orders, **{o: op[s] for o, s in extra.items()}}
+        with pytest.raises(NonCanonicalInput, match=re.escape(str(sorted(extra)))):
+            invert_symbol(SymbolExpansion(4, al, orders), 2)
+        # a zero piece is no order
+        zero = SymbolExpansion(4, al, {**op.orders, 3: CliffXi.zero(4, al)})
+        assert invert_symbol(zero, 2).items() == invert_symbol(op, 2).items()
 
 
 # The collar model in closed form: h = exp(hp0 x_n), w = h |xi'|^2 and

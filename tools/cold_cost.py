@@ -5,9 +5,12 @@
 Runs the command line with the arguments after `--` in a fresh interpreter
 (this checkout's src/ first on the path, no bytecode written) and lists the
 ncresidue modules the request loaded.  For each it prints the source lines,
-the code lines and the median milliseconds of compile() over REPEAT runs in
-this process, then the totals.  Code lines are the lines that carry an AST
-node, docstrings excluded; a statement with a body counts only its header.
+the code lines, the statements and the median milliseconds of compile() over
+REPEAT runs in this process, then the totals.  Code lines are the lines that
+carry an AST node, docstrings excluded; a statement with a body counts only
+its header.  Statements are the AST's statement nodes, docstrings excluded:
+unlike code lines, their count does not change when a statement is wrapped
+over more or fewer lines.
 Under the benchmark's protocol (no __pycache__) every cold request compiles
 every module it loads, at a cost that follows code lines, not text.
 """
@@ -50,16 +53,20 @@ def loaded_modules(argv):
     return data["exit"], data["modules"]
 
 
-def code_lines(source):
-    """The lines that carry an AST node, docstrings excluded."""
-    tree = ast.parse(source)
-    docs = set()
+def _docstrings(tree):
+    """The docstring statements of tree's module, classes and functions."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
-                docs.update(range(first.lineno, first.end_lineno + 1))
+                yield first
+
+
+def code_lines(source):
+    """The lines that carry an AST node, docstrings excluded."""
+    tree = ast.parse(source)
+    docs = {i for doc in _docstrings(tree) for i in range(doc.lineno, doc.end_lineno + 1)}
     lines = set()
     for node in ast.walk(tree):
         if not hasattr(node, "lineno"):
@@ -70,6 +77,13 @@ def code_lines(source):
         else:
             lines.update(range(node.lineno, node.end_lineno + 1))
     return len(lines - docs)
+
+
+def statements(source):
+    """The AST statements, docstrings excluded."""
+    tree = ast.parse(source)
+    stmts = sum(isinstance(node, ast.stmt) for node in ast.walk(tree))
+    return stmts - len(list(_docstrings(tree)))
 
 
 def compile_ms(source, path):
@@ -87,15 +101,16 @@ def main(argv):
         argv = argv[argv.index("--") + 1:]
     code, modules = loaded_modules(argv)
     print(f"request: ncresidue {' '.join(argv)} (exit {code})")
-    print(f"{'module':<24}{'source':>8}{'code':>8}{'compile ms':>12}")
-    totals = [0, 0, 0.0]
+    print(f"{'module':<24}{'source':>8}{'code':>8}{'stmts':>8}{'compile ms':>12}")
+    totals = [0, 0, 0, 0.0]
     for name in sorted(modules):
         with open(modules[name], encoding="utf-8") as fh:
             source = fh.read()
-        row = [len(source.splitlines()), code_lines(source), compile_ms(source, modules[name])]
+        row = [len(source.splitlines()), code_lines(source), statements(source),
+               compile_ms(source, modules[name])]
         totals = [t + r for t, r in zip(totals, row)]
-        print(f"{name:<24}{row[0]:>8}{row[1]:>8}{row[2]:>12.2f}")
-    print(f"{'total':<24}{totals[0]:>8}{totals[1]:>8}{totals[2]:>12.2f}")
+        print(f"{name:<24}{row[0]:>8}{row[1]:>8}{row[2]:>8}{row[3]:>12.2f}")
+    print(f"{'total':<24}{totals[0]:>8}{totals[1]:>8}{totals[2]:>8}{totals[3]:>12.2f}")
     return 0
 
 
