@@ -29,7 +29,7 @@ from math import factorial, prod
 from types import MappingProxyType
 
 from .clifford import Blades
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .exact import GR_I, GR_ONE, GaussRational, ParamPoly, read_only
 from .geometry import (
     GeometricBundle,
@@ -38,7 +38,7 @@ from .geometry import (
     standard_alphabet,
     standard_label_trace,
 )
-from .halfplane import HalfPlaneRational, deriv_at_i, derivative_order
+from .halfplane import HalfPlaneRational, deriv_at_i
 from .symbols import drift_subsymbol_parts, invert_symbol, laplace_symbol, power_symbol
 
 # The five boundary cases, in report order.  With r <= -2 and l <= 2 - nbar,
@@ -105,7 +105,7 @@ class SphereSymbol(Blades):
         return self._map(lambda f: f.pi_plus())
 
     def deriv(self, k=1):
-        k = derivative_order(k)  # checked on a zero symbol too
+        k = check_int("k", k, nonnegative=True)  # checked on a zero symbol too
         return self._map(lambda f: f.deriv(k))
 
 
@@ -134,10 +134,6 @@ def _pipeline(nbar):
     for value in (gdn, pw.meta["W"], *pw.meta["K"], *pw.meta["parts"].values()):
         read_only(value)
     return n, alphabet, op, par, pw
-
-
-def _vol(alphabet):
-    return ParamPoly.var(alphabet, "VolS")
 
 
 def _record(term, nbar, printed, engine, note=None):
@@ -216,16 +212,19 @@ def _drift_poly(alphabet, n):
     return ParamPoly.var(alphabet, f"X_{n}") - ParamPoly.var(alphabet, f"Y_{n}") * 2
 
 
+def _printed_total(factor, scalar, power, fact):
+    """The one printed-total formula, factor VolS scalar 2^power / fact!, as
+    the exact coefficient of pi; factor is a ParamPoly."""
+    return factor * ParamPoly.var(factor.alphabet, "VolS") * (
+        scalar * GaussRational(Fraction(2) ** power / factorial(fact))
+    )
+
+
 def _printed_drift_part(nbar, alphabet):
     """The shared (X_n - 2 Y_n) contribution printed for cases b and c."""
     h = nbar // 2
-    scalar = (
-        GaussRational(2 - nbar)
-        * GaussRational(2) ** (h - 2)
-        * _brackets(nbar)["Lb"]
-        * GaussRational(Fraction(1, factorial(h + 1)))
-    )
-    return _drift_poly(alphabet, nbar + 2) * _vol(alphabet) * scalar
+    scalar = GaussRational(2 - nbar) * _brackets(nbar)["Lb"]
+    return _printed_total(_drift_poly(alphabet, nbar + 2), scalar, h - 2, h + 1)
 
 
 def printed_case_value(case_id, nbar, alphabet):
@@ -237,13 +236,8 @@ def printed_case_value(case_id, nbar, alphabet):
         return ParamPoly.zero(alphabet)
     factors, offset, bracket, drift = row
     h = nbar // 2
-    scalar = (
-        factors(h)
-        * GaussRational(2) ** (h + offset)
-        * _brackets(nbar)[bracket]
-        * GaussRational(Fraction(1, factorial(h + 2)))
-    )
-    value = ParamPoly.var(alphabet, "hp0") * _vol(alphabet) * scalar
+    scalar = factors(h) * _brackets(nbar)[bracket]
+    value = _printed_total(ParamPoly.var(alphabet, "hp0"), scalar, h + offset, h + 2)
     return value + _printed_drift_part(nbar, alphabet) if drift else value
 
 
@@ -284,31 +278,21 @@ def printed_phi_parts(nbar, alphabet):
     """
     h = nbar // 2
     hp0 = ParamPoly.var(alphabet, "hp0")
-    vol = _vol(alphabet)
     # (h - 1) 2i / (h + 2)! times the bracket form or the closed form
-    shared = hp0 * vol * (
-        GaussRational(h - 1)
-        * GaussRational(0, 2)
-        * GaussRational(Fraction(1, factorial(h + 2)))
-    )
+    shared = GaussRational(h - 1) * GaussRational(0, 2)
     out = {
-        "hprime_part": shared * (GaussRational(2) ** (h - 2) * _brackets(nbar)["Lphi"]),
-        "hprime_part_closed": shared * (
-            _printed_closed_factor(nbar) * GaussRational(Fraction(1, 2 ** (h + 2)))
+        "hprime_part": _printed_total(hp0, shared * _brackets(nbar)["Lphi"], h - 2, h + 2),
+        "hprime_part_closed": _printed_total(
+            hp0, shared * _printed_closed_factor(nbar), -(h + 2), h + 2
         ),
         "drift_part": None,
     }
     if h >= 2:
-        scalar = (
-            GaussRational(3 * nbar - 6)
-            * GaussRational(2) ** (h - 2)
-            * GaussRational(Fraction(1, factorial(h + 1)))
-            * GaussRational(
-                Fraction(factorial(nbar - 1), 2 ** nbar * factorial(h - 2))
-                + Fraction(factorial(nbar), 2 ** (nbar + 1) * factorial(h - 1))
-            )
+        scalar = GaussRational(3 * nbar - 6) * GaussRational(
+            Fraction(factorial(nbar - 1), 2 ** nbar * factorial(h - 2))
+            + Fraction(factorial(nbar), 2 ** (nbar + 1) * factorial(h - 1))
         )
-        out["drift_part"] = _drift_poly(alphabet, nbar + 2) * vol * scalar
+        out["drift_part"] = _printed_total(_drift_poly(alphabet, nbar + 2), scalar, h - 2, h + 1)
     return out
 
 
@@ -318,11 +302,10 @@ def printed_wres_k_coefficient(nbar, alphabet):
     scalar = (
         GaussRational(-(nbar - 2))
         * GR_I
-        * GaussRational(Fraction(1, (nbar + 1) * factorial(h + 2)))
+        * GaussRational(Fraction(1, nbar + 1))
         * _printed_closed_factor(nbar)
-        * GaussRational(Fraction(1, 2 ** (h + 1)))
     )
-    return _vol(alphabet) * scalar
+    return _printed_total(ParamPoly.one(alphabet), scalar, -(h + 1), h + 2)
 
 
 _BRACKET_ORDERS = (1, 2, 3, 4)
@@ -391,7 +374,7 @@ def _evaluate(case_id, nbar, steps, products=(), second=None,
     rule = standard_label_trace(alphabet)
     pre = enumerate_cases(nbar)[case_id]["prefactor"]
     pre = pre if second is None else -pre
-    vol = _vol(alphabet)
+    vol = ParamPoly.var(alphabet, "VolS")
     trace = []
 
     def log(step_id, op, v):

@@ -26,7 +26,8 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import (
-    DimMismatch, IndexOutOfRange, NonIncreasingTriple, OddDimension, ValidationError,
+    AlphabetMismatch, DimMismatch, IndexOutOfRange, NonIncreasingTriple, OddDimension,
+    ValidationError,
 )
 from .exact import (
     GR_ONE, GaussRational, KeyTable, ParamPoly, SparseTerms, _add_products, _from_sums,
@@ -181,6 +182,8 @@ class CliffordElement(Blades):
         for (mask, label), coeff in (terms or {}).items():
             if mask < 0 or mask >= (1 << dim):
                 raise IndexOutOfRange(f"blade mask {mask} out of range for n={dim}")
+            if coeff.alphabet is not alphabet and coeff.alphabet != alphabet:
+                raise AlphabetMismatch("coefficient over another alphabet")
             if not coeff.is_zero():
                 clean[(mask, tuple(label))] = coeff
         self.terms = clean

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .boundary import CASE_IDS
 from .clifford import check_lemma_budget
-from .errors import NonIncreasingTriple, ValidationError, check_int, is_int
+from .errors import NonIncreasingTriple, ValidationError, check_int
 from .geometry import SCALAR_NAMES, GeometricBundle, check_nbar
 
 CASE_ALIASES = {"a1": "aI", "a2": "aII", "a3": "aIII", **{c: c for c in CASE_IDS}}
@@ -60,11 +60,9 @@ class SessionConfig:
         if fmt not in FORMATS:
             raise ValidationError("format", f"expected one of {FORMATS}, got {fmt!r}")
         self.fmt = fmt
-        check_int("seed", seed, nonnegative=True)
-        self.seed = seed
-        check_int("verify_lemmas", verify_lemmas, nonnegative=True)
+        self.seed = check_int("seed", seed, nonnegative=True)
+        self.verify_lemmas = check_int("verify_lemmas", verify_lemmas, nonnegative=True)
         check_lemma_budget(nbar + 2, verify_lemmas, "verify_lemmas")
-        self.verify_lemmas = verify_lemmas
 
         scalars = {} if scalars is None else scalars
         if not isinstance(scalars, dict):
@@ -91,8 +89,8 @@ class SessionConfig:
                     "torsion", f"entry {entry!r} is not [a, b, c, value]"
                 )
             a, b, c, v = entry
-            if not all(is_int(i) for i in (a, b, c)):
-                raise ValidationError("torsion", f"indices in {entry!r} must be integers")
+            for i in (a, b, c):
+                check_int("torsion", i)
             if not a < b < c:
                 raise NonIncreasingTriple(f"triple ({a},{b},{c}) is not strictly increasing")
             if (a, b, c) in out:

@@ -4,6 +4,8 @@ Every failure mode that callers are expected to handle gets its own class,
 so tests can assert on the exact condition rather than on message text.
 """
 
+import sys
+
 
 class EngineError(Exception):
     """Base class for all engine errors."""
@@ -86,10 +88,28 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_int(field, value, nonnegative=False, by_type=False):
-    """The engine's one "an int, not a bool" check: ValidationError for field
-    unless value is one (and >= 0 if nonnegative), showing it or its type."""
+def check_digits(field, value):
+    """value, if str() can render it; an int or a Fraction past Python's
+    int-string digit limit raises ValidationError naming field."""
+    try:
+        str(value)
+    except ValueError:
+        raise ValidationError(
+            field, "too many digits: past Python's int-string conversion limit"
+        ) from None
+    return value
+
+
+def check_int(field, value, nonnegative=False):
+    """The engine's one integer check: value, if it is an int and not a
+    bool, >= 0 if nonnegative, whose digits str() can render; otherwise
+    ValidationError naming field.  A non-int is shown by its type name, an
+    int by its value.  An int is rendered to count its digits only when its
+    bit length puts it within a tenth of Python's int-string digit limit."""
+    if is_int(value) and 0 < 3 * sys.get_int_max_str_digits() < value.bit_length():
+        check_digits(field, value)  # 0: no limit; 3 * limit bits hold < 0.91 * limit digits
     if not is_int(value) or nonnegative and value < 0:
-        got = type(value).__name__ if by_type else repr(value)
+        got = value if is_int(value) else type(value).__name__
         kind = "nonnegative integer" if nonnegative else "integer"
         raise ValidationError(field, f"{kind} required, got {got}")
+    return value

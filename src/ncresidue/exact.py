@@ -37,7 +37,7 @@ from functools import wraps
 from math import gcd
 from types import MappingProxyType
 
-from .errors import AlphabetMismatch, DimMismatch, DivisionByZero
+from .errors import AlphabetMismatch, DimMismatch, DivisionByZero, is_int
 
 
 class GaussRational:
@@ -72,8 +72,6 @@ class GaussRational:
             return _make(v, 0, 1)
         if type(v) is Fraction:
             return _make(v.numerator, 0, v.denominator)
-        if isinstance(v, (float, complex)):
-            raise TypeError("refusing to build an exact scalar from a float")
         return cls(v)
 
     @property
@@ -177,9 +175,8 @@ class GaussRational:
 
     def __eq__(self, other):
         if other.__class__ is not GaussRational:
-            if isinstance(other, (int, Fraction)):
-                other = GaussRational.from_value(other)
-            elif not isinstance(other, GaussRational):
+            other = _coerce_scalar(other)
+            if other is None:
                 return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
@@ -268,18 +265,16 @@ def _coerce_scalar(v):
 
 
 def summed_terms(pairs):
-    """Clean map (zeros dropped) holding the sum of (key, coefficient) pairs."""
-    terms = {}
-    for key, c in pairs:
-        acc = terms.get(key)
-        terms[key] = c if acc is None else acc + c
-    return {k: c for k, c in terms.items() if not c.is_zero()}
+    """Clean map holding the sum of (key, coefficient) pairs: add_terms into
+    an empty map, then the zeros that a key's first pair may bring dropped."""
+    return {k: c for k, c in add_terms({}, pairs).items() if not c.is_zero()}
 
 
 def add_terms(terms, pairs, negate=False):
-    """Add (key, nonzero coefficient) pairs into the clean map terms, in
-    place, or with negate subtract them: a coefficient is negated only for
-    a key that terms does not hold yet.  Returns terms."""
+    """Add (key, coefficient) pairs into the clean map terms, in place, or
+    with negate subtract them: a coefficient is negated only for a key that
+    terms does not hold yet, and a sum that cancels drops its key.  Returns
+    terms, clean if every coefficient was nonzero."""
     for key, c in pairs:
         acc = terms.get(key)
         if acc is None:
@@ -380,26 +375,16 @@ class SparseTerms:
         return self._like(summed_terms(pairs))
 
     def _product(self, other):
-        """Sum of the products of every term of self with every term of other.
+        """Sum of the products of every term of self with every term of other,
+        each added by add_terms, negated where its key sign is -1.
 
         Coefficient rings have no zero divisors, so only a sum can vanish.
         """
-        key_mul = self._key_mul
-        other_terms = other.terms.items()
         terms = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other_terms:
-                key, sign = key_mul(k1, k2)
-                c = c1 * c2
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = c if sign > 0 else -c
-                else:
-                    c = acc + c if sign > 0 else acc - c
-                    if c.is_zero():
-                        del terms[key]
-                    else:
-                        terms[key] = c
+            for k2, c2 in other.terms.items():
+                key, sign = self._key_mul(k1, k2)
+                add_terms(terms, ((key, c1 * c2),), sign < 0)
         return self._like(terms)
 
 
@@ -426,6 +411,8 @@ class ParamPoly(SparseTerms):
 
     Terms map a monomial key -- a tuple of (name, exponent) pairs sorted by
     name, with positive exponents -- to a nonzero GaussRational coefficient.
+    The constructor and var refuse a monomial that names a parameter twice
+    or has an exponent that is not an int >= 1 (ValueError naming it).
     Values are immutable after construction.
     """
 
@@ -438,11 +425,12 @@ class ParamPoly(SparseTerms):
             coeff = GaussRational.from_value(coeff)
             if coeff.is_zero():
                 continue
-            for name, exp in mono:
+            for name, _exp in mono:
                 if name not in alphabet:
                     raise AlphabetMismatch(f"parameter {name!r} not in alphabet")
-                if exp <= 0:
-                    raise ValueError("monomial exponents must be positive")
+            if len(dict(mono)) < len(mono) or not all(is_int(e) and e > 0 for _, e in mono):
+                raise ValueError(f"monomial {mono!r}: exponents must be positive ints, "
+                                 "one per parameter")
             clean[tuple(sorted(mono))] = coeff
         self.terms = clean
 
@@ -461,7 +449,9 @@ class ParamPoly(SparseTerms):
 
     @classmethod
     def var(cls, alphabet, name, exp=1):
-        return cls(alphabet, {((name, exp),): GR_ONE})
+        if name in alphabet and is_int(exp) and exp > 0:
+            return _poly(alphabet, {((name, exp),): GR_ONE})
+        return cls(alphabet, {((name, exp),): GR_ONE})  # the constructor's refusal
 
     def _like(self, terms):
         out = _new(ParamPoly)

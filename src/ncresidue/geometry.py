@@ -35,6 +35,7 @@ from .errors import (
     OddDimension,
     UnsupportedDimension,
     ValidationError,
+    check_digits,
     check_int,
 )
 from .exact import Alphabet, GaussRational, ParamPoly, read_only
@@ -71,13 +72,7 @@ def _rational(field, value):
         raise ValidationError(
             field, f"expected an int, a Fraction or a 'p/q' string, got {type(value).__name__}"
         )
-    try:
-        str(value)  # every report and as_dict() renders the value
-    except ValueError:
-        raise ValidationError(
-            field, "too many digits: past Python's int-string conversion limit"
-        ) from None
-    return Fraction(value)
+    return Fraction(check_digits(field, value))  # every report renders the value
 
 
 # each scalar keyword of GeometricBundle and its name in the alphabet

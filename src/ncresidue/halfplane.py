@@ -12,6 +12,12 @@ and real-line integrals are 2 pi i c_1, returned as exact coefficients of
 pi.  Products expand through one cached closed form of
 xi^m (xi - i)^-a (xi + i)^-b.  The printed form N / ((xi - i)^a (xi + i)^b)
 is rebuilt from the terms only for display.
+
+Every pole, power and derivative order goes through the engine's one integer
+check, errors.check_int, with nonnegative=True except for the power p of
+from_u_power and deriv_at_i: a bool, a non-int or a negative order raises
+ValidationError naming a, b, m, p or k.  A coefficient must be over the
+value's alphabet (AlphabetMismatch otherwise).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import NotIntegrable, ValidationError, check_int
+from .errors import AlphabetMismatch, NotIntegrable, check_int
 from .exact import GR_I, GR_ONE, GaussRational, ParamPoly, SparseTerms, summed_terms
 
 _TWO_I = GaussRational(0, 2)
@@ -74,15 +80,6 @@ def _denominator(p, q):
     )
 
 
-def derivative_order(k, field="k"):
-    """k, if it is an int >= 0; a bool, a non-int or a negative k raises
-    ValidationError naming field."""
-    check_int(field, k, by_type=True)
-    if k < 0:
-        raise ValidationError(field, "must not be negative")
-    return k
-
-
 def _hpr(alphabet, terms):
     out = HalfPlaneRational.__new__(HalfPlaneRational)
     out.alphabet = alphabet
@@ -109,12 +106,12 @@ class HalfPlaneRational(SparseTerms):
 
     def __init__(self, alphabet, num, a=0, b=0):
         """N / ((xi - i)^a (xi + i)^b) for the coefficient list N of xi^0, xi^1, ..."""
-        a, b = derivative_order(a, "a"), derivative_order(b, "b")
+        a, b = check_int("a", a, nonnegative=True), check_int("b", b, nonnegative=True)
+        num = [c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c) for c in num]
+        if any(c.alphabet is not alphabet and c.alphabet != alphabet for c in num):
+            raise AlphabetMismatch("coefficient over another alphabet")
         self.alphabet = alphabet
-        self.terms = _expanded(
-            ((k, a, b), c if isinstance(c, ParamPoly) else ParamPoly.const(alphabet, c))
-            for k, c in enumerate(num)
-        )
+        self.terms = _expanded(((k, a, b), c) for k, c in enumerate(num))
 
     @classmethod
     def zero(cls, alphabet):
@@ -123,8 +120,8 @@ class HalfPlaneRational(SparseTerms):
     @classmethod
     def from_u_power(cls, alphabet, m, p):
         """xi^m * (1 + xi^2)^p with integer m >= 0 and p of either sign."""
-        m = derivative_order(m, "m")
-        check_int("p", p, by_type=True)
+        m = check_int("m", m, nonnegative=True)
+        check_int("p", p)
         if p < 0:
             return _hpr(alphabet, {
                 key: ParamPoly.const(alphabet, g) for key, g in _expansion(m, -p, -p)
@@ -171,7 +168,7 @@ class HalfPlaneRational(SparseTerms):
 
     def deriv(self, k=1):
         """Exact k-th derivative in xi."""
-        k = derivative_order(k)
+        k = check_int("k", k, nonnegative=True)
         terms = {}
         for (sign, e), c in self.terms.items():
             if sign:
@@ -246,11 +243,10 @@ def deriv_at_i(m, p, k):
     m and k are ints >= 0 and p any int; anything else, a bool too, raises
     ValidationError.
     """
-    derivative_order(m, "m")
-    check_int("p", p, by_type=True)
-    derivative_order(k)
+    check_int("m", m, nonnegative=True)
+    check_int("k", k, nonnegative=True)
     poly = [GaussRational(0)] * m + [GR_ONE]
-    e = p
+    e = check_int("p", p)
     for _ in range(k):
         dp = [poly[j] * GaussRational(j) for j in range(1, len(poly))]
         # dp * (xi + i)

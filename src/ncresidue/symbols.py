@@ -36,7 +36,7 @@ from .exact import (
     _new, _poly, _reduced, collector_paused,
 )
 from .geometry import _rational, check_nbar, k_vectors, twist_vector
-from .halfplane import HalfPlaneRational, derivative_order
+from .halfplane import HalfPlaneRational
 
 # key layout: (m, p, q, r, tang) for xi_n^m u^p w^q h^r * prod xi_j^e
 # with tang a sorted tuple of (j, e) pairs over tangential indices j.
@@ -163,7 +163,7 @@ class CliffXi(Blades):
 
     def d_xin(self, k=1):
         out = self
-        for _ in range(derivative_order(k)):
+        for _ in range(check_int("k", k, nonnegative=True)):
             out = out._map(lambda c: c.d_xin())
         return out
 
@@ -303,10 +303,9 @@ class SymbolExpansion:
     __slots__ = ("dim", "alphabet", "_orders", "_keys", "meta")
 
     def __init__(self, dim, alphabet, orders=None, meta=None):
-        check_int("dim", dim)
+        self.dim = check_int("dim", dim)
         if meta is not None and not isinstance(meta, Mapping):
             raise ValidationError("meta", f"expected a mapping or None, got {type(meta).__name__}")
-        self.dim = dim
         self.alphabet = alphabet
         orders = orders or {}
         if not isinstance(orders, (dict, MappingProxyType)) or any(

@@ -587,3 +587,32 @@ class TestBracketTable:
         assert rows["bracket_m1_p1"]["engine"] == "1/4"
         assert rows["bracket_m1_p2"]["engine"] == "3/8"
         assert rows["bracket_m1_p1"]["agree"] is False
+
+
+# Weights read off the definitions, not fitted to the outputs: a first jet
+# (s, divX, divY, dX, dY, dT) counts two derivatives of the metric; the drift
+# and torsion data (X, Y, T) and the collar jet hp0 one; the twist traces
+# and the sphere volume none.  A name of a new kind raises KeyError.
+WEIGHT = {"s": 2, "divX": 2, "divY": 2, "dX": 2, "dY": 2, "dT": 2,
+          "X": 1, "Y": 1, "T": 1, "hp0": 1, "dimF": 0, "trPhi": 0, "trPhi2": 0, "VolS": 0}
+
+
+def weights(poly):
+    """The set of the weights of poly's monomials."""
+    return {sum(WEIGHT[name.split("_")[0]] * e for name, e in mono) for mono in poly.terms}
+
+
+class TestWeights:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_interior_trace_has_weight_two(self, n):
+        # tr(E) is a second-order heat invariant
+        assert weights(geometry._trace_E_symbolic(n)) == {2}
+
+    @pytest.mark.parametrize("nbar", [2, 4, 6, 8])
+    def test_boundary_cases_have_weight_one(self, nbar):
+        # one order below the interior: every case is linear in hp0, X_n, Y_n
+        for cid in CASE_IDS:
+            res = boundary_case(cid, nbar)
+            want = set() if nbar == 2 or cid == "aI" else {1}
+            assert weights(res.value) == want, cid
+            assert weights(res.printed) <= {1}, cid

@@ -17,6 +17,7 @@ from ncresidue.errors import (
     ParseError,
     UnsupportedDimension,
     ValidationError,
+    check_int,
 )
 from ncresidue.geometry import GeometricBundle
 
@@ -81,6 +82,62 @@ class TestSessionConfig:
         with pytest.raises(ValidationError) as exc:
             SessionConfig(2, X=[LONG, 1, 1, 1])
         assert exc.value.field == "X[0]"
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"seed": 10 ** 5000}, "seed"), ({"seed": -10 ** 5000}, "seed"),
+         ({"verify_lemmas": 10 ** 5000}, "verify_lemmas"),
+         ({"torsion": [[1, 2, 10 ** 5000, 1]]}, "torsion"),
+         ({"torsion": [[-10 ** 5000, 2, 3, 1]]}, "torsion")],
+        ids=["seed", "negative_seed", "verify_lemmas", "torsion_index", "negative_index"],
+    )
+    def test_integer_past_the_digit_limit_is_refused(self, kwargs, field):
+        # a seed past Python's int-string limit was accepted and failed in
+        # the config hash, a negative one failed in repr, and a torsion index
+        # in the triple's message, each with a raw ValueError
+        with pytest.raises(ValidationError, match="too many digits") as exc:
+            SessionConfig(2, **kwargs)
+        assert exc.value.field == field
+
+    def test_a_non_int_is_shown_by_its_type(self):
+        # repr of a Fraction past the digit limit raised a raw ValueError
+        with pytest.raises(ValidationError, match="integer required, got Fraction$") as exc:
+            SessionConfig(2, seed=Fraction(10 ** 5000, 3))
+        assert exc.value.field == "seed"
+        with pytest.raises(ValidationError, match="integer required, got str$"):
+            SessionConfig(2, torsion=[[1, "2", 3, 1]])
+        with pytest.raises(ValidationError, match="nonnegative integer required, got -1$"):
+            SessionConfig(2, verify_lemmas=-1)
+
+
+class TestIntegerCheck:
+    class Unrenderable(int):
+        def __repr__(self):
+            raise AssertionError("rendered")
+
+        __str__ = __repr__
+
+    def test_returns_the_value_without_rendering_a_small_int(self):
+        value = self.Unrenderable(10 ** 100)
+        assert check_int("k", value, nonnegative=True) is value
+        with pytest.raises(ValidationError, match="integer required, got bool$"):
+            check_int("k", True)
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_the_digit_limit_is_read_when_called(self, limit):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert check_int("k", 10 ** limit - 1) == 10 ** limit - 1
+            assert check_int("k", -(10 ** limit - 1)) == -(10 ** limit - 1)
+            for value in (10 ** limit, -10 ** limit):
+                with pytest.raises(ValidationError, match="too many digits") as exc:
+                    check_int("k", value, nonnegative=True)
+                assert exc.value.field == "k"
+            sys.set_int_max_str_digits(0)  # no limit: nothing is refused or rendered
+            assert check_int("k", self.Unrenderable(10 ** (2 * limit))) == 10 ** (2 * limit)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestLoadConfig:

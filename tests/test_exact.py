@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -206,6 +207,43 @@ class TestParamPoly:
     def test_unknown_name_rejected(self, small_alphabet):
         with pytest.raises(AlphabetMismatch):
             ParamPoly.var(small_alphabet, "zz")
+
+    @pytest.mark.parametrize(
+        "mono",
+        [(("a", 1), ("a", 1)), (("a", 2), ("b", 1), ("a", 1)), (("a", 1.5),), (("a", "2"),),
+         (("a", True),), (("a", 0),), (("b", 1), ("a", -1))],
+        ids=["repeated", "repeated_apart", "float", "string", "bool", "zero", "negative"],
+    )
+    def test_non_canonical_monomial_rejected(self, small_alphabet, mono):
+        # a repeated name built a*a, unequal to a^2 with a nonzero difference;
+        # 1.5 built a^1.5 and "2" raised a raw TypeError
+        with pytest.raises(ValueError, match=re.escape(repr(mono))):
+            ParamPoly(small_alphabet, {mono: 1})
+        name, exp = mono[-1]
+        if len(mono) == 1:
+            with pytest.raises(ValueError, match=re.escape(repr(mono))):
+                ParamPoly.var(small_alphabet, name, exp)
+
+    def test_var_builds_what_the_constructor_builds(self, small_alphabet):
+        for exp in (1, 3):
+            got = ParamPoly.var(small_alphabet, "b", exp)
+            assert got.terms == ParamPoly(small_alphabet, {(("b", exp),): 1}).terms
+            assert type(got.terms[(("b", exp),)]) is GaussRational
+        assert ParamPoly.var(small_alphabet, "a", 2) == ParamPoly.var(small_alphabet, "a") ** 2
+
+    def test_coefficients_over_another_alphabet_rejected(self):
+        # both built silently: the README's "Library use" already promised
+        # AlphabetMismatch for HalfPlaneRational
+        al, other = Alphabet(["a", "b"]), Alphabet(["a", "b", "x"])
+        for poly in (ParamPoly.var(other, "x"), ParamPoly.const(other, 2), ParamPoly.zero(other)):
+            with pytest.raises(AlphabetMismatch):
+                HalfPlaneRational(al, [1, poly], a=2)
+            with pytest.raises(AlphabetMismatch):
+                CliffordElement(4, al, {(1, ()): ParamPoly.one(al), (3, ()): poly})
+        # an equal alphabet that is another instance is the same alphabet
+        twin, a = Alphabet(al.names), ParamPoly.var(al, "a")
+        assert HalfPlaneRational(twin, [a], a=2) == HalfPlaneRational(al, [a], a=2)
+        assert CliffordElement(4, twin, {(1, ()): a}) == CliffordElement(4, al, {(1, ()): a})
 
 
 # Property tests.  The oracle for GaussRational is a plain pair of Fractions
